@@ -25,9 +25,8 @@ from .errors import (CaseMismatch, ModelValidationError, NoRoot,
                      PikappaError)
 from .hamiltonian import value_function
 from .jumps import JumpFunctionals
-from .models import (LinearPremium, ModelInputs, load_model_file,
-                     parse_model_dict, validate_model)
-from .models import Utility
+from .models import (LinearPremium, ModelInputs, Utility, load_model_file,
+                     parse_model_dict, require_valid)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -78,6 +77,13 @@ def _load_inputs(args) -> ModelInputs:
             base = np.asarray(doc["rho"], dtype=float)
             doc["rho"] = (base * (args.rho / float(np.linalg.norm(base)))).tolist()
     return parse_model_dict(doc)
+
+
+def _load_valid_inputs(args) -> ModelInputs:
+    """The parsed model, refused as an input error when validation fails."""
+    inputs = _load_inputs(args)
+    require_valid(inputs.model, inputs.jumps, inputs.friction, inputs.utility)
+    return inputs
 
 
 def _file_sha256(path: str) -> str:
@@ -151,12 +157,7 @@ def _emit(args, text: str, t0: float) -> None:
 
 def cmd_solve(args) -> int:
     t0 = time.time()
-    inputs = _load_inputs(args)
-    report = validate_model(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-    if not report.ok:
-        print("validation failed:\n" + str(report), file=sys.stderr)
-        return EXIT_INPUT
+    inputs = _load_valid_inputs(args)
     if args.thresholds:
         prem = getattr(inputs.friction, "premium", None)
         eta_R, eta_r = solvers.threshold_etas(inputs.model, inputs.jumps, prem)
@@ -231,12 +232,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    inputs = _load_inputs(args)
-    report = validate_model(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-    if not report.ok:
-        print("validation failed:\n" + str(report), file=sys.stderr)
-        return EXIT_INPUT
+    inputs = _load_valid_inputs(args)
     from .hamiltonian import eval_objective
     from .models import Policy
     if args.pi is not None:
@@ -273,16 +269,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
-    inputs = _load_inputs(args)
-    checks: list[tuple[str, str, str]] = []   # (name, status, detail)
-
-    report = validate_model(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-    if not report.ok:
-        print("validation failed:\n" + str(report), file=sys.stderr)
-        return EXIT_INPUT
-    checks.append(("validation", "pass", ""))
+    inputs = _load_valid_inputs(args)
+    checks: list[tuple[str, str, str]] = [("validation", "pass", "")]
 
     try:
         rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
@@ -295,8 +283,8 @@ def cmd_verify(args) -> int:
             print(f"[{status}] {name} {detail}")
         return EXIT_VERIFY
 
-    pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                           inputs.friction, inputs.utility)
+    _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
+                                         inputs.friction, inputs.utility)
     gap = val - rep.objective.value
     ok = gap <= bound + 1e-12
     checks.append(("oracle-gap", "pass" if ok else "fail",
@@ -395,7 +383,6 @@ def _add_common(p: argparse.ArgumentParser, overrides: bool = True) -> None:
     p.add_argument("--out", default=None, help="write output to this file")
     p.add_argument("--format", choices=("csv", "json", "text"),
                    default="text")
-    p.add_argument("--threads", type=int, default=1)
     if overrides:
         p.add_argument("--eta", type=float, default=None)
         p.add_argument("--rho", type=float, default=None)
@@ -430,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help="also write an SVG line plot")
     p.add_argument("--y", default="pi_sum,kappa",
                    help="comma-separated plot columns")
+    p.add_argument("--threads", type=int, default=1,
+                   help="solve the grid in this many threads")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the policy")

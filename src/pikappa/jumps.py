@@ -10,6 +10,7 @@ are exact weighted sums.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,19 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float):
     return total, False
 
 
+def _overflow_as_domain_error(fn):
+    """Report a float overflow inside a quadrature integrand (huge eta, say)
+    as a DomainError instead of an untyped OverflowError."""
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{fn.__name__} overflowed: {exc}") from exc
+    return wrapped
+
+
+@_overflow_as_domain_error
 def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
                smooth, kappa_one: bool = False):
     """Integrate smooth(y) * y^(alpha-1+p_extra) * (1-y)^(beta-1+q_extra)
@@ -77,6 +91,7 @@ def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
     return val
 
 
+@_overflow_as_domain_error
 def _beta_power_quad(alpha: float, beta_: float, m_pow: float, s_pow: float,
                      kappa: float) -> float:
     """E[Y^m (1 - kappa Y)^s] for Y ~ Beta(alpha, beta), robust as
@@ -314,24 +329,25 @@ def fosd_compare(law_a: JumpLaw, law_b: JumpLaw, grid_size: int = 512) -> Orderi
     return Ordering.INCOMPARABLE
 
 
-def sample_jumps(jumps: JumpLaw, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws of Y, deterministic given seed.
+def _draw_y(rng, law, n: int) -> np.ndarray:
+    """n i.i.d. draws of Y from rng: the one sampler of the jump size.
 
     Beta sampling goes through the two-Gamma-draw ratio so the draw count
     per variate is fixed.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(seed))
-    law = jumps.law
     if isinstance(law, BetaJumps):
-        if n == 0:
-            return np.empty(0)
         g1 = rng.standard_gamma(law.alpha, size=n)
         g2 = rng.standard_gamma(law.beta, size=n)
         return g1 / (g1 + g2)
     idx = rng.choice(law.points.shape[0], size=n, p=law.weights)
     return law.points[idx]
+
+
+def sample_jumps(jumps: JumpLaw, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. draws of Y, deterministic given seed."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _draw_y(np.random.Generator(np.random.Philox(seed)), jumps.law, n)
 
 
 def law_mean(law) -> float:

@@ -268,6 +268,20 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     checks: list[ValidationCheck] = []
     d = model.d
 
+    law = jumps.law
+    premium = getattr(friction, "premium", None)
+    numbers = [model.mu, model.sigma, model.r, model.R, model.rho, model.b,
+               jumps.lam, utility.eta]
+    numbers += [law.alpha, law.beta] if isinstance(law, BetaJumps) \
+        else [law.points, law.weights]
+    numbers += [getattr(premium, k) for k in ("q", "delta")
+                if hasattr(premium, k)]
+    if isinstance(friction, LargeInvestor):
+        numbers += [friction.m_plus, friction.m_minus]
+    checks.append(ValidationCheck(
+        "numeric fields finite",
+        all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in numbers)))
+
     checks.append(ValidationCheck("sigma.shape", model.sigma.shape == (d, d),
                                   f"expected {(d, d)}, got {model.sigma.shape}"))
     cond = np.inf
@@ -293,7 +307,6 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
 
     checks.append(ValidationCheck("lambda >= 0", jumps.lam >= 0.0,
                                   f"lambda={jumps.lam}"))
-    law = jumps.law
     if isinstance(law, BetaJumps):
         checks.append(ValidationCheck("Beta(alpha,beta) parameters positive",
                                       law.alpha > 0 and law.beta > 0,
@@ -444,7 +457,23 @@ class ModelInputs:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _reject_non_finite(node, where: str) -> None:
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{where}.{key}")
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{where}[{i}]")
+    elif isinstance(node, float) and not np.isfinite(node):
+        raise ValueError(f"{where} must be finite, got {node}")
+
+
 def parse_model_dict(doc: dict) -> ModelInputs:
+    """Build the model inputs from a model-file document; a missing field,
+    a malformed entry or a NaN / infinite number raises ValueError."""
+    _reject_non_finite(doc, "model")
     try:
         d = int(doc["d"])
         mu = np.atleast_1d(np.asarray(doc["mu"], dtype=float))

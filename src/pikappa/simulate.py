@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import friction_term
-from .models import (BetaJumps, FrictionSpec, JumpLaw, MarketModel, Policy,
-                     Utility)
+from .jumps import _draw_y
+from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
 
@@ -57,31 +57,23 @@ def _policy_coefficients(policy: Policy, model: MarketModel,
     return drift, max(var_rate, 0.0)
 
 
-def _draw_jump_logs(rng, jumps: JumpLaw, kappa: float, n: int, T: float,
-                    with_counts: bool = False):
-    """Per-path sum of log(1 - kappa Y_i) over a Poisson number of jumps."""
-    if jumps.lam <= 0.0:
-        out = np.zeros(n)
-        return (out, np.zeros(n, dtype=int)) if with_counts else out
-    counts = rng.poisson(jumps.lam * T, size=n)
-    total = int(counts.sum())
-    if total == 0:
-        out = np.zeros(n)
-        return (out, counts) if with_counts else out
-    law = jumps.law
-    if isinstance(law, BetaJumps):
-        g1 = rng.standard_gamma(law.alpha, size=total)
-        g2 = rng.standard_gamma(law.beta, size=total)
-        y = g1 / (g1 + g2)
-    else:
-        idx = rng.choice(law.points.shape[0], size=total, p=law.weights)
-        y = law.points[idx]
+def _draw_jumps(rng, jumps: JumpLaw, n: int, T: float):
+    """Poisson jump counts per path, then the pooled jump sizes Y and the
+    path each size belongs to."""
+    counts = rng.poisson(jumps.lam * T, size=n) if jumps.lam > 0.0 \
+        else np.zeros(n, dtype=int)
+    y = _draw_y(rng, jumps.law, int(counts.sum()))
+    return counts, y, np.repeat(np.arange(n), counts)
+
+
+def _draw_jump_logs(rng, jumps: JumpLaw, kappa: float, n: int, T: float):
+    """Per-path sum of log(1 - kappa Y_i) over a Poisson number of jumps,
+    with the per-path jump counts."""
+    counts, y, owner = _draw_jumps(rng, jumps, n, T)
     z = 1.0 - kappa * y
     if np.any(z <= 0.0):
         raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
-    owner = np.repeat(np.arange(n), counts)
-    out = np.bincount(owner, weights=np.log(z), minlength=n)
-    return (out, counts) if with_counts else out
+    return np.bincount(owner, weights=np.log(z), minlength=n), counts
 
 
 def simulate_terminal_utility(policy: Policy, model: MarketModel,
@@ -102,23 +94,17 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     sd = np.sqrt(var_rate * T)
     rng = np.random.Generator(np.random.Philox(config.seed))
 
+    if config.antithetic and config.n_paths % 2:
+        raise ValueError("antithetic sampling needs an even path count")
+    n = config.n_paths // 2 if config.antithetic else config.n_paths
+    z = rng.standard_normal(n)
+    jl, counts = _draw_jump_logs(rng, jumps, policy.kappa, n, T)
+    g = sd * z
     if config.antithetic:
-        if config.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even path count")
-        half = config.n_paths // 2
-        z = rng.standard_normal(half)
-        jl, counts = _draw_jump_logs(rng, jumps, policy.kappa, half, T,
-                                     with_counts=True)
-        g = np.concatenate([sd * z, -sd * z])
+        g = np.concatenate([g, -g])
         jl = np.concatenate([jl, jl])
         counts = np.concatenate([counts, counts])
-        logv = np.log(x) + drift * T + g + jl
-    else:
-        z = rng.standard_normal(config.n_paths)
-        jl, counts = _draw_jump_logs(rng, jumps, policy.kappa,
-                                     config.n_paths, T, with_counts=True)
-        g = sd * z
-        logv = np.log(x) + drift * T + g + jl
+    logv = np.log(x) + drift * T + g + jl
 
     v = np.exp(logv)
     floored = v < WEALTH_FLOOR
@@ -164,31 +150,13 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     n = config.n_paths
     rng = np.random.Generator(np.random.Philox(config.seed))
     z = rng.standard_normal(n)
-    counts = rng.poisson(jumps.lam * T, size=n) if jumps.lam > 0 \
-        else np.zeros(n, dtype=int)
-    total = int(counts.sum())
-    if total > 0:
-        law = jumps.law
-        if isinstance(law, BetaJumps):
-            g1 = rng.standard_gamma(law.alpha, size=total)
-            g2 = rng.standard_gamma(law.beta, size=total)
-            y = g1 / (g1 + g2)
-        else:
-            idx = rng.choice(law.points.shape[0], size=total, p=law.weights)
-            y = law.points[idx]
-        owner = np.repeat(np.arange(n), counts)
-    else:
-        y = np.empty(0)
-        owner = np.empty(0, dtype=int)
+    _, y, owner = _draw_jumps(rng, jumps, n, T)
 
     def terminal_utilities(policy: Policy) -> np.ndarray:
         drift, var_rate = _policy_coefficients(policy, model, friction)
         sd = np.sqrt(var_rate * T)
-        if total > 0:
-            jl = np.bincount(owner, weights=np.log1p(-policy.kappa * y),
-                             minlength=n)
-        else:
-            jl = np.zeros(n)
+        jl = np.bincount(owner, weights=np.log1p(-policy.kappa * y),
+                         minlength=n)
         v = np.exp(np.log(x) + drift * T + sd * z + jl)
         v = np.maximum(v, WEALTH_FLOOR)
         return np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta)

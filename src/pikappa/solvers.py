@@ -1,10 +1,18 @@
 """Optimal (pi, kappa) for each friction regime via the case-by-case
 characterizations, with regime labels and optimality certificates.
 
+Differential rates, the frictionless market and the large investor share one
+kernel. Each friction is the concave piecewise-linear min over a shadow value
+xi in an interval of xi times the slack of a hyperplane: xi in [r, R] with
+pi.1 = 1 for differential rates (R = r without friction), and xi = r - m for
+the price pressure m in [m+, m-] with pi = 0 for the large investor. One case
+split probes the interval ends (cases i and ii) and otherwise bisects xi onto
+the hyperplane (case iii). Every regime solver ends in one evaluate /
+corner-check / certify step that builds the SolveReport.
+
 Every scalar root here is a bracketing bisection on a function that is
-monotone by construction: h(kappa; .) is strictly decreasing in kappa, the
-all-risky allocation map pi(xi).1 is strictly decreasing in the shadow rate,
-and the large-investor position pi(m) is strictly increasing in m.
+monotone by construction: h(kappa; .) is strictly decreasing in kappa and
+the allocation map pi(xi).1 is strictly decreasing in the shadow value.
 """
 
 from __future__ import annotations
@@ -95,8 +103,8 @@ def _case_label(prefix: str, family: str, tag: str) -> str:
     return f"{prefix}-{_ROMAN[(family, tag)]}"
 
 
-def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule,
-                        kappa: float, tol: float = 1e-9) -> float:
+def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule | None,
+                        kappa: float) -> float:
     """Corner optimality inequalities, returned as a violation magnitude."""
     if kappa <= 0.0:
         return max(obj.dH_dkappa - premium.derivative(0.0), 0.0)
@@ -105,8 +113,35 @@ def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule,
     return 0.0
 
 
+def _certified(policy: Policy, label: str, xi_star: float | None,
+               model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
+               utility: Utility, cert_tol: float, cache: JumpFunctionals,
+               iterations: dict, residuals: dict) -> SolveReport:
+    """Evaluate, corner-check and certify a candidate policy.
+
+    Raises NoSolution when the certificate fails or a corner kappa violates
+    its optimality inequality. Portfolio-premium candidates are interior, so
+    their missing premium schedule is never consulted.
+    """
+    obj = eval_objective(policy, model, jumps, friction, utility, cache)
+    corner_violation = _corner_consistency(
+        obj, getattr(friction, "premium", None), policy.kappa)
+    residuals["corner"] = corner_violation
+    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
+                   cache=cache, obj=obj)
+    residuals["certificate"] = cert.residual
+    if not cert.passes or corner_violation > 1e-7:
+        raise NoSolution(f"label={label} residual={cert.residual:.3e} "
+                         f"in_domain={cert.in_domain} "
+                         f"corner_violation={corner_violation:.3e}")
+    return SolveReport(policy=policy, case_label=label, xi_star=xi_star,
+                       objective=obj, certificate=cert,
+                       iterations=iterations, residuals=residuals)
+
+
 # ---------------------------------------------------------------------------
-# Differential borrowing/lending rates
+# Linear frictions with a shadow value: differential rates, the frictionless
+# market and the large investor
 # ---------------------------------------------------------------------------
 
 class _DiffRatesKernel:
@@ -146,68 +181,65 @@ class _DiffRatesKernel:
         return float(self.pi_of_xi(xi, eta)[0].sum())
 
 
+def _shadow_case(kern: _DiffRatesKernel, eta: float, xi_lo: float,
+                 xi_hi: float, level: float, below: str, above: str):
+    """Case split on the shadow interval [xi_lo, xi_hi] and the hyperplane
+    pi.1 = level.
+
+    pi(xi).1 decreases in xi, so the optimum is at xi_lo with family `below`
+    when pi(xi_lo).1 < level, at xi_hi with family `above` when
+    pi(xi_hi).1 > level, and otherwise case iii on the hyperplane.
+    Returns (family, tag, xi, pi, kappa, iterations, residuals).
+    """
+    iterations: dict = {}
+    residuals: dict = {}
+    pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi_lo, eta)
+    s_lo = float(pi.sum())
+    if s_lo < level:
+        family, xi = below, xi_lo
+    else:
+        pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi_hi, eta)
+        s_hi = float(pi.sum())
+        if s_hi > level:
+            family, xi = above, xi_hi
+        else:
+            family, xi = "iii", xi_lo
+            if xi_hi - xi_lo > XI_XTOL:
+                res = bisect(lambda x: kern.pi_sum(x, eta) - level, xi_lo,
+                             xi_hi, xtol=XI_XTOL, flo=s_lo - level,
+                             fhi=s_hi - level)
+                xi = res.root
+                iterations["xi"] = res.iterations
+                residuals["pi_sum"] = res.residual
+            pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi, eta)
+    iterations["kappa"] = it_k
+    residuals["h"] = hres
+    return family, tag, xi, pi, kappa, iterations, residuals
+
+
+def _solve_rates(model: MarketModel, jumps: JumpLaw,
+                 friction: DifferentialRates | Frictionless, utility: Utility,
+                 cert_tol: float, cache: JumpFunctionals | None,
+                 prefix: str) -> SolveReport:
+    require_valid(model, jumps, friction, utility)
+    cache = cache or JumpFunctionals(jumps)
+    kern = _DiffRatesKernel(model, jumps, friction.premium, cache)
+    family, tag, xi, pi, kappa, iterations, residuals = _shadow_case(
+        kern, utility.eta, model.r, model.R, 1.0, below="i", above="ii")
+    return _certified(Policy(pi=pi, kappa=kappa),
+                      _case_label(prefix, family, tag), xi, model, jumps,
+                      friction, utility, cert_tol, cache, iterations,
+                      residuals)
+
+
 def solve_diff_rates(model: MarketModel, jumps: JumpLaw,
                      premium: PremiumSchedule, utility: Utility,
                      cert_tol: float = DEFAULT_CERT_TOL,
-                     cache: JumpFunctionals | None = None,
-                     _friction: FrictionSpec | None = None,
-                     _label_prefix: str = "DiffRates") -> SolveReport:
+                     cache: JumpFunctionals | None = None) -> SolveReport:
     """Differential-rates regime: own funds (i), leverage (ii) or all-risky
     with a shadow rate (iii), with kappa corners labeled iv-vii."""
-    friction = _friction or DifferentialRates(premium)
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
-    eta = utility.eta
-    kern = _DiffRatesKernel(model, jumps, premium, cache)
-    r, R = model.r, model.R
-    iterations: dict = {}
-    residuals: dict = {}
-
-    pi_r, k_r, tag_r, it_r, hres_r = kern.pi_of_xi(r, eta)
-    s_r = float(pi_r.sum())
-    if s_r < 1.0:
-        family, xi_star = "i", r
-        pi_hat, k_hat, tag = pi_r, k_r, tag_r
-        iterations["kappa"] = it_r
-        residuals["h"] = hres_r
-    else:
-        pi_R, k_R, tag_R, it_R, hres_R = kern.pi_of_xi(R, eta)
-        s_R = float(pi_R.sum())
-        if s_R > 1.0:
-            family, xi_star = "ii", R
-            pi_hat, k_hat, tag = pi_R, k_R, tag_R
-            iterations["kappa"] = it_R
-            residuals["h"] = hres_R
-        else:
-            family = "iii"
-            if R - r <= XI_XTOL:
-                xi_star = r
-            else:
-                res = bisect(lambda xi: kern.pi_sum(xi, eta) - 1.0, r, R,
-                             xtol=XI_XTOL, flo=s_r - 1.0, fhi=s_R - 1.0)
-                xi_star = res.root
-                iterations["xi"] = res.iterations
-                residuals["pi_sum"] = res.residual
-            pi_hat, k_hat, tag, it_s, hres_s = kern.pi_of_xi(xi_star, eta)
-            iterations["kappa"] = it_s
-            residuals["h"] = hres_s
-
-    policy = Policy(pi=pi_hat, kappa=k_hat)
-    obj = eval_objective(policy, model, jumps, friction, utility, cache)
-    corner_violation = _corner_consistency(obj, premium, k_hat)
-    residuals["corner"] = corner_violation
-    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   cache=cache, obj=obj)
-    residuals["certificate"] = cert.residual
-    if not cert.passes or corner_violation > 1e-7:
-        raise NoSolution(
-            f"certification failed: label={_case_label(_label_prefix, family, tag)} "
-            f"residual={cert.residual:.3e} in_domain={cert.in_domain} "
-            f"corner_violation={corner_violation:.3e}")
-    return SolveReport(policy=policy,
-                       case_label=_case_label(_label_prefix, family, tag),
-                       xi_star=xi_star, objective=obj, certificate=cert,
-                       iterations=iterations, residuals=residuals)
+    return _solve_rates(model, jumps, DifferentialRates(premium), utility,
+                        cert_tol, cache, "DiffRates")
 
 
 def solve_frictionless(model: MarketModel, jumps: JumpLaw,
@@ -215,10 +247,35 @@ def solve_frictionless(model: MarketModel, jumps: JumpLaw,
                        cert_tol: float = DEFAULT_CERT_TOL,
                        cache: JumpFunctionals | None = None) -> SolveReport:
     """No portfolio friction: the R = r special case of differential rates."""
-    flat = model.replace(R=model.r)
-    return solve_diff_rates(flat, jumps, premium, utility, cert_tol=cert_tol,
-                            cache=cache, _friction=Frictionless(premium),
-                            _label_prefix="Frictionless")
+    return _solve_rates(model.replace(R=model.r), jumps, Frictionless(premium),
+                        utility, cert_tol, cache, "Frictionless")
+
+
+def solve_large_investor(model: MarketModel, jumps: JumpLaw,
+                         premium: PremiumSchedule, m_plus: float,
+                         m_minus: float, utility: Utility,
+                         cert_tol: float = DEFAULT_CERT_TOL,
+                         cache: JumpFunctionals | None = None) -> SolveReport:
+    """Large-investor regime: differential rates with the shadow rate
+    xi = r - m for the price pressure m in [m+, m-] and the hyperplane
+    pi = 0 in place of pi.1 = 1. Long (i), short (ii) or no trade (iii),
+    with kappa corners labeled iv-vii; xi_star reports the active m."""
+    friction = LargeInvestor(premium=premium, m_plus=m_plus, m_minus=m_minus)
+    require_valid(model, jumps, friction, utility)
+    cache = cache or JumpFunctionals(jumps)
+    kern = _DiffRatesKernel(model, jumps, premium, cache)
+    r = model.r
+    family, tag, xi, pi, kappa, iterations, residuals = _shadow_case(
+        kern, utility.eta, r - m_minus, r - m_plus, 0.0, below="ii",
+        above="i")
+    if family == "iii":
+        pi, m_hat = np.zeros(1), r - xi
+    else:
+        m_hat = m_plus if family == "i" else m_minus
+    return _certified(Policy(pi=pi, kappa=kappa),
+                      _case_label("Large", family, tag), m_hat, model, jumps,
+                      friction, utility, cert_tol, cache, iterations,
+                      residuals)
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
@@ -280,8 +337,6 @@ def solve_smooth_g(model: MarketModel, jumps: JumpLaw,
     mu, sig, rho = model.d1()
     b, lam = model.b, jumps.lam
     r = model.r
-    iterations: dict = {}
-    residuals: dict = {}
 
     def Q(x: float) -> float:
         return eta * sig * sig * x - float(friction.g_prime(x))
@@ -303,107 +358,13 @@ def solve_smooth_g(model: MarketModel, jumps: JumpLaw,
             - premium.derivative(k)
 
     k_hat, tag, it_k, hres = _solve_kappa(h, jumps, eta)
-    iterations["kappa"] = it_k
-    residuals["h"] = hres
     pi_hat = Q_inv(mu - r + eta * sig * rho * b * k_hat)
 
-    policy = Policy(pi=np.array([pi_hat]), kappa=k_hat)
-    obj = eval_objective(policy, model, jumps, friction, utility, cache)
-    corner_violation = _corner_consistency(obj, premium, k_hat)
-    residuals["corner"] = corner_violation
-    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   cache=cache, obj=obj)
-    residuals["certificate"] = cert.residual
-    if not cert.passes or corner_violation > 1e-7:
-        raise NoSolution(f"smooth-g certification failed: "
-                         f"residual={cert.residual:.3e} "
-                         f"in_domain={cert.in_domain}")
     label = {"interior": "SmoothG-1", "tie": "SmoothG-1",
              "lo": "SmoothG-2", "hi": "SmoothG-3"}[tag]
-    return SolveReport(policy=policy, case_label=label, xi_star=None,
-                       objective=obj, certificate=cert,
-                       iterations=iterations, residuals=residuals)
-
-
-# ---------------------------------------------------------------------------
-# Large investor with piecewise-constant price pressure (one risky asset)
-# ---------------------------------------------------------------------------
-
-def solve_large_investor(model: MarketModel, jumps: JumpLaw,
-                         premium: PremiumSchedule, m_plus: float,
-                         m_minus: float, utility: Utility,
-                         cert_tol: float = DEFAULT_CERT_TOL,
-                         cache: JumpFunctionals | None = None) -> SolveReport:
-    """Large-investor regime: mirror of differential rates with the price
-    pressure interval [m+, m-] in place of [r, R] and the hyperplane pi = 0
-    in place of pi.1 = 1."""
-    friction = LargeInvestor(premium=premium, m_plus=m_plus, m_minus=m_minus)
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
-    eta = utility.eta
-    mu, sig, rho = model.d1()
-    b, lam = model.b, jumps.lam
-    r = model.r
-    iterations: dict = {}
-    residuals: dict = {}
-
-    def kappa_of_m(m: float):
-        base = b * rho * (mu + m - r) / sig
-        slope = eta * b * b * (1.0 - rho * rho)
-
-        def h(k):
-            jump = lam * cache.psi(k, eta) if lam > 0 else 0.0
-            return base - slope * k - jump - premium.derivative(k)
-
-        return _solve_kappa(h, jumps, eta)
-
-    def pi_of_m(m: float):
-        k, tag, it_k, hres = kappa_of_m(m)
-        return (mu + m - r) / (eta * sig * sig) + rho * b * k / sig, k, tag, it_k, hres
-
-    pi_p, k_p, tag_p, it_p, hres_p = pi_of_m(m_plus)
-    if pi_p > 0.0:
-        family, m_hat = "i", m_plus
-        pi_hat, k_hat, tag = pi_p, k_p, tag_p
-        iterations["kappa"] = it_p
-        residuals["h"] = hres_p
-    else:
-        pi_m, k_m, tag_m, it_m, hres_m = pi_of_m(m_minus)
-        if pi_m < 0.0:
-            family, m_hat = "ii", m_minus
-            pi_hat, k_hat, tag = pi_m, k_m, tag_m
-            iterations["kappa"] = it_m
-            residuals["h"] = hres_m
-        else:
-            family = "iii"
-            if m_minus - m_plus <= XI_XTOL:
-                m_hat = m_plus
-            else:
-                res = bisect(lambda m: pi_of_m(m)[0], m_plus, m_minus,
-                             xtol=XI_XTOL, flo=pi_p, fhi=pi_m)
-                m_hat = res.root
-                iterations["m"] = res.iterations
-                residuals["pi"] = res.residual
-            _, k_hat, tag, it_s, hres_s = pi_of_m(m_hat)
-            pi_hat = 0.0
-            iterations["kappa"] = it_s
-            residuals["h"] = hres_s
-
-    policy = Policy(pi=np.array([pi_hat]), kappa=k_hat)
-    obj = eval_objective(policy, model, jumps, friction, utility, cache)
-    corner_violation = _corner_consistency(obj, premium, k_hat)
-    residuals["corner"] = corner_violation
-    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   cache=cache, obj=obj)
-    residuals["certificate"] = cert.residual
-    if not cert.passes or corner_violation > 1e-7:
-        raise NoSolution(f"large-investor certification failed: "
-                         f"residual={cert.residual:.3e} "
-                         f"in_domain={cert.in_domain}")
-    return SolveReport(policy=policy,
-                       case_label=_case_label("Large", family, tag),
-                       xi_star=m_hat, objective=obj, certificate=cert,
-                       iterations=iterations, residuals=residuals)
+    return _certified(Policy(pi=np.array([pi_hat]), kappa=k_hat), label,
+                      None, model, jumps, friction, utility, cert_tol, cache,
+                      {"kappa": it_k}, {"h": hres})
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +453,12 @@ def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
     qg_residual = float(friction.q(pi_hat)) + eta * b * sig * rho * pi_hat \
         - G(k_hat)
 
-    policy = Policy(pi=np.array([pi_hat]), kappa=k_hat)
-    obj = eval_objective(policy, model, jumps, friction, utility, cache)
-    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   cache=cache, obj=obj)
-    if not cert.passes:
-        raise NoSolution(f"portfolio-premium certification failed: "
-                         f"residual={cert.residual:.3e} "
-                         f"soc_ok={cert.in_domain}")
-    return SolveReport(policy=policy, case_label="PortfolioPremium-interior",
-                       xi_star=None, objective=obj, certificate=cert,
-                       iterations={"kappa": res.iterations},
-                       residuals={"foc": res.residual,
-                                  "Q_equals_G": qg_residual,
-                                  "q_monotone": float(q_monotone),
-                                  "certificate": cert.residual})
+    return _certified(Policy(pi=np.array([pi_hat]), kappa=k_hat),
+                      "PortfolioPremium-interior", None, model, jumps,
+                      friction, utility, cert_tol, cache,
+                      {"kappa": res.iterations},
+                      {"foc": res.residual, "Q_equals_G": qg_residual,
+                       "q_monotone": float(q_monotone)})
 
 
 # ---------------------------------------------------------------------------

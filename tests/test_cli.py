@@ -64,6 +64,49 @@ class TestSolve:
         assert doc["case"].startswith("DiffRates")
 
 
+    @pytest.mark.parametrize("path,value", [
+        (("mu",), [float("nan")]),
+        (("b",), float("inf")),
+        (("r",), float("-inf")),
+        (("sigma",), float("nan")),
+        (("eta",), float("inf")),
+        (("lambda",), float("nan")),
+        (("jump_law", "alpha"), float("nan")),
+        (("premium", "q"), float("inf")),
+    ])
+    def test_non_finite_field_is_input_error(self, tmp_path, capsys, path,
+                                             value):
+        doc = json.loads(open(cli.resolve_model_path("b1")).read())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "nonfinite.json"
+        p.write_text(json.dumps(doc))   # writes NaN / Infinity tokens
+        code, _, err = run(["solve", "--model", str(p)], capsys)
+        assert code == 1
+        assert err.startswith("input error:")
+        assert "must be finite" in err
+
+    def test_overflow_is_typed_failure(self, capsys):
+        code, _, err = run(["solve", "--model", "b1", "--eta", "1e6"], capsys)
+        assert code == 2
+        assert "Traceback" not in err and "overflow" in err
+
+    def test_certification_failure_prefixed_once(self, capsys):
+        code, _, err = run(["solve", "--model", "b1", "--eta", "1e-12"],
+                           capsys)
+        assert code == 2
+        assert err.count("certification failed") == 1
+        assert err.startswith("certification failed: label=DiffRates-")
+        assert "in_domain=" in err and "corner_violation=" in err
+
+    def test_threads_is_a_sweep_option(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["solve", "--model", "a1", "--threads", "2"])
+        capsys.readouterr()
+
+
 class TestSweep:
     def test_zero_steps_exit_1(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--model", "c1", "--param", "rho",

@@ -76,6 +76,23 @@ class TestValidation:
         assert not rep.ok
 
 
+    def test_non_finite_fields_fail(self):
+        inp = base_inputs()
+        m = inp.model.replace(b=float("inf"))
+        rep = pk.validate_model(m, inp.jumps, inp.friction, inp.utility)
+        assert [c.name for c in rep.failures()] == ["numeric fields finite"]
+        nan_eta = pk.Utility(eta=float("nan"))
+        rep = pk.validate_model(inp.model, inp.jumps, inp.friction, nan_eta)
+        assert any(c.name == "numeric fields finite" for c in rep.failures())
+
+    def test_parse_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"model\.jump_law\.beta"):
+            base_inputs(jump_law={"type": "beta", "alpha": 2.0,
+                                  "beta": float("nan")})
+        with pytest.raises(ValueError, match=r"model\.mu\[1\]"):
+            base_inputs(mu=np.array([0.08, np.inf]))
+
+
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
         doc = base_inputs().raw

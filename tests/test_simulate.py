@@ -169,6 +169,55 @@ class TestComparePolicies:
         assert v.verdict == "A-better"
 
 
+PIN_LAWS = {
+    "beta": pk.JumpLaw(lam=0.8, law=pk.BetaJumps(2.0, 8.0)),
+    "discrete": pk.JumpLaw(lam=0.8, law=pk.DiscreteJumps(
+        points=np.array([0.1, 0.4, 0.8]), weights=np.array([0.5, 0.3, 0.2]))),
+}
+# law -> (plain mean, plain SE, antithetic mean, antithetic SE,
+#         comparison diff mean, diff SE, mean A, mean B)
+MC_PINS = {
+    "beta": (-0.5701812077077362, 0.0012807181805052329,
+             -0.5718849278524243, 0.001217098328804395,
+             0.05857776980599558, 0.0008630253750706904,
+             -0.5701812077077362, -0.6287589775137318),
+    "discrete": (-0.6772638582940447, 0.002977849115147976,
+                 -0.6758694762320889, 0.003885835871264706,
+                 0.27724069328175205, 0.009010644090605206,
+                 -0.6772638582940447, -0.9545045515757967),
+}
+
+
+@pytest.mark.parametrize("law", sorted(MC_PINS))
+def test_monte_carlo_streams_bit_identical(law):
+    m = pk.MarketModel(mu=[0.08], sigma=[[0.2]], r=0.03, R=0.05, rho=[0.4],
+                       b=0.2)
+    fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.05))
+    u = pk.Utility(3.0)
+    a = pk.Policy(pi=[0.6], kappa=0.4)
+    b = pk.Policy(pi=[0.5], kappa=0.6)
+    jumps = PIN_LAWS[law]
+    plain = pk.simulate_terminal_utility(a, m, jumps, fric, u,
+                                         pk.SimConfig(n_paths=20_000, seed=7))
+    anti = pk.simulate_terminal_utility(
+        a, m, jumps, fric, u,
+        pk.SimConfig(n_paths=20_000, seed=7, antithetic=True))
+    cmp = pk.compare_policies(a, b, m, jumps, fric, u,
+                              pk.SimConfig(n_paths=20_000, seed=7))
+    got = (plain.mean, plain.std_error, anti.mean, anti.std_error,
+           cmp.diff_mean, cmp.diff_se, cmp.mean_a, cmp.mean_b)
+    assert got == MC_PINS[law]
+    assert cmp.verdict == "A-better"
+
+
+def test_sample_jumps_stream_bit_identical():
+    assert pk.sample_jumps(PIN_LAWS["beta"], 5, seed=3).tolist() == [
+        0.28607459870959356, 0.055356250806029544, 0.19999872511705233,
+        0.15709268536541515, 0.42797400624717646]
+    assert pk.sample_jumps(PIN_LAWS["discrete"], 5, seed=3).tolist() == [
+        0.1, 0.1, 0.1, 0.8, 0.8]
+
+
 class TestPathDump:
     def test_per_path_csv(self, tmp_path):
         m = c2_model()

@@ -227,6 +227,41 @@ class TestLargeInvestor:
         assert rep.objective.value >= val - bound
 
 
+# One model per large-investor label: (mu, sigma, rho, b, q, eta) with
+# r = 0.03, m+ = -0.02, m- = 0.03, lambda = 0.5, Y ~ Beta(2, 8), and the
+# reference (pi, kappa, xi_star, objective).
+LARGE_PINS = [
+    ("i", (-0.05, 0.3, 0.8, 0.3, 0.3, 3.0),
+     (0.058753671765292836, 0.5364050526695792, -0.02, -0.49668163380900443)),
+    ("ii", (-0.1, 0.2, -0.8, 0.1, 0.1, 1.0),
+     (-2.863257060770411, 0.9081426519260276, 0.03, 0.04543468727013167)),
+    ("iii", (-0.1, 0.3, 0.8, 0.3, 0.3, 3.0),
+     (0.0, 0.5088008064485621, 0.020099025811650788, -0.49697315432681377)),
+    ("iv", (0.1, 0.2, -0.8, 0.1, 0.0, 1.0),
+     (1.2499999999999998, 0.0, -0.02, 0.03125000000000001)),
+    ("v", (-0.1, 0.2, -0.8, 0.1, 0.0, 1.0),
+     (-2.4999999999999996, 0.0, 0.03, 0.125)),
+    ("vi", (0.0, 0.3, 0.8, 0.3, 0.3, 1.0),
+     (0.24444444444444446, 1.0, -0.02, -0.16036666666666632)),
+    ("vii", (-0.1, 0.2, -0.8, 0.1, 0.3, 1.0),
+     (-2.8999999999999995, 1.0, 0.03, 0.04514444444444478)),
+]
+
+
+@pytest.mark.parametrize("label,params,expected", LARGE_PINS,
+                         ids=[p[0] for p in LARGE_PINS])
+def test_large_investor_regression_pins(label, params, expected):
+    mu, sig, rho, b, q, eta = params
+    m = pk.MarketModel(mu=[mu], sigma=[[sig]], r=0.03, R=0.03, rho=[rho], b=b)
+    jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
+    rep = pk.solve_large_investor(m, jumps, pk.LinearPremium(q=q), -0.02,
+                                  0.03, pk.Utility(eta))
+    assert rep.case_label == f"Large-{label}"
+    got = (rep.policy.pi[0], rep.policy.kappa, rep.xi_star,
+           rep.objective.value)
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
 class TestPortfolioPremium:
     def test_section5_interior_matches_oracle(self):
         m = c_model(0.16, 0.4, 0.3)
