@@ -15,14 +15,13 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
 
 from . import __version__, oracle, simulate, solvers
 from .errors import (CaseMismatch, ModelValidationError, NoRoot,
-                     PikappaError)
+                     NoSolution, PikappaError)
 from .hamiltonian import value_function
 from .jumps import JumpFunctionals
 from .models import (LinearPremium, ModelInputs, Utility, load_model_file,
@@ -169,30 +168,17 @@ def cmd_solve(args) -> int:
     try:
         rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
                             inputs.utility)
-    except PikappaError as exc:
+    except NoSolution as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except PikappaError as exc:
+        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     if args.format == "json":
         _emit(args, json.dumps(_report_json(rep), indent=2), t0)
     else:
         _emit(args, "\n".join(_report_lines(rep)), t0)
     return EXIT_OK
-
-
-def _threaded_sweep(param, grid, inputs, threads: int) -> oracle.SweepResult:
-    if threads <= 1 or len(grid) < 4:
-        return oracle.sweep(param, grid, inputs.model, inputs.jumps,
-                            inputs.friction, inputs.utility)
-    chunks = np.array_split(np.asarray(grid, dtype=float), threads)
-    chunks = [c for c in chunks if c.size]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda c: oracle.sweep(param, c, inputs.model, inputs.jumps,
-                                   inputs.friction, inputs.utility), chunks))
-    points = tuple(p for part in parts for p in part.points)
-    return oracle.SweepResult(parameter=param,
-                              grid=np.asarray(grid, dtype=float),
-                              points=points, metadata=parts[0].metadata)
 
 
 def cmd_sweep(args) -> int:
@@ -206,7 +192,8 @@ def cmd_sweep(args) -> int:
               f"{', '.join(oracle.SWEEP_PARAMS)}", file=sys.stderr)
         return EXIT_INPUT
     grid = np.linspace(args.frm, args.to, args.steps + 1)
-    result = _threaded_sweep(args.param, grid, inputs, args.threads)
+    result = oracle.sweep(args.param, grid, inputs.model, inputs.jumps,
+                          inputs.friction, inputs.utility)
     csv_text = oracle.sweep_csv(result, inputs.model.d)
     outputs = []
     out = args.out or "sweep.csv"
@@ -417,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help="also write an SVG line plot")
     p.add_argument("--y", default="pi_sum,kappa",
                    help="comma-separated plot columns")
-    p.add_argument("--threads", type=int, default=1,
-                   help="solve the grid in this many threads")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the policy")

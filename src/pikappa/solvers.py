@@ -5,14 +5,16 @@ Differential rates, the frictionless market and the large investor share one
 kernel. Each friction is the concave piecewise-linear min over a shadow value
 xi in an interval of xi times the slack of a hyperplane: xi in [r, R] with
 pi.1 = 1 for differential rates (R = r without friction), and xi = r - m for
-the price pressure m in [m+, m-] with pi = 0 for the large investor. One case
-split probes the interval ends (cases i and ii) and otherwise bisects xi onto
-the hyperplane (case iii). Every regime solver ends in one evaluate /
-corner-check / certify step that builds the SolveReport.
+the price pressure m in [m+, m-] with pi = 0 for the large investor. For
+fixed kappa the optimal xi is the hyperplane point, affine in kappa, clipped
+to the interval, so one kappa root solves the whole case split, and the clip
+names the case: an interval end for cases i and ii, the hyperplane for case
+iii. Every regime solver ends in one evaluate / corner-check / certify step
+that builds the SolveReport.
 
 Every scalar root here is a bracketing bisection on a function that is
-monotone by construction: h(kappa; .) is strictly decreasing in kappa and
-the allocation map pi(xi).1 is strictly decreasing in the shadow value.
+monotone by construction: the kappa first-order condition is the derivative
+of a concave partial maximum, so it decreases in kappa.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .rootfind import bisect, expand_bracket
 
 CORNER_TIE = 1e-12
 KAPPA_XTOL = 1e-10
-XI_XTOL = 1e-11          # keeps |pi.1 - 1| <= 1e-8 in case iii
 ETA_XTOL = 1e-8
 
 
@@ -145,7 +146,13 @@ def _certified(policy: Policy, label: str, xi_star: float | None,
 # ---------------------------------------------------------------------------
 
 class _DiffRatesKernel:
-    """kappa(xi) and pi(xi) maps shared by the solver and threshold search."""
+    """Maps of the shadow value xi shared by the solver and threshold search.
+
+    pi(xi, kappa) = S^-1 (mu - xi 1) / eta + hedge kappa with S = sigma
+    sigma', so pi.1 is affine in xi and kappa, and so is the kappa
+    first-order condition h(kappa, xi) through its drift term
+    bB(xi) = b rho' sigma^-1 (mu - xi 1) = hedge'(mu - xi 1).
+    """
 
     def __init__(self, model: MarketModel, jumps: JumpLaw,
                  premium: PremiumSchedule, cache: JumpFunctionals):
@@ -157,64 +164,57 @@ class _DiffRatesKernel:
         self.SST = model.sigma @ model.sigma.T
         self.hedge_dir = np.linalg.solve(model.sigma.T, model.rho) * model.b
         self.rho2 = float(model.rho @ model.rho)
+        self.bB_mu = float(self.hedge_dir @ model.mu)
+        self.bB_one = float(self.hedge_dir.sum())
+        self.sinv_mu = float(np.linalg.solve(self.SST, model.mu).sum())
+        self.sinv_one = float(np.linalg.solve(self.SST, self.ones).sum())
+
+    def h(self, k: float, xi: float, eta: float) -> float:
+        m = self.model
+        jump = self.jumps.lam * self.cache.psi(k, eta) \
+            if self.jumps.lam > 0 else 0.0
+        slope = eta * m.b * m.b * (1.0 - self.rho2)
+        return self.bB_mu - xi * self.bB_one - slope * k - jump \
+            - self.premium.derivative(k)
+
+    def xi_plane(self, k: float, eta: float, level: float) -> float:
+        """The xi that puts pi(xi, k).1 on level."""
+        return (self.sinv_mu + eta * self.bB_one * k - eta * level) / self.sinv_one
+
+    def pi(self, xi: float, kappa: float, eta: float) -> np.ndarray:
+        return np.linalg.solve(self.SST, self.model.mu - xi * self.ones) \
+            / eta + self.hedge_dir * kappa
 
     def kappa_of_xi(self, xi: float, eta: float):
-        m = self.model
-        lam = self.jumps.lam
-        bB = m.b * float(m.rho @ np.linalg.solve(m.sigma,
-                                                 m.mu - xi * self.ones))
-        slope = eta * m.b * m.b * (1.0 - self.rho2)
-
-        def h(k):
-            jump = lam * self.cache.psi(k, eta) if lam > 0 else 0.0
-            return bB - slope * k - jump - self.premium.derivative(k)
-
-        return _solve_kappa(h, self.jumps, eta)
-
-    def pi_of_xi(self, xi: float, eta: float):
-        kappa, tag, iters, hres = self.kappa_of_xi(xi, eta)
-        pi = np.linalg.solve(self.SST, self.model.mu - xi * self.ones) / eta \
-            + self.hedge_dir * kappa
-        return pi, kappa, tag, iters, hres
+        return _solve_kappa(lambda k: self.h(k, xi, eta), self.jumps, eta)
 
     def pi_sum(self, xi: float, eta: float) -> float:
-        return float(self.pi_of_xi(xi, eta)[0].sum())
+        return float(self.pi(xi, self.kappa_of_xi(xi, eta)[0], eta).sum())
 
 
 def _shadow_case(kern: _DiffRatesKernel, eta: float, xi_lo: float,
                  xi_hi: float, level: float, below: str, above: str):
     """Case split on the shadow interval [xi_lo, xi_hi] and the hyperplane
-    pi.1 = level.
+    pi.1 = level, by one kappa root.
 
-    pi(xi).1 decreases in xi, so the optimum is at xi_lo with family `below`
-    when pi(xi_lo).1 < level, at xi_hi with family `above` when
-    pi(xi_hi).1 > level, and otherwise case iii on the hyperplane.
+    For fixed kappa the optimal shadow value is the hyperplane point
+    xi_plane(kappa) clipped to the interval, so h(kappa, clip(xi_plane))
+    is the derivative in kappa of the partial maximum over pi of a jointly
+    concave objective: it decreases, and its root is the optimum. The
+    family is read off the clip: `below` at xi_lo, `above` at xi_hi and
+    "iii" on the hyperplane.
     Returns (family, tag, xi, pi, kappa, iterations, residuals).
     """
-    iterations: dict = {}
-    residuals: dict = {}
-    pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi_lo, eta)
-    s_lo = float(pi.sum())
-    if s_lo < level:
-        family, xi = below, xi_lo
-    else:
-        pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi_hi, eta)
-        s_hi = float(pi.sum())
-        if s_hi > level:
-            family, xi = above, xi_hi
-        else:
-            family, xi = "iii", xi_lo
-            if xi_hi - xi_lo > XI_XTOL:
-                res = bisect(lambda x: kern.pi_sum(x, eta) - level, xi_lo,
-                             xi_hi, xtol=XI_XTOL, flo=s_lo - level,
-                             fhi=s_hi - level)
-                xi = res.root
-                iterations["xi"] = res.iterations
-                residuals["pi_sum"] = res.residual
-            pi, kappa, tag, it_k, hres = kern.pi_of_xi(xi, eta)
-    iterations["kappa"] = it_k
-    residuals["h"] = hres
-    return family, tag, xi, pi, kappa, iterations, residuals
+    def xi_of(k: float) -> float:
+        return min(max(kern.xi_plane(k, eta, level), xi_lo), xi_hi)
+
+    kappa, tag, it_k, hres = _solve_kappa(
+        lambda k: kern.h(k, xi_of(k), eta), kern.jumps, eta)
+    xi_p = kern.xi_plane(kappa, eta, level)
+    family = below if xi_p < xi_lo else above if xi_p > xi_hi else "iii"
+    xi = xi_of(kappa)
+    return (family, tag, xi, kern.pi(xi, kappa, eta), kappa,
+            {"kappa": it_k}, {"h": hres})
 
 
 def _solve_rates(model: MarketModel, jumps: JumpLaw,

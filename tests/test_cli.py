@@ -92,6 +92,8 @@ class TestSolve:
         code, _, err = run(["solve", "--model", "b1", "--eta", "1e6"], capsys)
         assert code == 2
         assert "Traceback" not in err and "overflow" in err
+        # not a certificate failure: the error names its own class
+        assert err.startswith("solve failed: DomainError: ")
 
     def test_certification_failure_prefixed_once(self, capsys):
         code, _, err = run(["solve", "--model", "b1", "--eta", "1e-12"],
@@ -131,15 +133,6 @@ class TestSweep:
         man = json.loads((tmp_path / "s1.csv.manifest.json").read_text())
         assert man["outputs"] == ["s1.csv"]
         assert "input_sha256" in man and "tool_version" in man
-
-    def test_threaded_matches_serial(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        base = ["sweep", "--model", "c2", "--param", "rho", "--from", "-0.8",
-                "--to", "0.8", "--steps", "16"]
-        run(base + ["--out", str(a)], capsys)
-        run(base + ["--out", str(b), "--threads", "4"], capsys)
-        assert a.read_text() == b.read_text()
 
     def test_svg_plot_written(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -127,6 +127,36 @@ class TestPsiDkappa:
             pk.psi_dkappa(BETA28, 1.0, 7.5)   # 1 + eta >= beta
 
 
+# kappa bands of the 30-digit reference check and their relative
+# tolerances: the series is tightest away from 1, and its slow tail near
+# kappa = 1 (and the quadrature route above 1 - 1e-6) is looser
+MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
+            (0.999, 1.0 - 1e-6, 1e-9), (1.0 - 1e-6, 1.0, 1e-9)]
+
+
+@pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
+                         ids=[f"kappa{lo:g}" for lo, _, _ in MP_BANDS])
+def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
+    # psi = a/(a+b) 2F1(eta, a+1; a+b+1; kappa) and psi_dkappa =
+    # a(a+1)/((a+b)(a+b+1)) 2F1(eta+1, a+2; a+b+2; kappa) for Y ~ Beta(a, b)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    with mpmath.workdps(30):
+        for _ in range(25):
+            a, b = rng.uniform(0.5, 20.0, size=2)
+            eta = rng.uniform(0.0, b)
+            kappa = rng.uniform(lo, hi)
+            law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=a, beta=b))
+            A, B, E, K = (mpmath.mpf(float(x)) for x in (a, b, eta, kappa))
+            ref_psi = A / (A + B) * mpmath.hyp2f1(E, A + 1, A + B + 1, K)
+            ref_dk = A * (A + 1) / ((A + B) * (A + B + 1)) \
+                * mpmath.hyp2f1(E + 1, A + 2, A + B + 2, K)
+            assert pk.psi(law, kappa, eta) == \
+                pytest.approx(float(ref_psi), rel=rtol, abs=0.0)
+            assert pk.psi_dkappa(law, kappa, eta) == \
+                pytest.approx(float(ref_dk), rel=rtol, abs=0.0)
+
+
 class TestUtilityJumpTerm:
     def test_kappa_zero(self):
         # U_eta(1) = 1/(1-eta)

@@ -38,6 +38,15 @@ def test_a2_case_transition_matches_eta_r(artifacts):
     assert all(r["case_label"] == "DiffRates-i" for r in after)
 
 
+def test_case_iii_rows_sit_on_the_hyperplane(artifacts):
+    # case iii puts the whole wealth at risk: pi.1 = 1 to the printed digits
+    rows = [r for name in sorted(artifacts) if name.endswith(".csv")
+            for r in _rows(artifacts[name])
+            if r.get("case_label", "").endswith("-iii")]
+    assert len(rows) == 147
+    assert all(r["pi_sum"] == "1" for r in rows)
+
+
 def test_a1_case_band(artifacts):
     rows = _rows(artifacts["a1_eta_sweep.csv"])
     iii = [float(r["param_value"]) for r in rows

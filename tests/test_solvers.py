@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import pikappa as pk
+from pikappa.cli import resolve_model_path
 from pikappa.jumps import JumpFunctionals
+from pikappa.models import load_model_file
+from pikappa.oracle import _apply_param
 from pikappa.solvers import _DiffRatesKernel
 
 BETA28_025 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -236,7 +239,7 @@ LARGE_PINS = [
     ("ii", (-0.1, 0.2, -0.8, 0.1, 0.1, 1.0),
      (-2.863257060770411, 0.9081426519260276, 0.03, 0.04543468727013167)),
     ("iii", (-0.1, 0.3, 0.8, 0.3, 0.3, 3.0),
-     (0.0, 0.5088008064485621, 0.020099025811650788, -0.49697315432681377)),
+     (0.0, 0.5088008064485621, 0.020099025807110572, -0.49697315432681377)),
     ("iv", (0.1, 0.2, -0.8, 0.1, 0.0, 1.0),
      (1.2499999999999998, 0.0, -0.02, 0.03125000000000001)),
     ("v", (-0.1, 0.2, -0.8, 0.1, 0.0, 1.0),
@@ -260,6 +263,41 @@ def test_large_investor_regression_pins(label, params, expected):
     got = (rep.policy.pi[0], rep.policy.kappa, rep.xi_star,
            rep.objective.value)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+# Differential-rates case iii on the bundled configs: (config, swept
+# parameter, value) and the reference (pi, kappa, xi_star, objective) from
+# an independent route (an xi bisection over kappa roots), held to the
+# tolerances of the steps that produce each column.
+RATES_III_PINS = [
+    ("a1", "eta", 1.0,
+     ((0.9061700570918387, 0.09382994299529052), 1.0, 0.04148777257185428,
+      -0.08972796434499196)),
+    ("a2", "eta", 2.0,
+     ((1.427711631244963, -0.42771163125845146), 1.0, 0.044957739144447256,
+      -0.525225718549738)),
+    ("b1", "rho", 0.3,
+     ((0.9999999999745126,), 0.9987689168483485, 0.08712318041478281,
+      -0.16377114720634203)),
+    ("b2", "rho", 0.7,
+     ((1.0000000000111937,), 0.7561921797168907, 0.04980316273053177,
+      -0.17314002359054326)),
+]
+
+
+@pytest.mark.parametrize("config,param,value,expected", RATES_III_PINS,
+                         ids=[p[0] for p in RATES_III_PINS])
+def test_rates_case_iii_regression_pins(config, param, value, expected):
+    inputs = load_model_file(resolve_model_path(config))
+    m, j, f, u = _apply_param(param, value, inputs.model, inputs.jumps,
+                              inputs.friction, inputs.utility)
+    rep = pk.solve(m, j, f, u)
+    pi, kappa, xi_star, objective = expected
+    assert rep.case_label == "DiffRates-iii"
+    assert rep.policy.pi == pytest.approx(np.array(pi), abs=1e-9)
+    assert rep.policy.kappa == pytest.approx(kappa, abs=1e-10)
+    assert rep.xi_star == pytest.approx(xi_star, abs=1e-11)
+    assert rep.objective.value == pytest.approx(objective, abs=1e-10)
 
 
 class TestPortfolioPremium:
