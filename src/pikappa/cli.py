@@ -368,8 +368,7 @@ def _add_common(p: argparse.ArgumentParser, overrides: bool = True) -> None:
                    "section5-example)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--format", choices=("csv", "json", "text"),
-                   default="text")
+    p.add_argument("--format", choices=("json", "text"), default="text")
     if overrides:
         p.add_argument("--eta", type=float, default=None)
         p.add_argument("--rho", type=float, default=None)
@@ -381,8 +380,16 @@ def _add_common(p: argparse.ArgumentParser, overrides: bool = True) -> None:
         p.add_argument("--mu", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1, where argparse exits 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pikappa",
         description="Optimal risky allocation and background-risk retention "
                     "under nonlinear portfolio frictions")

@@ -14,7 +14,11 @@ that builds the SolveReport.
 
 Every scalar root here is a bracketing bisection on a function that is
 monotone by construction: the kappa first-order condition is the derivative
-of a concave partial maximum, so it decreases in kappa.
+of a concave partial maximum, so it decreases in kappa (for the
+portfolio-dependent premium, the second-order bound makes f + H jointly
+concave). No root nests another: the risk-aversion thresholds bisect eta
+alone, reading the sign of pi.1 - 1 from one h call at the kappa that puts
+pi.1 on 1.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .rootfind import bisect, expand_bracket
 CORNER_TIE = 1e-12
 KAPPA_XTOL = 1e-10
 ETA_XTOL = 1e-8
+# pi grid on which the portfolio-premium second-order bound is checked
+_SOC_PI_GRID = np.linspace(-50.0, 50.0, 201)
 
 
 @dataclass(frozen=True)
@@ -185,12 +191,6 @@ class _DiffRatesKernel:
         return np.linalg.solve(self.SST, self.model.mu - xi * self.ones) \
             / eta + self.hedge_dir * kappa
 
-    def kappa_of_xi(self, xi: float, eta: float):
-        return _solve_kappa(lambda k: self.h(k, xi, eta), self.jumps, eta)
-
-    def pi_sum(self, xi: float, eta: float) -> float:
-        return float(self.pi(xi, self.kappa_of_xi(xi, eta)[0], eta).sum())
-
 
 def _shadow_case(kern: _DiffRatesKernel, eta: float, xi_lo: float,
                  xi_hi: float, level: float, below: str, above: str):
@@ -284,7 +284,12 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
                    xtol: float = ETA_XTOL) -> tuple[float, float]:
     """Risk-aversion thresholds (eta_R, eta_r) bracketing the all-risky band.
 
-    eta_R solves pi(R, eta).1 = 1 and eta_r solves pi(r, eta).1 = 1.
+    eta_R solves pi(R, eta).1 = 1 and eta_r solves pi(r, eta).1 = 1 at the
+    optimal kappa. For fixed xi, pi.1 = a/eta + c kappa with
+    a = 1'S^-1(mu - xi 1) and c = 1'hedge, so pi.1 - 1 = c (kappa - k_p)
+    for k_p = (1 - a/eta)/c. As h(., xi, eta) decreases, kappa > k_p
+    exactly when h(k_p) > 0 for k_p inside the kappa interval, and outside
+    it the sign is fixed: one eta bisection, no kappa root inside it.
     """
     require_valid(model, jumps, DifferentialRates(premium),
                   Utility(eta=max(lo, 1e-3)))
@@ -295,15 +300,27 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
             hi = 64.0
     cache = JumpFunctionals(jumps)
     kern = _DiffRatesKernel(model, jumps, premium, cache)
+    c = kern.bB_one
 
     def threshold_at(xi: float) -> float:
-        f = lambda eta: kern.pi_sum(xi, eta) - 1.0
-        f_lo, f_hi = f(lo), f(hi)
+        a = kern.sinv_mu - xi * kern.sinv_one
+
+        def sign_of_excess(eta: float) -> float:
+            # has the sign of pi(xi, kappa(xi, eta)).1 - 1
+            if c == 0.0:
+                return a / eta - 1.0
+            k_p = (1.0 - a / eta) / c
+            if 0.0 < k_p < _kappa_upper(jumps, eta)[0]:
+                return c * kern.h(k_p, xi, eta)
+            return -c * k_p
+
+        f_lo, f_hi = sign_of_excess(lo), sign_of_excess(hi)
         if (f_lo > 0) == (f_hi > 0):
             raise NoThreshold(
                 f"pi(xi={xi}).1 - 1 has no sign change for eta in "
-                f"({lo}, {hi}): endpoints {f_lo:.3e}, {f_hi:.3e}")
-        return bisect(f, lo, hi, xtol=xtol, flo=f_lo, fhi=f_hi).root
+                f"({lo}, {hi}): {'> 0' if f_lo > 0 else '<= 0'} at both ends")
+        return bisect(sign_of_excess, lo, hi, xtol=xtol, flo=f_lo,
+                      fhi=f_hi).root
 
     return threshold_at(model.R), threshold_at(model.r)
 
@@ -374,17 +391,17 @@ def solve_smooth_g(model: MarketModel, jumps: JumpLaw,
 def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
                             utility: Utility,
                             cert_tol: float = DEFAULT_CERT_TOL,
-                            cache: JumpFunctionals | None = None,
-                            pi_scan: float = 50.0) -> SolveReport:
+                            cache: JumpFunctionals | None = None) -> SolveReport:
     """Interior solve for f = -(1-kappa) q(pi).
 
-    q_fn is a PortfolioPremium friction or a (q, q') pair. The premium map
-    Q(pi) = q(pi) + eta b sigma rho pi is inverted on the branch selected by
-    the allocation first-order condition, whose own map is strictly
-    decreasing in pi whenever q is convex, so the inversion never needs the
-    global monotonicity of Q; when Q is globally monotone the two routes
-    coincide, and the Q(pi) = G(kappa) identity is verified either way. The
-    retained-fraction first-order condition is then bracketed on (0, 1).
+    q_fn is a PortfolioPremium friction or a (q, q') pair. With q convex,
+    pi(kappa) is the one root of the allocation first-order condition, which
+    decreases in pi. Under the second-order bound, checked on a pi grid, the
+    Hessian of f + H in (pi, kappa) is negative definite, so the
+    retained-fraction condition Q(pi(kappa)) - G(kappa), with
+    Q(pi) = q(pi) + eta b sigma rho pi, is the derivative of a concave
+    partial maximum: it decreases, and one kappa root solves the problem.
+    A kappa corner raises NoInteriorSolution.
     """
     if isinstance(q_fn, PortfolioPremium):
         friction = q_fn
@@ -397,8 +414,7 @@ def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
     b, lam = model.b, jumps.lam
     r = model.r
 
-    grid = np.linspace(-pi_scan, pi_scan, 201)
-    qp_grid = np.array([friction.q_prime(x) for x in grid])
+    qp_grid = np.array([friction.q_prime(x) for x in _SOC_PI_GRID])
     soc_rhs = sig * sig * eta * eta * (b * b + lam * cache.second_moment)
     soc_lhs = float(np.max((qp_grid + eta * rho * b * sig) ** 2))
     if soc_lhs >= soc_rhs:
@@ -406,8 +422,6 @@ def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
             f"second-order bound fails on the search bracket: "
             f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
             f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
-    q_slope = qp_grid + eta * b * sig * rho
-    q_monotone = bool(np.all(q_slope > 1e-12) or np.all(q_slope < -1e-12))
 
     def pi_from_kappa(k: float) -> float:
         # allocation FOC: mu - r - eta sig^2 pi + eta sig rho b k
@@ -427,38 +441,15 @@ def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
         pi_k = pi_from_kappa(k)
         return float(friction.q(pi_k)) + eta * b * sig * rho * pi_k - G(k)
 
-    hi, _ = _kappa_upper(jumps, eta)
-    ks = np.linspace(1e-9, hi - 1e-9, 129)
-    vals = []
-    for k in ks:
-        try:
-            vals.append(foc(float(k)))
-        except BracketError:
-            vals.append(np.nan)
-    vals = np.array(vals)
-    bracket = None
-    for i in range(len(ks) - 1):
-        if np.isnan(vals[i]) or np.isnan(vals[i + 1]):
-            continue
-        if (vals[i] > 0) != (vals[i + 1] > 0):
-            bracket = (float(ks[i]), float(ks[i + 1]), vals[i], vals[i + 1])
-            break
-    if bracket is None:
+    k_hat, tag, it_k, res_k = _solve_kappa(foc, jumps, eta)
+    if tag != "interior" or k_hat >= _kappa_upper(jumps, eta)[0]:
         raise NoInteriorSolution(
             "first-order condition has no sign change on (0, 1)")
-    res = bisect(foc, bracket[0], bracket[1], xtol=KAPPA_XTOL,
-                 flo=bracket[2], fhi=bracket[3])
-    k_hat = res.root
-    pi_hat = pi_from_kappa(k_hat)
-    qg_residual = float(friction.q(pi_hat)) + eta * b * sig * rho * pi_hat \
-        - G(k_hat)
-
-    return _certified(Policy(pi=np.array([pi_hat]), kappa=k_hat),
+    return _certified(Policy(pi=np.array([pi_from_kappa(k_hat)]),
+                             kappa=k_hat),
                       "PortfolioPremium-interior", None, model, jumps,
                       friction, utility, cert_tol, cache,
-                      {"kappa": res.iterations},
-                      {"foc": res.residual, "Q_equals_G": qg_residual,
-                       "q_monotone": float(q_monotone)})
+                      {"kappa": it_k}, {"foc": res_k})
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from pikappa.jumps import JumpFunctionals
 from pikappa.solvers import _DiffRatesKernel
 from pikappa.rootfind import bisect
 
+from nested_reference import pi_sum
+
 
 def criterion(cid: str, ok: bool, detail: str = ""):
     print(f"[criterion {cid}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -185,7 +187,7 @@ def _unit_allocation_window(model_fn, jumps, prem, util):
 
     def pi_sum_at(rho, xi):
         kern = _DiffRatesKernel(model_fn(rho), jumps, prem, cache)
-        return kern.pi_sum(xi, util.eta)
+        return pi_sum(kern, xi, util.eta)
 
     lo = bisect(lambda rho: pi_sum_at(rho, model_fn(0.0).r) - 1.0,
                 -0.999, 0.999, xtol=1e-8).root

@@ -104,9 +104,29 @@ class TestSolve:
         assert "in_domain=" in err and "corner_violation=" in err
 
     def test_threads_is_a_sweep_option(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--model", "a1", "--threads", "2"])
+        assert exc.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--format", "xml"], "argument --format: invalid choice"),
+        (["--eta", "abc"], "argument --eta: invalid float value"),
+    ])
+    def test_usage_error_exit_1(self, flags, message, capsys):
+        # exit 2 is kept for certification failures
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--model", "a1", *flags])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pikappa solve")
+        assert f"pikappa solve: error: {message}" in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pikappa solve")
 
 
 class TestSweep:

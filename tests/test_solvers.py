@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import pikappa as pk
+from pikappa import solvers
 from pikappa.cli import resolve_model_path
 from pikappa.jumps import JumpFunctionals
 from pikappa.models import load_model_file
 from pikappa.oracle import _apply_param
-from pikappa.solvers import _DiffRatesKernel
+from pikappa.solvers import ETA_XTOL, _DiffRatesKernel
+
+from nested_reference import kappa_of_xi, pi_sum, threshold_nested
 
 BETA28_025 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
 BETA128_015 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
@@ -103,7 +106,7 @@ class TestDiffRates:
         kern = _DiffRatesKernel(a1_model(), BETA28_025, Q03,
                                 JumpFunctionals(BETA28_025))
         xis = np.linspace(0.02, 0.06, 50)
-        sums = [kern.pi_sum(float(x), 1.0) for x in xis]
+        sums = [pi_sum(kern, float(x), 1.0) for x in xis]
         assert np.all(np.diff(sums) < 0)
 
     def test_existence_window_gives_interior_kappa(self):
@@ -119,7 +122,7 @@ class TestDiffRates:
             mid = m.b * 0.5 * (0.16 - xi) / 0.26
             hi = eta * m.b ** 2 * (1 - 0.25) + jumps.lam * cache.psi(1.0, eta) - Q03.q
             if lo < mid < hi:
-                kappa, tag, _, _ = kern.kappa_of_xi(float(xi), eta)
+                kappa, tag, _, _ = kappa_of_xi(kern, float(xi), eta)
                 assert tag == "interior" and 0.0 < kappa < 1.0
 
 
@@ -147,6 +150,68 @@ class TestThresholds:
                            rho=[0.0], b=0.2)
         with pytest.raises(pk.NoThreshold):
             pk.threshold_etas(m, BETA28_025, Q03)
+
+    def test_one_bisection_per_threshold(self, monkeypatch):
+        # the sign test takes no kappa root inside the eta bisection
+        bisect = solvers.bisect
+        calls = []
+
+        def counting_bisect(*args, **kwargs):
+            calls.append(args)
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "bisect", counting_bisect)
+        inputs = load_model_file(resolve_model_path("table-etaR"))
+        pk.threshold_etas(inputs.model.replace(R=0.06), inputs.jumps,
+                          inputs.friction.premium)
+        assert len(calls) == 2
+
+
+def _random_rates_model(rng, d, law_kind):
+    # the ranges of the benchmark's crosscheck generator
+    r = rng.uniform(0.0, 0.05)
+    if d == 1:
+        model = pk.MarketModel(
+            mu=[r + rng.uniform(-0.02, 0.18)],
+            sigma=[[rng.uniform(0.15, 0.45)]], r=r,
+            R=r + rng.uniform(0.0, 0.08), rho=[rng.uniform(-0.9, 0.9)],
+            b=rng.uniform(0.05, 0.8))
+    else:
+        s1, s2 = rng.uniform(0.15, 0.45, size=2)
+        rho = rng.uniform(-1.0, 1.0, size=2)
+        rho = rho / np.linalg.norm(rho) * rng.uniform(0.1, 0.9)
+        model = pk.MarketModel(
+            mu=r + rng.uniform(-0.02, 0.15, size=2),
+            sigma=sigma_from_s(s1, s2, rng.uniform(-0.7, 0.7)), r=r,
+            R=r + rng.uniform(0.0, 0.08), rho=rho, b=rng.uniform(0.05, 0.7))
+    if law_kind == "beta":
+        law = pk.BetaJumps(rng.uniform(0.8, 14.0), rng.uniform(2.5, 12.0))
+    else:
+        n = int(rng.integers(2, 6))
+        law = pk.DiscreteJumps(np.sort(rng.uniform(0.05, 0.95, size=n)),
+                               rng.dirichlet(np.ones(n)))
+    jumps = pk.JumpLaw(lam=rng.uniform(0.05, 0.5), law=law)
+    return model, jumps, pk.LinearPremium(q=rng.uniform(0.0, 0.5))
+
+
+def test_thresholds_match_nested_route_randomized():
+    # the hyperplane sign test against an eta bisection over kappa roots
+    rng = np.random.default_rng(7)
+    for i in range(60):
+        model, jumps, prem = _random_rates_model(
+            rng, 1 + i % 2, ("beta", "discrete")[(i // 2) % 2])
+        hi = jumps.law.beta - 1e-3 \
+            if isinstance(jumps.law, pk.BetaJumps) else 64.0
+        kern = _DiffRatesKernel(model, jumps, prem, JumpFunctionals(jumps))
+        try:
+            expected = tuple(threshold_nested(kern, xi, 1e-3, hi, ETA_XTOL)
+                             for xi in (model.R, model.r))
+        except pk.NoThreshold:
+            with pytest.raises(pk.NoThreshold):
+                pk.threshold_etas(model, jumps, prem)
+            continue
+        got = pk.threshold_etas(model, jumps, prem)
+        assert got == pytest.approx(expected, abs=ETA_XTOL), i
 
 
 QUAD_G = (lambda x: -0.2 * x * x, lambda x: -0.4 * x, lambda x: -0.4)
@@ -298,6 +363,49 @@ def test_rates_case_iii_regression_pins(config, param, value, expected):
     assert rep.policy.kappa == pytest.approx(kappa, abs=1e-10)
     assert rep.xi_star == pytest.approx(xi_star, abs=1e-11)
     assert rep.objective.value == pytest.approx(objective, abs=1e-10)
+
+
+# The section5-example portfolio-premium solve along rho: reference
+# (pi, kappa, objective) from the scan-then-bisect route (the kappa
+# first-order condition on a 129-point grid before the bisection).
+PREMIUM_PINS = [
+    (0.0, (0.15586169506084646, 0.006855858748563549, -0.13002278213555563)),
+    (0.25, (0.16261430605997956, 0.029707100280743387, -0.12967745217904791)),
+    (0.5, (0.17882424523485801, 0.05727011825144773, -0.12879949425853346)),
+]
+
+
+@pytest.mark.parametrize("rho,expected", PREMIUM_PINS,
+                         ids=[str(p[0]) for p in PREMIUM_PINS])
+def test_portfolio_premium_regression_pins(rho, expected):
+    inputs = load_model_file(resolve_model_path("section5-example"))
+    m, j, f, u = _apply_param("rho", rho, inputs.model, inputs.jumps,
+                              inputs.friction, inputs.utility)
+    rep = pk.solve_portfolio_premium(m, j, f, u)
+    pi, kappa, objective = expected
+    assert rep.case_label == "PortfolioPremium-interior"
+    assert rep.policy.pi[0] == pytest.approx(pi, abs=1e-10)
+    assert rep.policy.kappa == pytest.approx(kappa, abs=1e-10)
+    assert rep.objective.value == pytest.approx(objective, abs=1e-12)
+
+
+def test_portfolio_premium_takes_no_kappa_scan():
+    # beyond the validation grid, q is called once per first-order-condition
+    # evaluation of one kappa bisection, plus the objective and certificate
+    inputs = load_model_file(resolve_model_path("section5-example"))
+    calls = []
+
+    def q(x):
+        calls.append(x)
+        return inputs.friction.q(x)
+
+    fric = pk.PortfolioPremium(q=q, q_prime=inputs.friction.q_prime)
+    pk.validate_model(inputs.model, inputs.jumps, fric, inputs.utility)
+    n_validate = len(calls)
+    calls.clear()
+    pk.solve_portfolio_premium(inputs.model, inputs.jumps, fric,
+                               inputs.utility)
+    assert len(calls) - n_validate < 60
 
 
 class TestPortfolioPremium:
