@@ -270,8 +270,12 @@ def cmd_verify(args) -> int:
             print(f"[{status}] {name} {detail}")
         return EXIT_VERIFY
 
-    _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                         inputs.friction, inputs.utility)
+    try:
+        _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
+                                             inputs.friction, inputs.utility)
+    except PikappaError as exc:
+        print(f"oracle failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     gap = val - rep.objective.value
     ok = gap <= bound + 1e-12
     checks.append(("oracle-gap", "pass" if ok else "fail",
@@ -338,13 +342,17 @@ def cmd_mutual_fund(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.time()
-    inputs = _load_inputs(args)
+    inputs = _load_valid_inputs(args)
     grid = oracle.GridSpec(resolution=args.resolution,
                            refine_resolution=args.refine_resolution,
                            rounds=args.rounds)
-    pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                           inputs.friction, inputs.utility,
-                                           grid)
+    try:
+        pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
+                                               inputs.friction,
+                                               inputs.utility, grid)
+    except PikappaError as exc:
+        print(f"oracle failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     lines = [f"oracle_pi = {', '.join(f'{p:.8g}' for p in pol.pi)}",
              f"oracle_kappa = {pol.kappa:.8g}",
              f"oracle_value = {val:.10g}",

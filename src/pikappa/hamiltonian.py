@@ -21,7 +21,7 @@ from .jumps import JumpFunctionals
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, LinearPremium, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
-                     Utility)
+                     TabulatedPremium, Utility)
 from .rootfind import bisect, expand_bracket
 
 DOMAIN_TOL = 1e-9
@@ -38,24 +38,47 @@ class ObjectiveEval:
     H_value: float
 
 
-def friction_term(friction: FrictionSpec, model: MarketModel,
-                  pi: np.ndarray, kappa: float) -> float:
-    """The drift friction f(pi, kappa) for any regime."""
+def _each(fn, x):
+    """A scalar callable applied to every entry of x, one float at a time:
+    the user callables (g, q, tabulated premiums) need not broadcast."""
+    x = np.asarray(x)
+    return np.array([float(fn(float(v))) for v in x.ravel()]).reshape(x.shape)
+
+
+def _premium_value(premium: PremiumSchedule, kappa):
+    if isinstance(premium, TabulatedPremium):
+        return _each(premium.value, kappa)
+    return premium.value(kappa)
+
+
+def _pi_friction(friction: FrictionSpec, model: MarketModel, pi: np.ndarray):
+    """The part of a separable friction that depends on pi alone."""
     if isinstance(friction, Frictionless):
-        return -friction.premium.value(kappa)
+        return 0.0
     if isinstance(friction, DifferentialRates):
-        excess = float(pi.sum()) - 1.0
-        return -(model.R - model.r) * max(excess, 0.0) \
-            - friction.premium.value(kappa)
+        return -(model.R - model.r) * np.maximum(pi.sum(axis=-1) - 1.0, 0.0)
     if isinstance(friction, SmoothG):
-        return float(friction.g(float(pi[0]))) - friction.premium.value(kappa)
+        return _each(friction.g, pi[..., 0])
     if isinstance(friction, LargeInvestor):
-        p = float(pi[0])
-        m = friction.m_plus if p >= 0.0 else friction.m_minus
-        return p * m - friction.premium.value(kappa)
-    if isinstance(friction, PortfolioPremium):
-        return -(1.0 - kappa) * float(friction.q(float(pi[0])))
+        p = pi[..., 0]
+        return p * np.where(p >= 0.0, friction.m_plus, friction.m_minus)
     raise TypeError(f"unknown friction {friction!r}")
+
+
+def friction_term(friction: FrictionSpec, model: MarketModel,
+                  pi: np.ndarray, kappa):
+    """The drift friction f(pi, kappa) for any regime.
+
+    The last axis of pi holds the d weights; its other axes broadcast
+    against kappa, so a grid of portfolios of shape (..., 1, d) against a
+    kappa axis gives the whole table at once. One policy gives a float.
+    """
+    if isinstance(friction, PortfolioPremium):
+        f = -(1.0 - kappa) * _each(friction.q, pi[..., 0])
+    else:
+        f = _pi_friction(friction, model, pi) \
+            - _premium_value(friction.premium, kappa)
+    return float(f) if np.ndim(f) == 0 else f
 
 
 def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,

@@ -1,16 +1,29 @@
 """Expectations over the jump size Y needed by the objective and solvers.
 
-Every Beta-law functional has two independent evaluation paths: a Gaussian
-hypergeometric power series (primary for kappa away from 1) and adaptive
-quadrature against the Beta density with algebraic endpoint weights
-(fallback near kappa = 1 and the cross-check oracle in tests). Discrete laws
-are exact weighted sums.
+Each one is a power moment E[Y^m (1 - kappa Y)^(-s)]: psi is (m, s) =
+(1, eta), psi_dkappa is (2, 1 + eta) and the power-utility jump term is
+(0, eta - 1), divided by 1 - eta. One routing function, _power_moment,
+evaluates all three:
+
+- discrete laws: the exact weighted sum;
+- Beta(alpha, beta) at kappa = 1: the closed form
+  B(alpha + m, beta - s) / B(alpha, beta), finite exactly when s < beta;
+- Beta below SERIES_SWITCH: the Gaussian hypergeometric series
+  (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m; kappa)
+  (DLMF 15.2);
+- otherwise, or when the series does not converge: adaptive quadrature
+  against the Beta density with algebraic endpoint weights.
+
+The quadrature route alone (psi_quadrature) is the independent reference
+the tests check every functional against. The log-utility term (eta = 1)
+is not a power moment: an exact sum for discrete laws, quadrature for Beta.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +56,11 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float):
     return total, False
 
 
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for a, b > 0."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _overflow_as_domain_error(fn):
     """Report a float overflow inside a quadrature integrand (huge eta, say)
     as a DomainError instead of an untyped OverflowError."""
@@ -57,7 +75,7 @@ def _overflow_as_domain_error(fn):
 
 @_overflow_as_domain_error
 def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
-               smooth, kappa_one: bool = False):
+               smooth):
     """Integrate smooth(y) * y^(alpha-1+p_extra) * (1-y)^(beta-1+q_extra)
     over [0,1], normalized by B(alpha, beta).
 
@@ -68,9 +86,7 @@ def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
     q = beta_ - 1.0 + q_extra
     if p <= -1.0 or q <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent (p={p}, q={q})")
-    lognorm = special.gammaln(alpha + beta_) - special.gammaln(alpha) \
-        - special.gammaln(beta_)
-    norm = np.exp(lognorm)
+    norm = math.exp(-_log_beta(alpha, beta_))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         if p < 1.0 or q < 1.0:
@@ -102,15 +118,10 @@ def _beta_power_quad(alpha: float, beta_: float, m_pow: float, s_pow: float,
     integral is split at the layer edge; the outer piece runs on a log grid
     in w, where the layer is polynomial and adaptive quadrature resolves it.
     """
-    eps = 1.0 - kappa
-    if eps <= 0.0:
-        raise DomainError("kappa = 1 must use the closed forms")
-    norm = np.exp(special.gammaln(alpha + beta_) - special.gammaln(alpha)
-                  - special.gammaln(beta_))
-    p = alpha - 1.0 + m_pow        # exponent of (1 - w)
+    eps = 1.0 - kappa              # kappa < 1: kappa = 1 has a closed form
+    norm = math.exp(-_log_beta(alpha, beta_))
+    p = alpha - 1.0 + m_pow        # exponent of (1 - w), > -1 for m >= 0
     q = beta_ - 1.0                # exponent of w
-    if p <= -1.0 or q <= -1.0:
-        raise DomainError(f"non-integrable endpoint exponent (p={p}, q={q})")
     w1 = min(0.25, eps * 2.0 ** (10.0 / max(abs(s_pow), 1.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -145,108 +156,87 @@ def _check_kappa_eta(kappa: float, eta: float) -> None:
         raise DomainError(f"eta={eta} must be positive")
 
 
+def _beta_moment_quadrature(law: BetaJumps, m: int, s: float,
+                            kappa: float) -> float:
+    """E[Y^m (1 - kappa Y)^(-s)] for Y ~ Beta(alpha, beta) by quadrature
+    alone; at kappa = 1 the factor (1 - y)^(-s) joins the algebraic weight."""
+    a, b = law.alpha, law.beta
+    if kappa == 1.0:
+        return _beta_quad(a, b, m, -s, lambda y: 1.0)
+    if kappa >= 0.9 and s > 0.0:
+        return _beta_power_quad(a, b, m, -s, kappa)
+    return _beta_quad(a, b, m, 0.0, lambda y: (1.0 - kappa * y) ** (-s))
+
+
+def _power_moment(law, m: int, s: float, kappa: float) -> float:
+    """E[Y^m (1 - kappa Y)^(-s)]: the one route of every power-type jump
+    functional (see the module docstring)."""
+    if isinstance(law, DiscreteJumps):
+        y, w = law.points, law.weights
+        return float(np.sum(w * y ** m / (1.0 - kappa * y) ** s))
+    a, b = law.alpha, law.beta
+    if kappa == 1.0:
+        if s >= b:
+            raise DomainError(f"E[Y^{m:g} (1-Y)^(-s)] diverges for "
+                              f"s={s} >= beta={b}")
+        return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b))
+    if kappa <= SERIES_SWITCH:
+        val, ok = _hyp2f1_series(s, a + m, a + b + m, kappa)
+        if ok:
+            for j in range(m):     # times (alpha)_m / (alpha + beta)_m
+                val = val * (a + j) / (a + b + j)
+            return val
+    return _beta_moment_quadrature(law, m, s, kappa)
+
+
 def psi(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[Y / (1 - kappa Y)^eta]."""
     _check_kappa_eta(kappa, eta)
-    law = jumps.law
-    if isinstance(law, DiscreteJumps):
-        y, w = law.points, law.weights
-        return float(np.sum(w * y / (1.0 - kappa * y) ** eta))
-    a, b = law.alpha, law.beta
-    if kappa == 1.0:
-        if eta >= b:
-            raise DomainError(
-                f"E[Y/(1-Y)^eta] diverges for eta={eta} >= beta={b}")
-        return float(np.exp(np.log(a) + special.gammaln(a + b)
-                            + special.gammaln(b - eta) - special.gammaln(b)
-                            - special.gammaln(a + b + 1.0 - eta)))
-    if kappa <= SERIES_SWITCH:
-        val, ok = _hyp2f1_series(eta, a + 1.0, a + b + 1.0, kappa)
-        if ok:
-            return val * a / (a + b)
-    if kappa >= 0.9:
-        return _beta_power_quad(a, b, 1.0, -eta, kappa)
-    return _beta_quad(a, b, 1.0, 0.0,
-                      lambda y: (1.0 - kappa * y) ** (-eta))
+    return _power_moment(jumps.law, 1, eta, kappa)
 
 
-def psi_quadrature(jumps: JumpLaw, kappa: float, eta: float) -> float:
-    """Quadrature-only path of psi (the independent oracle route)."""
-    _check_kappa_eta(kappa, eta)
-    law = jumps.law
-    if isinstance(law, DiscreteJumps):
-        return psi(jumps, kappa, eta)
-    a, b = law.alpha, law.beta
-    if kappa == 1.0:
-        if eta >= b:
-            raise DomainError(
-                f"E[Y/(1-Y)^eta] diverges for eta={eta} >= beta={b}")
-        return _beta_quad(a, b, 1.0, -eta, lambda y: 1.0)
-    return _beta_quad(a, b, 1.0, 0.0, lambda y: (1.0 - kappa * y) ** (-eta))
+def psi_quadrature(jumps: JumpLaw, kappa: float, s: float,
+                   m: int = 1) -> float:
+    """E[Y^m (1 - kappa Y)^(-s)] by quadrature alone (exact sums for
+    discrete laws): the independent reference of every jump functional.
+    With m = 1 and s = eta it is psi."""
+    if not (0.0 <= kappa <= 1.0):
+        raise DomainError(f"kappa={kappa} outside [0, 1]")
+    if isinstance(jumps.law, DiscreteJumps):
+        return _power_moment(jumps.law, m, s, kappa)
+    return _beta_moment_quadrature(jumps.law, m, s, kappa)
 
 
 def psi_dkappa(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[Y^2 / (1 - kappa Y)^(1+eta)], i.e. (1/eta) d(psi)/d(kappa)."""
     _check_kappa_eta(kappa, eta)
-    law = jumps.law
-    if isinstance(law, DiscreteJumps):
-        y, w = law.points, law.weights
-        return float(np.sum(w * y * y / (1.0 - kappa * y) ** (1.0 + eta)))
-    a, b = law.alpha, law.beta
-    if kappa == 1.0:
-        if 1.0 + eta >= b:
-            raise DomainError(
-                f"E[Y^2/(1-Y)^(1+eta)] diverges for eta={eta}, beta={b}")
-        return float(np.exp(np.log(a) + np.log(a + 1.0)
-                            + special.gammaln(a + b)
-                            + special.gammaln(b - eta - 1.0)
-                            - special.gammaln(b)
-                            - special.gammaln(a + b + 1.0 - eta)))
-    if kappa <= SERIES_SWITCH:
-        val, ok = _hyp2f1_series(eta + 1.0, a + 2.0, a + b + 2.0, kappa)
-        if ok:
-            return val * a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-    if kappa >= 0.9:
-        return _beta_power_quad(a, b, 2.0, -(1.0 + eta), kappa)
-    return _beta_quad(a, b, 2.0, 0.0,
-                      lambda y: (1.0 - kappa * y) ** (-(1.0 + eta)))
+    return _power_moment(jumps.law, 2, 1.0 + eta, kappa)
 
 
 def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[U_eta(1 - kappa Y)]: the jump contribution to the objective."""
     _check_kappa_eta(kappa, eta)
     law = jumps.law
+    if eta != 1.0:
+        return _power_moment(law, 0, eta - 1.0, kappa) / (1.0 - eta)
     if isinstance(law, DiscreteJumps):
-        y, w = law.points, law.weights
-        z = 1.0 - kappa * y
-        if eta == 1.0:
-            return float(np.sum(w * np.log(z)))
-        return float(np.sum(w * z ** (1.0 - eta)) / (1.0 - eta))
-    a, b = law.alpha, law.beta
-    if kappa == 1.0 and eta != 1.0 and eta >= b:
-        raise DomainError(
-            f"E[U_eta(1-Y)] requires eta < beta (eta={eta}, beta={b})")
-    if eta == 1.0:
-        # clip keeps the y=1 endpoint evaluation finite; the log singularity
-        # is integrable and the quadrature weight never sits exactly on it
-        return _beta_quad(a, b, 0.0, 0.0,
-                          lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
-    if kappa == 1.0:
-        # (1-y)^(1-eta) folded into the algebraic weight
-        return _beta_quad(a, b, 0.0, 1.0 - eta,
-                          lambda y: 1.0 / (1.0 - eta))
-    if kappa >= 0.9 and eta > 1.0:
-        return _beta_power_quad(a, b, 0.0, 1.0 - eta, kappa) / (1.0 - eta)
-    return _beta_quad(a, b, 0.0, 0.0,
-                      lambda y: (1.0 - kappa * y) ** (1.0 - eta) / (1.0 - eta))
+        return float(np.sum(law.weights * np.log(1.0 - kappa * law.points)))
+    # clip keeps the y=1 endpoint evaluation finite; the log singularity
+    # is integrable and the quadrature weight never sits exactly on it
+    return _beta_quad(law.alpha, law.beta, 0.0, 0.0,
+                      lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
 
 
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
                        eta: float) -> np.ndarray:
-    """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid.
+    """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
+    jump term.
 
-    Series-based fast path used by the grid oracle; independent of the
-    quadrature route in utility_jump_term and cross-checked against it.
+    Beta laws sum the series of utility_jump_term for every kappa up to
+    SERIES_SWITCH at once; kappa = 1, kappas above the switch and entries
+    whose series did not converge take the scalar route. Where
+    E[U_eta(1 - Y)] diverges (eta >= beta + 1) the scalar route raises, and
+    the kappa = 1 entry is -inf, the objective's true value there.
     """
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
@@ -258,8 +248,8 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
         return (z ** (1.0 - eta)) @ w / (1.0 - eta)
     a, b = law.alpha, law.beta
     out = np.empty_like(kappas)
-    interior = kappas < 1.0
-    z = kappas[interior]
+    summed = kappas <= SERIES_SWITCH
+    z = kappas[summed]
     if eta == 1.0:
         # E[ln(1-kY)] = -sum_n k^n E[Y^n] / n
         total = np.zeros_like(z)
@@ -274,7 +264,7 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
             if np.all(np.abs(term) <= SERIES_RTOL * (1.0 + np.abs(total))):
                 break
         converged = np.abs(term) <= SERIES_RTOL * (1.0 + np.abs(total))
-        out[interior] = total
+        out[summed] = total
     else:
         # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k)
         term = np.ones_like(z)
@@ -286,13 +276,15 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
             if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
                 break
         converged = np.abs(term) <= SERIES_RTOL * np.abs(total)
-        out[interior] = total / (1.0 - eta)
-    # entries near kappa = 1 can outlast the term cap; finish by quadrature
-    slow = np.nonzero(interior)[0][~converged]
-    for i in slow:
-        out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
-    for i in np.nonzero(~interior)[0]:
-        out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
+        out[summed] = total / (1.0 - eta)
+    summed[summed] = converged
+    for i in np.nonzero(~summed)[0]:
+        try:
+            out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
+        except DomainError:
+            if kappas[i] != 1.0:
+                raise
+            out[i] = -np.inf       # E[U_eta(1 - Y)] diverges to -inf
     return out
 
 

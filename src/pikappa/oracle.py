@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .errors import PikappaError
-from .jumps import JumpFunctionals, utility_jump_curve
-from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
-                     LargeInvestor, LinearPremium, MarketModel, Policy,
-                     PortfolioPremium, PowerPremium, SmoothG, Utility)
+from .hamiltonian import friction_term
+from .jumps import utility_jump_curve
+from .models import (FrictionSpec, JumpLaw, LinearPremium, MarketModel,
+                     Policy, PortfolioPremium, Utility)
 from . import solvers
 
 
@@ -54,41 +54,6 @@ def _auto_pi_bounds(model: MarketModel, eta: float) -> list[tuple[float, float]]
     return out
 
 
-def _premium_curve(friction, kappas: np.ndarray) -> np.ndarray:
-    prem = friction.premium
-    if isinstance(prem, LinearPremium):
-        return prem.q * (1.0 - kappas)
-    if isinstance(prem, PowerPremium):
-        return prem.q * (1.0 - kappas) ** prem.delta
-    return np.array([prem.value(float(k)) for k in kappas])
-
-
-def _friction_grid(friction: FrictionSpec, model: MarketModel,
-                   pi_sum: np.ndarray, pi_first: np.ndarray,
-                   kappas: np.ndarray) -> np.ndarray:
-    """f on the (pi grid) x (kappa axis) product, broadcast-ready."""
-    kshape = (1,) * pi_sum.ndim + (-1,)
-    if isinstance(friction, Frictionless):
-        return np.zeros(pi_sum.shape)[..., None] \
-            - _premium_curve(friction, kappas).reshape(kshape)
-    if isinstance(friction, DifferentialRates):
-        pen = -(model.R - model.r) * np.maximum(pi_sum - 1.0, 0.0)
-        return pen[..., None] - _premium_curve(friction, kappas).reshape(kshape)
-    if isinstance(friction, SmoothG):
-        g = np.array([friction.g(float(x)) for x in pi_first.ravel()])
-        g = g.reshape(pi_first.shape)
-        return g[..., None] - _premium_curve(friction, kappas).reshape(kshape)
-    if isinstance(friction, LargeInvestor):
-        m = np.where(pi_first >= 0.0, friction.m_plus, friction.m_minus)
-        return (pi_first * m)[..., None] \
-            - _premium_curve(friction, kappas).reshape(kshape)
-    if isinstance(friction, PortfolioPremium):
-        q = np.array([friction.q(float(x)) for x in pi_first.ravel()])
-        q = q.reshape(pi_first.shape)
-        return -q[..., None] * (1.0 - kappas).reshape(kshape)
-    raise TypeError(f"unknown friction {friction!r}")
-
-
 def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                eta: float, axes: list[np.ndarray]) -> np.ndarray:
     """f + H on the tensor grid; last axis is kappa."""
@@ -103,8 +68,6 @@ def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     st = pis @ model.sigma                                # row i: pi_i^T sigma
     quad_pi = (st * st).sum(axis=-1).reshape(shape)
     pi_srho = (pis @ (model.sigma @ model.rho)).reshape(shape)
-    pi_sum = pis.sum(axis=-1).reshape(shape)
-    pi_first = pis[:, 0].reshape(shape)
 
     b = model.b
     jump_u = jumps.lam * utility_jump_curve(jumps, kappas, eta) \
@@ -116,8 +79,8 @@ def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         - 0.5 * eta * (quad_pi[..., None] + (b * k) ** 2
                        - 2.0 * b * k * pi_srho[..., None]) \
         + jump_u.reshape(kshape)
-    f = _friction_grid(friction, model, pi_sum, pi_first, kappas)
-    return H + f
+    return H + friction_term(friction, model,
+                             pis.reshape(shape + (1, pis.shape[-1])), kappas)
 
 
 def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from pikappa import cli
+from pikappa.errors import DomainError
 
 
 def run(args, capsys):
@@ -210,6 +211,38 @@ class TestOracleCmd:
         assert code == 0
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         assert fields["within_bound"] == "True"
+
+
+    @pytest.mark.parametrize("flags", [["--R", "0.01"], ["--b", "-1"]])
+    def test_invalid_model_exit_1(self, flags, capsys):
+        code, out, err = run(["oracle", "--model", "b1"] + flags, capsys)
+        assert code == 1
+        assert err.startswith("input error:")
+        assert "oracle_value" not in out
+
+
+    @pytest.mark.parametrize("command", [["oracle"], ["verify"]])
+    def test_oracle_failure_one_line_exit_2(self, command, monkeypatch,
+                                            capsys):
+        def fail(*args, **kwargs):
+            raise DomainError("grid overflowed")
+        monkeypatch.setattr(cli.oracle, "grid_maximize", fail)
+        code, _, err = run(command + ["--model", "c2"], capsys)
+        assert code == 2
+        assert err == "oracle failed: DomainError: grid overflowed\n"
+
+
+class TestJumpMomentEdge:
+    # b1 has Beta(2, 8) jumps: at eta = 8.5 the oracle's kappa = 1 point is
+    # finite (eta < beta + 1), at eta = 12 it is -inf; neither may crash
+    @pytest.mark.parametrize("eta", ["8.5", "12"])
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--resolution", "101", "--refine-resolution", "201"],
+        ["verify", "--mc-paths", "100000"]])
+    def test_no_traceback(self, command, eta, capsys):
+        code, _, err = run(command + ["--model", "b1", "--eta", eta], capsys)
+        assert code in (0, 2)
+        assert "Traceback" not in err
 
 
 class TestSimulateCmd:

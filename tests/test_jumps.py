@@ -23,6 +23,15 @@ def quad_psi_oracle(alpha, beta, kappa, eta):
     return v
 
 
+def utility_quadrature(law, kappa, eta):
+    """E[U_eta(1 - kappa Y)] by quadrature alone, independent of the series:
+    the power moment (m, s) = (0, eta - 1) over 1 - eta, and the log case
+    (which utility_jump_term itself integrates)."""
+    if eta == 1.0:
+        return pk.utility_jump_term(law, kappa, 1.0)
+    return pk.psi_quadrature(law, kappa, eta - 1.0, m=0) / (1.0 - eta)
+
+
 class TestPsi:
     def test_kappa_zero_is_mean(self):
         # 2F1(.; 0) = 1, so psi(0, eta) = E[Y] for any eta
@@ -126,6 +135,14 @@ class TestPsiDkappa:
         with pytest.raises(pk.DomainError):
             pk.psi_dkappa(BETA28, 1.0, 7.5)   # 1 + eta >= beta
 
+    def test_matches_quadrature_reference(self):
+        # (m, s) = (2, 1 + eta) on the series, closed-form and split routes
+        for kappa in (0.3, 0.95, 1.0 - 5e-7, 1.0):
+            for eta in (0.5, 3.0, 6.5):
+                ref = pk.psi_quadrature(BETA28, kappa, 1.0 + eta, m=2)
+                assert pk.psi_dkappa(BETA28, kappa, eta) == \
+                    pytest.approx(ref, rel=1e-9)
+
 
 # kappa bands of the 30-digit reference check and their relative
 # tolerances: the series is tightest away from 1, and its slow tail near
@@ -137,8 +154,9 @@ MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
 @pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
                          ids=[f"kappa{lo:g}" for lo, _, _ in MP_BANDS])
 def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
-    # psi = a/(a+b) 2F1(eta, a+1; a+b+1; kappa) and psi_dkappa =
-    # a(a+1)/((a+b)(a+b+1)) 2F1(eta+1, a+2; a+b+2; kappa) for Y ~ Beta(a, b)
+    # psi = a/(a+b) 2F1(eta, a+1; a+b+1; kappa), psi_dkappa =
+    # a(a+1)/((a+b)(a+b+1)) 2F1(eta+1, a+2; a+b+2; kappa) and the utility
+    # term 2F1(eta-1, a; a+b; kappa)/(1-eta) for Y ~ Beta(a, b)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     with mpmath.workdps(30):
@@ -155,6 +173,9 @@ def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
                 pytest.approx(float(ref_psi), rel=rtol, abs=0.0)
             assert pk.psi_dkappa(law, kappa, eta) == \
                 pytest.approx(float(ref_dk), rel=rtol, abs=0.0)
+            ref_u = mpmath.hyp2f1(E - 1, A, A + B, K) / (1 - E)
+            assert pk.utility_jump_term(law, kappa, eta) == \
+                pytest.approx(float(ref_u), rel=rtol, abs=0.0)
 
 
 class TestUtilityJumpTerm:
@@ -187,9 +208,27 @@ class TestUtilityJumpTerm:
         kappas = np.linspace(0.0, 1.0, 23)
         for eta in (0.5, 1.0, 2.0, 4.0):
             curve = utility_jump_curve(BETA28, kappas, eta)
-            direct = [pk.utility_jump_term(BETA28, float(k), eta)
+            direct = [utility_quadrature(BETA28, float(k), eta)
                       for k in kappas]
             np.testing.assert_allclose(curve, direct, rtol=1e-9, atol=1e-10)
+
+    def test_kappa_one_closed_form_beyond_beta(self):
+        # E[(1-Y)^(1-eta)] = B(a, b+1-eta)/B(a, b) is finite for
+        # eta < beta + 1: at Beta(2, 8), B(2, 1)/B(2, 8) = 36 for eta = 8 and
+        # B(2, 1/2)/B(2, 8) = 96 for eta = 8.5
+        for eta, moment in ((8.0, 36.0), (8.5, 96.0)):
+            expect = moment / (1.0 - eta)
+            assert pk.utility_jump_term(BETA28, 1.0, eta) == \
+                pytest.approx(expect, rel=1e-12)
+            assert utility_quadrature(BETA28, 1.0, eta) == \
+                pytest.approx(expect, rel=1e-9)
+            assert utility_jump_curve(BETA28, np.array([1.0]), eta)[0] == \
+                pytest.approx(expect, rel=1e-12)
+
+    def test_curve_scores_divergent_kappa_one_as_minus_inf(self):
+        # eta >= beta + 1: E[U_eta(1 - Y)] = -inf, the objective's value there
+        curve = utility_jump_curve(BETA28, np.array([0.5, 1.0]), 9.0)
+        assert np.isfinite(curve[0]) and curve[1] == -np.inf
 
     def test_divergence_guard(self):
         with pytest.raises(pk.DomainError):
@@ -258,11 +297,11 @@ class TestCache:
 
 class TestUtilityCurveSlowTail:
     def test_kappa_near_one_eta_near_beta(self):
-        # the vectorized series outlasts its term cap here; the quadrature
-        # fallback must kick in per entry
+        # the vectorized series outlasts its term cap here; the scalar
+        # route's quadrature fallback must kick in per entry
         kappas = np.array([0.5, 0.999, 1.0 - 2.5e-6, 1.0 - 1e-7, 1.0])
         for eta in (7.9, 7.5, 1.0):
             curve = utility_jump_curve(BETA28, kappas, eta)
-            direct = [pk.utility_jump_term(BETA28, float(k), eta)
+            direct = [utility_quadrature(BETA28, float(k), eta)
                       for k in kappas]
             np.testing.assert_allclose(curve, direct, rtol=1e-9, atol=1e-9)

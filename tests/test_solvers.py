@@ -116,14 +116,17 @@ class TestDiffRates:
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
         eta = 2.0
         cache = JumpFunctionals(jumps)
-        kern = _DiffRatesKernel(m, jumps, Q03, cache)
+        kern = _DiffRatesKernel(m, jumps, Q02, cache)
+        checked = 0
         for xi in np.linspace(0.03, 0.09, 7):
-            lo = jumps.lam * cache.mean - Q03.q
+            lo = jumps.lam * cache.mean - Q02.q
             mid = m.b * 0.5 * (0.16 - xi) / 0.26
-            hi = eta * m.b ** 2 * (1 - 0.25) + jumps.lam * cache.psi(1.0, eta) - Q03.q
+            hi = eta * m.b ** 2 * (1 - 0.25) + jumps.lam * cache.psi(1.0, eta) - Q02.q
             if lo < mid < hi:
                 kappa, tag, _, _ = kappa_of_xi(kern, float(xi), eta)
                 assert tag == "interior" and 0.0 < kappa < 1.0
+                checked += 1
+        assert checked >= 1
 
 
 class TestThresholds:
