@@ -4,8 +4,8 @@ certificates, a brute-force oracle and exact Monte Carlo verification."""
 
 __version__ = "0.1.0"
 
-from .errors import (BracketError, CaseMismatch, DomainError,
-                     ModelValidationError, NoInteriorSolution,
+from .errors import (BracketError, CaseMismatch, CrossCheckFailed,
+                     DomainError, ModelValidationError, NoInteriorSolution,
                      NonConvergence, NoRoot, NoSolution, NoThreshold,
                      PikappaError, SOCViolation)
 from .models import (BetaJumps, DifferentialRates, DiscreteJumps,

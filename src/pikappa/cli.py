@@ -1,9 +1,21 @@
 """Command-line front end.
 
-Commands: solve, sweep, simulate, verify, mutual-fund, oracle.
-Exit codes: 0 success, 1 input error, 2 verification/certification failure.
-Output files are written atomically (temp file + rename) with a JSON run
-manifest alongside; outputs are a pure function of (input file, flags, seed).
+Commands: solve, sweep, simulate, verify, mutual-fund, oracle. The commands
+do not catch: main() alone maps what they raise to an exit code and one
+stderr line,
+
+    exit 1  "input error: <msg>"
+            FileNotFoundError, ValueError, ModelValidationError
+    exit 2  "certification failed: <msg>"
+            NoSolution
+    exit 2  "<command> failed: <Type>: <msg>"
+            any other PikappaError
+
+and exits 0 otherwise. verify and mutual-fund print their checks, then
+raise CrossCheckFailed when one fails. A usage error exits 1 with
+argparse's message. Output files are written atomically (temp file +
+rename) with a JSON run manifest alongside; outputs are a pure function of
+(input file, flags, seed).
 """
 
 from __future__ import annotations
@@ -20,18 +32,21 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, oracle, simulate, solvers
-from .errors import (CaseMismatch, ModelValidationError, NoRoot,
-                     NoSolution, PikappaError)
-from .hamiltonian import value_function
+from .errors import (CrossCheckFailed, ModelValidationError, NoSolution,
+                     PikappaError)
+from .hamiltonian import eval_objective, value_function
 from .jumps import JumpFunctionals
-from .models import (LinearPremium, ModelInputs, Utility, load_model_file,
-                     parse_model_dict, require_valid)
+from .models import (ModelInputs, Policy, Utility, load_model_file,
+                     require_valid)
 from .svgplot import line_chart
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 MUTUAL_FUND_TOL = 1e-5
+# override flags: each sets the parsed model through oracle._apply_param,
+# as a sweep of the same --param does
+OVERRIDES = ("eta", "rho", "r", "R", "q", "lambda", "b", "mu")
 
 
 def _bundled_configs():
@@ -51,38 +66,13 @@ def resolve_model_path(name: str) -> str:
 
 
 def _load_inputs(args) -> ModelInputs:
-    path = resolve_model_path(args.model)
-    inputs = load_model_file(path)
-    doc = dict(inputs.raw)
-    for flag in ("eta", "r", "R", "b", "q", "mu"):
-        v = getattr(args, flag, None)
-        if v is None:
-            continue
-        if flag == "q":
-            doc.setdefault("premium", {})
-            doc["premium"] = dict(doc["premium"], q=v)
-        elif flag == "mu":
-            if int(doc["d"]) != 1:
-                raise ValueError("--mu override needs a single-asset model")
-            doc["mu"] = [v]
-        else:
-            doc[flag] = v
-    if getattr(args, "lam", None) is not None:
-        doc["lambda"] = args.lam
-    if getattr(args, "rho", None) is not None:
-        if int(doc["d"]) == 1:
-            doc["rho"] = [args.rho]
-        else:
-            base = np.asarray(doc["rho"], dtype=float)
-            doc["rho"] = (base * (args.rho / float(np.linalg.norm(base)))).tolist()
-    return parse_model_dict(doc)
-
-
-def _load_valid_inputs(args) -> ModelInputs:
-    """The parsed model, refused as an input error when validation fails."""
-    inputs = _load_inputs(args)
-    require_valid(inputs.model, inputs.jumps, inputs.friction, inputs.utility)
-    return inputs
+    inputs = load_model_file(resolve_model_path(args.model))
+    parts = (inputs.model, inputs.jumps, inputs.friction, inputs.utility)
+    for name in OVERRIDES:
+        v = getattr(args, name, None)
+        if v is not None:
+            parts = oracle._apply_param(name, v, *parts)
+    return ModelInputs(*parts)
 
 
 def _file_sha256(path: str) -> str:
@@ -154,9 +144,9 @@ def _emit(args, text: str, t0: float) -> None:
         print(text)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     t0 = time.time()
-    inputs = _load_valid_inputs(args)
+    inputs = _load_inputs(args)
     if args.thresholds:
         prem = getattr(inputs.friction, "premium", None)
         eta_R, eta_r = solvers.threshold_etas(inputs.model, inputs.jumps, prem)
@@ -164,33 +154,20 @@ def cmd_solve(args) -> int:
             _emit(args, json.dumps({"eta_R": eta_R, "eta_r": eta_r}), t0)
         else:
             _emit(args, f"eta_R = {eta_R:.8f}\neta_r = {eta_r:.8f}", t0)
-        return EXIT_OK
-    try:
-        rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-    except NoSolution as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except PikappaError as exc:
-        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return
+    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
+                        inputs.utility)
     if args.format == "json":
         _emit(args, json.dumps(_report_json(rep), indent=2), t0)
     else:
         _emit(args, "\n".join(_report_lines(rep)), t0)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
     if args.steps < 1:
-        print("--steps must be a positive interval count", file=sys.stderr)
-        return EXIT_INPUT
-    if args.param not in oracle.SWEEP_PARAMS:
-        print(f"unknown --param {args.param!r}; one of "
-              f"{', '.join(oracle.SWEEP_PARAMS)}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--steps must be a positive interval count")
     grid = np.linspace(args.frm, args.to, args.steps + 1)
     result = oracle.sweep(args.param, grid, inputs.model, inputs.jumps,
                           inputs.friction, inputs.utility)
@@ -214,15 +191,15 @@ def cmd_sweep(args) -> int:
         _atomic_write(args.plot, svg)
         outputs.append(args.plot)
     _write_manifest(args, outputs, t0)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     t0 = time.time()
-    inputs = _load_valid_inputs(args)
-    from .hamiltonian import eval_objective
-    from .models import Policy
+    inputs = _load_inputs(args)
     if args.pi is not None:
+        # the one path that never solves, so it validates here
+        require_valid(inputs.model, inputs.jumps, inputs.friction,
+                      inputs.utility)
         pi = np.array([float(v) for v in args.pi.split(",")])
         policy = Policy(pi=pi, kappa=args.kappa if args.kappa is not None else 0.0)
         label = "user-supplied policy"
@@ -252,30 +229,18 @@ def cmd_simulate(args) -> int:
              f"z = {z:.3f}",
              f"floor_fraction = {est.floor_fraction:.3g}"]
     _emit(args, "\n".join(lines), t0)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    inputs = _load_valid_inputs(args)
-    checks: list[tuple[str, str, str]] = [("validation", "pass", "")]
+def cmd_verify(args) -> None:
+    inputs = _load_inputs(args)
+    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
+                        inputs.utility)
+    checks: list[tuple[str, str, str]] = [
+        ("validation", "pass", ""),
+        ("certificate", "pass", f"residual={rep.certificate.residual:.3e}")]
 
-    try:
-        rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-        checks.append(("certificate", "pass",
-                       f"residual={rep.certificate.residual:.3e}"))
-    except PikappaError as exc:
-        checks.append(("certificate", "fail", str(exc)))
-        for name, status, detail in checks:
-            print(f"[{status}] {name} {detail}")
-        return EXIT_VERIFY
-
-    try:
-        _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                             inputs.friction, inputs.utility)
-    except PikappaError as exc:
-        print(f"oracle failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
+                                         inputs.friction, inputs.utility)
     gap = val - rep.objective.value
     ok = gap <= bound + 1e-12
     checks.append(("oracle-gap", "pass" if ok else "fail",
@@ -298,32 +263,21 @@ def cmd_verify(args) -> int:
         checks.append(("mc-vs-closed-form", "pass" if abs(z) <= 3.0 else "fail",
                        f"z={z:.2f}"))
 
-    failed = any(s == "fail" for _, s, _ in checks)
     for name, status, detail in checks:
         print(f"[{status}] {name} {detail}".rstrip())
-    return EXIT_VERIFY if failed else EXIT_OK
+    failed = [name for name, status, _ in checks if status == "fail"]
+    if failed:
+        raise CrossCheckFailed(", ".join(failed))
 
 
-def cmd_mutual_fund(args) -> int:
+def cmd_mutual_fund(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
     prem = getattr(inputs.friction, "premium", None)
-    if not isinstance(prem, LinearPremium):
-        print("mutual-fund separation needs a linear premium model",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if not (args.eta1 < args.eta_bar < args.eta2):
-        print("--eta-bar must lie strictly between --eta1 and --eta2",
-              file=sys.stderr)
-        return EXIT_INPUT
     cache = JumpFunctionals(inputs.jumps)
-    try:
-        res = solvers.mutual_fund_combine(inputs.model, inputs.jumps, prem,
-                                          args.eta1, args.eta2, args.eta_bar,
-                                          cache=cache)
-    except (CaseMismatch, NoRoot) as exc:
-        print(f"mutual-fund combination failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    res = solvers.mutual_fund_combine(inputs.model, inputs.jumps, prem,
+                                      args.eta1, args.eta2, args.eta_bar,
+                                      cache=cache)
     direct = solvers.solve_diff_rates(inputs.model, inputs.jumps, prem,
                                       Utility(args.eta_bar), cache=cache)
     disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
@@ -337,55 +291,42 @@ def cmd_mutual_fund(args) -> int:
              f"{direct.case_label}, {res.endpoint_high.case_label}",
              f"max_discrepancy = {disc:.6g}"]
     _emit(args, "\n".join(lines), t0)
-    return EXIT_OK if disc <= MUTUAL_FUND_TOL else EXIT_VERIFY
+    if disc > MUTUAL_FUND_TOL:
+        raise CrossCheckFailed(f"max_discrepancy={disc:.6g} above "
+                               f"{MUTUAL_FUND_TOL:g}")
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     t0 = time.time()
-    inputs = _load_valid_inputs(args)
+    inputs = _load_inputs(args)
+    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
+                        inputs.utility)
     grid = oracle.GridSpec(resolution=args.resolution,
                            refine_resolution=args.refine_resolution,
                            rounds=args.rounds)
-    try:
-        pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                               inputs.friction,
-                                               inputs.utility, grid)
-    except PikappaError as exc:
-        print(f"oracle failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
+                                           inputs.friction, inputs.utility,
+                                           grid)
+    gap = val - rep.objective.value
     lines = [f"oracle_pi = {', '.join(f'{p:.8g}' for p in pol.pi)}",
              f"oracle_kappa = {pol.kappa:.8g}",
              f"oracle_value = {val:.10g}",
-             f"resolution_bound = {bound:.4g}"]
-    try:
-        rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-        gap = val - rep.objective.value
-        lines += [f"solver_value = {rep.objective.value:.10g}",
-                  f"gap = {gap:.4g}",
-                  f"within_bound = {gap <= bound + 1e-12}"]
-    except PikappaError as exc:
-        lines.append(f"solver failed: {exc}")
+             f"resolution_bound = {bound:.4g}",
+             f"solver_value = {rep.objective.value:.10g}",
+             f"gap = {gap:.4g}",
+             f"within_bound = {gap <= bound + 1e-12}"]
     _emit(args, "\n".join(lines), t0)
-    return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, overrides: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model file or bundled "
                    "config name (a1, a2, b1, b2, c1, c2, table-etaR, "
                    "section5-example)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    if overrides:
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--R", dest="R", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--mu", type=float, default=None)
+    for name in OVERRIDES:
+        p.add_argument("--" + name, type=float, default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,12 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where an exception becomes an exit
+    code and a single stderr line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except (FileNotFoundError, ValueError, ModelValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NoSolution as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except PikappaError as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

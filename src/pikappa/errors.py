@@ -19,7 +19,9 @@ class ModelValidationError(PikappaError):
 
     def __init__(self, report):
         self.report = report
-        super().__init__("model validation failed:\n" + str(report))
+        super().__init__("model validation failed: " + "; ".join(
+            f"{c.name}: {c.detail}" if c.detail else c.name
+            for c in report.failures()))
 
 
 class NoSolution(PikappaError):
@@ -36,6 +38,11 @@ class BracketError(PikappaError):
 
 class CaseMismatch(PikappaError):
     """Mutual-fund endpoints landed in different regime case families."""
+
+
+class CrossCheckFailed(PikappaError):
+    """An independent cross-check of a solve (oracle gap, Monte Carlo z,
+    mutual-fund discrepancy) fell outside its tolerance."""
 
 
 class NoRoot(PikappaError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jumps import JumpFunctionals
+from .jumps import JumpFunctionals, _overflow_as_domain_error
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, LinearPremium, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
@@ -267,6 +267,7 @@ def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
 # Value function
 # ---------------------------------------------------------------------------
 
+@_overflow_as_domain_error
 def value_function(t: float, x: float, T: float, optimal_eval: ObjectiveEval,
                    model: MarketModel, jumps: JumpLaw,
                    utility: Utility) -> float:

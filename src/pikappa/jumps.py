@@ -62,8 +62,9 @@ def _log_beta(a: float, b: float) -> float:
 
 
 def _overflow_as_domain_error(fn):
-    """Report a float overflow inside a quadrature integrand (huge eta, say)
-    as a DomainError instead of an untyped OverflowError."""
+    """Report a float overflow (in a quadrature integrand or the value
+    function at a huge or tiny eta, say) as a DomainError instead of an
+    untyped OverflowError."""
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
@@ -270,12 +271,15 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
         term = np.ones_like(z)
         total = np.ones_like(z)
         aa, bb, cc = eta - 1.0, a, a + b
-        for n in range(SERIES_MAX_TERMS):
-            term = term * (aa + n) * (bb + n) / ((cc + n) * (1.0 + n)) * z
-            total += term
-            if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
-                break
-        converged = np.abs(term) <= SERIES_RTOL * np.abs(total)
+        # at a huge eta a term overflows to inf, and so does the sum: the
+        # entry is then -inf, its value in double precision
+        with np.errstate(over="ignore"):
+            for n in range(SERIES_MAX_TERMS):
+                term = term * (aa + n) * (bb + n) / ((cc + n) * (1.0 + n)) * z
+                total += term
+                if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
+                    break
+            converged = np.abs(term) <= SERIES_RTOL * np.abs(total)
         out[summed] = total / (1.0 - eta)
     summed[summed] = converged
     for i in np.nonzero(~summed)[0]:

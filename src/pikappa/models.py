@@ -231,13 +231,6 @@ class ValidationReport:
     def failures(self) -> list[ValidationCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "pass" if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.name}" + (f": {c.detail}" if c.detail else ""))
-        return "\n".join(lines)
-
 
 def _premium_checks(premium: PremiumSchedule, out: list[ValidationCheck]) -> None:
     p1 = premium.value(1.0)
@@ -258,8 +251,7 @@ def _premium_checks(premium: PremiumSchedule, out: list[ValidationCheck]) -> Non
 
 
 def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-                   utility: Utility,
-                   sigma_cond_bound: float = SIGMA_COND_BOUND) -> ValidationReport:
+                   utility: Utility) -> ValidationReport:
     """Deterministic, side-effect-free invariant checks.
 
     Returns a pass/fail report per invariant; solvers refuse inputs whose
@@ -291,13 +283,13 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         except np.linalg.LinAlgError:
             cond = np.inf
     checks.append(ValidationCheck(
-        "sigma invertible", np.isfinite(cond) and cond <= sigma_cond_bound,
-        f"cond={cond:.3g} bound={sigma_cond_bound:.3g}"))
+        "sigma invertible", np.isfinite(cond) and cond <= SIGMA_COND_BOUND,
+        f"cond={cond:.3g} bound={SIGMA_COND_BOUND:.3g}"))
     checks.append(ValidationCheck("R >= r", model.R >= model.r,
                                   f"r={model.r} R={model.R}"))
     checks.append(ValidationCheck("rho components in [-1,1]",
                                   bool(np.all(np.abs(model.rho) <= 1.0 + 1e-15)),
-                                  f"rho={model.rho}"))
+                                  f"rho={model.rho.tolist()}"))
     rho_norm = float(np.linalg.norm(model.rho))
     checks.append(ValidationCheck("|rho|_2 <= 1", rho_norm <= 1.0 + 1e-12,
                                   f"|rho|={rho_norm:.6g}"))
@@ -315,9 +307,9 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         pts, w = law.points, law.weights
         checks.append(ValidationCheck("discrete support inside (0,1)",
                                       bool(np.all((pts > 0) & (pts < 1))),
-                                      f"points={pts}"))
+                                      f"points={pts.tolist()}"))
         checks.append(ValidationCheck("discrete weights >= 0",
-                                      bool(np.all(w >= 0)), f"weights={w}"))
+                                      bool(np.all(w >= 0)), f"weights={w.tolist()}"))
         checks.append(ValidationCheck("discrete weights sum to 1",
                                       abs(float(w.sum()) - 1.0) <= 1e-12,
                                       f"sum={float(w.sum())!r}"))
@@ -326,7 +318,12 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                                   f"eta={utility.eta}"))
 
     if isinstance(friction, (Frictionless, SmoothG, DifferentialRates, LargeInvestor)):
-        _premium_checks(friction.premium, checks)
+        if friction.premium is None:
+            checks.append(ValidationCheck(
+                "premium schedule given", False,
+                f"{type(friction).__name__} needs one"))
+        else:
+            _premium_checks(friction.premium, checks)
     if isinstance(friction, SmoothG):
         checks.append(ValidationCheck("smooth-g requires d=1", d == 1))
         grid = np.linspace(-10.0, 10.0, 41)

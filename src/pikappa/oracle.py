@@ -9,17 +9,16 @@ slack.
 
 from __future__ import annotations
 
-import hashlib
 import io
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .errors import PikappaError
 from .hamiltonian import friction_term
-from .jumps import utility_jump_curve
+from .jumps import _overflow_as_domain_error, utility_jump_curve
 from .models import (FrictionSpec, JumpLaw, LinearPremium, MarketModel,
-                     Policy, PortfolioPremium, Utility)
+                     Policy, PortfolioPremium, PowerPremium, Utility)
 from . import solvers
 
 
@@ -42,6 +41,8 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 3 or self.refine_resolution < 3:
             raise ValueError("grid resolution must be at least 3")
+        if self.rounds < 0:
+            raise ValueError("grid rounds must be at least 0")
 
 
 def _auto_pi_bounds(model: MarketModel, eta: float) -> list[tuple[float, float]]:
@@ -83,6 +84,7 @@ def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                              pis.reshape(shape + (1, pis.shape[-1])), kappas)
 
 
+@_overflow_as_domain_error
 def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                   utility: Utility,
                   grid: GridSpec | None = None) -> tuple[Policy, float, float]:
@@ -153,7 +155,8 @@ def _point_value(model, jumps, friction, eta, pt) -> float:
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_PARAMS = ("eta", "rho", "R", "r", "lambda", "q", "mu", "mu1", "mu2")
+SWEEP_PARAMS = ("eta", "rho", "R", "r", "lambda", "q", "b", "mu", "mu1",
+                "mu2")
 
 
 @dataclass(frozen=True)
@@ -174,17 +177,11 @@ class SweepResult:
     parameter: str
     grid: np.ndarray
     points: tuple[SweepPoint, ...]
-    metadata: dict = field(default_factory=dict)
-
-
-def _with_premium(friction: FrictionSpec, premium) -> FrictionSpec:
-    if isinstance(friction, PortfolioPremium):
-        raise ValueError("portfolio-premium friction carries no premium schedule")
-    return dc_replace(friction, premium=premium)
 
 
 def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
                  friction: FrictionSpec, utility: Utility):
+    """The inputs with one parameter of SWEEP_PARAMS set to v."""
     if parameter == "eta":
         return model, jumps, friction, Utility(eta=float(v))
     if parameter == "rho":
@@ -197,53 +194,41 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
                 raise ValueError("cannot scale a zero rho vector")
             rho = base * (float(v) / norm)
         return model.replace(rho=rho), jumps, friction, utility
-    if parameter == "R":
-        return model.replace(R=float(v)), jumps, friction, utility
-    if parameter == "r":
-        return model.replace(r=float(v)), jumps, friction, utility
+    if parameter in ("R", "r", "b"):
+        return model.replace(**{parameter: float(v)}), jumps, friction, utility
     if parameter == "lambda":
+        if isinstance(friction, PortfolioPremium):
+            # a parsed premium rate q(pi) holds the fair part lambda E[Y]
+            raise ValueError("lambda cannot change on a portfolio-premium "
+                             "model: its premium rate holds lambda")
         return model, JumpLaw(lam=float(v), law=jumps.law), friction, utility
     if parameter == "q":
         prem = getattr(friction, "premium", None)
-        if not isinstance(prem, LinearPremium):
-            raise ValueError("q sweeps need a linear premium schedule")
-        return model, jumps, _with_premium(friction, LinearPremium(q=float(v))), utility
+        if not isinstance(prem, (LinearPremium, PowerPremium)):
+            raise ValueError("q needs a linear or power premium schedule")
+        return (model, jumps, dc_replace(friction, premium=dc_replace(
+            prem, q=float(v))), utility)
     if parameter in ("mu", "mu1", "mu2"):
         idx = 0 if parameter in ("mu", "mu1") else 1
         if parameter == "mu" and model.d != 1:
-            raise ValueError("mu sweeps on multi-asset models need mu1/mu2")
+            raise ValueError("mu needs a single-asset model; use mu1 or mu2")
         mu = np.array(model.mu, copy=True)
         mu[idx] = float(v)
         return model.replace(mu=mu), jumps, friction, utility
-    raise ValueError(f"unknown sweep parameter {parameter!r}; "
-                     f"one of {SWEEP_PARAMS}")
-
-
-def _inputs_fingerprint(model: MarketModel, jumps: JumpLaw,
-                        friction: FrictionSpec, utility: Utility) -> str:
-    law = jumps.law
-    law_desc = repr((type(law).__name__, getattr(law, "alpha", None),
-                     getattr(law, "beta", None),
-                     tuple(np.asarray(getattr(law, "points", ())).tolist()),
-                     tuple(np.asarray(getattr(law, "weights", ())).tolist())))
-    prem = getattr(friction, "premium", None)
-    prem_desc = repr((type(prem).__name__ if prem else None,
-                      getattr(prem, "q", None), getattr(prem, "delta", None)))
-    blob = repr((model.mu.tolist(), model.sigma.tolist(), model.r, model.R,
-                 model.rho.tolist(), model.b, jumps.lam, law_desc,
-                 type(friction).__name__, prem_desc,
-                 getattr(friction, "m_plus", None),
-                 getattr(friction, "m_minus", None), utility.eta))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    raise ValueError(f"unknown parameter {parameter!r}")
 
 
 def sweep(parameter: str, grid, base_model: MarketModel, jumps: JumpLaw,
           friction: FrictionSpec, utility: Utility) -> SweepResult:
     """Solve once per grid point of the swept parameter.
 
-    Per-point failures are recorded as error strings without aborting the
-    sweep. Output is a pure function of the inputs.
+    An unknown parameter or a malformed grid raises ValueError; per-point
+    failures are recorded as error strings without aborting the sweep.
+    Output is a pure function of the inputs.
     """
+    if parameter not in SWEEP_PARAMS:
+        raise ValueError(f"unknown parameter {parameter!r}; one of "
+                         f"{', '.join(SWEEP_PARAMS)}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("sweep grid must be a nonempty strictly increasing vector")
@@ -265,11 +250,7 @@ def sweep(parameter: str, grid, base_model: MarketModel, jumps: JumpLaw,
                                      case_label=f"error({exc})",
                                      xi_star=None, objective=None,
                                      cert_residual=None, error=str(exc)))
-    meta = {"parameter": parameter,
-            "model_hash": _inputs_fingerprint(base_model, jumps, friction,
-                                              utility)}
-    return SweepResult(parameter=parameter, grid=grid, points=tuple(points),
-                       metadata=meta)
+    return SweepResult(parameter=parameter, grid=grid, points=tuple(points))
 
 
 def _fmt(v) -> str:

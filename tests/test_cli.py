@@ -1,12 +1,16 @@
 """Command-line interface tests: bundled configs, exit codes, file outputs,
 manifests and reproducibility."""
 
+import contextlib
+import csv
+import io
 import json
-import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pikappa import cli
+from pikappa import cli, models
 from pikappa.errors import DomainError
 
 
@@ -229,7 +233,7 @@ class TestOracleCmd:
         monkeypatch.setattr(cli.oracle, "grid_maximize", fail)
         code, _, err = run(command + ["--model", "c2"], capsys)
         assert code == 2
-        assert err == "oracle failed: DomainError: grid overflowed\n"
+        assert err == f"{command[0]} failed: DomainError: grid overflowed\n"
 
 
 class TestJumpMomentEdge:
@@ -263,3 +267,107 @@ class TestVerifyInvalidModel:
         code, _, err = run(["verify", "--model", str(p)], capsys)
         assert code == 1
         assert "validation" in err
+
+
+class TestExitContract:
+    """main() alone maps an exception to an exit code and one stderr line."""
+
+    @pytest.mark.parametrize("command,code,prefix", [
+        ("solve --model c1 --thresholds", 2, "solve failed: NoThreshold:"),
+        ("solve --model section5-example --thresholds", 1, "input error:"),
+        ("solve --model section5-example --q 5", 1, "input error:"),
+        ("solve --model section5-example --lambda 0.5", 1, "input error:"),
+        ("simulate --model b1 --eta 40 --paths 1000", 2,
+         "simulate failed: DomainError:"),
+        ("simulate --model section5-example --eta 0.2504069946105812 "
+         "--paths 2000", 2, "simulate failed: SOCViolation:"),
+        ("simulate --model b1 --eta 8.406740412392656e-10 --paths 2000", 2,
+         "simulate failed: DomainError:"),
+        ("mutual-fund --model b1 --eta1 35 --eta2 50 --eta-bar 40", 2,
+         "mutual-fund failed: DomainError:"),
+        ("oracle --model b1 --eta 40 --resolution 41 --refine-resolution 41 "
+         "--rounds 1", 2, "oracle failed: DomainError:"),
+        ("verify --model b1 --eta 40 --mc-paths 1000", 2,
+         "verify failed: DomainError:"),
+        ("oracle --model c2 --rounds -1", 1, "input error: grid rounds"),
+        # the grid's Lipschitz estimate overflows a float
+        ("oracle --model b1 --eta 161904.5 --R 0.038 --lambda 4.3 "
+         "--resolution 21 --refine-resolution 21 --rounds 1", 2,
+         "oracle failed: DomainError: grid_maximize overflowed"),
+    ])
+    def test_failure_is_one_typed_line(self, command, code, prefix, capsys):
+        got, _, err = run(command.split(), capsys)
+        assert got == code
+        assert err.startswith(prefix)
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_sweep_error_rows_stay_one_csv_row(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(["sweep", "--model", "b1", "--param", "rho",
+                          "--from", "-1.5", "--to", "1.5", "--steps", "2",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.open()))
+        assert [len(r) for r in rows] == [8] * 4
+        assert rows[1][4].startswith("error(model validation failed: ")
+
+    def test_solve_validates_once(self, monkeypatch, capsys):
+        calls = []
+        validate = models.validate_model
+
+        def counting(*args):
+            calls.append(args)
+            return validate(*args)
+        monkeypatch.setattr(models, "validate_model", counting)
+        assert run(["solve", "--model", "c2"], capsys)[0] == 0
+        assert len(calls) == 1
+
+
+_CONFIGS = ("a1", "a2", "b1", "b2", "c1", "c2", "table-etaR",
+            "section5-example")
+_COMMANDS = (("solve",), ("solve", "--format", "json"),
+             ("solve", "--thresholds"), ("simulate", "--paths", "2000"),
+             ("oracle", "--resolution", "21", "--refine-resolution", "21",
+              "--rounds", "1"),
+             ("mutual-fund",))
+_FLAG_RANGES = {"rho": (-1.3, 1.3), "r": (-0.05, 0.2), "R": (-0.05, 0.3),
+                "q": (-0.5, 3.0), "lambda": (-0.5, 5.0), "b": (-0.5, 3.0),
+                "mu": (-0.5, 1.0)}
+
+
+@st.composite
+def _invocations(draw):
+    command = list(draw(st.sampled_from(_COMMANDS)))
+    argv = command + ["--model", draw(st.sampled_from(_CONFIGS))]
+    if command[0] == "mutual-fund":
+        etas = sorted(draw(st.lists(st.floats(0.01, 30.0), min_size=3,
+                                    max_size=3)))
+        argv += [f"--eta1={etas[0]!r}", f"--eta-bar={etas[1]!r}",
+                 f"--eta2={etas[2]!r}"]
+    log_eta = draw(st.none() | st.floats(-13.0, 6.5))
+    if log_eta is not None:
+        argv.append(f"--eta={10.0 ** log_eta!r}")
+    for name, (lo, hi) in _FLAG_RANGES.items():
+        v = draw(st.none() | st.floats(lo, hi))
+        if v is not None:
+            # --name=value, so that argparse reads -1e-05 as a value
+            argv.append(f"--{name}={v!r}")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_invocations())
+def test_flag_contract(argv):
+    """Every flag set exits 0, 1 or 2 without raising; a failure is one
+    stderr line; a json solve that exits 0 carries a passing certificate."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    elif argv[:3] == ["solve", "--format", "json"]:
+        doc = json.loads(out.getvalue())
+        assert doc["cert_in_domain"] is True
+        assert abs(doc["cert_residual"]) <= 1e-7

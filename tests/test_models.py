@@ -85,6 +85,24 @@ class TestValidation:
         rep = pk.validate_model(inp.model, inp.jumps, inp.friction, nan_eta)
         assert any(c.name == "numeric fields finite" for c in rep.failures())
 
+    def test_error_lists_only_failures_on_one_line(self):
+        inp = base_inputs(R=0.01)
+        jumps = pk.JumpLaw(lam=0.2, law=pk.DiscreteJumps(
+            points=np.full(40, 1.0), weights=np.full(40, 1.0 / 40)))
+        rep = pk.validate_model(inp.model, jumps, inp.friction, inp.utility)
+        msg = str(pk.ModelValidationError(rep))
+        assert msg == ("model validation failed: R >= r: r=0.02 R=0.01; "
+                       f"discrete support inside (0,1): points={[1.0] * 40}")
+
+    def test_missing_premium_schedule_fails(self):
+        # a premium-free friction handed to a premium-schedule check, as
+        # threshold_etas does with a portfolio-premium model
+        inp = base_inputs()
+        rep = pk.validate_model(inp.model, inp.jumps,
+                                pk.DifferentialRates(premium=None),
+                                inp.utility)
+        assert [c.name for c in rep.failures()] == ["premium schedule given"]
+
     def test_parse_rejects_non_finite(self):
         with pytest.raises(ValueError, match=r"model\.jump_law\.beta"):
             base_inputs(jump_law={"type": "beta", "alpha": 2.0,

@@ -124,6 +124,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             pk.sweep("eta", [1.0, 1.0, 2.0], m, BETA128, fric, pk.Utility(4.0))
 
+    def test_unknown_parameter_rejected_before_solving(self):
+        m = c2_model()
+        fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.2))
+        with pytest.raises(ValueError, match="unknown parameter 'zeta'"):
+            pk.sweep("zeta", [1.0, 2.0], m, BETA128, fric, pk.Utility(4.0))
+
+    def test_b_and_power_premium_q_sweep(self):
+        m = c2_model()
+        fric = pk.DifferentialRates(premium=pk.PowerPremium(q=0.2, delta=2.0))
+        res = pk.sweep("b", [0.2, 0.5], m, BETA128, fric, pk.Utility(4.0))
+        assert not any(p.error for p in res.points)
+        res_q = pk.sweep("q", [0.1, 0.3], m, BETA128, fric, pk.Utility(4.0))
+        assert not any(p.error for p in res_q.points)
+        direct = pk.solve(m.replace(b=0.5), BETA128, fric, pk.Utility(4.0))
+        assert res.points[1].kappa == direct.policy.kappa
+        direct = pk.solve(m, BETA128, pk.DifferentialRates(
+            premium=pk.PowerPremium(q=0.3, delta=2.0)), pk.Utility(4.0))
+        assert res_q.points[1].kappa == direct.policy.kappa
+
     def test_csv_schema(self):
         m = c2_model()
         fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.2))
