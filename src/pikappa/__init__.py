@@ -22,9 +22,7 @@ from .hamiltonian import (Certificate, ObjectiveEval, certify, conjugate,
                           conj_premium, eval_objective, friction_term,
                           value_function)
 from .solvers import (MutualFundResult, SolveReport, mutual_fund_combine,
-                      solve, solve_diff_rates, solve_frictionless,
-                      solve_large_investor, solve_portfolio_premium,
-                      solve_smooth_g, threshold_etas)
+                      solve, threshold_etas)
 from .oracle import GridSpec, SweepResult, grid_maximize, sweep, sweep_csv
 from .simulate import (ComparisonVerdict, SimConfig, SimEstimate,
                        compare_policies, simulate_terminal_utility)

@@ -36,8 +36,8 @@ from .errors import (CrossCheckFailed, ModelValidationError, NoSolution,
                      PikappaError)
 from .hamiltonian import eval_objective, value_function
 from .jumps import JumpFunctionals
-from .models import (ModelInputs, Policy, Utility, load_model_file,
-                     require_valid)
+from .models import (DifferentialRates, ModelInputs, Policy, Utility,
+                     load_model_file, require_valid)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -278,8 +278,9 @@ def cmd_mutual_fund(args) -> None:
     res = solvers.mutual_fund_combine(inputs.model, inputs.jumps, prem,
                                       args.eta1, args.eta2, args.eta_bar,
                                       cache=cache)
-    direct = solvers.solve_diff_rates(inputs.model, inputs.jumps, prem,
-                                      Utility(args.eta_bar), cache=cache)
+    direct = solvers.solve(inputs.model, inputs.jumps,
+                           DifferentialRates(prem), Utility(args.eta_bar),
+                           cache=cache)
     disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
                abs(res.policy.kappa - direct.policy.kappa))
     lines = [f"delta = {res.delta:.10g}",

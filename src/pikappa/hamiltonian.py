@@ -51,18 +51,28 @@ def _premium_value(premium: PremiumSchedule, kappa):
     return premium.value(kappa)
 
 
+def _shadow_interval(friction: FrictionSpec, model: MarketModel):
+    """(lo, hi, level) of a piecewise-linear friction, stated as
+    f(pi) = min over x in [lo, hi] of -x (pi.1 - level), with x = xi - r the
+    shadow value over the lending rate: the borrowing spread on pi.1 = 1
+    for differential rates, none for the frictionless market, and minus the
+    price pressure on pi = 0 for the large investor."""
+    if isinstance(friction, DifferentialRates):
+        return 0.0, model.R - model.r, 1.0
+    if isinstance(friction, Frictionless):
+        return 0.0, 0.0, 1.0
+    if isinstance(friction, LargeInvestor):
+        return -friction.m_minus, -friction.m_plus, 0.0
+    raise TypeError(f"{friction!r} is not a piecewise-linear friction")
+
+
 def _pi_friction(friction: FrictionSpec, model: MarketModel, pi: np.ndarray):
     """The part of a separable friction that depends on pi alone."""
-    if isinstance(friction, Frictionless):
-        return 0.0
-    if isinstance(friction, DifferentialRates):
-        return -(model.R - model.r) * np.maximum(pi.sum(axis=-1) - 1.0, 0.0)
     if isinstance(friction, SmoothG):
         return _each(friction.g, pi[..., 0])
-    if isinstance(friction, LargeInvestor):
-        p = pi[..., 0]
-        return p * np.where(p >= 0.0, friction.m_plus, friction.m_minus)
-    raise TypeError(f"unknown friction {friction!r}")
+    lo, hi, level = _shadow_interval(friction, model)
+    s = pi.sum(axis=-1) - level
+    return -np.maximum(lo * s, hi * s)
 
 
 def friction_term(friction: FrictionSpec, model: MarketModel,
@@ -95,21 +105,23 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
     if cache is None:
         cache = JumpFunctionals(jumps)
 
-    st_pi = model.sigma.T @ pi
-    srho = model.sigma @ model.rho
-    pi_srho = float(pi @ srho)
-    quad = float(st_pi @ st_pi) + (b * kappa) ** 2 - 2.0 * b * kappa * pi_srho
-
-    jump_u = cache.utility_jump_term(kappa, eta) if lam > 0.0 else 0.0
-    jump_psi = cache.psi(kappa, eta) if lam > 0.0 else 0.0
-
-    excess = pi @ (model.mu - model.r * np.ones(model.d))
-    H = float(excess) - 0.5 * eta * quad + lam * jump_u
-    grad_pi = model.mu - model.r * np.ones(model.d) \
-        - eta * (model.sigma @ (st_pi - model.rho * b * kappa))
-    dH_dk = eta * b * (pi_srho - b * kappa) - lam * jump_psi
-
-    f = friction_term(friction, model, pi, kappa)
+    # a huge policy overflows to a non-finite value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        st_pi = model.sigma.T @ pi
+        pi_srho = float(pi @ (model.sigma @ model.rho))
+        quad = float(st_pi @ st_pi) + (b * kappa) ** 2 \
+            - 2.0 * b * kappa * pi_srho
+        jump_u = cache.utility_jump_term(kappa, eta) if lam > 0.0 else 0.0
+        jump_psi = cache.psi(kappa, eta) if lam > 0.0 else 0.0
+        excess = pi @ (model.mu - model.r * np.ones(model.d))
+        H = float(excess) - 0.5 * eta * quad + lam * jump_u
+        grad_pi = model.mu - model.r * np.ones(model.d) \
+            - eta * (model.sigma @ (st_pi - model.rho * b * kappa))
+        dH_dk = eta * b * (pi_srho - b * kappa) - lam * jump_psi
+        f = friction_term(friction, model, pi, kappa)
+    if not math.isfinite(f + H):
+        raise DomainError(f"f + H = {f + H} at pi={pi.tolist()}, "
+                          f"kappa={kappa}")
     return ObjectiveEval(value=f + H, grad_pi=grad_pi, dH_dkappa=dH_dk,
                          f_value=f, H_value=H)
 
@@ -152,24 +164,10 @@ def conjugate(zeta: np.ndarray, gamma: float, friction: FrictionSpec,
     Out-of-domain points return (+inf, False).
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if isinstance(friction, Frictionless):
-        if float(np.max(np.abs(zeta))) > DOMAIN_TOL:
-            return (math.inf, False)
-        return (conj_premium(gamma, friction.premium), True)
-    if isinstance(friction, DifferentialRates):
-        zbar = float(zeta.mean())
-        spread = model.R - model.r
-        if float(np.max(np.abs(zeta - zbar))) > DOMAIN_TOL:
-            return (math.inf, False)
-        if zbar < -DOMAIN_TOL or zbar > spread + DOMAIN_TOL:
-            return (math.inf, False)
-        zbar = min(max(zbar, 0.0), spread)
-        return (zbar + conj_premium(gamma, friction.premium), True)
-    if isinstance(friction, LargeInvestor):
-        z = float(zeta[0])
-        if not (friction.m_plus - DOMAIN_TOL <= -z <= friction.m_minus + DOMAIN_TOL):
-            return (math.inf, False)
-        return (conj_premium(gamma, friction.premium), True)
+    if isinstance(friction, PortfolioPremium):
+        raise ValueError("the conjugate of the portfolio-dependent premium "
+                         "friction is not piecewise-simple; certify() uses "
+                         "the first/second-order conditions for that regime")
     if isinstance(friction, SmoothG):
         z = float(zeta[0])
         try:
@@ -182,9 +180,15 @@ def conjugate(zeta: np.ndarray, gamma: float, friction: FrictionSpec,
         val = float(friction.g(x)) + z * x \
             + conj_premium(gamma, friction.premium)
         return (val, True)
-    raise ValueError("the conjugate of the portfolio-dependent premium "
-                     "friction is not piecewise-simple; certify() uses the "
-                     "first/second-order conditions for that regime")
+    # sup over pi of min over x of -x (pi.1 - level) + pi.zeta is finite
+    # only for zeta = x 1 with x in [lo, hi], where it is x level
+    lo, hi, level = _shadow_interval(friction, model)
+    zbar = float(zeta.mean())
+    if float(np.max(np.abs(zeta - zbar))) > DOMAIN_TOL \
+            or zbar < lo - DOMAIN_TOL or zbar > hi + DOMAIN_TOL:
+        return (math.inf, False)
+    return (min(max(zbar, lo), hi) * level
+            + conj_premium(gamma, friction.premium), True)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +213,22 @@ class Certificate:
     mode: str = "conjugate"
 
 
+def _soc_bound(q_prime, model: MarketModel, jumps: JumpLaw, eta: float,
+               cache: JumpFunctionals) -> tuple[float, float]:
+    """Both sides of the portfolio premium's second-order bound: the largest
+    (q' + eta rho b sigma)^2 over the given q' values, and
+    sigma^2 eta^2 (b^2 + lambda E[Y^2]). The Hessian of f + H in
+    (pi, kappa) is negative definite where the first is below the second."""
+    _, sig, rho = model.d1()
+    b = model.b
+    lhs = float(np.max((np.asarray(q_prime) + eta * rho * b * sig) ** 2))
+    rhs = sig * sig * eta * eta * (b * b + jumps.lam * cache.second_moment)
+    return lhs, rhs
+
+
 def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
                  friction: PortfolioPremium, utility: Utility, tol: float,
                  obj: ObjectiveEval, cache: JumpFunctionals) -> Certificate:
-    eta = utility.eta
-    _, sig, rho = model.d1()
     pi = float(policy.pi[0])
     kappa = policy.kappa
     qp = float(friction.q_prime(pi))
@@ -226,9 +241,7 @@ def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
     else:
         k_res = abs(foc_k)
     residual = max(abs(foc_pi), k_res)
-    soc_lhs = (qp + eta * rho * model.b * sig) ** 2
-    soc_rhs = sig * sig * eta * eta \
-        * (model.b ** 2 + jumps.lam * cache.second_moment)
+    soc_lhs, soc_rhs = _soc_bound(qp, model, jumps, utility.eta, cache)
     in_domain = soc_lhs < soc_rhs
     return Certificate(conjugate_value=math.nan, direct_value=math.nan,
                        residual=residual, in_domain=in_domain,

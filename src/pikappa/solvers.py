@@ -1,24 +1,30 @@
-"""Optimal (pi, kappa) for each friction regime via the case-by-case
-characterizations, with regime labels and optimality certificates.
+"""Optimal (pi, kappa) for each friction regime, with regime labels and
+optimality certificates. solve() is the one entry point: it validates the
+inputs once and sends each friction to one of two kernels, which both end
+in one evaluate / corner-check / certify step that builds the SolveReport.
 
-Differential rates, the frictionless market and the large investor share one
-kernel. Each friction is the concave piecewise-linear min over a shadow value
-xi in an interval of xi times the slack of a hyperplane: xi in [r, R] with
-pi.1 = 1 for differential rates (R = r without friction), and xi = r - m for
-the price pressure m in [m+, m-] with pi = 0 for the large investor. For
-fixed kappa the optimal xi is the hyperplane point, affine in kappa, clipped
-to the interval, so one kappa root solves the whole case split, and the clip
-names the case: an interval end for cases i and ii, the hyperplane for case
-iii. Every regime solver ends in one evaluate / corner-check / certify step
-that builds the SolveReport.
+The shadow kernel solves the piecewise-linear frictions: differential rates,
+the frictionless market and the large investor. Each is a min over a shadow
+value xi = r + x, x in an interval, of -x times the slack of a hyperplane
+(hamiltonian._shadow_interval): xi in [r, R] with pi.1 = 1 for differential
+rates (xi = r without friction), and xi = r - m for the price pressure m in
+[m+, m-] with pi = 0 for the large investor. For fixed kappa the optimal xi
+is the hyperplane point, affine in kappa, clipped to the interval, so one
+kappa root solves the whole case split, and the clip names the case: an
+interval end for cases i and ii, the hyperplane for case iii.
+
+The smooth kernel solves the one-asset smooth frictions, a concave g(pi) and
+the portfolio-dependent premium (1 - kappa) q(pi): one kappa root over the
+allocation root pi(kappa).
 
 Every scalar root here is a bracketing bisection on a function that is
 monotone by construction: the kappa first-order condition is the derivative
 of a concave partial maximum, so it decreases in kappa (for the
 portfolio-dependent premium, the second-order bound makes f + H jointly
-concave). No root nests another: the risk-aversion thresholds bisect eta
-alone, reading the sign of pi.1 - 1 from one h call at the kappa that puts
-pi.1 on 1.
+concave). One root nests another: the smooth kernel finds the allocation
+root afresh at every step of its kappa root. The risk-aversion thresholds
+bisect eta alone, reading the sign of pi.1 - 1 from one h call at the kappa
+that puts pi.1 on 1.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import numpy as np
 from .errors import (BracketError, CaseMismatch, NoInteriorSolution, NoRoot,
                      NoSolution, NoThreshold, SOCViolation)
 from .hamiltonian import (Certificate, DEFAULT_CERT_TOL, ObjectiveEval,
-                          certify, eval_objective)
+                          _shadow_interval, _soc_bound, certify,
+                          eval_objective)
 from .jumps import JumpFunctionals
 from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, LinearPremium, MarketModel,
@@ -192,90 +199,53 @@ class _DiffRatesKernel:
             / eta + self.hedge_dir * kappa
 
 
-def _shadow_case(kern: _DiffRatesKernel, eta: float, xi_lo: float,
-                 xi_hi: float, level: float, below: str, above: str):
-    """Case split on the shadow interval [xi_lo, xi_hi] and the hyperplane
-    pi.1 = level, by one kappa root.
+# label prefix and the case families at the low and the high end of the
+# shadow interval
+_SHADOW_CASES = {DifferentialRates: ("DiffRates", "i", "ii"),
+                 Frictionless: ("Frictionless", "i", "ii"),
+                 LargeInvestor: ("Large", "ii", "i")}
+
+
+def _solve_shadow(model: MarketModel, jumps: JumpLaw,
+                  friction: DifferentialRates | Frictionless | LargeInvestor,
+                  utility: Utility, cert_tol: float,
+                  cache: JumpFunctionals) -> SolveReport:
+    """Case split on the shadow interval and the hyperplane pi.1 = level, by
+    one kappa root.
 
     For fixed kappa the optimal shadow value is the hyperplane point
     xi_plane(kappa) clipped to the interval, so h(kappa, clip(xi_plane))
     is the derivative in kappa of the partial maximum over pi of a jointly
     concave objective: it decreases, and its root is the optimum. The
-    family is read off the clip: `below` at xi_lo, `above` at xi_hi and
-    "iii" on the hyperplane.
-    Returns (family, tag, xi, pi, kappa, iterations, residuals).
+    family is read off the clip: one at each end of the interval and "iii"
+    on the hyperplane; the kappa corners give cases iv-vii. The large
+    investor holds pi = 0 in case iii and reports the active price pressure
+    m = r - xi as xi_star.
     """
+    prefix, below, above = _SHADOW_CASES[type(friction)]
+    lo, hi, level = _shadow_interval(friction, model)
+    xi_lo, xi_hi = model.r + lo, model.r + hi
+    eta = utility.eta
+    kern = _DiffRatesKernel(model, jumps, friction.premium, cache)
+
     def xi_of(k: float) -> float:
         return min(max(kern.xi_plane(k, eta, level), xi_lo), xi_hi)
 
     kappa, tag, it_k, hres = _solve_kappa(
-        lambda k: kern.h(k, xi_of(k), eta), kern.jumps, eta)
+        lambda k: kern.h(k, xi_of(k), eta), jumps, eta)
     xi_p = kern.xi_plane(kappa, eta, level)
     family = below if xi_p < xi_lo else above if xi_p > xi_hi else "iii"
     xi = xi_of(kappa)
-    return (family, tag, xi, kern.pi(xi, kappa, eta), kappa,
-            {"kappa": it_k}, {"h": hres})
-
-
-def _solve_rates(model: MarketModel, jumps: JumpLaw,
-                 friction: DifferentialRates | Frictionless, utility: Utility,
-                 cert_tol: float, cache: JumpFunctionals | None,
-                 prefix: str) -> SolveReport:
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
-    kern = _DiffRatesKernel(model, jumps, friction.premium, cache)
-    family, tag, xi, pi, kappa, iterations, residuals = _shadow_case(
-        kern, utility.eta, model.r, model.R, 1.0, below="i", above="ii")
+    pi = kern.pi(xi, kappa, eta)
+    if isinstance(friction, LargeInvestor):
+        # xi_star reports the active price pressure m = -x
+        xi = -{below: lo, above: hi}.get(family, xi - model.r)
+        if family == "iii":
+            pi = np.zeros(1)
     return _certified(Policy(pi=pi, kappa=kappa),
                       _case_label(prefix, family, tag), xi, model, jumps,
-                      friction, utility, cert_tol, cache, iterations,
-                      residuals)
-
-
-def solve_diff_rates(model: MarketModel, jumps: JumpLaw,
-                     premium: PremiumSchedule, utility: Utility,
-                     cert_tol: float = DEFAULT_CERT_TOL,
-                     cache: JumpFunctionals | None = None) -> SolveReport:
-    """Differential-rates regime: own funds (i), leverage (ii) or all-risky
-    with a shadow rate (iii), with kappa corners labeled iv-vii."""
-    return _solve_rates(model, jumps, DifferentialRates(premium), utility,
-                        cert_tol, cache, "DiffRates")
-
-
-def solve_frictionless(model: MarketModel, jumps: JumpLaw,
-                       premium: PremiumSchedule, utility: Utility,
-                       cert_tol: float = DEFAULT_CERT_TOL,
-                       cache: JumpFunctionals | None = None) -> SolveReport:
-    """No portfolio friction: the R = r special case of differential rates."""
-    return _solve_rates(model.replace(R=model.r), jumps, Frictionless(premium),
-                        utility, cert_tol, cache, "Frictionless")
-
-
-def solve_large_investor(model: MarketModel, jumps: JumpLaw,
-                         premium: PremiumSchedule, m_plus: float,
-                         m_minus: float, utility: Utility,
-                         cert_tol: float = DEFAULT_CERT_TOL,
-                         cache: JumpFunctionals | None = None) -> SolveReport:
-    """Large-investor regime: differential rates with the shadow rate
-    xi = r - m for the price pressure m in [m+, m-] and the hyperplane
-    pi = 0 in place of pi.1 = 1. Long (i), short (ii) or no trade (iii),
-    with kappa corners labeled iv-vii; xi_star reports the active m."""
-    friction = LargeInvestor(premium=premium, m_plus=m_plus, m_minus=m_minus)
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
-    kern = _DiffRatesKernel(model, jumps, premium, cache)
-    r = model.r
-    family, tag, xi, pi, kappa, iterations, residuals = _shadow_case(
-        kern, utility.eta, r - m_minus, r - m_plus, 0.0, below="ii",
-        above="i")
-    if family == "iii":
-        pi, m_hat = np.zeros(1), r - xi
-    else:
-        m_hat = m_plus if family == "i" else m_minus
-    return _certified(Policy(pi=pi, kappa=kappa),
-                      _case_label("Large", family, tag), m_hat, model, jumps,
-                      friction, utility, cert_tol, cache, iterations,
-                      residuals)
+                      friction, utility, cert_tol, cache, {"kappa": it_k},
+                      {"h": hres})
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
@@ -326,130 +296,76 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
 
 
 # ---------------------------------------------------------------------------
-# Smooth strictly concave g (one risky asset)
+# Smooth frictions on one asset: a concave g and the portfolio premium
 # ---------------------------------------------------------------------------
 
-def _normalize_smooth_g(premium: PremiumSchedule, g) -> SmoothG:
-    if isinstance(g, SmoothG):
-        return SmoothG(premium=premium, g=g.g, g_prime=g.g_prime,
-                       g_second=g.g_second)
-    g_fn, gp, gpp = g
-    return SmoothG(premium=premium, g=g_fn, g_prime=gp, g_second=gpp)
+def _solve_smooth(model: MarketModel, jumps: JumpLaw,
+                  friction: SmoothG | PortfolioPremium, utility: Utility,
+                  cert_tol: float, cache: JumpFunctionals) -> SolveReport:
+    """pi(kappa) is the one root of the allocation first-order condition
 
+        mu - r - eta sigma^2 pi + eta sigma rho b kappa + f_pi(pi, kappa) = 0,
 
-def solve_smooth_g(model: MarketModel, jumps: JumpLaw,
-                   premium: PremiumSchedule, g, utility: Utility,
-                   cert_tol: float = DEFAULT_CERT_TOL,
-                   cache: JumpFunctionals | None = None) -> SolveReport:
-    """Smooth-friction regime: invert Q = eta sigma^2 pi - g' and solve the
-    retained-fraction equation h(kappa) = 0, corners per the optimality
-    system's kappa inequalities.
+    which decreases in pi, and kappa is the root of
 
-    g is a SmoothG friction or a (g, g', g'') triple of callables.
+        f_kappa(pi(kappa), kappa) + eta b sigma rho pi(kappa)
+            - (eta b^2 kappa + lambda psi(kappa)),
+
+    the derivative of a concave partial maximum, so it decreases. The
+    friction slopes (f_pi, f_kappa) are (g', -p') for smooth g and
+    (-(1 - kappa) q', q) for the portfolio premium. Smooth g labels its
+    kappa corners. The portfolio premium first checks its second-order bound
+    on a pi grid, which makes f + H jointly concave, and a kappa corner
+    raises NoInteriorSolution.
     """
-    friction = _normalize_smooth_g(premium, g)
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
     eta = utility.eta
     mu, sig, rho = model.d1()
     b, lam = model.b, jumps.lam
     r = model.r
-
-    def Q(x: float) -> float:
-        return eta * sig * sig * x - float(friction.g_prime(x))
-
-    def Q_inv(target: float) -> float:
-        x0 = target / (eta * sig * sig)
-        try:
-            lo_b, hi_b = expand_bracket(lambda x: Q(x) - target, x0=x0,
-                                        step=max(1.0, abs(x0)))
-        except BracketError as exc:
-            raise BracketError(
-                f"argument {target:.6g} left the range of Q") from exc
-        return bisect(lambda x: Q(x) - target, lo_b, hi_b, xtol=1e-12).root
-
-    def h(k: float) -> float:
-        pi_k = Q_inv(mu - r + eta * sig * rho * b * k)
-        jump = lam * cache.psi(k, eta) if lam > 0 else 0.0
-        return eta * b * (sig * rho * pi_k - b * k) - jump \
-            - premium.derivative(k)
-
-    k_hat, tag, it_k, hres = _solve_kappa(h, jumps, eta)
-    pi_hat = Q_inv(mu - r + eta * sig * rho * b * k_hat)
-
-    label = {"interior": "SmoothG-1", "tie": "SmoothG-1",
-             "lo": "SmoothG-2", "hi": "SmoothG-3"}[tag]
-    return _certified(Policy(pi=np.array([pi_hat]), kappa=k_hat), label,
-                      None, model, jumps, friction, utility, cert_tol, cache,
-                      {"kappa": it_k}, {"h": hres})
-
-
-# ---------------------------------------------------------------------------
-# Portfolio-dependent premium rate (one risky asset)
-# ---------------------------------------------------------------------------
-
-def solve_portfolio_premium(model: MarketModel, jumps: JumpLaw, q_fn,
-                            utility: Utility,
-                            cert_tol: float = DEFAULT_CERT_TOL,
-                            cache: JumpFunctionals | None = None) -> SolveReport:
-    """Interior solve for f = -(1-kappa) q(pi).
-
-    q_fn is a PortfolioPremium friction or a (q, q') pair. With q convex,
-    pi(kappa) is the one root of the allocation first-order condition, which
-    decreases in pi. Under the second-order bound, checked on a pi grid, the
-    Hessian of f + H in (pi, kappa) is negative definite, so the
-    retained-fraction condition Q(pi(kappa)) - G(kappa), with
-    Q(pi) = q(pi) + eta b sigma rho pi, is the derivative of a concave
-    partial maximum: it decreases, and one kappa root solves the problem.
-    A kappa corner raises NoInteriorSolution.
-    """
-    if isinstance(q_fn, PortfolioPremium):
-        friction = q_fn
+    premium_rate = isinstance(friction, PortfolioPremium)
+    if premium_rate:
+        soc_lhs, soc_rhs = _soc_bound(
+            [friction.q_prime(x) for x in _SOC_PI_GRID], model, jumps, eta,
+            cache)
+        if soc_lhs >= soc_rhs:
+            raise SOCViolation(
+                f"second-order bound fails on the search bracket: "
+                f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
+                f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
+        f_pi = lambda x, k: -(1.0 - k) * float(friction.q_prime(x))
+        f_k = lambda x, k: float(friction.q(x))
     else:
-        friction = PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
-    require_valid(model, jumps, friction, utility)
-    cache = cache or JumpFunctionals(jumps)
-    eta = utility.eta
-    mu, sig, rho = model.d1()
-    b, lam = model.b, jumps.lam
-    r = model.r
+        f_pi = lambda x, k: float(friction.g_prime(x))
+        f_k = lambda x, k: -friction.premium.derivative(k)
 
-    qp_grid = np.array([friction.q_prime(x) for x in _SOC_PI_GRID])
-    soc_rhs = sig * sig * eta * eta * (b * b + lam * cache.second_moment)
-    soc_lhs = float(np.max((qp_grid + eta * rho * b * sig) ** 2))
-    if soc_lhs >= soc_rhs:
-        raise SOCViolation(
-            f"second-order bound fails on the search bracket: "
-            f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
-            f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
-
-    def pi_from_kappa(k: float) -> float:
-        # allocation FOC: mu - r - eta sig^2 pi + eta sig rho b k
-        #                 - q'(pi)(1 - k) = 0, strictly decreasing in pi
-        def t(x):
+    def pi_of(k: float) -> float:
+        def t(x: float) -> float:
             return mu - r - eta * sig * sig * x + eta * sig * rho * b * k \
-                - float(friction.q_prime(x)) * (1.0 - k)
+                + f_pi(x, k)
         x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
-        lo_b, hi_b = expand_bracket(t, x0=x0, step=max(1.0, abs(x0)))
+        try:
+            lo_b, hi_b = expand_bracket(t, x0=x0, step=max(1.0, abs(x0)))
+        except BracketError as exc:
+            raise BracketError(f"the allocation condition has no root at "
+                               f"kappa={k:.6g}") from exc
         return bisect(t, lo_b, hi_b, xtol=1e-12).root
 
-    def G(k: float) -> float:
-        return eta * b * b * k + lam * (cache.psi(k, eta) if lam > 0 else 0.0)
-
     def foc(k: float) -> float:
-        # retained-fraction FOC, Q(pi(k)) - G(k) = 0
-        pi_k = pi_from_kappa(k)
-        return float(friction.q(pi_k)) + eta * b * sig * rho * pi_k - G(k)
+        pi_k = pi_of(k)
+        return f_k(pi_k, k) + eta * b * sig * rho * pi_k \
+            - (eta * b * b * k + lam * (cache.psi(k, eta) if lam > 0 else 0.0))
 
     k_hat, tag, it_k, res_k = _solve_kappa(foc, jumps, eta)
-    if tag != "interior" or k_hat >= _kappa_upper(jumps, eta)[0]:
+    if not premium_rate:
+        label = "SmoothG-" + {"lo": "2", "hi": "3"}.get(tag, "1")
+    elif tag != "interior" or k_hat >= _kappa_upper(jumps, eta)[0]:
         raise NoInteriorSolution(
             "first-order condition has no sign change on (0, 1)")
-    return _certified(Policy(pi=np.array([pi_from_kappa(k_hat)]),
-                             kappa=k_hat),
-                      "PortfolioPremium-interior", None, model, jumps,
-                      friction, utility, cert_tol, cache,
-                      {"kappa": it_k}, {"foc": res_k})
+    else:
+        label = "PortfolioPremium-interior"
+    return _certified(Policy(pi=np.array([pi_of(k_hat)]), kappa=k_hat),
+                      label, None, model, jumps, friction, utility, cert_tol,
+                      cache, {"kappa": it_k}, {"foc": res_k})
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +402,9 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
         raise ValueError(f"need eta1 < eta_bar < eta2, got "
                          f"{eta1}, {eta_bar}, {eta2}")
     cache = cache or JumpFunctionals(jumps)
-    rep1 = solve_diff_rates(model, jumps, premium_linear, Utility(eta1),
-                            cache=cache)
-    rep2 = solve_diff_rates(model, jumps, premium_linear, Utility(eta2),
-                            cache=cache)
+    friction = DifferentialRates(premium_linear)
+    rep1 = solve(model, jumps, friction, Utility(eta1), cache=cache)
+    rep2 = solve(model, jumps, friction, Utility(eta2), cache=cache)
     fam1 = _FAMILY[rep1.case_label.split("-")[1]]
     fam2 = _FAMILY[rep2.case_label.split("-")[1]]
     if fam1 != fam2:
@@ -498,7 +413,6 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     pi1, k1 = rep1.policy.pi, rep1.policy.kappa
     pi2, k2 = rep2.policy.pi, rep2.policy.kappa
     xi1, xi2 = rep1.xi_star, rep2.xi_star
-    friction = DifferentialRates(premium_linear)
     q = premium_linear.q
     util_bar = Utility(eta_bar)
 
@@ -535,27 +449,22 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The one entry point
 # ---------------------------------------------------------------------------
 
 def solve(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
           utility: Utility, cert_tol: float = DEFAULT_CERT_TOL,
           cache: JumpFunctionals | None = None) -> SolveReport:
-    """Route to the regime solver selected by the friction variant."""
-    if isinstance(friction, DifferentialRates):
-        return solve_diff_rates(model, jumps, friction.premium, utility,
-                                cert_tol=cert_tol, cache=cache)
-    if isinstance(friction, Frictionless):
-        return solve_frictionless(model, jumps, friction.premium, utility,
-                                  cert_tol=cert_tol, cache=cache)
-    if isinstance(friction, SmoothG):
-        return solve_smooth_g(model, jumps, friction.premium, friction,
-                              utility, cert_tol=cert_tol, cache=cache)
-    if isinstance(friction, LargeInvestor):
-        return solve_large_investor(model, jumps, friction.premium,
-                                    friction.m_plus, friction.m_minus,
-                                    utility, cert_tol=cert_tol, cache=cache)
-    if isinstance(friction, PortfolioPremium):
-        return solve_portfolio_premium(model, jumps, friction, utility,
-                                       cert_tol=cert_tol, cache=cache)
-    raise TypeError(f"no solver for friction {friction!r}")
+    """The certified optimal policy under any friction regime.
+
+    Validates the inputs as given, then solves a piecewise-linear friction
+    with the shadow kernel and a smooth one with the smooth kernel. An
+    object that is not a friction raises TypeError.
+    """
+    if not isinstance(friction, FrictionSpec):
+        raise TypeError(f"no solver for friction {friction!r}")
+    require_valid(model, jumps, friction, utility)
+    smooth = isinstance(friction, (SmoothG, PortfolioPremium))
+    kernel = _solve_smooth if smooth else _solve_shadow
+    return kernel(model, jumps, friction, utility, cert_tol,
+                  cache or JumpFunctionals(jumps))

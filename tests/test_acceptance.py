@@ -171,8 +171,10 @@ def test_c06_b1_corner_boundary_expressions():
     rho = 1.0
     q_vii = lam * psi1 - b * rho * (mu - R) / sig + eta * b * b * (1 - rho ** 2) - q
     pi_vii = (mu - R) / (eta * sig * sig) + b * rho / sig
-    rep_m = pk.solve_diff_rates(b1_model(-1.0), J_B, Q_B, pk.Utility(eta))
-    rep_p = pk.solve_diff_rates(b1_model(1.0), J_B, Q_B, pk.Utility(eta))
+    rep_m = pk.solve(b1_model(-1.0), J_B, pk.DifferentialRates(Q_B),
+                     pk.Utility(eta))
+    rep_p = pk.solve(b1_model(1.0), J_B, pk.DifferentialRates(Q_B),
+                     pk.Utility(eta))
     ok = (abs(q_vi - (-0.05714)) <= 1e-4 and abs(pi_vi - (-0.5769)) <= 1e-3
           and abs(q_vii - (-0.3648)) <= 1e-3 and abs(pi_vii - 2.0562) <= 1e-3
           and rep_m.policy.kappa == 1.0 and rep_p.policy.kappa == 1.0)
@@ -275,7 +277,7 @@ def test_c09_oracle_equivalence_randomized():
         jumps, beta = _random_jumps(rng)
         util = pk.Utility(rng.uniform(0.4, beta - 0.3))
         prem = pk.LinearPremium(q=rng.uniform(0.0, 0.5))
-        rep = pk.solve_diff_rates(m, jumps, prem, util)
+        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util)
         _check_oracle(rep, m, jumps, pk.DifferentialRates(premium=prem),
                       util, failures, f"dr1[{n}]")
         n += 1
@@ -296,7 +298,7 @@ def test_c09_oracle_equivalence_randomized():
         jumps, beta = _random_jumps(rng)
         util = pk.Utility(rng.uniform(0.4, beta - 0.3))
         prem = pk.LinearPremium(q=rng.uniform(0.0, 0.5))
-        rep = pk.solve_diff_rates(m, jumps, prem, util)
+        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util)
         _check_oracle(rep, m, jumps, pk.DifferentialRates(premium=prem),
                       util, failures, f"dr2[{n}]")
         n += 1
@@ -312,7 +314,7 @@ def test_c09_oracle_equivalence_randomized():
         fric = pk.SmoothG(premium=prem, g=lambda x, c=c: -c * x * x,
                           g_prime=lambda x, c=c: -2 * c * x,
                           g_second=lambda x, c=c: -2 * c)
-        rep = pk.solve_smooth_g(m, jumps, prem, fric, util)
+        rep = pk.solve(m, jumps, fric, util)
         _check_oracle(rep, m, jumps, fric, util, failures, f"sg[{n}]")
         n += 1
 
@@ -324,7 +326,7 @@ def test_c09_oracle_equivalence_randomized():
         util = pk.Utility(rng.uniform(0.4, beta - 0.3))
         prem = pk.LinearPremium(q=rng.uniform(0.0, 0.5))
         mp, mm = -rng.uniform(0.0, 0.04), rng.uniform(0.0, 0.04)
-        rep = pk.solve_large_investor(m, jumps, prem, mp, mm, util)
+        rep = pk.solve(m, jumps, pk.LargeInvestor(prem, mp, mm), util)
         _check_oracle(rep, m, jumps,
                       pk.LargeInvestor(premium=prem, m_plus=mp, m_minus=mm),
                       util, failures, f"li[{n}]")
@@ -350,7 +352,7 @@ def test_c09_oracle_equivalence_randomized():
         A = rng.uniform(0.2, 1.0)
         q_fn = pk.make_sqrt_premium_rate(jumps, C=C, A=A)
         try:
-            rep = pk.solve_portfolio_premium(m, jumps, q_fn, util)
+            rep = pk.solve(m, jumps, pk.PortfolioPremium(*q_fn), util)
         except (pk.NoInteriorSolution, pk.SOCViolation):
             continue
         fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
@@ -371,7 +373,7 @@ def test_c10_closed_form_vs_monte_carlo():
         fric = pk.DifferentialRates(premium=prem)
         for i, rho in enumerate(rho_values[name]):
             m = model_fn(rho)
-            rep = pk.solve_diff_rates(m, jumps, prem, util)
+            rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util)
             closed = pk.value_function(0.0, 1.0, 1.0, rep.objective, m,
                                        jumps, util)
             cfg = pk.SimConfig(horizon=1.0, x0=1.0, n_paths=1_000_000,
@@ -403,7 +405,8 @@ def test_c10_closed_form_vs_monte_carlo():
 def _mutual_fund_discrepancy(model, jumps, prem, triple):
     e1, e2, ebar = triple
     res = pk.mutual_fund_combine(model, jumps, prem, e1, e2, ebar)
-    direct = pk.solve_diff_rates(model, jumps, prem, pk.Utility(ebar))
+    direct = pk.solve(model, jumps, pk.DifferentialRates(prem),
+                      pk.Utility(ebar))
     return max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
                abs(res.policy.kappa - direct.policy.kappa))
 
@@ -452,7 +455,7 @@ def test_c13_section5_interior_and_fosd():
 
     m = c2_model(rho0)
     q_fn = pk.make_sqrt_premium_rate(J_C, C=C, A=A)
-    rep = pk.solve_portfolio_premium(m, J_C, q_fn, pk.Utility(eta))
+    rep = pk.solve(m, J_C, pk.PortfolioPremium(*q_fn), pk.Utility(eta))
     fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
     pol, val, bound = pk.grid_maximize(m, J_C, fric, pk.Utility(eta))
     oracle_ok = rep.objective.value >= val - bound
@@ -466,8 +469,8 @@ def test_c13_section5_interior_and_fosd():
         for tag, jumps in (("hi", J_C), ("lo", j_low)):
             qf = pk.make_sqrt_premium_rate(jumps, C=C, A=A)
             try:
-                r = pk.solve_portfolio_premium(c2_model(float(rho)), jumps,
-                                               qf, pk.Utility(eta))
+                r = pk.solve(c2_model(float(rho)), jumps,
+                             pk.PortfolioPremium(*qf), pk.Utility(eta))
                 ks[tag] = r.policy.kappa
             except (pk.NoInteriorSolution, pk.SOCViolation):
                 pass

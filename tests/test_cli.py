@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,9 @@ class TestExitContract:
         ("oracle --model b1 --eta 161904.5 --R 0.038 --lambda 4.3 "
          "--resolution 21 --refine-resolution 21 --rounds 1", 2,
          "oracle failed: DomainError: grid_maximize overflowed"),
+        # a user policy so large that f + H overflows
+        ("simulate --model c2 --paths 100 --pi 1e308 --kappa 0.5", 2,
+         "simulate failed: DomainError:"),
     ])
     def test_failure_is_one_typed_line(self, command, code, prefix, capsys):
         got, _, err = run(command.split(), capsys)
@@ -301,6 +305,15 @@ class TestExitContract:
         assert err.startswith(prefix)
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_overflowing_policy_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["simulate", "--model", "c2", "--paths",
+                                  "100", "--pi", "1e308", "--kappa", "0.5"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("simulate failed: DomainError: f + H = ")
 
     def test_sweep_error_rows_stay_one_csv_row(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -52,8 +52,8 @@ class TestGridMaximize:
         m = pk.MarketModel(mu=[0.16], sigma=[[0.26]], r=0.03, R=0.09,
                            rho=[0.5], b=0.4)
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
-        rep = pk.solve_diff_rates(m, jumps, pk.LinearPremium(q=0.3),
-                                  pk.Utility(2.0))
+        rep = pk.solve(m, jumps, pk.DifferentialRates(pk.LinearPremium(q=0.3)),
+                       pk.Utility(2.0))
         fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.3))
         pol, val, bound = pk.grid_maximize(m, jumps, fric, pk.Utility(2.0))
         assert rep.objective.value >= val - bound
@@ -163,7 +163,8 @@ class TestCertificateSoundness:
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
         prem = pk.LinearPremium(q=0.3)
         util = pk.Utility(2.0)
-        rep = pk.solve_diff_rates(m, jumps, prem, util, cert_tol=1e-9)
+        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util,
+                       cert_tol=1e-9)
         assert rep.certificate.passes and abs(rep.certificate.residual) <= 1e-9
         fric = pk.DifferentialRates(premium=prem)
         _, val, bound = pk.grid_maximize(m, jumps, fric, util)

@@ -48,7 +48,8 @@ class TestSimulateTerminalUtility:
 
     def test_certified_policy_matches_value_function(self):
         m = c2_model(-0.8)
-        rep = pk.solve_diff_rates(m, BETA128, PREM02, pk.Utility(4.0))
+        rep = pk.solve(m, BETA128, pk.DifferentialRates(PREM02),
+                       pk.Utility(4.0))
         closed = pk.value_function(0.0, 1.0, 1.0, rep.objective, m, BETA128,
                                    pk.Utility(4.0))
         fric = pk.DifferentialRates(premium=PREM02)
@@ -60,7 +61,8 @@ class TestSimulateTerminalUtility:
 
     def test_log_utility_case(self):
         m = c2_model(0.3)
-        rep = pk.solve_diff_rates(m, BETA128, PREM02, pk.Utility(1.0))
+        rep = pk.solve(m, BETA128, pk.DifferentialRates(PREM02),
+                       pk.Utility(1.0))
         closed = pk.value_function(0.0, 1.0, 1.0, rep.objective, m, BETA128,
                                    pk.Utility(1.0))
         fric = pk.DifferentialRates(premium=PREM02)
@@ -143,7 +145,8 @@ class TestComparePolicies:
 
     def test_certified_never_loses_to_perturbation(self):
         m = c2_model(-0.4)
-        rep = pk.solve_diff_rates(m, BETA128, PREM02, pk.Utility(4.0))
+        rep = pk.solve(m, BETA128, pk.DifferentialRates(PREM02),
+                       pk.Utility(4.0))
         fric = pk.DifferentialRates(premium=PREM02)
         cfg = pk.SimConfig(n_paths=400_000, seed=21)
         k = min(1.0, rep.policy.kappa + 0.1)
@@ -159,7 +162,7 @@ class TestComparePolicies:
                            rho=[-1.0], b=0.4)
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
         prem = pk.LinearPremium(q=0.3)
-        rep = pk.solve_diff_rates(m, jumps, prem, pk.Utility(2.0))
+        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), pk.Utility(2.0))
         assert rep.case_label == "DiffRates-vi"
         merton = pk.Policy(pi=[0.13 / (2.0 * 0.26 ** 2)], kappa=0.0)
         fric = pk.DifferentialRates(premium=prem)

@@ -50,7 +50,8 @@ Q02 = pk.LinearPremium(q=0.2)
 class TestDiffRates:
     def test_a1_eta1_case_iii(self):
         # eta = 1.0 lies inside A1's all-risky band [0.60, 1.47]
-        rep = pk.solve_diff_rates(a1_model(), BETA28_025, Q03, pk.Utility(1.0))
+        rep = pk.solve(a1_model(), BETA28_025, pk.DifferentialRates(Q03),
+                       pk.Utility(1.0))
         assert rep.case_label == "DiffRates-iii"
         assert rep.policy.pi_sum == pytest.approx(1.0, abs=1e-8)
         assert rep.xi_star is not None and 0.02 <= rep.xi_star <= 0.06
@@ -58,7 +59,8 @@ class TestDiffRates:
 
     def test_a2_eta3_case_i(self):
         # eta = 3.0 > eta_r = 2.35 for A2: own funds only
-        rep = pk.solve_diff_rates(a2_model(), BETA28_025, Q08, pk.Utility(3.0))
+        rep = pk.solve(a2_model(), BETA28_025, pk.DifferentialRates(Q08),
+                       pk.Utility(3.0))
         assert rep.case_label == "DiffRates-i"
         assert rep.policy.pi_sum < 1.0
         assert rep.xi_star == pytest.approx(0.03)
@@ -70,7 +72,7 @@ class TestDiffRates:
                            rho=[0.0], b=0.0)
         jumps = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(2.0, 8.0))
         eta = 3.0
-        rep = pk.solve_diff_rates(m, jumps, Q03, pk.Utility(eta))
+        rep = pk.solve(m, jumps, pk.DifferentialRates(Q03), pk.Utility(eta))
         assert rep.policy.kappa == 1.0
         assert rep.case_label == "DiffRates-vi"
         assert rep.policy.pi[0] == pytest.approx(0.06 / (eta * 0.09), abs=1e-12)
@@ -79,19 +81,21 @@ class TestDiffRates:
         # B1 at rho = -1 -> case vi (short + full retention); at rho = +1 ->
         # case vii (leveraged + full retention)
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
-        rep = pk.solve_diff_rates(b1_model(-1.0), jumps, Q03, pk.Utility(2.0))
+        rep = pk.solve(b1_model(-1.0), jumps, pk.DifferentialRates(Q03),
+                       pk.Utility(2.0))
         assert rep.case_label == "DiffRates-vi"
         assert rep.policy.kappa == 1.0
         assert rep.policy.pi[0] == pytest.approx(-0.576923076923, abs=1e-9)
-        rep = pk.solve_diff_rates(b1_model(1.0), jumps, Q03, pk.Utility(2.0))
+        rep = pk.solve(b1_model(1.0), jumps, pk.DifferentialRates(Q03),
+                       pk.Utility(2.0))
         assert rep.case_label == "DiffRates-vii"
         assert rep.policy.kappa == 1.0
         assert rep.policy.pi[0] == pytest.approx(2.056213017751, abs=1e-9)
 
     def test_c1_full_insurance_case_iv(self):
         # rho above the 0.5156 threshold: full insurance, Merton at r
-        rep = pk.solve_diff_rates(c_model(-0.05, 0.8, 0.60), BETA128_015,
-                                  Q02, pk.Utility(4.0))
+        rep = pk.solve(c_model(-0.05, 0.8, 0.60), BETA128_015,
+                       pk.DifferentialRates(Q02), pk.Utility(4.0))
         assert rep.case_label == "DiffRates-iv"
         assert rep.policy.kappa == 0.0
         assert rep.policy.pi[0] == pytest.approx(-0.2222, abs=1e-3)
@@ -100,7 +104,8 @@ class TestDiffRates:
         bad = pk.MarketModel(mu=[0.08], sigma=[[0.3]], r=0.06, R=0.02,
                              rho=[0.0], b=0.4)
         with pytest.raises(pk.ModelValidationError):
-            pk.solve_diff_rates(bad, BETA28_025, Q03, pk.Utility(2.0))
+            pk.solve(bad, BETA28_025, pk.DifferentialRates(Q03),
+                     pk.Utility(2.0))
 
     def test_shadow_rate_sum_strictly_decreasing(self):
         kern = _DiffRatesKernel(a1_model(), BETA28_025, Q03,
@@ -227,8 +232,8 @@ class TestSmoothG:
         m = pk.MarketModel(mu=[0.10], sigma=[[0.25]], r=0.02, R=0.02,
                            rho=[0.0], b=0.0)
         jumps = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(2.0, 8.0))
-        rep = pk.solve_smooth_g(m, jumps, pk.LinearPremium(q=0.0), g,
-                                pk.Utility(2.0))
+        rep = pk.solve(m, jumps, pk.SmoothG(pk.LinearPremium(q=0.0), *g),
+                       pk.Utility(2.0))
         assert rep.policy.pi[0] == pytest.approx(0.08 / (2 * 0.0625), rel=1e-8)
 
     def test_quadratic_g_full_insurance(self):
@@ -241,7 +246,7 @@ class TestSmoothG:
         jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))   # lam E[Y] = 0.1
         prem = pk.LinearPremium(q=0.05)
         eta = 2.0
-        rep = pk.solve_smooth_g(m, jumps, prem, g, pk.Utility(eta))
+        rep = pk.solve(m, jumps, pk.SmoothG(prem, *g), pk.Utility(eta))
         assert rep.case_label == "SmoothG-2"
         assert rep.policy.kappa == 0.0
         assert rep.policy.pi[0] == pytest.approx(0.10 / (eta * 0.0625 + 2 * c),
@@ -249,7 +254,8 @@ class TestSmoothG:
 
     def test_matches_grid_oracle(self):
         m = c_model(0.16, 0.4, -0.35)
-        rep = pk.solve_smooth_g(m, BETA128_015, Q02, QUAD_G, pk.Utility(4.0))
+        rep = pk.solve(m, BETA128_015, pk.SmoothG(Q02, *QUAD_G),
+                       pk.Utility(4.0))
         fric = pk.SmoothG(premium=Q02, g=QUAD_G[0], g_prime=QUAD_G[1],
                           g_second=QUAD_G[2])
         pol, val, bound = pk.grid_maximize(m, BETA128_015, fric, pk.Utility(4.0))
@@ -262,8 +268,9 @@ class TestLargeInvestor:
     def test_zero_pressure_reduces_to_frictionless(self):
         m = c_model(0.16, 0.4, 0.3)
         jumps = BETA128_015
-        rep = pk.solve_large_investor(m, jumps, Q02, 0.0, 0.0, pk.Utility(4.0))
-        base = pk.solve_frictionless(m, jumps, Q02, pk.Utility(4.0))
+        rep = pk.solve(m, jumps, pk.LargeInvestor(Q02, 0.0, 0.0),
+                       pk.Utility(4.0))
+        base = pk.solve(m, jumps, pk.Frictionless(Q02), pk.Utility(4.0))
         assert rep.policy.pi[0] == pytest.approx(base.policy.pi[0], abs=1e-9)
         assert rep.policy.kappa == pytest.approx(base.policy.kappa, abs=1e-9)
 
@@ -271,8 +278,8 @@ class TestLargeInvestor:
         # lam E[Y] + p'(0) >= b rho (mu - r + m+)/sigma with mu + m+ > r:
         # long position, kappa = 0 (needs rho <= -0.6875 here)
         m = c_model(0.16, 0.4, -0.75)
-        rep = pk.solve_large_investor(m, BETA128_015, Q02, -0.01, 0.02,
-                                      pk.Utility(4.0))
+        rep = pk.solve(m, BETA128_015, pk.LargeInvestor(Q02, -0.01, 0.02),
+                       pk.Utility(4.0))
         assert rep.case_label == "Large-iv"
         assert rep.policy.kappa == 0.0
         assert rep.policy.pi[0] == pytest.approx((0.16 - 0.03 - 0.01)
@@ -283,16 +290,17 @@ class TestLargeInvestor:
         m = pk.MarketModel(mu=[0.031], sigma=[[0.3]], r=0.03, R=0.03,
                            rho=[0.0], b=0.0)
         jumps = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(2.0, 8.0))
-        rep = pk.solve_large_investor(m, jumps, pk.LinearPremium(q=0.0),
-                                      -0.01, 0.02, pk.Utility(2.0))
+        rep = pk.solve(m, jumps,
+                       pk.LargeInvestor(pk.LinearPremium(q=0.0), -0.01, 0.02),
+                       pk.Utility(2.0))
         assert rep.case_label == "Large-iii"
         assert rep.policy.pi[0] == 0.0
         assert -0.01 <= rep.xi_star <= 0.02
 
     def test_matches_grid_oracle(self):
         m = c_model(0.16, 0.4, 0.45)
-        rep = pk.solve_large_investor(m, BETA128_015, Q02, -0.015, 0.025,
-                                      pk.Utility(3.0))
+        rep = pk.solve(m, BETA128_015, pk.LargeInvestor(Q02, -0.015, 0.025),
+                       pk.Utility(3.0))
         fric = pk.LargeInvestor(premium=Q02, m_plus=-0.015, m_minus=0.025)
         pol, val, bound = pk.grid_maximize(m, BETA128_015, fric, pk.Utility(3.0))
         assert rep.objective.value >= val - bound
@@ -325,8 +333,9 @@ def test_large_investor_regression_pins(label, params, expected):
     mu, sig, rho, b, q, eta = params
     m = pk.MarketModel(mu=[mu], sigma=[[sig]], r=0.03, R=0.03, rho=[rho], b=b)
     jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
-    rep = pk.solve_large_investor(m, jumps, pk.LinearPremium(q=q), -0.02,
-                                  0.03, pk.Utility(eta))
+    rep = pk.solve(m, jumps,
+                   pk.LargeInvestor(pk.LinearPremium(q=q), -0.02, 0.03),
+                   pk.Utility(eta))
     assert rep.case_label == f"Large-{label}"
     got = (rep.policy.pi[0], rep.policy.kappa, rep.xi_star,
            rep.objective.value)
@@ -384,12 +393,89 @@ def test_portfolio_premium_regression_pins(rho, expected):
     inputs = load_model_file(resolve_model_path("section5-example"))
     m, j, f, u = _apply_param("rho", rho, inputs.model, inputs.jumps,
                               inputs.friction, inputs.utility)
-    rep = pk.solve_portfolio_premium(m, j, f, u)
+    rep = pk.solve(m, j, f, u)
     pi, kappa, objective = expected
     assert rep.case_label == "PortfolioPremium-interior"
     assert rep.policy.pi[0] == pytest.approx(pi, abs=1e-10)
     assert rep.policy.kappa == pytest.approx(kappa, abs=1e-10)
     assert rep.objective.value == pytest.approx(objective, abs=1e-12)
+
+
+DISCRETE_03 = pk.JumpLaw(lam=0.3, law=pk.DiscreteJumps([0.1, 0.4, 0.7],
+                                                       [0.5, 0.3, 0.2]))
+
+
+def _quadratic_g(c, premium):
+    return pk.SmoothG(premium=premium, g=lambda x: -c * x * x,
+                      g_prime=lambda x: -2.0 * c * x,
+                      g_second=lambda x: -2.0 * c)
+
+
+def _large(q):
+    return pk.LargeInvestor(premium=pk.LinearPremium(q=q), m_plus=-0.015,
+                            m_minus=0.025)
+
+
+# Regimes no golden file covers: (id, model, jumps, friction, eta) and the
+# reference (label, xi_star, pi, kappa, objective), captured before the
+# smooth and shadow kernels replaced the per-regime solvers.
+UNPINNED_PINS = [
+    ("smoothg-beta", c_model(0.16, 0.4, -0.35), BETA128_015,
+     _quadratic_g(0.2, Q02), 4.0,
+     ("SmoothG-1", None, (0.15025376990307554,), 0.09409008853253908,
+      -0.2349989226558508)),
+    ("smoothg-discrete",
+     pk.MarketModel(mu=[0.12], sigma=[[0.25]], r=0.03, R=0.09, rho=[0.5],
+                    b=0.3),
+     DISCRETE_03, _quadratic_g(0.1, pk.PowerPremium(q=0.15, delta=2.0)), 2.0,
+     ("SmoothG-1", None, (0.36486559751576353,), 0.3810842559032608,
+      -0.3928532497410177)),
+    ("large-i", c_model(0.16, 0.4, 0.45), BETA128_015, _large(0.2), 3.0,
+     ("Large-i", -0.015, (0.59498454583701,), 0.28176436651847325,
+      -0.22396005289472137)),
+    ("large-ii", c_model(-0.05, 0.4, 0.3), BETA128_015, _large(0.2), 3.0,
+     ("Large-ii", 0.025, (-0.1485623136468887,), 0.1378534751420375,
+      -0.26321480276613984)),
+    ("large-iii", c_model(0.02, 0.3, 0.3), DISCRETE_03, _large(0.2), 3.0,
+     ("Large-iii", -0.009038092489732669, (0.0,), 0.23503817888558842,
+      -0.3369070319086541)),
+    ("large-iv", c_model(0.16, 0.4, -0.75), BETA128_015, _large(0.2), 3.0,
+     ("Large-iv", -0.015, (0.425925925925926,), 0.0, -0.25050925925925926)),
+    ("frictionless-d1", c_model(0.16, 0.4, 0.3), BETA128_015,
+     pk.Frictionless(Q02), 4.0,
+     ("Frictionless-i", 0.03, (0.4339813021697208,), 0.1821754776465241,
+      -0.21124553735468973)),
+    ("frictionless-d2", a1_model(), DISCRETE_03, pk.Frictionless(Q03), 2.0,
+     ("Frictionless-i", 0.02, (0.5876553344098269, 0.13434070045321284),
+      0.47076362048392184, -0.5254198036984523)),
+]
+
+
+@pytest.mark.parametrize("model,jumps,friction,eta,expected",
+                         [p[1:] for p in UNPINNED_PINS],
+                         ids=[p[0] for p in UNPINNED_PINS])
+def test_unpinned_regime_regression_pins(model, jumps, friction, eta,
+                                         expected):
+    label, xi_star, pi, kappa, objective = expected
+    rep = pk.solve(model, jumps, friction, pk.Utility(eta))
+    assert rep.case_label == label
+    assert rep.xi_star == xi_star
+    assert rep.policy.pi == pytest.approx(np.array(pi), abs=1e-10)
+    assert rep.policy.kappa == pytest.approx(kappa, abs=1e-10)
+    assert rep.objective.value == pytest.approx(objective, abs=1e-12)
+
+
+def test_solve_refuses_a_non_friction():
+    with pytest.raises(TypeError):
+        pk.solve(a1_model(), BETA28_025, Q03, pk.Utility(1.0))
+
+
+def test_frictionless_model_validated_as_given():
+    # R < r fails validation whatever the friction; the frictionless
+    # market has no use for R, but the model it is given must be valid
+    bad = c_model(0.16, 0.4, 0.3).replace(R=0.01)
+    with pytest.raises(pk.ModelValidationError, match="R >= r"):
+        pk.solve(bad, BETA128_015, pk.Frictionless(Q02), pk.Utility(4.0))
 
 
 def test_portfolio_premium_takes_no_kappa_scan():
@@ -406,8 +492,7 @@ def test_portfolio_premium_takes_no_kappa_scan():
     pk.validate_model(inputs.model, inputs.jumps, fric, inputs.utility)
     n_validate = len(calls)
     calls.clear()
-    pk.solve_portfolio_premium(inputs.model, inputs.jumps, fric,
-                               inputs.utility)
+    pk.solve(inputs.model, inputs.jumps, fric, inputs.utility)
     assert len(calls) - n_validate < 60
 
 
@@ -415,7 +500,8 @@ class TestPortfolioPremium:
     def test_section5_interior_matches_oracle(self):
         m = c_model(0.16, 0.4, 0.3)
         q_fn = pk.make_sqrt_premium_rate(BETA128_015, C=0.25, A=0.5)
-        rep = pk.solve_portfolio_premium(m, BETA128_015, q_fn, pk.Utility(4.0))
+        rep = pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+                       pk.Utility(4.0))
         assert rep.case_label == "PortfolioPremium-interior"
         assert 0.0 < rep.policy.kappa < 1.0
         fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
@@ -428,9 +514,11 @@ class TestPortfolioPremium:
         qv = 0.105
         m = c_model(0.16, 0.4, 0.4)
         q_fn = (lambda x: qv, lambda x: 0.0)
-        rep = pk.solve_portfolio_premium(m, BETA128_015, q_fn, pk.Utility(4.0))
-        base = pk.solve_frictionless(m, BETA128_015, pk.LinearPremium(q=qv),
-                                     pk.Utility(4.0))
+        rep = pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+                       pk.Utility(4.0))
+        base = pk.solve(m, BETA128_015,
+                        pk.Frictionless(pk.LinearPremium(q=qv)),
+                        pk.Utility(4.0))
         assert rep.policy.pi[0] == pytest.approx(base.policy.pi[0], abs=1e-8)
         assert rep.policy.kappa == pytest.approx(base.policy.kappa, abs=1e-8)
 
@@ -441,7 +529,8 @@ class TestPortfolioPremium:
                            rho=[0.0], b=0.0)
         q_fn = (lambda x: 0.05, lambda x: 0.0)   # q < lam E[Y] = 0.09
         with pytest.raises(pk.NoInteriorSolution):
-            pk.solve_portfolio_premium(m, BETA128_015, q_fn, pk.Utility(4.0))
+            pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+                     pk.Utility(4.0))
 
     def test_soc_violation_raised(self):
         # steep q' breaks the global second-order bound
@@ -449,14 +538,15 @@ class TestPortfolioPremium:
         q_fn = (lambda x: 0.09 + 2.0 * (np.sqrt(x * x + 0.25) - 0.5),
                 lambda x: 2.0 * x / np.sqrt(x * x + 0.25))
         with pytest.raises(pk.SOCViolation):
-            pk.solve_portfolio_premium(m, BETA128_015, q_fn, pk.Utility(4.0))
+            pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+                     pk.Utility(4.0))
 
 
 class TestMutualFund:
     def test_a2_corner_triple_exact(self):
         res = pk.mutual_fund_combine(a2_model(), BETA28_025, Q08, 1.0, 2.0, 1.5)
-        direct = pk.solve_diff_rates(a2_model(), BETA28_025, Q08,
-                                     pk.Utility(1.5))
+        direct = pk.solve(a2_model(), BETA28_025, pk.DifferentialRates(Q08),
+                          pk.Utility(1.5))
         assert res.endpoint_low.case_label == "DiffRates-iii"
         assert direct.case_label == "DiffRates-iii"
         disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
@@ -468,8 +558,8 @@ class TestMutualFund:
         # interior-kappa separation is only approximate; the combination
         # still lands within ~1e-3 of the direct solve (see decisions ledger)
         res = pk.mutual_fund_combine(a1_model(), BETA28_025, Q03, 2.0, 5.0, 3.0)
-        direct = pk.solve_diff_rates(a1_model(), BETA28_025, Q03,
-                                     pk.Utility(3.0))
+        direct = pk.solve(a1_model(), BETA28_025, pk.DifferentialRates(Q03),
+                          pk.Utility(3.0))
         disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
                    abs(res.policy.kappa - direct.policy.kappa))
         assert disc <= 5e-3
@@ -501,22 +591,23 @@ class TestComparativeStatics:
         util = pk.Utility(4.0)
 
         lam_ladder = [0.05, 0.1, 0.2, 0.4, 0.8]
-        kappas = [pk.solve_diff_rates(
-            m, pk.JumpLaw(lam=l, law=pk.BetaJumps(2.0, 8.0)), Q02,
-            util).policy.kappa for l in lam_ladder]
+        kappas = [pk.solve(m, pk.JumpLaw(lam=l, law=pk.BetaJumps(2.0, 8.0)),
+                           pk.DifferentialRates(Q02),
+                           util).policy.kappa for l in lam_ladder]
         assert all(a >= b - 1e-9 for a, b in zip(kappas, kappas[1:]))
 
         q_ladder = [0.05, 0.1, 0.2, 0.35]
         jumps = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(2.0, 8.0))
-        kappas = [pk.solve_diff_rates(m, jumps, pk.LinearPremium(q=q),
-                                      util).policy.kappa for q in q_ladder]
+        kappas = [pk.solve(m, jumps,
+                           pk.DifferentialRates(pk.LinearPremium(q=q)),
+                           util).policy.kappa for q in q_ladder]
         assert all(a <= b + 1e-9 for a, b in zip(kappas, kappas[1:]))
 
         lo = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(2.0, 8.0))
         hi = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(12.0, 8.0))
         assert pk.fosd_compare(hi, lo) is pk.Ordering.DOMINATES
-        k_lo = pk.solve_diff_rates(m, lo, Q02, util).policy.kappa
-        k_hi = pk.solve_diff_rates(m, hi, Q02, util).policy.kappa
+        k_lo = pk.solve(m, lo, pk.DifferentialRates(Q02), util).policy.kappa
+        k_hi = pk.solve(m, hi, pk.DifferentialRates(Q02), util).policy.kappa
         assert k_hi <= k_lo + 1e-9
 
     def test_smooth_g_risk_premium_response(self):
@@ -524,8 +615,8 @@ class TestComparativeStatics:
         jumps = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(2.0, 8.0))
         util = pk.Utility(3.0)
         mus = [0.08, 0.10, 0.12, 0.14]
-        reps = [pk.solve_smooth_g(c_model(mu, 0.4, 0.5), jumps, Q02, QUAD_G,
-                                  util) for mu in mus]
+        reps = [pk.solve(c_model(mu, 0.4, 0.5), jumps,
+                         pk.SmoothG(Q02, *QUAD_G), util) for mu in mus]
         pis = [r.policy.pi[0] for r in reps]
         ks = [r.policy.kappa for r in reps]
         assert all(a <= b + 1e-9 for a, b in zip(pis, pis[1:]))
