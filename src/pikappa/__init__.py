@@ -1,6 +1,7 @@
 """Optimal risky-asset allocation and insurable background-risk retention
 under nonlinear portfolio frictions: closed-form regime solvers, optimality
-certificates, a brute-force oracle and exact Monte Carlo verification."""
+certificates, a grid oracle exact on its grid and exact Monte Carlo
+verification."""
 
 __version__ = "0.1.0"
 

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-bar", dest="eta_bar", type=float, required=True)
     p.set_defaults(fn=cmd_mutual_fund)
 
-    p = sub.add_parser("oracle", help="brute-force grid maximization")
+    p = sub.add_parser("oracle", help="grid maximization, exact on its grid")
     _add_common(p)
     p.add_argument("--resolution", type=int, default=401)
     p.add_argument("--refine-resolution", dest="refine_resolution", type=int,

@@ -228,16 +228,50 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
                       lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
 
 
+def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
+    """first + sum over n >= 0 of t_n for every entry of z, where
+    t_n = t_(n-1) * (ratio(n) z) and t_(-1) = 1.
+
+    Each entry stops on its own, at the first n with
+    |t_n| <= SERIES_RTOL (floor + |sum|), so its value does not depend on
+    the other entries; the loop carries only the entries still running.
+    Returns (sums, converged).
+    """
+    out = np.empty_like(z)
+    converged = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    zl = z
+    term = np.ones_like(z)
+    total = np.full_like(z, first)
+    for n in range(SERIES_MAX_TERMS):
+        if live.size == 0:
+            break
+        term = term * (ratio(n) * zl)
+        total = total + term
+        stop = np.abs(term) <= SERIES_RTOL * (floor + np.abs(total))
+        if stop.any():
+            out[live[stop]] = total[stop]
+            converged[live[stop]] = True
+            keep = ~stop
+            live, zl, term, total = live[keep], zl[keep], term[keep], \
+                total[keep]
+    out[live] = total
+    return out, converged
+
+
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
                        eta: float) -> np.ndarray:
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
     jump term.
 
-    Beta laws sum the series of utility_jump_term for every kappa up to
-    SERIES_SWITCH at once; kappa = 1, kappas above the switch and entries
-    whose series did not converge take the scalar route. Where
-    E[U_eta(1 - Y)] diverges (eta >= beta + 1) the scalar route raises, and
-    the kappa = 1 entry is -inf, the objective's true value there.
+    Beta laws sum a series for every kappa up to SERIES_SWITCH at once, each
+    entry to its own stop, so an entry equals the same kappa evaluated
+    alone: for eta != 1 the series of utility_jump_term term for term, and
+    an entry whose series did not converge takes its quadrature. kappa = 1,
+    kappas above the switch and unconverged log-utility entries take the
+    scalar route. Where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the
+    scalar route raises, and the kappa = 1 entry is -inf, the objective's
+    true value there.
     """
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
@@ -250,39 +284,33 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     a, b = law.alpha, law.beta
     out = np.empty_like(kappas)
     summed = kappas <= SERIES_SWITCH
-    z = kappas[summed]
     if eta == 1.0:
-        # E[ln(1-kY)] = -sum_n k^n E[Y^n] / n
-        total = np.zeros_like(z)
-        moment = 1.0
-        power = np.ones_like(z)
-        term = np.zeros_like(z)
-        for n in range(1, SERIES_MAX_TERMS):
-            moment *= (a + n - 1.0) / (a + b + n - 1.0)
-            power = power * z
-            term = power * moment / n
-            total -= term
-            if np.all(np.abs(term) <= SERIES_RTOL * (1.0 + np.abs(total))):
-                break
-        converged = np.abs(term) <= SERIES_RTOL * (1.0 + np.abs(total))
+        # E[ln(1-kY)] = -sum_n k^n E[Y^n] / n, with E[Y^n] / E[Y^(n-1)]
+        # = (a + n - 1) / (a + b + n - 1)
+        ratio = lambda n: (-a / (a + b) if n == 0
+                           else (a + n) / (a + b + n) * n / (n + 1.0))
+        total, converged = _series_by_entry(kappas[summed], 0.0, ratio, 1.0)
         out[summed] = total
     else:
-        # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k)
-        term = np.ones_like(z)
-        total = np.ones_like(z)
+        # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k), with the
+        # term ratio of _hyp2f1_series; at a huge eta a term overflows to
+        # inf, and so does the sum: the entry is then -inf, its value in
+        # double precision
         aa, bb, cc = eta - 1.0, a, a + b
-        # at a huge eta a term overflows to inf, and so does the sum: the
-        # entry is then -inf, its value in double precision
+        ratio = lambda n: (aa + n) * (bb + n) / ((cc + n) * (1.0 + n))
         with np.errstate(over="ignore"):
-            for n in range(SERIES_MAX_TERMS):
-                term = term * (aa + n) * (bb + n) / ((cc + n) * (1.0 + n)) * z
-                total += term
-                if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
-                    break
-            converged = np.abs(term) <= SERIES_RTOL * np.abs(total)
+            total, converged = _series_by_entry(kappas[summed], 1.0, ratio,
+                                                0.0)
         out[summed] = total / (1.0 - eta)
-    summed[summed] = converged
-    for i in np.nonzero(~summed)[0]:
+    stalled = np.flatnonzero(summed)[~converged]
+    scalar = np.flatnonzero(~summed)
+    if eta == 1.0:
+        scalar = np.union1d(scalar, stalled)
+    else:
+        for i in stalled:          # the quadrature of _power_moment's route
+            out[i] = psi_quadrature(jumps, float(kappas[i]), eta - 1.0,
+                                    m=0) / (1.0 - eta)
+    for i in scalar:
         try:
             out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
         except DomainError:

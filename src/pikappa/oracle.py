@@ -1,10 +1,15 @@
-"""Brute-force grid maximizer of f + H (the solver-independent oracle) and
-the parameter-sweep engine behind the reproduction tables and figures.
+"""Grid maximizer of f + H (the solver-independent oracle) and the
+parameter-sweep engine behind the reproduction tables and figures.
 
-The oracle never calls a solver: it evaluates the objective exhaustively on
-a grid with iterative zoom refinement and reports a resolution bound
-(numerical Lipschitz estimate times the final cell diagonal) for comparison
-slack.
+The oracle never calls a solver and makes no case analysis. On every grid
+f + H separates as P(pi) + K(kappa) + u(pi) kappa, so the best kappa of a
+portfolio row is a query on the upper concave hull of the points
+(kappa_j, K_j): a discrete Legendre transform (Y. Lucet, Numer. Algorithms
+16 (1997) 171-185). Each round builds that hull once and searches it once
+per row, which finds the exact maximizer of the grid, the first in C order
+on a tie, without the (pi, kappa) tensor. Rounds zoom in around the
+incumbent, and the result carries a resolution bound (numerical Lipschitz
+estimate times the final cell diagonal) for comparison slack.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import PikappaError
-from .hamiltonian import friction_term
+from .hamiltonian import (_each, _pi_friction, _premium_value,
+                          friction_term)
 from .jumps import _overflow_as_domain_error, utility_jump_curve
 from .models import (FrictionSpec, JumpLaw, LinearPremium, MarketModel,
                      Policy, PortfolioPremium, PowerPremium, Utility)
@@ -24,7 +30,7 @@ from . import solvers
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid geometry for the brute-force maximizer.
+    """Grid geometry for the grid maximizer.
 
     pi_bounds of None auto-sizes each axis to the Merton point +- (5 |Merton|
     + 2). Refinement zooms the window by `zoom` around the incumbent each
@@ -55,41 +61,104 @@ def _auto_pi_bounds(model: MarketModel, eta: float) -> list[tuple[float, float]]
     return out
 
 
+def _portfolio_parts(model: MarketModel, pi_axes: list[np.ndarray]):
+    """The portfolio grid as rows in C order, its shape, and the parts of H
+    that depend on pi alone: pi.(mu - r), |sigma^T pi|^2 and pi.sigma rho."""
+    mesh = np.meshgrid(*pi_axes, indexing="ij") if len(pi_axes) > 1 \
+        else [pi_axes[0]]
+    pis = np.stack([m.ravel() for m in mesh], axis=-1)   # (npts, d)
+    excess = pis @ (model.mu - model.r)
+    st = pis @ model.sigma                                # row i: pi_i^T sigma
+    quad_pi = (st * st).sum(axis=-1)
+    pi_srho = pis @ (model.sigma @ model.rho)
+    return pis, mesh[0].shape, excess, quad_pi, pi_srho
+
+
+def _jump_curve(jumps: JumpLaw, kappas: np.ndarray, eta: float) -> np.ndarray:
+    return jumps.lam * utility_jump_curve(jumps, kappas, eta) \
+        if jumps.lam > 0 else np.zeros_like(kappas)
+
+
 def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                eta: float, axes: list[np.ndarray]) -> np.ndarray:
     """f + H on the tensor grid; last axis is kappa."""
     kappas = axes[-1]
-    pi_axes = axes[:-1]
-    mesh = np.meshgrid(*pi_axes, indexing="ij") if len(pi_axes) > 1 \
-        else [pi_axes[0]]
-    pis = np.stack([m.ravel() for m in mesh], axis=-1)   # (npts, d)
-    shape = mesh[0].shape
-
-    excess = (pis @ (model.mu - model.r)).reshape(shape)
-    st = pis @ model.sigma                                # row i: pi_i^T sigma
-    quad_pi = (st * st).sum(axis=-1).reshape(shape)
-    pi_srho = (pis @ (model.sigma @ model.rho)).reshape(shape)
-
+    pis, shape, excess, quad_pi, pi_srho = _portfolio_parts(model, axes[:-1])
     b = model.b
-    jump_u = jumps.lam * utility_jump_curve(jumps, kappas, eta) \
-        if jumps.lam > 0 else np.zeros_like(kappas)
-
     kshape = (1,) * len(shape) + (-1,)
     k = kappas.reshape(kshape)
-    H = excess[..., None] \
-        - 0.5 * eta * (quad_pi[..., None] + (b * k) ** 2
-                       - 2.0 * b * k * pi_srho[..., None]) \
-        + jump_u.reshape(kshape)
+    H = excess.reshape(shape)[..., None] \
+        - 0.5 * eta * (quad_pi.reshape(shape)[..., None] + (b * k) ** 2
+                       - 2.0 * b * k * pi_srho.reshape(shape)[..., None]) \
+        + _jump_curve(jumps, kappas, eta).reshape(kshape)
     return H + friction_term(friction, model,
                              pis.reshape(shape + (1, pis.shape[-1])), kappas)
+
+
+def _upper_hull(x: list, y: list) -> list:
+    """Indices of the vertices of the upper concave hull of the points
+    (x_j, y_j), x increasing, left to right (Andrew's monotone chain). A
+    point on a hull edge is not a vertex."""
+    hull: list[int] = []
+    for j in range(len(x)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            if (x[i1] - x[i0]) * (y[j] - y[i0]) \
+                    < (y[i1] - y[i0]) * (x[j] - x[i0]):
+                break              # i1 lies strictly above the chord i0 -> j
+            hull.pop()
+        hull.append(j)
+    return hull
+
+
+def _row_argmax(kappas: np.ndarray, K: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """For each slope u_i, the smallest j maximizing K_j + u_i kappa_j.
+
+    The maximizers are the vertices of the upper hull of (kappa_j, K_j):
+    vertex v is optimal while the hull's edge slopes before it exceed -u_i
+    and the ones after it do not (a discrete Legendre transform), so one
+    search on the decreasing edge slopes answers a row. -inf entries are
+    never a maximum and are left out."""
+    live = np.flatnonzero(np.isfinite(K))
+    hull = live[_upper_hull(kappas[live].tolist(), K[live].tolist())]
+    slopes = np.diff(K[hull]) / np.diff(kappas[hull])
+    return hull[np.searchsorted(-slopes, u, side="left")]
+
+
+def _grid_argmax(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
+                 eta: float, axes: list[np.ndarray]) -> tuple:
+    """The index np.argmax(_eval_grid(...)) picks, without the tensor.
+
+    f + H on the grid is P(pi) + K(kappa) + u(pi) kappa, so each portfolio
+    row needs only its best kappa from _row_argmax; the best row wins, the
+    first on a tie, as in the C-order argmax."""
+    kappas = axes[-1]
+    pis, shape, excess, quad_pi, pi_srho = _portfolio_parts(model, axes[:-1])
+    P = excess - 0.5 * eta * quad_pi
+    K = -0.5 * eta * (model.b * kappas) ** 2 + _jump_curve(jumps, kappas, eta)
+    u = eta * model.b * pi_srho
+    if isinstance(friction, PortfolioPremium):
+        q = _each(friction.q, pis[:, 0])   # f = -q(pi) + kappa q(pi)
+        P, u = P - q, u + q
+    else:
+        P = P + _pi_friction(friction, model, pis)
+        K = K - _premium_value(friction.premium, kappas)
+    best = _row_argmax(kappas, K, u)
+    row = int(np.argmax(P + K[best] + u * kappas[best]))
+    return np.unravel_index(row, shape) + (int(best[row]),)
 
 
 @_overflow_as_domain_error
 def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                   utility: Utility,
                   grid: GridSpec | None = None) -> tuple[Policy, float, float]:
-    """Exhaustive maximization of f + H with zoom refinement.
+    """Maximization of f + H over a grid with zoom refinement.
 
+    Each round finds the exact maximizer on its grid by a concave-hull
+    query per portfolio row (see _grid_argmax); of tied grid points it
+    takes the first in C order (portfolio axes, then kappa), so the
+    smallest kappa in the best row. The value is f + H at that point.
     Returns (best policy, best value, resolution bound). Refinement never
     decreases the best value.
     """
@@ -112,10 +181,9 @@ def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     for rnd in range(grid.rounds + 1):
         res = res_coarse if rnd == 0 else res_fine
         axes = [np.linspace(lo, hi, res) for lo, hi in cur_bounds]
-        vals = _eval_grid(model, jumps, friction, eta, axes)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        val = float(vals[idx])
+        idx = _grid_argmax(model, jumps, friction, eta, axes)
         pt = [float(ax[i]) for ax, i in zip(axes, idx)]
+        val = _point_value(model, jumps, friction, eta, pt)
         if val > best_val:
             best_val, best_pt = val, pt
         # zoom around the incumbent, clipped to the original bounds

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import pikappa as pk
+from pikappa import jumps as jumps_mod
 from pikappa.jumps import utility_jump_curve
 
 BETA28 = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -305,3 +306,34 @@ class TestUtilityCurveSlowTail:
             direct = [utility_quadrature(BETA28, float(k), eta)
                       for k in kappas]
             np.testing.assert_allclose(curve, direct, rtol=1e-9, atol=1e-9)
+
+    def test_unconverged_series_goes_straight_to_quadrature(self,
+                                                            monkeypatch):
+        # the vectorized series cannot finish this entry; it must not sum
+        # the same series again through the scalar route
+        calls = []
+        series = jumps_mod._hyp2f1_series
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+        monkeypatch.setattr(jumps_mod, "_hyp2f1_series", counted)
+        kappa, eta = 1.0 - 2.5e-6, 7.9
+        curve = utility_jump_curve(BETA28, np.array([kappa]), eta)
+        assert calls == []
+        assert curve[0] == pk.psi_quadrature(BETA28, kappa, eta - 1.0,
+                                             m=0) / (1.0 - eta)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
+def test_curve_entries_do_not_depend_on_the_grid(eta):
+    # each entry stops its series on its own: the same kappa alone gives the
+    # same bits, and for eta != 1 the scalar series of utility_jump_term
+    kappas = np.linspace(0.0, 1.0, 41)
+    curve = utility_jump_curve(BETA28, kappas, eta)
+    for kappa, value in zip(kappas, curve):
+        assert value == utility_jump_curve(BETA28, np.array([kappa]), eta)[0]
+        if eta != 1.0:
+            assert value == pytest.approx(
+                pk.utility_jump_term(BETA28, float(kappa), eta),
+                rel=1e-15, abs=0.0)

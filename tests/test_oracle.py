@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import pikappa as pk
-from pikappa.oracle import sweep_csv
+from pikappa.oracle import (_auto_pi_bounds, _eval_grid, _grid_argmax,
+                            _point_value, sweep_csv)
 
 BETA28 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
@@ -25,6 +26,16 @@ class TestGridMaximize:
         merton = 0.08 / (2.0 * 0.0625)
         # within one refined cell of the closed form
         assert abs(pol.pi[0] - merton) <= 2e-3
+
+    def test_tie_takes_the_smallest_kappa(self):
+        # b = 0, lambda = 0 and q = 0: f + H does not depend on kappa, so
+        # every kappa of a row ties and the first grid point in C order wins
+        m = pk.MarketModel(mu=[0.10], sigma=[[0.25]], r=0.02, R=0.02,
+                           rho=[0.0], b=0.0)
+        jumps = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(2.0, 8.0))
+        fric = pk.Frictionless(premium=pk.LinearPremium(q=0.0))
+        pol, _, _ = pk.grid_maximize(m, jumps, fric, pk.Utility(2.0))
+        assert pol.kappa == 0.0
 
     def test_value_beats_random_grid_points(self):
         m = c2_model(0.4)
@@ -61,6 +72,98 @@ class TestGridMaximize:
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             pk.GridSpec(resolution=2)
+
+
+def _hull_cases():
+    """Seeded inputs over the regimes, laws, premiums and utility edges the
+    hull query must treat as the brute-force grid does."""
+    rng = np.random.default_rng(20261018)
+
+    def market(d=1, frictionless=False):
+        r = rng.uniform(0.0, 0.05)
+        if d == 1:
+            sigma = [[rng.uniform(0.15, 0.45)]]
+            rho = [rng.uniform(-0.9, 0.9)]
+        else:
+            s1, s2 = rng.uniform(0.15, 0.45, size=2)
+            c = rng.uniform(-0.7, 0.7)
+            sigma = [[s1, 0.0], [s2 * c, s2 * np.sqrt(1.0 - c * c)]]
+            rho = rng.uniform(-0.6, 0.6, size=2)
+        return pk.MarketModel(mu=r + rng.uniform(0.0, 0.15, size=d),
+                              sigma=sigma, r=r,
+                              R=r if frictionless else
+                              r + rng.uniform(0.0, 0.08),
+                              rho=rho, b=rng.uniform(0.05, 0.8))
+
+    beta28 = pk.JumpLaw(lam=0.3, law=pk.BetaJumps(2.0, 8.0))
+    discrete = pk.JumpLaw(lam=0.4, law=pk.DiscreteJumps(
+        points=[0.1, 0.35, 0.8], weights=[0.5, 0.3, 0.2]))
+    linear = pk.LinearPremium(q=rng.uniform(0.05, 0.5))
+    power = pk.PowerPremium(q=rng.uniform(0.05, 0.5), delta=2.5)
+    tabulated = pk.TabulatedPremium(p=lambda k: 0.2 * (1.0 - k) ** 3,
+                                    p_prime=lambda k: -0.6 * (1.0 - k) ** 2)
+    c = rng.uniform(0.01, 0.4)
+    smooth_g = pk.SmoothG(premium=power, g=lambda x: -c * x * x,
+                          g_prime=lambda x: -2.0 * c * x,
+                          g_second=lambda x: -2.0 * c)
+    # the section-5 example, whose retention is interior
+    beta128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(12.0, 8.0))
+    pp = pk.PortfolioPremium(*pk.make_sqrt_premium_rate(beta128, C=0.25,
+                                                        A=0.5))
+    return {
+        "rates-beta-linear": (market(), beta28,
+                              pk.DifferentialRates(linear), 3.0),
+        "frictionless-discrete-power": (market(frictionless=True), discrete,
+                                        pk.Frictionless(power), 2.0),
+        "large-investor-beta-tabulated": (
+            market(), beta28, pk.LargeInvestor(tabulated, -0.02, 0.03), 0.7),
+        "smooth-g-discrete-log": (market(), discrete, smooth_g, 1.0),
+        "portfolio-premium-beta": (c2_model(0.3), beta128, pp, 4.0),
+        "rates-beta-log": (market(), beta28,
+                           pk.DifferentialRates(tabulated), 1.0),
+        # eta >= beta + 1: f + H is -inf at kappa = 1
+        "divergent-kappa-one": (market(), beta28,
+                                pk.DifferentialRates(linear), 9.5),
+        # a huge eta: the jump term overflows to -inf on a run of kappas
+        "divergent-run-of-kappas": (market(), beta28,
+                                    pk.DifferentialRates(linear), 400.0),
+        "rates-two-assets": (market(2), beta28,
+                             pk.DifferentialRates(power), 2.5),
+        "frictionless-two-assets": (market(2, frictionless=True), discrete,
+                                    pk.Frictionless(linear), 1.5),
+    }
+
+
+HULL_CASES = _hull_cases()
+
+
+@pytest.mark.parametrize("case", sorted(HULL_CASES))
+def test_hull_argmax_is_the_brute_force_argmax(case):
+    # the full box, then a 10x zoom around its winner as the oracle's next
+    # round would take: index and value equal np.argmax over the full tensor
+    model, jumps, fric, eta = HULL_CASES[case]
+    d = model.d
+    res = [41, 61] if d == 1 else [21, 21, 21]
+    bounds = _auto_pi_bounds(model, eta) + [(0.0, 1.0)]
+    for rnd in range(2):
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, res)]
+        vals = _eval_grid(model, jumps, fric, eta, axes)
+        if rnd == 0:
+            assert np.isneginf(vals[..., -1]).all() \
+                == case.startswith("divergent")
+        idx = _grid_argmax(model, jumps, fric, eta, axes)
+        assert idx == np.unravel_index(np.argmax(vals), vals.shape)
+        pt = [float(ax[i]) for ax, i in zip(axes, idx)]
+        value = _point_value(model, jumps, fric, eta, pt)
+        if d == 1:
+            assert value == vals[idx]
+        else:
+            # one portfolio's matrix products may round apart from the
+            # grid's by an ulp
+            assert value == pytest.approx(vals[idx], rel=1e-15, abs=0.0)
+        bounds = [(c - (hi - lo) / 20.0, c + (hi - lo) / 20.0)
+                  for (lo, hi), c in zip(bounds, pt)]
+        bounds[-1] = (max(0.0, bounds[-1][0]), min(1.0, bounds[-1][1]))
 
 
 class TestSweep:
