@@ -19,9 +19,9 @@ import numpy as np
 from .errors import DomainError
 from .jumps import JumpFunctionals, _overflow_as_domain_error
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
-                     LargeInvestor, LinearPremium, MarketModel, Policy,
-                     PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
-                     TabulatedPremium, Utility)
+                     LargeInvestor, MarketModel, Policy, PortfolioPremium,
+                     PowerPremium, PremiumSchedule, SmoothG, TabulatedPremium,
+                     Utility)
 from .rootfind import bisect, expand_bracket
 
 DOMAIN_TOL = 1e-9
@@ -132,11 +132,9 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
 
 def conj_premium(gamma: float, premium: PremiumSchedule) -> float:
     """sup over kappa in [0,1] of -p(kappa) + gamma kappa."""
-    if isinstance(premium, LinearPremium):
-        # Range p' is the single point -q; endpoint enumeration is exact.
-        return max(-premium.q, gamma)
     if isinstance(premium, PowerPremium):
         if premium.delta == 1.0 or premium.q == 0.0:
+            # Range p' is the single point -q; endpoint enumeration is exact.
             return max(-premium.q, gamma)
         q, delta = premium.q, premium.delta
         dp0, dp1 = -q * delta, 0.0

@@ -101,20 +101,9 @@ class JumpLaw:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearPremium:
-    """p(kappa) = q (1 - kappa)."""
-    q: float
-
-    def value(self, kappa: float) -> float:
-        return self.q * (1.0 - kappa)
-
-    def derivative(self, kappa: float) -> float:
-        return -self.q
-
-
-@dataclass(frozen=True)
 class PowerPremium:
-    """p(kappa) = q (1 - kappa)^delta with delta >= 1."""
+    """p(kappa) = q (1 - kappa)^delta with q >= 0 and delta >= 1: convex,
+    nonnegative and zero at kappa = 1, all decided by q and delta."""
     q: float
     delta: float
 
@@ -123,6 +112,12 @@ class PowerPremium:
 
     def derivative(self, kappa: float) -> float:
         return -self.q * self.delta * (1.0 - kappa) ** (self.delta - 1.0)
+
+
+def LinearPremium(q: float) -> PowerPremium:
+    """The paper's linear schedule p(kappa) = q (1 - kappa): the power
+    schedule at delta = 1 (x ** 1.0 == x, so the same bits)."""
+    return PowerPremium(q=q, delta=1.0)
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ class TabulatedPremium:
         return float(self.p_prime(kappa))
 
 
-PremiumSchedule = LinearPremium | PowerPremium | TabulatedPremium
+PremiumSchedule = PowerPremium | TabulatedPremium
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +228,13 @@ class ValidationReport:
 
 
 def _premium_checks(premium: PremiumSchedule, out: list[ValidationCheck]) -> None:
+    if isinstance(premium, PowerPremium):
+        out.append(ValidationCheck("premium.q >= 0", premium.q >= 0.0,
+                                   f"q={premium.q}"))
+        out.append(ValidationCheck("premium.delta >= 1", premium.delta >= 1.0,
+                                   f"delta={premium.delta}"))
+        return
+    # a black box: sample what no parameter decides
     p1 = premium.value(1.0)
     out.append(ValidationCheck("premium.p(1)=0", abs(p1) <= 1e-12,
                                f"p(1)={p1!r}"))
@@ -242,12 +244,6 @@ def _premium_checks(premium: PremiumSchedule, out: list[ValidationCheck]) -> Non
     vals = np.array([premium.value(k) for k in _PREMIUM_GRID])
     out.append(ValidationCheck("premium.p >= 0 on [0,1]",
                                bool(np.all(vals >= -1e-12))))
-    if isinstance(premium, (LinearPremium, PowerPremium)):
-        out.append(ValidationCheck("premium.q >= 0", premium.q >= 0.0,
-                                   f"q={premium.q}"))
-    if isinstance(premium, PowerPremium):
-        out.append(ValidationCheck("premium.delta >= 1", premium.delta >= 1.0,
-                                   f"delta={premium.delta}"))
 
 
 def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,

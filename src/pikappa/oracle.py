@@ -23,25 +23,25 @@ from .errors import PikappaError
 from .hamiltonian import (_each, _pi_friction, _premium_value,
                           friction_term)
 from .jumps import _overflow_as_domain_error, utility_jump_curve
-from .models import (FrictionSpec, JumpLaw, LinearPremium, MarketModel,
-                     Policy, PortfolioPremium, PowerPremium, Utility)
+from .models import (FrictionSpec, JumpLaw, MarketModel, Policy,
+                     PortfolioPremium, PowerPremium, Utility)
 from . import solvers
+
+
+ZOOM = 10.0
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Grid geometry for the grid maximizer.
 
-    pi_bounds of None auto-sizes each axis to the Merton point +- (5 |Merton|
-    + 2). Refinement zooms the window by `zoom` around the incumbent each
-    round. 3-D grids (two assets) are capped at cap_3d points per axis.
+    Each pi axis spans the Merton point +- (5 |Merton| + 2), kappa [0, 1].
+    Each of `rounds` refinements zooms the window ZOOM times around the
+    incumbent. 3-D grids (two assets) are capped at cap_3d points per axis.
     """
-    pi_bounds: tuple | None = None
-    kappa_bounds: tuple = (0.0, 1.0)
     resolution: int = 401
     refine_resolution: int = 2001
     rounds: int = 2
-    zoom: float = 10.0
     cap_3d: int = 201
 
     def __post_init__(self):
@@ -165,9 +165,7 @@ def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     grid = grid or GridSpec()
     eta = utility.eta
     d = model.d
-    pi_bounds = list(grid.pi_bounds) if grid.pi_bounds is not None \
-        else _auto_pi_bounds(model, eta)
-    bounds = pi_bounds + [tuple(grid.kappa_bounds)]
+    bounds = _auto_pi_bounds(model, eta) + [(0.0, 1.0)]
     res_coarse = grid.resolution
     res_fine = grid.refine_resolution
     if d >= 2:
@@ -177,7 +175,7 @@ def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     best_val = -np.inf
     best_pt = None
     axes = None
-    cur_bounds = [tuple(b) for b in bounds]
+    cur_bounds = bounds
     for rnd in range(grid.rounds + 1):
         res = res_coarse if rnd == 0 else res_fine
         axes = [np.linspace(lo, hi, res) for lo, hi in cur_bounds]
@@ -189,7 +187,7 @@ def grid_maximize(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         # zoom around the incumbent, clipped to the original bounds
         new_bounds = []
         for (lo0, hi0), (lo, hi), c in zip(bounds, cur_bounds, best_pt):
-            half = (hi - lo) / grid.zoom / 2.0
+            half = (hi - lo) / ZOOM / 2.0
             new_bounds.append((max(lo0, c - half), min(hi0, c + half)))
         cur_bounds = new_bounds
 
@@ -272,7 +270,7 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
         return model, JumpLaw(lam=float(v), law=jumps.law), friction, utility
     if parameter == "q":
         prem = getattr(friction, "premium", None)
-        if not isinstance(prem, (LinearPremium, PowerPremium)):
+        if not isinstance(prem, PowerPremium):
             raise ValueError("q needs a linear or power premium schedule")
         return (model, jumps, dc_replace(friction, premium=dc_replace(
             prem, q=float(v))), utility)

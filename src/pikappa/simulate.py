@@ -66,14 +66,20 @@ def _draw_jumps(rng, jumps: JumpLaw, n: int, T: float):
     return counts, y, np.repeat(np.arange(n), counts)
 
 
+def _jump_losses(kappa: float, y: np.ndarray) -> np.ndarray:
+    """kappa Y per sampled jump; one that takes all the wealth is refused."""
+    ky = kappa * y
+    if np.any(ky >= 1.0):
+        raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
+    return ky
+
+
 def _draw_jump_logs(rng, jumps: JumpLaw, kappa: float, n: int, T: float):
     """Per-path sum of log(1 - kappa Y_i) over a Poisson number of jumps,
     with the per-path jump counts."""
     counts, y, owner = _draw_jumps(rng, jumps, n, T)
-    z = 1.0 - kappa * y
-    if np.any(z <= 0.0):
-        raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
-    return np.bincount(owner, weights=np.log(z), minlength=n), counts
+    return np.bincount(owner, weights=np.log(1.0 - _jump_losses(kappa, y)),
+                       minlength=n), counts
 
 
 def simulate_terminal_utility(policy: Policy, model: MarketModel,
@@ -155,7 +161,8 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     def terminal_utilities(policy: Policy) -> np.ndarray:
         drift, var_rate = _policy_coefficients(policy, model, friction)
         sd = np.sqrt(var_rate * T)
-        jl = np.bincount(owner, weights=np.log1p(-policy.kappa * y),
+        jl = np.bincount(owner,
+                         weights=np.log1p(-_jump_losses(policy.kappa, y)),
                          minlength=n)
         v = np.exp(np.log(x) + drift * T + sd * z + jl)
         v = np.maximum(v, WEALTH_FLOOR)

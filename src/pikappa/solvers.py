@@ -40,8 +40,8 @@ from .hamiltonian import (Certificate, DEFAULT_CERT_TOL, ObjectiveEval,
                           eval_objective)
 from .jumps import JumpFunctionals
 from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
-                     JumpLaw, LargeInvestor, LinearPremium, MarketModel,
-                     Policy, PortfolioPremium, PremiumSchedule, SmoothG,
+                     JumpLaw, LargeInvestor, MarketModel, Policy,
+                     PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
                      Utility, require_valid)
 from .rootfind import bisect, expand_bracket
 
@@ -386,7 +386,7 @@ class MutualFundResult:
 
 
 def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
-                        premium_linear: LinearPremium, eta1: float,
+                        premium_linear: PowerPremium, eta1: float,
                         eta2: float, eta_bar: float,
                         cache: JumpFunctionals | None = None) -> MutualFundResult:
     """Combine the eta1 and eta2 optimal policies into one for eta_bar.
@@ -396,7 +396,8 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     the harmonic-mean condition on eta and the result is exact; for interior
     kappas the scalar optimality-defect function L is bisected in delta.
     """
-    if not isinstance(premium_linear, LinearPremium):
+    if not (isinstance(premium_linear, PowerPremium)
+            and premium_linear.delta == 1.0):
         raise ValueError("mutual-fund separation assumes a linear premium")
     if not (eta1 < eta_bar < eta2):
         raise ValueError(f"need eta1 < eta_bar < eta2, got "

@@ -202,6 +202,18 @@ class TestMutualFund:
         assert float(fields["max_discrepancy"]) <= 1e-5
         assert fields["cases"].count("DiffRates-iii") == 3
 
+    def test_power_premium_at_delta_one_is_linear(self, tmp_path, capsys):
+        argv = ["mutual-fund", "--eta1", "1.0", "--eta2", "2.0",
+                "--eta-bar", "1.5", "--model"]
+        doc = json.loads(open(cli.resolve_model_path("a2")).read())
+        doc["premium"] = {"type": "power", "q": doc["premium"]["q"],
+                          "delta": 1}
+        path = tmp_path / "a2_power.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(argv + [str(path)], capsys)
+        assert code == 0
+        assert out == run(argv + ["a2"], capsys)[1]
+
     def test_case_mismatch_exit_2(self, capsys):
         code, _, err = run(["mutual-fund", "--model", "a1", "--eta1", "1.0",
                             "--eta2", "5.0", "--eta-bar", "2.0"], capsys)
@@ -305,6 +317,20 @@ class TestExitContract:
         assert err.startswith(prefix)
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", [0.5, 0, -1])
+    def test_power_delta_below_one_is_one_typed_line(self, delta, tmp_path,
+                                                     capsys):
+        doc = json.loads(open(cli.resolve_model_path("c2")).read())
+        doc["premium"] = {"type": "power", "q": 0.1, "delta": delta}
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["solve", "--model", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("input error: model validation failed: "
+                              "premium.delta >= 1")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_overflowing_policy_warns_nothing(self, capsys):
         with warnings.catch_warnings():

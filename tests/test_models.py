@@ -1,11 +1,15 @@
 """Validation and model-file tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pikappa as pk
+
+CONFIG_DIR = Path(pk.__file__).parent / "configs"
+CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 
 def base_inputs(**overrides):
@@ -102,6 +106,33 @@ class TestValidation:
                                 pk.DifferentialRates(premium=None),
                                 inp.utility)
         assert [c.name for c in rep.failures()] == ["premium schedule given"]
+
+    @pytest.mark.parametrize("q,delta", [
+        (0.3, 1.0), (0.3, 2.5), (0.0, 1.0), (-0.1, 1.0), (-0.1, 2.0),
+        (0.3, 0.5), (0.3, 0.0), (0.3, -1.0)])
+    def test_power_premium_decided_by_its_parameters(self, q, delta):
+        inp = base_inputs(premium={"type": "power", "q": q, "delta": delta})
+        rep = pk.validate_model(inp.model, inp.jumps, inp.friction,
+                                inp.utility)
+        assert rep.ok == (q >= 0 and delta >= 1)
+        assert [c.name for c in rep.failures()] == \
+            ["premium.q >= 0"] * (q < 0) + ["premium.delta >= 1"] * (delta < 1)
+
+    def test_linear_premium_is_the_power_premium_at_delta_one(self):
+        assert pk.LinearPremium(0.3) == pk.PowerPremium(q=0.3, delta=1.0)
+        assert base_inputs().friction.premium == pk.PowerPremium(0.3, 1.0)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_validation_never_samples_a_power_premium(self, name,
+                                                      monkeypatch):
+        inp = pk.load_model_file(CONFIG_DIR / f"{name}.json")
+
+        def sampled(self, kappa):
+            raise AssertionError("a parametric premium was sampled")
+        monkeypatch.setattr(pk.PowerPremium, "value", sampled)
+        monkeypatch.setattr(pk.PowerPremium, "derivative", sampled)
+        assert pk.validate_model(inp.model, inp.jumps, inp.friction,
+                                 inp.utility).ok
 
     def test_parse_rejects_non_finite(self):
         with pytest.raises(ValueError, match=r"model\.jump_law\.beta"):

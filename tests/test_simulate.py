@@ -213,6 +213,27 @@ def test_monte_carlo_streams_bit_identical(law):
     assert cmp.verdict == "A-better"
 
 
+def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
+    # Beta(0.5, 0.001) is a valid law whose draws round to 1.0 (9,601 of
+    # 10,000 at seed 1): at kappa = 1 such a jump takes all the wealth
+    m = pk.MarketModel(mu=[0.08], sigma=[[0.2]], r=0.03, R=0.05, rho=[0.4],
+                       b=0.2)
+    jumps = pk.JumpLaw(lam=0.8, law=pk.BetaJumps(0.5, 0.001))
+    fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.05))
+    u = pk.Utility(3.0)
+    assert pk.validate_model(m, jumps, fric, u).ok
+    assert (pk.sample_jumps(jumps, 10_000, seed=1) == 1.0).sum() == 9_601
+    a = pk.Policy(pi=[0.6], kappa=1.0)
+    b = pk.Policy(pi=[0.5], kappa=0.6)
+    cfg = pk.SimConfig(n_paths=10_000, seed=7)
+    msg = r"sampled 1 - kappa Y <= 0"
+    with pytest.raises(pk.DomainError, match=msg):
+        pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(pk.DomainError, match=msg):
+            pk.compare_policies(first, second, m, jumps, fric, u, cfg)
+
+
 def test_sample_jumps_stream_bit_identical():
     assert pk.sample_jumps(PIN_LAWS["beta"], 5, seed=3).tolist() == [
         0.28607459870959356, 0.055356250806029544, 0.19999872511705233,
