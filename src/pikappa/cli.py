@@ -35,7 +35,6 @@ from . import __version__, oracle, simulate, solvers
 from .errors import (CrossCheckFailed, ModelValidationError, NoSolution,
                      PikappaError)
 from .hamiltonian import eval_objective, value_function
-from .jumps import JumpFunctionals
 from .models import (DifferentialRates, ModelInputs, Policy, Utility,
                      load_model_file, require_valid)
 from .svgplot import line_chart
@@ -274,13 +273,10 @@ def cmd_mutual_fund(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
     prem = getattr(inputs.friction, "premium", None)
-    cache = JumpFunctionals(inputs.jumps)
     res = solvers.mutual_fund_combine(inputs.model, inputs.jumps, prem,
-                                      args.eta1, args.eta2, args.eta_bar,
-                                      cache=cache)
+                                      args.eta1, args.eta2, args.eta_bar)
     direct = solvers.solve(inputs.model, inputs.jumps,
-                           DifferentialRates(prem), Utility(args.eta_bar),
-                           cache=cache)
+                           DifferentialRates(prem), Utility(args.eta_bar))
     disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
                abs(res.policy.kappa - direct.policy.kappa))
     lines = [f"delta = {res.delta:.10g}",

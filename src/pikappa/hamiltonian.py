@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jumps import JumpFunctionals, _overflow_as_domain_error
+from .jumps import _overflow_as_domain_error, psi, utility_jump_term
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, MarketModel, Policy, PortfolioPremium,
                      PowerPremium, PremiumSchedule, SmoothG, TabulatedPremium,
-                     Utility)
+                     Utility, law_second_moment)
 from .rootfind import bisect, expand_bracket
 
 DOMAIN_TOL = 1e-9
@@ -92,8 +92,7 @@ def friction_term(friction: FrictionSpec, model: MarketModel,
 
 
 def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
-                   friction: FrictionSpec, utility: Utility,
-                   cache: JumpFunctionals | None = None) -> ObjectiveEval:
+                   friction: FrictionSpec, utility: Utility) -> ObjectiveEval:
     """Evaluate f + H, the gradient of H in pi and its kappa derivative."""
     if not (0.0 <= policy.kappa <= 1.0):
         raise DomainError(f"kappa={policy.kappa} outside [0, 1]")
@@ -102,8 +101,6 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
     kappa = policy.kappa
     b = model.b
     lam = jumps.lam
-    if cache is None:
-        cache = JumpFunctionals(jumps)
 
     # a huge policy overflows to a non-finite value, refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -111,8 +108,8 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
         pi_srho = float(pi @ (model.sigma @ model.rho))
         quad = float(st_pi @ st_pi) + (b * kappa) ** 2 \
             - 2.0 * b * kappa * pi_srho
-        jump_u = cache.utility_jump_term(kappa, eta) if lam > 0.0 else 0.0
-        jump_psi = cache.psi(kappa, eta) if lam > 0.0 else 0.0
+        jump_u = utility_jump_term(jumps, kappa, eta) if lam > 0.0 else 0.0
+        jump_psi = psi(jumps, kappa, eta) if lam > 0.0 else 0.0
         excess = pi @ (model.mu - model.r * np.ones(model.d))
         H = float(excess) - 0.5 * eta * quad + lam * jump_u
         grad_pi = model.mu - model.r * np.ones(model.d) \
@@ -211,8 +208,8 @@ class Certificate:
     mode: str = "conjugate"
 
 
-def _soc_bound(q_prime, model: MarketModel, jumps: JumpLaw, eta: float,
-               cache: JumpFunctionals) -> tuple[float, float]:
+def _soc_bound(q_prime, model: MarketModel, jumps: JumpLaw,
+               eta: float) -> tuple[float, float]:
     """Both sides of the portfolio premium's second-order bound: the largest
     (q' + eta rho b sigma)^2 over the given q' values, and
     sigma^2 eta^2 (b^2 + lambda E[Y^2]). The Hessian of f + H in
@@ -220,13 +217,14 @@ def _soc_bound(q_prime, model: MarketModel, jumps: JumpLaw, eta: float,
     _, sig, rho = model.d1()
     b = model.b
     lhs = float(np.max((np.asarray(q_prime) + eta * rho * b * sig) ** 2))
-    rhs = sig * sig * eta * eta * (b * b + jumps.lam * cache.second_moment)
+    ey2 = law_second_moment(jumps.law)
+    rhs = sig * sig * eta * eta * (b * b + jumps.lam * ey2)
     return lhs, rhs
 
 
 def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
                  friction: PortfolioPremium, utility: Utility, tol: float,
-                 obj: ObjectiveEval, cache: JumpFunctionals) -> Certificate:
+                 obj: ObjectiveEval) -> Certificate:
     pi = float(policy.pi[0])
     kappa = policy.kappa
     qp = float(friction.q_prime(pi))
@@ -239,7 +237,7 @@ def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
     else:
         k_res = abs(foc_k)
     residual = max(abs(foc_pi), k_res)
-    soc_lhs, soc_rhs = _soc_bound(qp, model, jumps, utility.eta, cache)
+    soc_lhs, soc_rhs = _soc_bound(qp, model, jumps, utility.eta)
     in_domain = soc_lhs < soc_rhs
     return Certificate(conjugate_value=math.nan, direct_value=math.nan,
                        residual=residual, in_domain=in_domain,
@@ -250,20 +248,16 @@ def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
 def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
             friction: FrictionSpec, utility: Utility,
             tol: float = DEFAULT_CERT_TOL,
-            cache: JumpFunctionals | None = None,
             obj: ObjectiveEval | None = None) -> Certificate:
     """Check the conjugate optimality identity at the policy's own gradient.
 
     A passing certificate proves global optimality of the policy for the
     reduced problem.
     """
-    if cache is None:
-        cache = JumpFunctionals(jumps)
     if obj is None:
-        obj = eval_objective(policy, model, jumps, friction, utility, cache)
+        obj = eval_objective(policy, model, jumps, friction, utility)
     if isinstance(friction, PortfolioPremium):
-        return _certify_foc(policy, model, jumps, friction, utility, tol,
-                            obj, cache)
+        return _certify_foc(policy, model, jumps, friction, utility, tol, obj)
     zeta = obj.grad_pi
     gamma = obj.dH_dkappa
     direct = obj.f_value + float(policy.pi @ zeta) + policy.kappa * gamma

@@ -31,13 +31,15 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import DomainError, NonConvergence
-from .models import BetaJumps, DiscreteJumps, JumpLaw
+from .models import (BetaJumps, DiscreteJumps, JumpLaw, law_mean,
+                     law_second_moment)
 
 SERIES_SWITCH = 1.0 - 1e-6     # series below, quadrature above
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
 QUAD_LIMIT = 200               # max interval subdivisions
 QUAD_EPSABS = 1e-12
+FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
 
 
 def _hyp2f1_series(a: float, b: float, c: float, z: float):
@@ -333,13 +335,13 @@ def _cdf(law, y: np.ndarray) -> np.ndarray:
     return (w[None, :] * (pts[None, :] <= y[:, None])).sum(axis=1)
 
 
-def fosd_compare(law_a: JumpLaw, law_b: JumpLaw, grid_size: int = 512) -> Ordering:
+def fosd_compare(law_a: JumpLaw, law_b: JumpLaw) -> Ordering:
     """First-order stochastic dominance by CDF comparison on a uniform grid.
 
     A dominates B iff F_A <= F_B everywhere (1e-12 slack) and strictly
     somewhere; a law never dominates itself.
     """
-    y = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    y = np.linspace(0.0, 1.0, FOSD_GRID_SIZE + 2)[1:-1]
     fa = _cdf(law_a.law, y)
     fb = _cdf(law_b.law, y)
     a_le = bool(np.all(fa <= fb + 1e-12))
@@ -374,27 +376,15 @@ def sample_jumps(jumps: JumpLaw, n: int, seed: int) -> np.ndarray:
     return _draw_y(np.random.Generator(np.random.Philox(seed)), jumps.law, n)
 
 
-def law_mean(law) -> float:
-    if isinstance(law, BetaJumps):
-        return law.alpha / (law.alpha + law.beta)
-    return float(np.sum(law.points * law.weights))
-
-
-def law_second_moment(law) -> float:
-    if isinstance(law, BetaJumps):
-        a, b = law.alpha, law.beta
-        return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-    return float(np.sum(law.points ** 2 * law.weights))
-
-
 @dataclass
 class JumpFunctionals:
-    """Memoizing front end for the jump functionals of one law.
+    """A standalone memo of the jump functionals of one law; no solver uses
+    it. Solves call psi and utility_jump_term directly: 3% of the memo's
+    lookups hit over the repro recipes.
 
-    A root rarely meets a (kappa, eta) twice (3% of lookups hit over the
-    repro recipes): the memo saves eval_objective's psi at the root and the
-    work of solves sharing one cache, as mutual-fund's do. Keys round kappa
-    to 12 decimals; dict reads/inserts are atomic, so threads may share it.
+    The class stays only because the benchmark tracer (perfbench/tracer.py,
+    Tracer.install) wraps _cached to report jumps.memo_hit_ratio; it goes
+    with that hook. Keys round kappa to 12 decimals.
     """
 
     jumps: JumpLaw

@@ -8,6 +8,7 @@ Rates are decimals per year (0.06, not 6%).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,6 +95,19 @@ class JumpLaw:
     """Poisson arrival intensity lam (per year) and the law of the loss Y."""
     lam: float
     law: BetaJumps | DiscreteJumps
+
+
+def law_mean(law: BetaJumps | DiscreteJumps) -> float:
+    if isinstance(law, BetaJumps):
+        return law.alpha / (law.alpha + law.beta)
+    return float(np.sum(law.points * law.weights))
+
+
+def law_second_moment(law: BetaJumps | DiscreteJumps) -> float:
+    if isinstance(law, BetaJumps):
+        a, b = law.alpha, law.beta
+        return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
+    return float(np.sum(law.points ** 2 * law.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +280,12 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                 if hasattr(premium, k)]
     if isinstance(friction, LargeInvestor):
         numbers += [friction.m_plus, friction.m_minus]
+    # one reduction per array field; math.isfinite refuses arrays, even of
+    # one entry, so dispatch on the type
     checks.append(ValidationCheck(
         "numeric fields finite",
-        all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in numbers)))
+        all(bool(np.isfinite(v).all()) if isinstance(v, np.ndarray)
+            else math.isfinite(v) for v in numbers)))
 
     checks.append(ValidationCheck("sigma.shape", model.sigma.shape == (d, d),
                                   f"expected {(d, d)}, got {model.sigma.shape}"))
@@ -401,10 +418,9 @@ def _jump_law_from_config(spec, lam: float) -> JumpLaw:
     raise ValueError(f"unknown jump law type {kind!r}")
 
 
-def make_sqrt_premium_rate(jumps: "JumpLaw", C: float, A: float):
+def make_sqrt_premium_rate(jumps: JumpLaw, C: float, A: float):
     """q(pi) = lambda E[Y] + C (sqrt(pi^2 + A^2) - A), with its derivative."""
-    from .jumps import JumpFunctionals
-    base = jumps.lam * JumpFunctionals(jumps).mean
+    base = jumps.lam * law_mean(jumps.law)
     def q(pi: float) -> float:
         return base + C * (np.sqrt(pi * pi + A * A) - A)
     def q_prime(pi: float) -> float:

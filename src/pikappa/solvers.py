@@ -38,7 +38,7 @@ from .errors import (BracketError, CaseMismatch, NoInteriorSolution, NoRoot,
 from .hamiltonian import (Certificate, DEFAULT_CERT_TOL, ObjectiveEval,
                           _shadow_interval, _soc_bound, certify,
                           eval_objective)
-from .jumps import JumpFunctionals
+from .jumps import psi
 from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
@@ -48,6 +48,9 @@ from .rootfind import bisect, expand_bracket
 CORNER_TIE = 1e-12
 KAPPA_XTOL = 1e-10
 ETA_XTOL = 1e-8
+# eta search interval of threshold_etas; a Beta law caps it below beta
+ETA_LO = 1e-3
+ETA_HI = 64.0
 # pi grid on which the portfolio-premium second-order bound is checked
 _SOC_PI_GRID = np.linspace(-50.0, 50.0, 201)
 
@@ -129,20 +132,20 @@ def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule | None,
 
 def _certified(policy: Policy, label: str, xi_star: float | None,
                model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-               utility: Utility, cert_tol: float, cache: JumpFunctionals,
-               iterations: dict, residuals: dict) -> SolveReport:
+               utility: Utility, cert_tol: float, iterations: dict,
+               residuals: dict) -> SolveReport:
     """Evaluate, corner-check and certify a candidate policy.
 
     Raises NoSolution when the certificate fails or a corner kappa violates
     its optimality inequality. Portfolio-premium candidates are interior, so
     their missing premium schedule is never consulted.
     """
-    obj = eval_objective(policy, model, jumps, friction, utility, cache)
+    obj = eval_objective(policy, model, jumps, friction, utility)
     corner_violation = _corner_consistency(
         obj, getattr(friction, "premium", None), policy.kappa)
     residuals["corner"] = corner_violation
     cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   cache=cache, obj=obj)
+                   obj=obj)
     residuals["certificate"] = cert.residual
     if not cert.passes or corner_violation > 1e-7:
         raise NoSolution(f"label={label} residual={cert.residual:.3e} "
@@ -168,11 +171,10 @@ class _DiffRatesKernel:
     """
 
     def __init__(self, model: MarketModel, jumps: JumpLaw,
-                 premium: PremiumSchedule, cache: JumpFunctionals):
+                 premium: PremiumSchedule):
         self.model = model
         self.jumps = jumps
         self.premium = premium
-        self.cache = cache
         self.ones = np.ones(model.d)
         self.SST = model.sigma @ model.sigma.T
         self.hedge_dir = np.linalg.solve(model.sigma.T, model.rho) * model.b
@@ -184,7 +186,7 @@ class _DiffRatesKernel:
 
     def h(self, k: float, xi: float, eta: float) -> float:
         m = self.model
-        jump = self.jumps.lam * self.cache.psi(k, eta) \
+        jump = self.jumps.lam * psi(self.jumps, k, eta) \
             if self.jumps.lam > 0 else 0.0
         slope = eta * m.b * m.b * (1.0 - self.rho2)
         return self.bB_mu - xi * self.bB_one - slope * k - jump \
@@ -208,8 +210,7 @@ _SHADOW_CASES = {DifferentialRates: ("DiffRates", "i", "ii"),
 
 def _solve_shadow(model: MarketModel, jumps: JumpLaw,
                   friction: DifferentialRates | Frictionless | LargeInvestor,
-                  utility: Utility, cert_tol: float,
-                  cache: JumpFunctionals) -> SolveReport:
+                  utility: Utility, cert_tol: float) -> SolveReport:
     """Case split on the shadow interval and the hyperplane pi.1 = level, by
     one kappa root.
 
@@ -226,7 +227,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
     lo, hi, level = _shadow_interval(friction, model)
     xi_lo, xi_hi = model.r + lo, model.r + hi
     eta = utility.eta
-    kern = _DiffRatesKernel(model, jumps, friction.premium, cache)
+    kern = _DiffRatesKernel(model, jumps, friction.premium)
 
     def xi_of(k: float) -> float:
         return min(max(kern.xi_plane(k, eta, level), xi_lo), xi_hi)
@@ -244,14 +245,12 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
             pi = np.zeros(1)
     return _certified(Policy(pi=pi, kappa=kappa),
                       _case_label(prefix, family, tag), xi, model, jumps,
-                      friction, utility, cert_tol, cache, {"kappa": it_k},
+                      friction, utility, cert_tol, {"kappa": it_k},
                       {"h": hres})
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
-                   premium: PremiumSchedule,
-                   lo: float = 1e-3, hi: float | None = None,
-                   xtol: float = ETA_XTOL) -> tuple[float, float]:
+                   premium: PremiumSchedule) -> tuple[float, float]:
     """Risk-aversion thresholds (eta_R, eta_r) bracketing the all-risky band.
 
     eta_R solves pi(R, eta).1 = 1 and eta_r solves pi(r, eta).1 = 1 at the
@@ -261,15 +260,10 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
     exactly when h(k_p) > 0 for k_p inside the kappa interval, and outside
     it the sign is fixed: one eta bisection, no kappa root inside it.
     """
-    require_valid(model, jumps, DifferentialRates(premium),
-                  Utility(eta=max(lo, 1e-3)))
-    if hi is None:
-        if isinstance(jumps.law, BetaJumps):
-            hi = jumps.law.beta - 1e-3
-        else:
-            hi = 64.0
-    cache = JumpFunctionals(jumps)
-    kern = _DiffRatesKernel(model, jumps, premium, cache)
+    require_valid(model, jumps, DifferentialRates(premium), Utility(ETA_LO))
+    lo = ETA_LO
+    hi = jumps.law.beta - 1e-3 if isinstance(jumps.law, BetaJumps) else ETA_HI
+    kern = _DiffRatesKernel(model, jumps, premium)
     c = kern.bB_one
 
     def threshold_at(xi: float) -> float:
@@ -289,7 +283,7 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
             raise NoThreshold(
                 f"pi(xi={xi}).1 - 1 has no sign change for eta in "
                 f"({lo}, {hi}): {'> 0' if f_lo > 0 else '<= 0'} at both ends")
-        return bisect(sign_of_excess, lo, hi, xtol=xtol, flo=f_lo,
+        return bisect(sign_of_excess, lo, hi, xtol=ETA_XTOL, flo=f_lo,
                       fhi=f_hi).root
 
     return threshold_at(model.R), threshold_at(model.r)
@@ -301,7 +295,7 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
 
 def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                   friction: SmoothG | PortfolioPremium, utility: Utility,
-                  cert_tol: float, cache: JumpFunctionals) -> SolveReport:
+                  cert_tol: float) -> SolveReport:
     """pi(kappa) is the one root of the allocation first-order condition
 
         mu - r - eta sigma^2 pi + eta sigma rho b kappa + f_pi(pi, kappa) = 0,
@@ -325,8 +319,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     premium_rate = isinstance(friction, PortfolioPremium)
     if premium_rate:
         soc_lhs, soc_rhs = _soc_bound(
-            [friction.q_prime(x) for x in _SOC_PI_GRID], model, jumps, eta,
-            cache)
+            [friction.q_prime(x) for x in _SOC_PI_GRID], model, jumps, eta)
         if soc_lhs >= soc_rhs:
             raise SOCViolation(
                 f"second-order bound fails on the search bracket: "
@@ -353,7 +346,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     def foc(k: float) -> float:
         pi_k = pi_of(k)
         return f_k(pi_k, k) + eta * b * sig * rho * pi_k \
-            - (eta * b * b * k + lam * (cache.psi(k, eta) if lam > 0 else 0.0))
+            - (eta * b * b * k + lam * (psi(jumps, k, eta) if lam > 0 else 0.0))
 
     k_hat, tag, it_k, res_k = _solve_kappa(foc, jumps, eta)
     if not premium_rate:
@@ -365,7 +358,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
         label = "PortfolioPremium-interior"
     return _certified(Policy(pi=np.array([pi_of(k_hat)]), kappa=k_hat),
                       label, None, model, jumps, friction, utility, cert_tol,
-                      cache, {"kappa": it_k}, {"foc": res_k})
+                      {"kappa": it_k}, {"foc": res_k})
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +380,7 @@ class MutualFundResult:
 
 def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
                         premium_linear: PowerPremium, eta1: float,
-                        eta2: float, eta_bar: float,
-                        cache: JumpFunctionals | None = None) -> MutualFundResult:
+                        eta2: float, eta_bar: float) -> MutualFundResult:
     """Combine the eta1 and eta2 optimal policies into one for eta_bar.
 
     Both endpoint solves must land in the same case family. When both
@@ -402,10 +394,9 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     if not (eta1 < eta_bar < eta2):
         raise ValueError(f"need eta1 < eta_bar < eta2, got "
                          f"{eta1}, {eta_bar}, {eta2}")
-    cache = cache or JumpFunctionals(jumps)
     friction = DifferentialRates(premium_linear)
-    rep1 = solve(model, jumps, friction, Utility(eta1), cache=cache)
-    rep2 = solve(model, jumps, friction, Utility(eta2), cache=cache)
+    rep1 = solve(model, jumps, friction, Utility(eta1))
+    rep2 = solve(model, jumps, friction, Utility(eta2))
     fam1 = _FAMILY[rep1.case_label.split("-")[1]]
     fam2 = _FAMILY[rep2.case_label.split("-")[1]]
     if fam1 != fam2:
@@ -427,7 +418,7 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
             pi_t = d * pi1 + (1.0 - d) * pi2
             k_t = d * k1 + (1.0 - d) * k2
             obj = eval_objective(Policy(pi=pi_t, kappa=k_t), model, jumps,
-                                 friction, util_bar, cache)
+                                 friction, util_bar)
             if fam1 == "i":
                 xi = model.r
             elif fam1 == "ii":
@@ -454,8 +445,7 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
 # ---------------------------------------------------------------------------
 
 def solve(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-          utility: Utility, cert_tol: float = DEFAULT_CERT_TOL,
-          cache: JumpFunctionals | None = None) -> SolveReport:
+          utility: Utility, cert_tol: float = DEFAULT_CERT_TOL) -> SolveReport:
     """The certified optimal policy under any friction regime.
 
     Validates the inputs as given, then solves a piecewise-linear friction
@@ -467,5 +457,4 @@ def solve(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     require_valid(model, jumps, friction, utility)
     smooth = isinstance(friction, (SmoothG, PortfolioPremium))
     kernel = _solve_smooth if smooth else _solve_shadow
-    return kernel(model, jumps, friction, utility, cert_tol,
-                  cache or JumpFunctionals(jumps))
+    return kernel(model, jumps, friction, utility, cert_tol)

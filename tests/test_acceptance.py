@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import pikappa as pk
-from pikappa.jumps import JumpFunctionals
+from pikappa.models import law_second_moment
 from pikappa.solvers import _DiffRatesKernel
 from pikappa.rootfind import bisect
 
@@ -185,10 +185,8 @@ def test_c06_b1_corner_boundary_expressions():
 
 def _unit_allocation_window(model_fn, jumps, prem, util):
     """Exact [rho_lo, rho_hi] where the all-risky case iii holds."""
-    cache = JumpFunctionals(jumps)
-
     def pi_sum_at(rho, xi):
-        kern = _DiffRatesKernel(model_fn(rho), jumps, prem, cache)
+        kern = _DiffRatesKernel(model_fn(rho), jumps, prem)
         return pi_sum(kern, xi, util.eta)
 
     lo = bisect(lambda rho: pi_sum_at(rho, model_fn(0.0).r) - 1.0,
@@ -339,12 +337,11 @@ def test_c09_oracle_equivalence_randomized():
         attempts += 1
         m = _random_d1_market(rng, mu_lo=0.02)
         jumps, beta = _random_jumps(rng)
-        cache = JumpFunctionals(jumps)
         eta = rng.uniform(1.5, beta - 0.3)
         util = pk.Utility(eta)
         _, sig, rho = m.d1()
         rhs = sig * sig * eta * eta \
-            * (m.b ** 2 + jumps.lam * cache.second_moment)
+            * (m.b ** 2 + jumps.lam * law_second_moment(jumps.law))
         c_max = np.sqrt(rhs) - eta * abs(rho) * m.b * sig
         if c_max <= 0.02:
             continue
@@ -447,7 +444,7 @@ def test_c13_section5_interior_and_fosd():
     # (b rho sigma)^2/C^2 <= 1/eta^2 <= sigma^2/(2 C^2) (b^2(1-2rho^2)+lam E[Y^2])
     rho0, C, A, eta = 0.3, 0.25, 0.5, 4.0
     sig, b = 0.30, 0.4
-    ey2 = JumpFunctionals(J_C).second_moment
+    ey2 = law_second_moment(J_C.law)
     lhs = (b * rho0 * sig) ** 2 / C ** 2
     rhs = sig ** 2 / (2 * C ** 2) * (b * b * (1 - 2 * rho0 ** 2)
                                      + J_C.lam * ey2)

@@ -29,6 +29,35 @@ def base_inputs(**overrides):
     return pk.parse_model_dict(doc)
 
 
+NUMERIC_FIELDS = ("mu", "sigma", "r", "R", "rho", "b", "lam", "eta", "alpha",
+                  "beta", "points", "weights", "q", "delta", "m_plus",
+                  "m_minus")
+
+
+def large_investor_inputs(name, bad):
+    """Valid one-asset large-investor inputs, with field name set to bad
+    (the first entry of an array field); bad None changes nothing."""
+    f = {"mu": [0.08], "sigma": [[0.3]], "r": 0.02, "R": 0.06, "rho": [0.2],
+         "b": 0.4, "lam": 0.25, "eta": 3.0, "alpha": 2.0, "beta": 8.0,
+         "points": [0.1, 0.3], "weights": [0.5, 0.5], "q": 0.3,
+         "delta": 1.0, "m_plus": -0.01, "m_minus": 0.02}
+    if bad is not None:
+        v = np.array(f[name], dtype=float)
+        v.flat[0] = bad
+        f[name] = v if v.ndim else float(v)
+    model = pk.MarketModel(mu=f["mu"], sigma=f["sigma"], r=f["r"], R=f["R"],
+                           rho=f["rho"], b=f["b"])
+    law = pk.DiscreteJumps(f["points"], f["weights"]) \
+        if name in ("points", "weights") else pk.BetaJumps(f["alpha"], f["beta"])
+    friction = pk.LargeInvestor(pk.PowerPremium(f["q"], f["delta"]),
+                                f["m_plus"], f["m_minus"])
+    return model, pk.JumpLaw(f["lam"], law), friction, pk.Utility(f["eta"])
+
+
+def failure_names(inputs):
+    return [c.name for c in pk.validate_model(*inputs).failures()]
+
+
 class TestValidation:
     def test_paper_sigma_passes(self):
         # sigma built from s = 0.25: second row (0.08, 0.32 sqrt(1 - 0.0625))
@@ -79,15 +108,17 @@ class TestValidation:
                                 inp.utility)
         assert not rep.ok
 
-
-    def test_non_finite_fields_fail(self):
-        inp = base_inputs()
-        m = inp.model.replace(b=float("inf"))
-        rep = pk.validate_model(m, inp.jumps, inp.friction, inp.utility)
-        assert [c.name for c in rep.failures()] == ["numeric fields finite"]
-        nan_eta = pk.Utility(eta=float("nan"))
-        rep = pk.validate_model(inp.model, inp.jumps, inp.friction, nan_eta)
-        assert any(c.name == "numeric fields finite" for c in rep.failures())
+    @pytest.mark.parametrize("name,bad", [
+        (name, bad) for name in NUMERIC_FIELDS
+        for bad in (float("nan"), float("inf"))])
+    def test_non_finite_fields_fail(self, name, bad):
+        # a one-asset large investor holds every numeric field validate_model
+        # reads (the discrete law's two); an array field gets one bad entry,
+        # so mu and rho are arrays of one element
+        assert "numeric fields finite" not in failure_names(
+            large_investor_inputs(name, None))
+        assert "numeric fields finite" in failure_names(
+            large_investor_inputs(name, bad))
 
     def test_error_lists_only_failures_on_one_line(self):
         inp = base_inputs(R=0.01)

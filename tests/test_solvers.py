@@ -7,8 +7,7 @@ import pytest
 import pikappa as pk
 from pikappa import solvers
 from pikappa.cli import resolve_model_path
-from pikappa.jumps import JumpFunctionals
-from pikappa.models import load_model_file
+from pikappa.models import law_mean, load_model_file
 from pikappa.oracle import _apply_param
 from pikappa.solvers import ETA_XTOL, _DiffRatesKernel
 
@@ -108,8 +107,7 @@ class TestDiffRates:
                      pk.Utility(2.0))
 
     def test_shadow_rate_sum_strictly_decreasing(self):
-        kern = _DiffRatesKernel(a1_model(), BETA28_025, Q03,
-                                JumpFunctionals(BETA28_025))
+        kern = _DiffRatesKernel(a1_model(), BETA28_025, Q03)
         xis = np.linspace(0.02, 0.06, 50)
         sums = [pi_sum(kern, float(x), 1.0) for x in xis]
         assert np.all(np.diff(sums) < 0)
@@ -120,13 +118,13 @@ class TestDiffRates:
         m = b1_model(0.5)
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
         eta = 2.0
-        cache = JumpFunctionals(jumps)
-        kern = _DiffRatesKernel(m, jumps, Q02, cache)
+        kern = _DiffRatesKernel(m, jumps, Q02)
         checked = 0
         for xi in np.linspace(0.03, 0.09, 7):
-            lo = jumps.lam * cache.mean - Q02.q
+            lo = jumps.lam * law_mean(jumps.law) - Q02.q
             mid = m.b * 0.5 * (0.16 - xi) / 0.26
-            hi = eta * m.b ** 2 * (1 - 0.25) + jumps.lam * cache.psi(1.0, eta) - Q02.q
+            hi = eta * m.b ** 2 * (1 - 0.25) \
+                + jumps.lam * pk.psi(jumps, 1.0, eta) - Q02.q
             if lo < mid < hi:
                 kappa, tag, _, _ = kappa_of_xi(kern, float(xi), eta)
                 assert tag == "interior" and 0.0 < kappa < 1.0
@@ -210,7 +208,7 @@ def test_thresholds_match_nested_route_randomized():
             rng, 1 + i % 2, ("beta", "discrete")[(i // 2) % 2])
         hi = jumps.law.beta - 1e-3 \
             if isinstance(jumps.law, pk.BetaJumps) else 64.0
-        kern = _DiffRatesKernel(model, jumps, prem, JumpFunctionals(jumps))
+        kern = _DiffRatesKernel(model, jumps, prem)
         try:
             expected = tuple(threshold_nested(kern, xi, 1e-3, hi, ETA_XTOL)
                              for xi in (model.R, model.r))
