@@ -11,11 +11,11 @@ stderr line,
     exit 2  "<command> failed: <Type>: <msg>"
             any other PikappaError
 
-and exits 0 otherwise. verify and mutual-fund print their checks, then
-raise CrossCheckFailed when one fails. A usage error exits 1 with
-argparse's message. Output files are written atomically (temp file +
-rename) with a JSON run manifest alongside; outputs are a pure function of
-(input file, flags, seed).
+and exits 0 otherwise. verify and mutual-fund print their checks (or write
+them to --out), then raise CrossCheckFailed when one fails. A usage error
+exits 1 with argparse's message. Output files are written atomically (temp
+file + rename) with a JSON run manifest alongside; outputs are a pure
+function of (input file, flags, seed).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _write_manifest(args, outputs: list[str], t0: float) -> None:
     if not outputs:
         return
     manifest = {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "input_sha256": _file_sha256(resolve_model_path(args.model)),
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
@@ -231,6 +231,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_verify(args) -> None:
+    t0 = time.time()
     inputs = _load_inputs(args)
     rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
                         inputs.utility)
@@ -262,8 +263,8 @@ def cmd_verify(args) -> None:
         checks.append(("mc-vs-closed-form", "pass" if abs(z) <= 3.0 else "fail",
                        f"z={z:.2f}"))
 
-    for name, status, detail in checks:
-        print(f"[{status}] {name} {detail}".rstrip())
+    _emit(args, "\n".join(f"[{status}] {name} {detail}".rstrip()
+                           for name, status, detail in checks), t0)
     failed = [name for name, status, _ in checks if status == "fail"]
     if failed:
         raise CrossCheckFailed(", ".join(failed))
@@ -398,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the one place where an exception becomes an exit
     code and a single stderr line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv              # the manifest's command
     try:
         args.fn(args)
     except (FileNotFoundError, ValueError, ModelValidationError) as exc:

@@ -6,8 +6,9 @@ class PikappaError(Exception):
 
 
 class DomainError(PikappaError):
-    """An evaluation was requested outside its mathematical domain
-    (e.g. the kappa=1 jump functional with eta >= beta diverges)."""
+    """An evaluation was requested outside its mathematical domain (e.g.
+    kappa outside [0, 1], or a float overflow in a quadrature integrand).
+    A jump moment that diverges at kappa = 1 is not one: it is +inf."""
 
 
 class NonConvergence(PikappaError):

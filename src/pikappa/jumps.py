@@ -7,7 +7,8 @@ evaluates all three:
 
 - discrete laws: the exact weighted sum;
 - Beta(alpha, beta) at kappa = 1: the closed form
-  B(alpha + m, beta - s) / B(alpha, beta), finite exactly when s < beta;
+  B(alpha + m, beta - s) / B(alpha, beta) when s < beta, and +inf, the
+  moment's true value, when s >= beta;
 - Beta below SERIES_SWITCH: the Gaussian hypergeometric series
   (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m; kappa)
   (DLMF 15.2);
@@ -17,6 +18,12 @@ evaluates all three:
 The quadrature route alone (psi_quadrature) is the independent reference
 the tests check every functional against. The log-utility term (eta = 1)
 is not a power moment: an exact sum for discrete laws, quadrature for Beta.
+
+A divergent moment is decided here alone. At kappa = 1 under a Beta law,
+psi is +inf for eta >= beta, psi_dkappa for 1 + eta >= beta, and the
+utility term is -inf for eta >= beta + 1. The solvers read the sign of
+their kappa condition at kappa = 1 from these values like any other
+(psi_quadrature, the reference, still raises DomainError there).
 """
 
 from __future__ import annotations
@@ -180,8 +187,7 @@ def _power_moment(law, m: int, s: float, kappa: float) -> float:
     a, b = law.alpha, law.beta
     if kappa == 1.0:
         if s >= b:
-            raise DomainError(f"E[Y^{m:g} (1-Y)^(-s)] diverges for "
-                              f"s={s} >= beta={b}")
+            return math.inf
         return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b))
     if kappa <= SERIES_SWITCH:
         val, ok = _hyp2f1_series(s, a + m, a + b + m, kappa)
@@ -271,9 +277,8 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     alone: for eta != 1 the series of utility_jump_term term for term, and
     an entry whose series did not converge takes its quadrature. kappa = 1,
     kappas above the switch and unconverged log-utility entries take the
-    scalar route. Where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the
-    scalar route raises, and the kappa = 1 entry is -inf, the objective's
-    true value there.
+    scalar route, so where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the
+    kappa = 1 entry is -inf, the objective's true value there.
     """
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
@@ -313,12 +318,7 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
             out[i] = psi_quadrature(jumps, float(kappas[i]), eta - 1.0,
                                     m=0) / (1.0 - eta)
     for i in scalar:
-        try:
-            out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
-        except DomainError:
-            if kappas[i] != 1.0:
-                raise
-            out[i] = -np.inf       # E[U_eta(1 - Y)] diverges to -inf
+        out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
     return out
 
 

@@ -21,10 +21,12 @@ Every scalar root here is a bracketing bisection on a function that is
 monotone by construction: the kappa first-order condition is the derivative
 of a concave partial maximum, so it decreases in kappa (for the
 portfolio-dependent premium, the second-order bound makes f + H jointly
-concave). One root nests another: the smooth kernel finds the allocation
-root afresh at every step of its kappa root. The risk-aversion thresholds
-bisect eta alone, reading the sign of pi.1 - 1 from one h call at the kappa
-that puts pi.1 on 1.
+concave). Every kappa root brackets [0, 1]: where the jump moment diverges
+at kappa = 1 (a Beta law with eta >= beta), psi(1) = +inf gives h(1) = -inf,
+which rules that corner out. One root nests another: the smooth kernel
+finds the allocation root afresh at every step of its kappa root. The
+risk-aversion thresholds bisect eta alone, reading the sign of pi.1 - 1
+from one h call at the kappa that puts pi.1 on 1.
 """
 
 from __future__ import annotations
@@ -71,40 +73,24 @@ class SolveReport:
     residuals: dict = field(default_factory=dict)
 
 
-def _kappa_upper(jumps: JumpLaw, eta: float) -> tuple[float, bool]:
-    """Upper end of the kappa search interval.
-
-    The kappa = 1 corner is excluded a priori when the Beta functional
-    E[Y/(1-Y)^eta] diverges (eta >= beta with lambda > 0).
-    """
-    if jumps.lam > 0 and isinstance(jumps.law, BetaJumps) \
-            and eta >= jumps.law.beta:
-        return 1.0 - 1e-9, False
-    return 1.0, True
-
-
-def _solve_kappa(h, jumps: JumpLaw, eta: float):
+def _solve_kappa(h):
     """Root of the strictly decreasing h on [0, 1] with corner handling.
 
     Returns (kappa, tag, iterations, residual); tag is "lo"/"hi" for strict
     corners, "tie" when h vanishes at a corner (labeled as the interior
     case) and "interior" otherwise.
     """
-    hi, corner_ok = _kappa_upper(jumps, eta)
     h0 = h(0.0)
     if h0 < -CORNER_TIE:
         return 0.0, "lo", 0, h0
     if abs(h0) <= CORNER_TIE:
         return 0.0, "tie", 0, h0
-    h1 = h(hi)
-    if corner_ok and h1 > CORNER_TIE:
+    h1 = h(1.0)
+    if h1 > CORNER_TIE:
         return 1.0, "hi", 0, h1
-    if corner_ok and abs(h1) <= CORNER_TIE:
+    if abs(h1) <= CORNER_TIE:
         return 1.0, "tie", 0, h1
-    if h1 >= 0.0:
-        # corner excluded (eta >= beta); the root is within 1e-9 of 1
-        return hi, "interior", 0, h1
-    res = bisect(h, 0.0, hi, xtol=KAPPA_XTOL, flo=h0, fhi=h1)
+    res = bisect(h, 0.0, 1.0, xtol=KAPPA_XTOL, flo=h0, fhi=h1)
     return res.root, "interior", res.iterations, res.residual
 
 
@@ -232,8 +218,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
     def xi_of(k: float) -> float:
         return min(max(kern.xi_plane(k, eta, level), xi_lo), xi_hi)
 
-    kappa, tag, it_k, hres = _solve_kappa(
-        lambda k: kern.h(k, xi_of(k), eta), jumps, eta)
+    kappa, tag, it_k, hres = _solve_kappa(lambda k: kern.h(k, xi_of(k), eta))
     xi_p = kern.xi_plane(kappa, eta, level)
     family = below if xi_p < xi_lo else above if xi_p > xi_hi else "iii"
     xi = xi_of(kappa)
@@ -274,7 +259,7 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
             if c == 0.0:
                 return a / eta - 1.0
             k_p = (1.0 - a / eta) / c
-            if 0.0 < k_p < _kappa_upper(jumps, eta)[0]:
+            if 0.0 < k_p < 1.0:
                 return c * kern.h(k_p, xi, eta)
             return -c * k_p
 
@@ -348,10 +333,10 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
         return f_k(pi_k, k) + eta * b * sig * rho * pi_k \
             - (eta * b * b * k + lam * (psi(jumps, k, eta) if lam > 0 else 0.0))
 
-    k_hat, tag, it_k, res_k = _solve_kappa(foc, jumps, eta)
+    k_hat, tag, it_k, res_k = _solve_kappa(foc)
     if not premium_rate:
         label = "SmoothG-" + {"lo": "2", "hi": "3"}.get(tag, "1")
-    elif tag != "interior" or k_hat >= _kappa_upper(jumps, eta)[0]:
+    elif tag != "interior":
         raise NoInteriorSolution(
             "first-order condition has no sign change on (0, 1)")
     else:

@@ -10,7 +10,7 @@ from pikappa.solvers import _solve_kappa
 
 
 def kappa_of_xi(kern, xi: float, eta: float):
-    return _solve_kappa(lambda k: kern.h(k, xi, eta), kern.jumps, eta)
+    return _solve_kappa(lambda k: kern.h(k, xi, eta))
 
 
 def pi_sum(kern, xi: float, eta: float) -> float:

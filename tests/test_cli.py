@@ -95,11 +95,15 @@ class TestSolve:
         assert "must be finite" in err
 
     def test_overflow_is_typed_failure(self, capsys):
-        code, _, err = run(["solve", "--model", "b1", "--eta", "1e6"], capsys)
+        # (1 - kappa Y)^(-eta) overflows a double at a user kappa this close
+        # to 1 with eta = 40
+        code, _, err = run(["simulate", "--model", "b1", "--eta", "40",
+                            "--pi", "0.1", "--kappa", "0.999999999",
+                            "--paths", "1000"], capsys)
         assert code == 2
         assert "Traceback" not in err and "overflow" in err
         # not a certificate failure: the error names its own class
-        assert err.startswith("solve failed: DomainError: ")
+        assert err.startswith("simulate failed: DomainError: ")
 
     def test_certification_failure_prefixed_once(self, capsys):
         code, _, err = run(["solve", "--model", "b1", "--eta", "1e-12"],
@@ -157,6 +161,7 @@ class TestSweep:
         assert run(base + ["--out", str(out2)], capsys)[0] == 0
         assert out1.read_text() == out2.read_text()
         man = json.loads((tmp_path / "s1.csv.manifest.json").read_text())
+        assert man["command"] == " ".join(base + ["--out", str(out1)])
         assert man["outputs"] == ["s1.csv"]
         assert "input_sha256" in man and "tool_version" in man
 
@@ -186,6 +191,43 @@ class TestVerify:
                            capsys)
         assert code == 0
         assert "[inconclusive] mc-vs-closed-form" in out
+
+    def test_out_writes_the_checks(self, tmp_path, capsys):
+        argv = ["verify", "--model", "c2", "--mc-paths", "100"]
+        _, printed, _ = run(argv, capsys)
+        path = tmp_path / "verify.txt"
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert code == 0 and out == ""
+        assert path.read_text() == printed
+        man = json.loads((tmp_path / "verify.txt.manifest.json").read_text())
+        assert man["command"] == " ".join(argv + ["--out", str(path)])
+        assert man["outputs"] == ["verify.txt"]
+
+    def test_failed_check_raises_after_the_write(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # an oracle value far above the solver's fails the oracle-gap check
+        monkeypatch.setattr(cli.oracle, "grid_maximize",
+                            lambda *args, **kwargs: (None, 1e9, 0.0))
+        path = tmp_path / "verify.txt"
+        code, out, err = run(["verify", "--model", "c2", "--mc-paths", "100",
+                              "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "verify failed: CrossCheckFailed: oracle-gap\n"
+        assert "[fail] oracle-gap" in path.read_text()
+
+
+class TestBeyondBeta:
+    # b1 has Beta(2, 8) jumps: at eta = 40 >= beta the kappa = 1 corner is
+    # ruled out by h(1) = -inf, and every command certifies
+    @pytest.mark.parametrize("command", [
+        "solve --model b1 --eta 40",
+        "verify --model b1 --eta 40 --mc-paths 100000",
+        "oracle --model b1 --eta 40 --resolution 41 --refine-resolution 41 "
+        "--rounds 1",
+        "mutual-fund --model b1 --eta1 35 --eta2 50 --eta-bar 40"])
+    def test_exit_0(self, command, capsys):
+        code, _, err = run(command.split(), capsys)
+        assert code == 0 and err == ""
 
 
 class TestMutualFund:
@@ -290,18 +332,18 @@ class TestExitContract:
         ("solve --model section5-example --thresholds", 1, "input error:"),
         ("solve --model section5-example --q 5", 1, "input error:"),
         ("solve --model section5-example --lambda 0.5", 1, "input error:"),
-        ("simulate --model b1 --eta 40 --paths 1000", 2,
-         "simulate failed: DomainError:"),
+        ("simulate --model b1 --eta 1e6 --paths 1000", 2,
+         "certification failed:"),
         ("simulate --model section5-example --eta 0.2504069946105812 "
          "--paths 2000", 2, "simulate failed: SOCViolation:"),
         ("simulate --model b1 --eta 8.406740412392656e-10 --paths 2000", 2,
          "simulate failed: DomainError:"),
-        ("mutual-fund --model b1 --eta1 35 --eta2 50 --eta-bar 40", 2,
-         "mutual-fund failed: DomainError:"),
-        ("oracle --model b1 --eta 40 --resolution 41 --refine-resolution 41 "
-         "--rounds 1", 2, "oracle failed: DomainError:"),
-        ("verify --model b1 --eta 40 --mc-paths 1000", 2,
-         "verify failed: DomainError:"),
+        ("mutual-fund --model b1 --eta1 35 --eta2 1e6 --eta-bar 40", 2,
+         "certification failed:"),
+        ("oracle --model b1 --eta 1e6 --resolution 41 --refine-resolution 41 "
+         "--rounds 1", 2, "certification failed:"),
+        ("verify --model b1 --eta 1e6 --mc-paths 1000", 2,
+         "certification failed:"),
         ("oracle --model c2 --rounds -1", 1, "input error: grid rounds"),
         # the grid's Lipschitz estimate overflows a float
         ("oracle --model b1 --eta 161904.5 --R 0.038 --lambda 4.3 "

@@ -45,10 +45,9 @@ class TestPsi:
         assert pk.psi(BETA28, 1.0, 2.0) == pytest.approx(3.0 / 7.0, abs=1e-12)
 
     def test_kappa_one_diverges_at_eta_ge_beta(self):
-        with pytest.raises(pk.DomainError):
-            pk.psi(BETA28, 1.0, 8.0)
-        with pytest.raises(pk.DomainError):
-            pk.psi(BETA28, 1.0, 9.5)
+        # E[Y (1 - Y)^(-eta)] = +inf for eta >= beta: the value, not an error
+        assert pk.psi(BETA28, 1.0, 8.0) == np.inf
+        assert pk.psi(BETA28, 1.0, 9.5) == np.inf
 
     def test_series_matches_quadrature_at_half(self):
         val = pk.psi(BETA28, 0.5, 2.0)
@@ -133,8 +132,7 @@ class TestPsiDkappa:
                 pytest.approx(fd, rel=2e-5, abs=1e-6)
 
     def test_kappa_one_divergence_guard(self):
-        with pytest.raises(pk.DomainError):
-            pk.psi_dkappa(BETA28, 1.0, 7.5)   # 1 + eta >= beta
+        assert pk.psi_dkappa(BETA28, 1.0, 7.5) == np.inf   # 1 + eta >= beta
 
     def test_matches_quadrature_reference(self):
         # (m, s) = (2, 1 + eta) on the series, closed-form and split routes
@@ -230,10 +228,11 @@ class TestUtilityJumpTerm:
         # eta >= beta + 1: E[U_eta(1 - Y)] = -inf, the objective's value there
         curve = utility_jump_curve(BETA28, np.array([0.5, 1.0]), 9.0)
         assert np.isfinite(curve[0]) and curve[1] == -np.inf
+        assert curve[1] == pk.utility_jump_term(BETA28, 1.0, 9.0)
 
     def test_divergence_guard(self):
-        with pytest.raises(pk.DomainError):
-            pk.utility_jump_term(BETA28, 1.0, 9.0)
+        # eta >= beta + 1: E[(1 - Y)^(1 - eta)] / (1 - eta) = -inf
+        assert pk.utility_jump_term(BETA28, 1.0, 9.0) == -np.inf
 
 
 class TestFosd:

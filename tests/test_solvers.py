@@ -476,6 +476,21 @@ def test_frictionless_model_validated_as_given():
         pk.solve(bad, BETA128_015, pk.Frictionless(Q02), pk.Utility(4.0))
 
 
+@pytest.mark.parametrize("eta", [9.5, 34.0, 40.0, 60.0])
+def test_b1_beyond_beta_certifies(eta):
+    # eta >= beta = 8: psi(1) = +inf makes h(1) = -inf, so the kappa root
+    # is interior and no h evaluation overflows next to kappa = 1
+    inputs = load_model_file(resolve_model_path("b1"))
+    parts = _apply_param("eta", eta, inputs.model, inputs.jumps,
+                         inputs.friction, inputs.utility)
+    rep = pk.solve(*parts)
+    assert rep.case_label.startswith("DiffRates-")
+    assert rep.certificate.passes
+    _, val, bound = pk.grid_maximize(*parts, pk.GridSpec(
+        resolution=41, refine_resolution=81, rounds=1))
+    assert val - rep.objective.value <= bound + 1e-12
+
+
 def test_portfolio_premium_takes_no_kappa_scan():
     # beyond the validation grid, q is called once per first-order-condition
     # evaluation of one kappa bisection, plus the objective and certificate
