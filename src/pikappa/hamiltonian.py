@@ -252,7 +252,13 @@ def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
     """Check the conjugate optimality identity at the policy's own gradient.
 
     A passing certificate proves global optimality of the policy for the
-    reduced problem.
+    reduced problem. The identity passes when |conjugate - direct| <= tol
+    times the largest of 1, |conjugate| and the terms f, pi.zeta and
+    kappa gamma that direct adds up: tol is absolute on an O(1) objective
+    and relative where those terms are large, as at a tiny eta, where f
+    and pi.zeta cancel to O(1) and their round-off alone exceeds an
+    absolute tol. (The portfolio premium's first-order conditions stay
+    absolute.)
     """
     if obj is None:
         obj = eval_objective(policy, model, jumps, friction, utility)
@@ -260,12 +266,17 @@ def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
         return _certify_foc(policy, model, jumps, friction, utility, tol, obj)
     zeta = obj.grad_pi
     gamma = obj.dH_dkappa
-    direct = obj.f_value + float(policy.pi @ zeta) + policy.kappa * gamma
+    pi_zeta = float(policy.pi @ zeta)
+    kappa_gamma = policy.kappa * gamma
+    direct = obj.f_value + pi_zeta + kappa_gamma
     conj, in_dom = conjugate(zeta, gamma, friction, model)
     residual = conj - direct if in_dom else math.inf
+    scale = max(1.0, abs(conj), abs(obj.f_value), abs(pi_zeta),
+                abs(kappa_gamma))
     return Certificate(conjugate_value=conj, direct_value=direct,
                        residual=residual, in_domain=in_dom,
-                       passes=in_dom and abs(residual) <= tol, tol=tol)
+                       passes=in_dom and abs(residual) <= tol * scale,
+                       tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,22 @@ evaluates all three:
 - Beta(alpha, beta) at kappa = 1: the closed form
   B(alpha + m, beta - s) / B(alpha, beta) when s < beta, and +inf, the
   moment's true value, when s >= beta;
-- Beta below SERIES_SWITCH: the Gaussian hypergeometric series
+- Beta at every kappa < 1: the Gaussian hypergeometric series
   (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m; kappa)
-  (DLMF 15.2);
-- otherwise, or when the series does not converge: adaptive quadrature
-  against the Beta density with algebraic endpoint weights.
+  (DLMF 15.2), whose terms decay like n^(s - beta - 1) kappa^n;
+- when the series does not converge within SERIES_MAX_TERMS: adaptive
+  quadrature against the Beta density with algebraic endpoint weights.
 
 The quadrature route alone (psi_quadrature) is the independent reference
 the tests check every functional against. The log-utility term (eta = 1)
-is not a power moment: an exact sum for discrete laws, quadrature for Beta.
+is not a power moment: an exact sum for discrete laws; for Beta the series
+E[ln(1 - kappa Y)] = -sum_n kappa^n E[Y^n] / n below kappa = 1 (quadrature
+if it does not converge) and the closed form digamma(beta) -
+digamma(alpha + beta) at kappa = 1.
+
+Only the quadrature fallback and fosd_compare's Beta CDF use scipy, and
+they import it when first called: the series and closed forms, which are
+all a solve of the bundled configs reaches, need numpy alone.
 
 A divergent moment is decided here alone. At kappa = 1 under a Beta law,
 psi is +inf for eta >= beta, psi_dkappa for 1 + eta >= beta, and the
@@ -35,13 +42,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, NonConvergence
 from .models import (BetaJumps, DiscreteJumps, JumpLaw, law_mean,
                      law_second_moment)
 
-SERIES_SWITCH = 1.0 - 1e-6     # series below, quadrature above
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
 QUAD_LIMIT = 200               # max interval subdivisions
@@ -70,6 +75,22 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _digamma(x: float) -> float:
+    """digamma(x) = d ln Gamma(x) / dx for x > 0: the recurrence
+    digamma(x) = digamma(x + 1) - 1/x up to x >= 12, then the asymptotic
+    series of DLMF 5.11.2 through its z^-14 term (the next is below 1e-18
+    there)."""
+    shift = []
+    while x < 12.0:
+        shift.append(1.0 / x)
+        x += 1.0
+    w = 1.0 / (x * x)
+    tail = w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (1.0 / 252.0 - w * (
+        1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0
+                                              - w / 12.0))))))
+    return math.log(x) - 0.5 / x - tail - math.fsum(shift)
+
+
 def _overflow_as_domain_error(fn):
     """Report a float overflow (in a quadrature integrand or the value
     function at a huge or tiny eta, say) as a DomainError instead of an
@@ -96,6 +117,7 @@ def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
     q = beta_ - 1.0 + q_extra
     if p <= -1.0 or q <= -1.0:
         raise DomainError(f"non-integrable endpoint exponent (p={p}, q={q})")
+    from scipy import integrate
     norm = math.exp(-_log_beta(alpha, beta_))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -128,6 +150,7 @@ def _beta_power_quad(alpha: float, beta_: float, m_pow: float, s_pow: float,
     integral is split at the layer edge; the outer piece runs on a log grid
     in w, where the layer is polynomial and adaptive quadrature resolves it.
     """
+    from scipy import integrate
     eps = 1.0 - kappa              # kappa < 1: kappa = 1 has a closed form
     norm = math.exp(-_log_beta(alpha, beta_))
     p = alpha - 1.0 + m_pow        # exponent of (1 - w), > -1 for m >= 0
@@ -189,12 +212,11 @@ def _power_moment(law, m: int, s: float, kappa: float) -> float:
         if s >= b:
             return math.inf
         return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b))
-    if kappa <= SERIES_SWITCH:
-        val, ok = _hyp2f1_series(s, a + m, a + b + m, kappa)
-        if ok:
-            for j in range(m):     # times (alpha)_m / (alpha + beta)_m
-                val = val * (a + j) / (a + b + j)
-            return val
+    val, ok = _hyp2f1_series(s, a + m, a + b + m, kappa)
+    if ok:
+        for j in range(m):         # times (alpha)_m / (alpha + beta)_m
+            val = val * (a + j) / (a + b + j)
+        return val
     return _beta_moment_quadrature(law, m, s, kappa)
 
 
@@ -222,6 +244,24 @@ def psi_dkappa(jumps: JumpLaw, kappa: float, eta: float) -> float:
     return _power_moment(jumps.law, 2, 1.0 + eta, kappa)
 
 
+def _beta_log_quadrature(law: BetaJumps, kappa: float) -> float:
+    """E[ln(1 - kappa Y)] for Y ~ Beta(alpha, beta) by quadrature: the
+    fallback of an unconverged log series."""
+    # clip keeps the y=1 endpoint evaluation finite; the log singularity
+    # is integrable and the quadrature weight never sits exactly on it
+    return _beta_quad(law.alpha, law.beta, 0.0, 0.0,
+                      lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
+
+
+def _log_ratio(law: BetaJumps):
+    """Term ratio of E[ln(1 - kappa Y)] = -sum_(n >= 1) kappa^n E[Y^n] / n
+    for Y ~ Beta(a, b), with E[Y^n] / E[Y^(n-1)] = (a + n - 1) /
+    (a + b + n - 1): the one log series of the scalar and the curve."""
+    a, b = law.alpha, law.beta
+    return lambda n: (-a / (a + b) if n == 0
+                      else (a + n) / (a + b + n) * n / (n + 1.0))
+
+
 def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[U_eta(1 - kappa Y)]: the jump contribution to the objective."""
     _check_kappa_eta(kappa, eta)
@@ -230,10 +270,13 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
         return _power_moment(law, 0, eta - 1.0, kappa) / (1.0 - eta)
     if isinstance(law, DiscreteJumps):
         return float(np.sum(law.weights * np.log(1.0 - kappa * law.points)))
-    # clip keeps the y=1 endpoint evaluation finite; the log singularity
-    # is integrable and the quadrature weight never sits exactly on it
-    return _beta_quad(law.alpha, law.beta, 0.0, 0.0,
-                      lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
+    if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
+        return _digamma(law.beta) - _digamma(law.alpha + law.beta)
+    total, converged = _series_by_entry(np.array([kappa]), 0.0,
+                                        _log_ratio(law), 1.0)
+    if converged[0]:
+        return float(total[0])
+    return _beta_log_quadrature(law, kappa)
 
 
 def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
@@ -242,7 +285,9 @@ def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
 
     Each entry stops on its own, at the first n with
     |t_n| <= SERIES_RTOL (floor + |sum|), so its value does not depend on
-    the other entries; the loop carries only the entries still running.
+    the other entries; the loop carries only the entries still running,
+    and the last one runs on in Python floats: the same IEEE arithmetic,
+    so the same bits, without numpy's per-call cost on a 1-entry array.
     Returns (sums, converged).
     """
     out = np.empty_like(z)
@@ -251,11 +296,11 @@ def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
     zl = z
     term = np.ones_like(z)
     total = np.full_like(z, first)
-    for n in range(SERIES_MAX_TERMS):
-        if live.size == 0:
-            break
+    n = 0
+    while live.size > 1 and n < SERIES_MAX_TERMS:
         term = term * (ratio(n) * zl)
         total = total + term
+        n += 1
         stop = np.abs(term) <= SERIES_RTOL * (floor + np.abs(total))
         if stop.any():
             out[live[stop]] = total[stop]
@@ -263,6 +308,16 @@ def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
             keep = ~stop
             live, zl, term, total = live[keep], zl[keep], term[keep], \
                 total[keep]
+    if live.size == 1:
+        zi, t, acc = float(zl[0]), float(term[0]), float(total[0])
+        while n < SERIES_MAX_TERMS:
+            t = t * (ratio(n) * zi)
+            acc = acc + t
+            n += 1
+            if abs(t) <= SERIES_RTOL * (floor + abs(acc)):
+                converged[live] = True
+                break
+        total = acc
     out[live] = total
     return out, converged
 
@@ -272,13 +327,13 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
     jump term.
 
-    Beta laws sum a series for every kappa up to SERIES_SWITCH at once, each
-    entry to its own stop, so an entry equals the same kappa evaluated
-    alone: for eta != 1 the series of utility_jump_term term for term, and
-    an entry whose series did not converge takes its quadrature. kappa = 1,
-    kappas above the switch and unconverged log-utility entries take the
-    scalar route, so where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the
-    kappa = 1 entry is -inf, the objective's true value there.
+    Beta laws sum a series for every kappa < 1 at once, each entry to its
+    own stop, so an entry equals the same kappa evaluated alone: the series
+    of utility_jump_term term for term (for eta = 1 the very same log
+    series), and an entry whose series did not converge takes the scalar
+    route's quadrature. kappa = 1 takes the scalar route's closed form, so
+    where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the kappa = 1 entry is
+    -inf, the objective's true value there.
     """
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
@@ -288,36 +343,28 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
         if eta == 1.0:
             return np.log(z) @ w
         return (z ** (1.0 - eta)) @ w / (1.0 - eta)
-    a, b = law.alpha, law.beta
     out = np.empty_like(kappas)
-    summed = kappas <= SERIES_SWITCH
+    summed = kappas < 1.0
     if eta == 1.0:
-        # E[ln(1-kY)] = -sum_n k^n E[Y^n] / n, with E[Y^n] / E[Y^(n-1)]
-        # = (a + n - 1) / (a + b + n - 1)
-        ratio = lambda n: (-a / (a + b) if n == 0
-                           else (a + n) / (a + b + n) * n / (n + 1.0))
-        total, converged = _series_by_entry(kappas[summed], 0.0, ratio, 1.0)
+        total, converged = _series_by_entry(kappas[summed], 0.0,
+                                            _log_ratio(law), 1.0)
         out[summed] = total
     else:
         # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k), with the
         # term ratio of _hyp2f1_series; at a huge eta a term overflows to
         # inf, and so does the sum: the entry is then -inf, its value in
         # double precision
-        aa, bb, cc = eta - 1.0, a, a + b
+        aa, bb, cc = eta - 1.0, law.alpha, law.alpha + law.beta
         ratio = lambda n: (aa + n) * (bb + n) / ((cc + n) * (1.0 + n))
         with np.errstate(over="ignore"):
             total, converged = _series_by_entry(kappas[summed], 1.0, ratio,
                                                 0.0)
         out[summed] = total / (1.0 - eta)
-    stalled = np.flatnonzero(summed)[~converged]
-    scalar = np.flatnonzero(~summed)
-    if eta == 1.0:
-        scalar = np.union1d(scalar, stalled)
-    else:
-        for i in stalled:          # the quadrature of _power_moment's route
-            out[i] = psi_quadrature(jumps, float(kappas[i]), eta - 1.0,
-                                    m=0) / (1.0 - eta)
-    for i in scalar:
+    for i in np.flatnonzero(summed)[~converged]:
+        kappa = float(kappas[i])   # the scalar route's quadrature
+        out[i] = (_beta_log_quadrature(law, kappa) if eta == 1.0 else
+                  psi_quadrature(jumps, kappa, eta - 1.0, m=0) / (1.0 - eta))
+    for i in np.flatnonzero(~summed):
         out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
     return out
 
@@ -330,6 +377,7 @@ class Ordering(enum.Enum):
 
 def _cdf(law, y: np.ndarray) -> np.ndarray:
     if isinstance(law, BetaJumps):
+        from scipy import special
         return special.betainc(law.alpha, law.beta, y)
     pts, w = law.points, law.weights
     return (w[None, :] * (pts[None, :] <= y[:, None])).sum(axis=1)

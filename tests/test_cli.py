@@ -5,7 +5,12 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +111,7 @@ class TestSolve:
         assert err.startswith("simulate failed: DomainError: ")
 
     def test_certification_failure_prefixed_once(self, capsys):
-        code, _, err = run(["solve", "--model", "b1", "--eta", "1e-12"],
+        code, _, err = run(["solve", "--model", "b1", "--eta", "1e6"],
                            capsys)
         assert code == 2
         assert err.count("certification failed") == 1
@@ -214,6 +219,48 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "verify failed: CrossCheckFailed: oracle-gap\n"
         assert "[fail] oracle-gap" in path.read_text()
+
+
+class TestColdStart:
+    # the bundled solves reach only series and closed forms, so scipy (about
+    # half a second of import) stays unloaded; it is imported on first use by
+    # the quadrature fallback and fosd_compare alone
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, sys
+        import pikappa as pk
+        from pikappa import cli
+
+        def check(step):
+            loaded = sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, (step, loaded[:3])
+
+        check("import pikappa, pikappa.cli")
+        argvs = [["solve", "--model", name] for name in CONFIGS]
+        for argv in argvs + [["solve", "--model", "a1", "--thresholds"]]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            check(" ".join(argv))
+        inp = pk.load_model_file(cli.resolve_model_path("table-etaR"))
+        pk.threshold_etas(inp.model, inp.jumps, inp.friction.premium)
+        check("threshold_etas on table-etaR")
+        inp = pk.load_model_file(cli.resolve_model_path("c2"))
+        parts = (inp.model, inp.jumps, inp.friction, pk.Utility(1.0))
+        assert 0.0 < pk.solve(*parts).policy.kappa < 1.0
+        pk.grid_maximize(*parts)
+        check("c2 eta = 1 solve and grid_maximize")
+        print("ok")
+        """)
+
+    def test_no_scipy_module_is_loaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = f"CONFIGS = {_CONFIGS!r}\n" + self.SCRIPT
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestBeyondBeta:

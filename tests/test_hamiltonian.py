@@ -2,11 +2,13 @@
 finite-difference and hand-computed oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pikappa as pk
+from pikappa.cli import resolve_model_path
 from pikappa.hamiltonian import friction_term
 
 BETA28 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -220,6 +222,34 @@ class TestCertify:
         cert = pk.certify(pk.Policy(pi=[pi], kappa=0.0), m, jumps, fric,
                           pk.Utility(eta), tol=1e-9)
         assert not cert.passes
+
+    def test_tiny_eta_certifies_to_the_scale_of_its_terms(self):
+        # b1 at eta = 1e-12: f and pi.zeta are about 6.2e10 and cancel to
+        # 0.04, so their round-off alone leaves a residual of about 1.3e-5
+        inputs = pk.load_model_file(resolve_model_path("b1"))
+        rep = pk.solve(inputs.model, inputs.jumps, inputs.friction,
+                       pk.Utility(1e-12))
+        cert = rep.certificate
+        assert cert.passes and 1e-6 < abs(cert.residual) < 1e-4
+        assert abs(cert.direct_value) < 1.0 and abs(cert.conjugate_value) < 1.0
+
+    @pytest.mark.parametrize("shift,passes", [(2e-7, False), (-2e-7, False),
+                                              (5e-8, True)])
+    def test_residual_on_an_order_one_objective_stays_absolute(self, shift,
+                                                               passes):
+        # every term of the identity is O(1) at b1's own eta: the default
+        # tol 1e-7 applies as is to a residual moved by shift
+        inputs = pk.load_model_file(resolve_model_path("b1"))
+        parts = (inputs.model, inputs.jumps, inputs.friction, inputs.utility)
+        rep = pk.solve(*parts)
+        obj = rep.objective
+        assert abs(rep.certificate.residual) < 1e-10
+        assert max(abs(obj.f_value), abs(rep.certificate.conjugate_value),
+                   abs(obj.dH_dkappa), float(np.abs(obj.grad_pi).max())) < 1.0
+        moved = replace(obj, f_value=obj.f_value - shift)
+        cert = pk.certify(rep.policy, *parts, obj=moved)
+        assert cert.residual == pytest.approx(shift, rel=1e-3)
+        assert cert.passes is passes
 
 
 class TestValueFunction:

@@ -25,11 +25,11 @@ def quad_psi_oracle(alpha, beta, kappa, eta):
 
 
 def utility_quadrature(law, kappa, eta):
-    """E[U_eta(1 - kappa Y)] by quadrature alone, independent of the series:
-    the power moment (m, s) = (0, eta - 1) over 1 - eta, and the log case
-    (which utility_jump_term itself integrates)."""
+    """E[U_eta(1 - kappa Y)] for a Beta law by quadrature alone, independent
+    of the series and the digamma closed form: the power moment
+    (m, s) = (0, eta - 1) over 1 - eta, and the log case integrated."""
     if eta == 1.0:
-        return pk.utility_jump_term(law, kappa, 1.0)
+        return jumps_mod._beta_log_quadrature(law.law, kappa)
     return pk.psi_quadrature(law, kappa, eta - 1.0, m=0) / (1.0 - eta)
 
 
@@ -73,9 +73,15 @@ class TestPsi:
         expect = 0.25 * 0.3 / 0.85 ** 2 + 0.75 * 0.6 / 0.7 ** 2
         assert pk.psi(law, 0.5, 2.0) == pytest.approx(expect, abs=1e-15)
 
-    def test_near_one_quadrature_branch(self):
-        # kappa above the series switch point exercises the QAWS fallback
+    def test_near_one_series_route(self, monkeypatch):
+        # the series runs for every kappa < 1: at 1 - 5e-7 its terms decay
+        # like n^(eta - beta - 1), so it converges and no quadrature runs
+        def no_quadrature(*args):
+            raise AssertionError("the quadrature fallback ran")
+        monkeypatch.setattr(jumps_mod, "_beta_moment_quadrature",
+                            no_quadrature)
         val = pk.psi(BETA28, 1.0 - 5e-7, 3.0)
+        monkeypatch.undo()
         orc = quad_psi_oracle(2.0, 8.0, 1.0 - 5e-7, 3.0)
         assert val == pytest.approx(orc, rel=1e-8)
 
@@ -143,9 +149,10 @@ class TestPsiDkappa:
                     pytest.approx(ref, rel=1e-9)
 
 
-# kappa bands of the 30-digit reference check and their relative
-# tolerances: the series is tightest away from 1, and its slow tail near
-# kappa = 1 (and the quadrature route above 1 - 1e-6) is looser
+# kappa bands of the 30-digit reference checks and their relative
+# tolerances: the series is tightest away from 1 and looser near kappa = 1,
+# where its terms decay slowly and its stop rule leaves a longer tail (an
+# entry whose series does not converge there takes the quadrature fallback)
 MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
             (0.999, 1.0 - 1e-6, 1e-9), (1.0 - 1e-6, 1.0, 1e-9)]
 
@@ -175,6 +182,53 @@ def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
             ref_u = mpmath.hyp2f1(E - 1, A, A + B, K) / (1 - E)
             assert pk.utility_jump_term(law, kappa, eta) == \
                 pytest.approx(float(ref_u), rel=rtol, abs=0.0)
+
+
+def mp_log_term(mpmath, a, b, kappa):
+    """E[ln(1 - kappa Y)] for Y ~ Beta(a, b) by tanh-sinh quadrature at the
+    working precision, split at y = 1/2."""
+    A, B, K = (mpmath.mpf(float(x)) for x in (a, b, kappa))
+    return mpmath.quad(lambda y: mpmath.log1p(-K * y) * y ** (A - 1)
+                       * (1 - y) ** (B - 1), [0, 0.5, 1]) / mpmath.beta(A, B)
+
+
+@pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
+                         ids=[f"kappa{lo:g}" for lo, _, _ in MP_BANDS])
+def test_log_term_matches_mpmath_quadrature(lo, hi, rtol):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    with mpmath.workdps(30):
+        for _ in range(25):
+            a, b = rng.uniform(0.5, 20.0, size=2)
+            kappa = rng.uniform(lo, hi)
+            law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=a, beta=b))
+            ref = mp_log_term(mpmath, a, b, kappa)
+            assert pk.utility_jump_term(law, kappa, 1.0) == \
+                pytest.approx(float(ref), rel=rtol, abs=0.0)
+
+
+def test_log_term_at_kappa_one_is_the_digamma_difference():
+    # E[ln(1 - Y)] = digamma(b) - digamma(a + b), against the quadrature
+    # and against mpmath's digamma
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    with mpmath.workdps(30):
+        for _ in range(10):
+            a, b = rng.uniform(0.5, 20.0, size=2)
+            law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=a, beta=b))
+            val = pk.utility_jump_term(law, 1.0, 1.0)
+            assert val == pytest.approx(float(mp_log_term(mpmath, a, b, 1.0)),
+                                        rel=1e-12, abs=0.0)
+            A, B = mpmath.mpf(float(a)), mpmath.mpf(float(b))
+            ref = mpmath.digamma(B) - mpmath.digamma(A + B)
+            assert val == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+def test_digamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.linspace(0.3, 40.0, 400):
+        ref = mpmath.digamma(mpmath.mpf(float(x)))
+        assert abs(jumps_mod._digamma(float(x)) - float(ref)) <= 5e-15
 
 
 class TestUtilityJumpTerm:
@@ -327,12 +381,10 @@ class TestUtilityCurveSlowTail:
 @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
 def test_curve_entries_do_not_depend_on_the_grid(eta):
     # each entry stops its series on its own: the same kappa alone gives the
-    # same bits, and for eta != 1 the scalar series of utility_jump_term
+    # same bits, and so does the scalar series of utility_jump_term (for
+    # eta = 1 the one log series both share)
     kappas = np.linspace(0.0, 1.0, 41)
     curve = utility_jump_curve(BETA28, kappas, eta)
     for kappa, value in zip(kappas, curve):
         assert value == utility_jump_curve(BETA28, np.array([kappa]), eta)[0]
-        if eta != 1.0:
-            assert value == pytest.approx(
-                pk.utility_jump_term(BETA28, float(kappa), eta),
-                rel=1e-15, abs=0.0)
+        assert value == pk.utility_jump_term(BETA28, float(kappa), eta)
