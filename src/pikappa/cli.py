@@ -21,11 +21,9 @@ function of (input file, flags, seed).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from importlib import resources
 
@@ -75,11 +73,13 @@ def _load_inputs(args) -> ModelInputs:
 
 
 def _file_sha256(path: str) -> str:
+    import hashlib                 # only --out manifests hash files
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _atomic_write(path: str, text: str) -> None:
+    import tempfile                # only --out writes files
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:

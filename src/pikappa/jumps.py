@@ -9,11 +9,19 @@ evaluates all three:
 - Beta(alpha, beta) at kappa = 1: the closed form
   B(alpha + m, beta - s) / B(alpha, beta) when s < beta, and +inf, the
   moment's true value, when s >= beta;
-- Beta at every kappa < 1: the Gaussian hypergeometric series
-  (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m; kappa)
-  (DLMF 15.2), whose terms decay like n^(s - beta - 1) kappa^n;
-- when the series does not converge within SERIES_MAX_TERMS: adaptive
-  quadrature against the Beta density with algebraic endpoint weights.
+- Beta at kappa < CONNECTION_SWITCH = 0.9: the Gaussian hypergeometric
+  series (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m;
+  kappa) (DLMF 15.2), whose terms decay like n^(s - beta - 1) kappa^n;
+- Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa, whose
+  terms decay like w^n: the connection formula DLMF 15.8.4 for c - a - b =
+  beta - s not an integer, DLMF 15.8.10 (with _digamma) for an integer
+  beta - s >= 0, and Euler's transformation (DLMF 15.8.1) first for
+  beta - s < 0. It leaves to the direct series: beta - s within
+  INTEGER_GAP of an integer, Gamma factors that overflow (eta = 1e6, say),
+  and cancellation between its pieces (large alpha or eta near w = 0.1);
+- when the direct series does not converge within SERIES_MAX_TERMS:
+  adaptive quadrature against the Beta density with algebraic endpoint
+  weights.
 
 The quadrature route alone (psi_quadrature) is the independent reference
 the tests check every functional against. The log-utility term (eta = 1)
@@ -21,6 +29,11 @@ is not a power moment: an exact sum for discrete laws; for Beta the series
 E[ln(1 - kappa Y)] = -sum_n kappa^n E[Y^n] / n below kappa = 1 (quadrature
 if it does not converge) and the closed form digamma(beta) -
 digamma(alpha + beta) at kappa = 1.
+
+utility_jump_curve sums the direct series for all its entries below 0.9
+at once, and the 1 - kappa route for all those from 0.9 on, each entry to
+its own stop, so that every entry has the bits of utility_jump_term at the
+same kappa.
 
 Only the quadrature fallback and fosd_compare's Beta CDF use scipy, and
 they import it when first called: the series and closed forms, which are
@@ -49,6 +62,14 @@ from .models import (BetaJumps, DiscreteJumps, JumpLaw, law_mean,
 
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
+CONNECTION_SWITCH = 0.9        # z from which 2F1 is summed in 1 - z
+CONNECTION_MAX_TERMS = 2_000
+# the 1 - z route holds while sum |pieces| / |2F1| stays below
+# CONNECTION_MAX_GAIN / (1 - z): the direct series' stop rule leaves an error
+# that grows like 1 / (1 - z), so nearer 1 the route may cancel more digits
+CONNECTION_MAX_GAIN = 1.0
+INTEGER_GAP = 1e-3             # c - a - b this near an integer: direct series
+EULER_GAMMA = 0.5772156649015329
 QUAD_LIMIT = 200               # max interval subdivisions
 QUAD_EPSABS = 1e-12
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
@@ -68,6 +89,180 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float):
         if abs(term) <= SERIES_RTOL * abs(total):
             return total, True
     return total, False
+
+
+def _rgamma(x: float) -> float:
+    """1 / Gamma(x), 0 at the poles x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    """x ** y, inf where that overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _each(fn, w):
+    """fn of w, a float or an array: an array entry by entry in Python
+    floats, so that it has the bits of the same float alone."""
+    if isinstance(w, np.ndarray):
+        return np.array([fn(x) for x in w.tolist()])
+    return fn(w)
+
+
+def _w_tail(p, q, r, s, w, g, start, k, u, total, mass):
+    """_w_sums for one float w, resumed at term k."""
+    log = g is not None
+    if not log:
+        g = 1.0
+    while k < CONNECTION_MAX_TERMS:
+        piece = u * g
+        total = total + piece
+        mass = mass + abs(piece)
+        ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * w
+        if k >= start and abs(ratio) < 1.0 \
+                and abs(u) * (1.0 + abs(g)) <= SERIES_RTOL * abs(total):
+            return total, mass
+        u = u * ratio
+        if log:
+            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
+                     - 1.0 / (s + k))
+        k += 1
+    return total, math.inf
+
+
+def _w_sums(p, q, r, s, w, g=None, start=0):
+    """sum_k u_k g_k and sum_k |u_k g_k| for w a float or an array of
+    entries in (0, 1), where u_k = (p)_k (q)_k / ((r)_k (s)_k) w^k and
+    g_k = 1, or, given g_0, the digamma bracket g_k = g_0 + sum_(j < k)
+    (1/(p + j) + 1/(q + j) - 1/(r + j) - 1/(s + j)).
+
+    Each entry stops at its first k >= start with |u_(k+1) / u_k| < 1 and
+    |u_k| (1 + |g_k|) <= SERIES_RTOL |sum|; past start, r + k > 0, so no
+    small denominator scales up the tail left behind. The absolute sum is
+    inf where the sum did not converge. As in _series_by_entry, an array
+    runs its last live entry on in Python floats: the arithmetic of that
+    entry alone.
+    """
+    if not isinstance(w, np.ndarray):
+        return _w_tail(p, q, r, s, w, g, start, 0, 1.0, 0.0, 0.0)
+    log = g is not None
+    out, out_mass = np.empty_like(w), np.full_like(w, math.inf)
+    live = np.arange(w.size)
+    u, total, mass = np.ones_like(w), np.zeros_like(w), np.zeros_like(w)
+    g = total + (g if log else 1.0)
+    k = 0
+    while live.size > 1 and k < CONNECTION_MAX_TERMS:
+        piece = u * g
+        total = total + piece
+        mass = mass + np.abs(piece)
+        ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * w
+        if k >= start:
+            stop = (np.abs(ratio) < 1.0) & (
+                np.abs(u) * (1.0 + np.abs(g)) <= SERIES_RTOL * np.abs(total))
+            if stop.any():
+                out[live[stop]] = total[stop]
+                out_mass[live[stop]] = mass[stop]
+                keep = ~stop
+                live, w, u, g, total, mass, ratio = (
+                    x[keep] for x in (live, w, u, g, total, mass, ratio))
+        u = u * ratio
+        if log:
+            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
+                     - 1.0 / (s + k))
+        k += 1
+    if live.size == 1:
+        out[live], out_mass[live] = _w_tail(
+            p, q, r, s, float(w[0]), float(g[0]) if log else None, start, k,
+            float(u[0]), float(total[0]), float(mass[0]))
+    else:
+        out[live] = total
+    return out, out_mass
+
+
+def _connection_noninteger(a: float, b: float, c: float, d: float, w):
+    """2F1(a, b; c; 1 - w) for c - a - b = d > 0 not an integer (DLMF
+    15.8.4), and the sum of the absolute values of its pieces."""
+    gc = math.gamma(c)
+    c1 = gc * math.gamma(d) * _rgamma(c - a) * _rgamma(c - b)
+    c2 = gc * math.gamma(-d) * _rgamma(a) * _rgamma(b) * _each(
+        lambda x: x ** d, w)
+    s1, m1 = _w_sums(a, b, 1.0 - d, 1.0, w, start=math.floor(d))
+    s2, m2 = _w_sums(c - a, c - b, 1.0 + d, 1.0, w)
+    return c1 * s1 + c2 * s2, abs(c1) * m1 + abs(c2) * m2
+
+
+def _connection_log(a: float, b: float, c: float, m: int, w):
+    """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0 (DLMF 15.8.10),
+    and the sum of the absolute values of its pieces: a finite sum in
+    (z - 1)^k = (-w)^k and a series with the bracket ln(w) - psi(k + 1) -
+    psi(k + m + 1) + psi(a + k + m) + psi(b + k + m)."""
+    gc = math.gamma(c)
+    total = mass = 0.0 * w
+    x = 1.0 + total                # (-w)^k
+    t = gc * _rgamma(a + m) * _rgamma(b + m) * math.gamma(m) if m else 0.0
+    for k in range(m):
+        if k:
+            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (m - k))
+        piece = t * x
+        total = total + piece
+        mass = mass + abs(piece)
+        x = x * -w
+    c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
+    if c2 == 0.0:                  # a or b a pole: 2F1 is the finite sum
+        return total, mass
+    c2 = c2 * x
+    am, bm = a + m, b + m
+    g0 = 2.0 * EULER_GAMMA - math.fsum(1.0 / j for j in range(1, m + 1)) \
+        + _digamma(am) + _digamma(bm)
+    s2, m2 = _w_sums(am, bm, 1.0, m + 1.0, w, g=_each(math.log, w) + g0)
+    return total + c2 * s2, mass + abs(c2) * m2
+
+
+def _hyp2f1_near_one(a: float, b: float, c: float, w):
+    """2F1(a, b; c; 1 - w) for w a float or an array of entries in (0, 1)
+    summed in w, and where that holds (a bool, or a bool array). It does
+    not hold, and the direct series must serve, when c - a - b lies within
+    INTEGER_GAP of an integer, a Gamma factor overflows, or the absolute
+    values of the pieces add up to CONNECTION_MAX_GAIN times the result or
+    more (cancellation). For c - a - b < 0 Euler's transformation (DLMF
+    15.8.1) comes first, so the connection formula sees c - a - b > 0.
+    """
+    a, b, c = float(a), float(b), float(c)
+    d = c - a - b
+    m = round(d)
+    declined = w * math.nan, w < 0.0       # (nan, False) for every entry
+    if m != d and abs(d - m) < INTEGER_GAP:
+        return declined
+    scale = 1.0
+    try:
+        if d < 0.0:
+            scale = _each(lambda x: _pow_or_inf(x, d), w)
+            a, b, d, m = c - a, c - b, -d, -m
+        if m == d:
+            value, mass = _connection_log(a, b, c, m, w)
+        else:
+            value, mass = _connection_noninteger(a, b, c, d, w)
+    except OverflowError:
+        return declined
+    holds = (mass * w < CONNECTION_MAX_GAIN * abs(value)) \
+        & (abs(scale) < math.inf)
+    return scale * value, holds
+
+
+def _hyp2f1(a: float, b: float, c: float, z: float):
+    """2F1(a, b; c; z) for 0 <= z < 1 (b, c > 0): the direct series below
+    CONNECTION_SWITCH, and the 1 - z connection formula at or above it
+    where that holds. Returns (value, converged)."""
+    if z >= CONNECTION_SWITCH:
+        value, holds = _hyp2f1_near_one(a, b, c, 1.0 - float(z))
+        if holds:
+            return value, True
+    return _hyp2f1_series(a, b, c, z)
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -212,7 +407,7 @@ def _power_moment(law, m: int, s: float, kappa: float) -> float:
         if s >= b:
             return math.inf
         return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b))
-    val, ok = _hyp2f1_series(s, a + m, a + b + m, kappa)
+    val, ok = _hyp2f1(s, a + m, a + b + m, kappa)
     if ok:
         for j in range(m):         # times (alpha)_m / (alpha + beta)_m
             val = val * (a + j) / (a + b + j)
@@ -330,8 +525,9 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     Beta laws sum a series for every kappa < 1 at once, each entry to its
     own stop, so an entry equals the same kappa evaluated alone: the series
     of utility_jump_term term for term (for eta = 1 the very same log
-    series), and an entry whose series did not converge takes the scalar
-    route's quadrature. kappa = 1 takes the scalar route's closed form, so
+    series; for eta != 1 in 1 - kappa from CONNECTION_SWITCH where that
+    holds, else the direct series), and an entry whose series did not
+    converge takes the scalar route's quadrature. kappa = 1 takes the scalar route's closed form, so
     where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the kappa = 1 entry is
     -inf, the objective's true value there.
     """
@@ -344,17 +540,22 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
             return np.log(z) @ w
         return (z ** (1.0 - eta)) @ w / (1.0 - eta)
     out = np.empty_like(kappas)
-    summed = kappas < 1.0
+    summed = kappas < 1.0          # by _series_by_entry
     if eta == 1.0:
         total, converged = _series_by_entry(kappas[summed], 0.0,
                                             _log_ratio(law), 1.0)
         out[summed] = total
     else:
-        # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k), with the
-        # term ratio of _hyp2f1_series; at a huge eta a term overflows to
-        # inf, and so does the sum: the entry is then -inf, its value in
-        # double precision
+        # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k): in 1 - k
+        # from CONNECTION_SWITCH where that holds, else with the term ratio
+        # of _hyp2f1_series; at a huge eta a term overflows to inf, and so
+        # does the sum: the entry is then -inf, its value in double
+        # precision
         aa, bb, cc = eta - 1.0, law.alpha, law.alpha + law.beta
+        near = np.flatnonzero(summed & (kappas >= CONNECTION_SWITCH))
+        value, holds = _hyp2f1_near_one(aa, bb, cc, 1.0 - kappas[near])
+        out[near[holds]] = value[holds] / (1.0 - eta)
+        summed[near[holds]] = False
         ratio = lambda n: (aa + n) * (bb + n) / ((cc + n) * (1.0 + n))
         with np.errstate(over="ignore"):
             total, converged = _series_by_entry(kappas[summed], 1.0, ratio,
@@ -364,7 +565,7 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
         kappa = float(kappas[i])   # the scalar route's quadrature
         out[i] = (_beta_log_quadrature(law, kappa) if eta == 1.0 else
                   psi_quadrature(jumps, kappa, eta - 1.0, m=0) / (1.0 - eta))
-    for i in np.flatnonzero(~summed):
+    for i in np.flatnonzero(kappas == 1.0):
         out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
     return out
 

@@ -31,6 +31,7 @@ from one h call at the kappa that puts pi.1 on 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,9 +102,10 @@ _ROMAN = {("i", "interior"): "i", ("i", "tie"): "i",
 
 
 def _case_label(prefix: str, family: str, tag: str) -> str:
+    """One shared string per label (interned), not a new one per solve."""
     if family == "iii":
-        return f"{prefix}-iii"
-    return f"{prefix}-{_ROMAN[(family, tag)]}"
+        return sys.intern(f"{prefix}-iii")
+    return sys.intern(f"{prefix}-{_ROMAN[(family, tag)]}")
 
 
 def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule | None,
@@ -335,7 +337,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
 
     k_hat, tag, it_k, res_k = _solve_kappa(foc)
     if not premium_rate:
-        label = "SmoothG-" + {"lo": "2", "hi": "3"}.get(tag, "1")
+        label = {"lo": "SmoothG-2", "hi": "SmoothG-3"}.get(tag, "SmoothG-1")
     elif tag != "interior":
         raise NoInteriorSolution(
             "first-order condition has no sign change on (0, 1)")

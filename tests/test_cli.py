@@ -224,7 +224,8 @@ class TestVerify:
 class TestColdStart:
     # the bundled solves reach only series and closed forms, so scipy (about
     # half a second of import) stays unloaded; it is imported on first use by
-    # the quadrature fallback and fosd_compare alone
+    # the quadrature fallback and fosd_compare alone. hashlib (and with it
+    # OpenSSL) is imported only to hash the files --out writes.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys
         import pikappa as pk
@@ -234,6 +235,8 @@ class TestColdStart:
             loaded = sorted(m for m in sys.modules
                             if m == "scipy" or m.startswith("scipy."))
             assert not loaded, (step, loaded[:3])
+            hashing = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+            assert not hashing, (step, hashing)
 
         check("import pikappa, pikappa.cli")
         argvs = [["solve", "--model", name] for name in CONFIGS]

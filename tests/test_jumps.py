@@ -74,8 +74,8 @@ class TestPsi:
         assert pk.psi(law, 0.5, 2.0) == pytest.approx(expect, abs=1e-15)
 
     def test_near_one_series_route(self, monkeypatch):
-        # the series runs for every kappa < 1: at 1 - 5e-7 its terms decay
-        # like n^(eta - beta - 1), so it converges and no quadrature runs
+        # every kappa < 1 takes a series: at 1 - 5e-7 the one in 1 - kappa
+        # converges, and no quadrature runs
         def no_quadrature(*args):
             raise AssertionError("the quadrature fallback ran")
         monkeypatch.setattr(jumps_mod, "_beta_moment_quadrature",
@@ -94,6 +94,17 @@ class TestPsi:
         lo_e, hi_e = sorted((e1, e2))
         assert pk.psi(BETA28, hi_k, lo_e) >= pk.psi(BETA28, lo_k, lo_e) - 1e-12
         assert pk.psi(BETA28, lo_k, hi_e) >= pk.psi(BETA28, lo_k, lo_e) - 1e-12
+
+    def test_b1_psi_near_one_makes_no_direct_series_call(self, monkeypatch):
+        # b1 (Beta(2, 8), eta = 2): c - a - b = 6, DLMF 15.8.10 in 1 - kappa
+        def no_direct_series(*args):
+            raise AssertionError("the direct series ran")
+        monkeypatch.setattr(jumps_mod, "_hyp2f1_series", no_direct_series)
+        val = pk.psi(BETA28, 0.999, 2.0)
+        monkeypatch.undo()
+        assert val == pytest.approx(
+            jumps_mod._hyp2f1_series(2.0, 3.0, 11.0, 0.999)[0] * 0.2,
+            rel=1e-10)
 
     def test_out_of_range_kappa(self):
         with pytest.raises(pk.DomainError):
@@ -150,11 +161,15 @@ class TestPsiDkappa:
 
 
 # kappa bands of the 30-digit reference checks and their relative
-# tolerances: the series is tightest away from 1 and looser near kappa = 1,
-# where its terms decay slowly and its stop rule leaves a longer tail (an
-# entry whose series does not converge there takes the quadrature fallback)
-MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
-            (0.999, 1.0 - 1e-6, 1e-9), (1.0 - 1e-6, 1.0, 1e-9)]
+# tolerances. The power moments sum the direct series below kappa = 0.9 and
+# in 1 - kappa above it; [0.9, 0.999) keeps the direct series' 1e-12 for
+# the draws the 1 - kappa route declines (cancellation).
+MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-12),
+            (0.999, 1.0 - 1e-6, 1e-13), (1.0 - 1e-6, 1.0, 1e-13)]
+# the log term (eta = 1) is not a 2F1: its series still runs for every
+# kappa < 1, and its stop rule leaves a longer tail near kappa = 1
+LOG_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
+             (0.999, 1.0 - 1e-6, 1e-9), (1.0 - 1e-6, 1.0, 1e-9)]
 
 
 @pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
@@ -184,6 +199,63 @@ def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
                 pytest.approx(float(ref_u), rel=rtol, abs=0.0)
 
 
+NEAR_ONE = [0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
+# (alpha, beta, eta, kappas, taken): c - a - b is beta - eta for psi,
+# beta - eta - 1 for psi_dkappa and beta - eta + 1 for the utility term;
+# taken says whether the 1 - kappa route must take all three (True), must
+# leave all three to the direct series (False), or may do either (None)
+ROUTE_CASES = [
+    (2.0, 8.0, 2.0, NEAR_ONE, True),          # integer > 0: DLMF 15.8.10
+    (2.0, 8.0, 10.0, NEAR_ONE, True),         # integer < 0: Euler first
+    (2.0, 8.0, 11.0, NEAR_ONE, True),         # Euler gives a = 0: finite
+    (2.0, 8.0, 2.0 + 1e-2, NEAR_ONE, None),   # DLMF 15.8.4
+    (2.0, 8.0, 2.0 + 1e-4, NEAR_ONE, False),  # within INTEGER_GAP
+    (2.0, 8.0, 2.0 + 1e-8, NEAR_ONE, False),
+    (2.0, 8.0, 200.0, [0.9], False),          # Gamma(200) overflows
+    (20.0, 30.0, 25.0, [0.9], False),         # cancellation at 1 - kappa 0.1
+]
+
+
+@pytest.mark.parametrize("alpha,beta,eta,kappas,taken", ROUTE_CASES,
+                         ids=["integer", "integer-negative",
+                              "integer-negative-pole", "gap1e-2",
+                              "gap1e-4", "gap1e-8", "gamma-overflow",
+                              "cancellation"])
+def test_near_one_route_matches_mpmath(alpha, beta, eta, kappas, taken,
+                                       monkeypatch):
+    # psi, psi_dkappa and the utility term from kappa = 0.9 on: within
+    # 1e-13 of 30-digit mpmath where the 1 - kappa route takes them, and
+    # within the direct series' own 1e-11 where it declines
+    mpmath = pytest.importorskip("mpmath")
+    direct = []
+    series = jumps_mod._hyp2f1_series
+
+    def counted(*args):
+        direct.append(args)
+        return series(*args)
+    monkeypatch.setattr(jumps_mod, "_hyp2f1_series", counted)
+    law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=alpha, beta=beta))
+    A, B, E = (mpmath.mpf(x) for x in (alpha, beta, eta))
+    with mpmath.workdps(30):
+        for kappa in kappas:
+            K = mpmath.mpf(kappa)
+            cases = [
+                (pk.psi, A / (A + B) * mpmath.hyp2f1(E, A + 1, A + B + 1, K)),
+                (pk.psi_dkappa, A * (A + 1) / ((A + B) * (A + B + 1))
+                 * mpmath.hyp2f1(E + 1, A + 2, A + B + 2, K)),
+                (pk.utility_jump_term,
+                 mpmath.hyp2f1(E - 1, A, A + B, K) / (1 - E))]
+            for fn, ref in cases:
+                before = len(direct)
+                val = fn(law, kappa, eta)
+                took = len(direct) == before
+                if taken is not None:
+                    assert took == taken, (fn.__name__, kappa)
+                assert val == pytest.approx(float(ref), rel=1e-13 if took
+                                            else 1e-11, abs=0.0), \
+                    (fn.__name__, kappa)
+
+
 def mp_log_term(mpmath, a, b, kappa):
     """E[ln(1 - kappa Y)] for Y ~ Beta(a, b) by tanh-sinh quadrature at the
     working precision, split at y = 1/2."""
@@ -192,8 +264,8 @@ def mp_log_term(mpmath, a, b, kappa):
                        * (1 - y) ** (B - 1), [0, 0.5, 1]) / mpmath.beta(A, B)
 
 
-@pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
-                         ids=[f"kappa{lo:g}" for lo, _, _ in MP_BANDS])
+@pytest.mark.parametrize("lo,hi,rtol", LOG_BANDS,
+                         ids=[f"kappa{lo:g}" for lo, _, _ in LOG_BANDS])
 def test_log_term_matches_mpmath_quadrature(lo, hi, rtol):
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261019)
@@ -362,8 +434,10 @@ class TestUtilityCurveSlowTail:
 
     def test_unconverged_series_goes_straight_to_quadrature(self,
                                                             monkeypatch):
-        # the vectorized series cannot finish this entry; it must not sum
-        # the same series again through the scalar route
+        # c - a - b = beta - eta + 1 = 1.0005 lies within INTEGER_GAP of 1,
+        # so the 1 - kappa route declines and the vectorized direct series
+        # cannot finish this entry; it must not sum the same series again
+        # through the scalar route
         calls = []
         series = jumps_mod._hyp2f1_series
 
@@ -371,11 +445,22 @@ class TestUtilityCurveSlowTail:
             calls.append(args)
             return series(*args)
         monkeypatch.setattr(jumps_mod, "_hyp2f1_series", counted)
-        kappa, eta = 1.0 - 2.5e-6, 7.9
+        kappa, eta = 1.0 - 2.5e-6, 7.9995
         curve = utility_jump_curve(BETA28, np.array([kappa]), eta)
         assert calls == []
         assert curve[0] == pk.psi_quadrature(BETA28, kappa, eta - 1.0,
                                              m=0) / (1.0 - eta)
+
+    def test_former_quadrature_entry_matches_mpmath(self):
+        # kappa = 1 - 2.5e-6 at eta = 7.9 took the quadrature before the
+        # 1 - kappa route (c - a - b = 1.1) converged there
+        mpmath = pytest.importorskip("mpmath")
+        kappa, eta = 1.0 - 2.5e-6, 7.9
+        with mpmath.workdps(30):
+            E = mpmath.mpf(eta)
+            ref = mpmath.hyp2f1(E - 1, 2, 10, mpmath.mpf(kappa)) / (1 - E)
+        curve = utility_jump_curve(BETA28, np.array([kappa]), eta)
+        assert curve[0] == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
