@@ -9,35 +9,38 @@ evaluates all three:
 - Beta(alpha, beta) at kappa = 1: the closed form
   B(alpha + m, beta - s) / B(alpha, beta) when s < beta, and +inf, the
   moment's true value, when s >= beta;
-- Beta at kappa < CONNECTION_SWITCH = 0.9: the Gaussian hypergeometric
-  series (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m;
-  kappa) (DLMF 15.2), whose terms decay like n^(s - beta - 1) kappa^n;
+- Beta at kappa < CONNECTION_SWITCH = 0.9: (alpha)_m / (alpha + beta)_m
+  2F1(s, alpha + m; alpha + beta + m; kappa), its series summed directly
+  (DLMF 15.2); the terms decay like n^(s - beta - 1) kappa^n;
 - Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa, whose
-  terms decay like w^n: the connection formula DLMF 15.8.4 for c - a - b =
-  beta - s not an integer, DLMF 15.8.10 (with _digamma) for an integer
-  beta - s >= 0, and Euler's transformation (DLMF 15.8.1) first for
-  beta - s < 0. It leaves to the direct series: beta - s within
-  INTEGER_GAP of an integer, Gamma factors that overflow (eta = 1e6, say),
-  and cancellation between its pieces (large alpha or eta near w = 0.1);
-- when the direct series does not converge within SERIES_MAX_TERMS:
-  adaptive quadrature against the Beta density with algebraic endpoint
-  weights.
+  terms decay like w^n: DLMF 15.8.4 for c - a - b = beta - s not an
+  integer, DLMF 15.8.10 (with _digamma) for an integer beta - s >= 0, and
+  Euler's transformation (DLMF 15.8.1) first for beta - s < 0, whose factor
+  w^(beta - s) may carry the moment beyond double range, to +inf. It leaves
+  to the direct series: beta - s within INTEGER_GAP of an integer, Gamma
+  factors that overflow (eta = 1e6, say), and cancellation between its
+  pieces (large alpha or eta near w = 0.1);
+- when the direct series does not converge: adaptive quadrature against
+  the Beta density with algebraic endpoint weights.
 
-The quadrature route alone (psi_quadrature) is the independent reference
-the tests check every functional against. The log-utility term (eta = 1)
-is not a power moment: an exact sum for discrete laws; for Beta the series
-E[ln(1 - kappa Y)] = -sum_n kappa^n E[Y^n] / n below kappa = 1 (quadrature
-if it does not converge) and the closed form digamma(beta) -
-digamma(alpha + beta) at kappa = 1.
+The log-utility term (eta = 1) is not a power moment: an exact sum for
+discrete laws; for Beta below kappa = 1 the series E[ln(1 - kappa Y)] =
+-kappa alpha / (alpha + beta) 3F2(1, 1, alpha + 1; 2, alpha + beta + 1;
+kappa) (quadrature if it does not converge), and at kappa = 1 the closed
+form digamma(beta) - digamma(alpha + beta).
 
-utility_jump_curve sums the direct series for all its entries below 0.9
-at once, and the 1 - kappa route for all those from 0.9 on, each entry to
-its own stop, so that every entry has the bits of utility_jump_term at the
-same kappa.
+Every one of these series, in kappa or in 1 - kappa, has terms u_k with
+the ratio u_(k+1) / u_k = (p + k)(q + k) / ((r + k)(s + k)) z, and the one
+kernel _sums sums them all, for a float z or an array. It stops at the
+first term below SERIES_RTOL times the partial sum whose successor is
+smaller still (or where the sum overflows to inf), and gives up,
+unconverged, at SERIES_MAX_TERMS terms. utility_jump_curve hands a kappa
+grid to the same routes; each entry stops on its own, so it has the bits
+of utility_jump_term at the same kappa.
 
-Only the quadrature fallback and fosd_compare's Beta CDF use scipy, and
-they import it when first called: the series and closed forms, which are
-all a solve of the bundled configs reaches, need numpy alone.
+The quadrature route alone (psi_quadrature) is the tests' independent
+reference. Only it and fosd_compare's Beta CDF import scipy, on first call:
+the series and closed forms, all a bundled config's solve reaches, do not.
 
 A divergent moment is decided here alone. At kappa = 1 under a Beta law,
 psi is +inf for eta >= beta, psi_dkappa for 1 + eta >= beta, and the
@@ -63,8 +66,7 @@ from .models import (BetaJumps, DiscreteJumps, JumpLaw, law_mean,
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
 CONNECTION_SWITCH = 0.9        # z from which 2F1 is summed in 1 - z
-CONNECTION_MAX_TERMS = 2_000
-# the 1 - z route holds while sum |pieces| / |2F1| stays below
+# the 1 - z route holds while (|c1 s1| + |c2 s2|) / |2F1| stays below
 # CONNECTION_MAX_GAIN / (1 - z): the direct series' stop rule leaves an error
 # that grows like 1 / (1 - z), so nearer 1 the route may cancel more digits
 CONNECTION_MAX_GAIN = 1.0
@@ -75,20 +77,88 @@ QUAD_EPSABS = 1e-12
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float):
-    """2F1(a, b; c; z) by direct summation with term-ratio truncation.
+def _sums(p, q, r, s, z, g=None, start=0):
+    """sum_k u_k g_k, and whether it converged, for z a float or an array:
+    u_k = (p)_k (q)_k / ((r)_k (s)_k) z^k, and g_k = 1 or, given g_0 (like
+    z), the digamma bracket g_k = g_0 + sum_(j < k) (1/(p + j) + 1/(q + j)
+    - 1/(r + j) - 1/(s + j)).
 
-    Valid for the parameter ranges used here (b, c > 0, 0 <= z < 1).
-    Returns (value, converged).
+    Each entry stops at its first k >= start with |u_k| max(1, |g_k|) <=
+    SERIES_RTOL |S_k| and |u_(k+1) / u_k| < 1, or with S_k overflowed to
+    +-inf; it has not converged if SERIES_MAX_TERMS terms do not get there.
+    Callers keep r + k and s + k off 0, and r + k > 0 past start, so no
+    small denominator scales up the tail left behind. A float z is summed
+    in Python floats, an array by _array_sums with the same IEEE
+    arithmetic, so each entry has the bits of its z alone.
     """
-    term = 1.0
-    total = 1.0
-    for n in range(SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
+    if isinstance(z, np.ndarray):
+        return _array_sums(p, q, r, s, z, g, start)
+    # the term ratio is written out twice, so that the loop every psi runs
+    # keeps no temporary
+    rtol = SERIES_RTOL
+    u, total = 1.0, 0.0
+    if g is None:
+        for k in range(SERIES_MAX_TERMS):
+            total = total + u
+            if abs(u) <= rtol * abs(total) and k >= start and (abs(
+                    (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
+                    or abs(total) == math.inf):
+                return total, True
+            u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
+        return total, False
+    for k in range(SERIES_MAX_TERMS):
+        piece = u * g
+        total = total + piece
+        # |u_k| max(1, |g_k|) <= rtol |S_k|: both |u_k| and |u_k g_k| are
+        if abs(u) <= rtol * abs(total) >= abs(piece) and k >= start and (abs(
+                (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
+                or abs(total) == math.inf):
             return total, True
+        u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
+        g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
+                 - 1.0 / (s + k))
     return total, False
+
+
+def _array_sums(p, q, r, s, z, g, start):
+    """_sums for an array z: one numpy loop that carries only the entries
+    still running. The last one is summed again alone, in Python floats,
+    which is cheaper than numpy's per-call cost on one entry."""
+    out, converged = np.empty_like(z), np.zeros(z.shape, dtype=bool)
+    live, zl, gl = np.arange(z.size), z, g
+    u, total = np.ones_like(z), np.zeros_like(z)
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size > 1 and k < SERIES_MAX_TERMS:
+            if g is None:
+                total = total + u
+                bound = np.abs(u)
+            else:              # |u_k| max(1, |g_k|), as max(|u_k|, |u_k g_k|)
+                piece = u * gl
+                total = total + piece
+                bound = np.maximum(np.abs(u), np.abs(piece))
+            ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * zl
+            stop = bound <= SERIES_RTOL * np.abs(total)
+            if k >= start and stop.any():
+                stop &= (np.abs(ratio) < 1.0) | np.isinf(total)
+                out[live[stop]] = total[stop]
+                converged[live[stop]] = True
+                keep = ~stop
+                live, zl, u, total, ratio = (
+                    x[keep] for x in (live, zl, u, total, ratio))
+                gl = None if g is None else gl[keep]
+            u = u * ratio
+            if g is not None:
+                gl = gl + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
+                           - 1.0 / (s + k))
+            k += 1
+    if live.size == 1:
+        i = live[0]
+        gi = None if g is None else float(g[i])
+        out[i], converged[i] = _sums(p, q, r, s, float(z[i]), gi, start)
+    else:
+        out[live] = total
+    return out, converged
 
 
 def _rgamma(x: float) -> float:
@@ -98,108 +168,40 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _pow_or_inf(x: float, y: float) -> float:
-    """x ** y, inf where that overflows."""
+def _times_power(v: float, x: float, d: float) -> float:
+    """v x^d, +-inf where that lies beyond double range (x^d alone may)."""
     try:
-        return x ** y
+        return v * x ** d
     except OverflowError:
-        return math.inf
+        lg = d * math.log(x) + (math.log(abs(v)) if v else -math.inf)
+        return math.copysign(math.inf if lg > 709.0 else math.exp(lg), v)
 
 
-def _each(fn, w):
-    """fn of w, a float or an array: an array entry by entry in Python
-    floats, so that it has the bits of the same float alone."""
-    if isinstance(w, np.ndarray):
-        return np.array([fn(x) for x in w.tolist()])
-    return fn(w)
-
-
-def _w_tail(p, q, r, s, w, g, start, k, u, total, mass):
-    """_w_sums for one float w, resumed at term k."""
-    log = g is not None
-    if not log:
-        g = 1.0
-    while k < CONNECTION_MAX_TERMS:
-        piece = u * g
-        total = total + piece
-        mass = mass + abs(piece)
-        ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * w
-        if k >= start and abs(ratio) < 1.0 \
-                and abs(u) * (1.0 + abs(g)) <= SERIES_RTOL * abs(total):
-            return total, mass
-        u = u * ratio
-        if log:
-            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
-                     - 1.0 / (s + k))
-        k += 1
-    return total, math.inf
-
-
-def _w_sums(p, q, r, s, w, g=None, start=0):
-    """sum_k u_k g_k and sum_k |u_k g_k| for w a float or an array of
-    entries in (0, 1), where u_k = (p)_k (q)_k / ((r)_k (s)_k) w^k and
-    g_k = 1, or, given g_0, the digamma bracket g_k = g_0 + sum_(j < k)
-    (1/(p + j) + 1/(q + j) - 1/(r + j) - 1/(s + j)).
-
-    Each entry stops at its first k >= start with |u_(k+1) / u_k| < 1 and
-    |u_k| (1 + |g_k|) <= SERIES_RTOL |sum|; past start, r + k > 0, so no
-    small denominator scales up the tail left behind. The absolute sum is
-    inf where the sum did not converge. As in _series_by_entry, an array
-    runs its last live entry on in Python floats: the arithmetic of that
-    entry alone.
-    """
-    if not isinstance(w, np.ndarray):
-        return _w_tail(p, q, r, s, w, g, start, 0, 1.0, 0.0, 0.0)
-    log = g is not None
-    out, out_mass = np.empty_like(w), np.full_like(w, math.inf)
-    live = np.arange(w.size)
-    u, total, mass = np.ones_like(w), np.zeros_like(w), np.zeros_like(w)
-    g = total + (g if log else 1.0)
-    k = 0
-    while live.size > 1 and k < CONNECTION_MAX_TERMS:
-        piece = u * g
-        total = total + piece
-        mass = mass + np.abs(piece)
-        ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * w
-        if k >= start:
-            stop = (np.abs(ratio) < 1.0) & (
-                np.abs(u) * (1.0 + np.abs(g)) <= SERIES_RTOL * np.abs(total))
-            if stop.any():
-                out[live[stop]] = total[stop]
-                out_mass[live[stop]] = mass[stop]
-                keep = ~stop
-                live, w, u, g, total, mass, ratio = (
-                    x[keep] for x in (live, w, u, g, total, mass, ratio))
-        u = u * ratio
-        if log:
-            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
-                     - 1.0 / (s + k))
-        k += 1
-    if live.size == 1:
-        out[live], out_mass[live] = _w_tail(
-            p, q, r, s, float(w[0]), float(g[0]) if log else None, start, k,
-            float(u[0]), float(total[0]), float(mass[0]))
-    else:
-        out[live] = total
-    return out, out_mass
+def _each(fn, *args):
+    """fn of floats, or of arrays entry by entry in Python floats, so that
+    an entry has the bits of the same floats alone."""
+    if isinstance(args[0], np.ndarray):
+        return np.array([fn(*x) for x in zip(*(a.tolist() for a in args))])
+    return fn(*args)
 
 
 def _connection_noninteger(a: float, b: float, c: float, d: float, w):
     """2F1(a, b; c; 1 - w) for c - a - b = d > 0 not an integer (DLMF
-    15.8.4), and the sum of the absolute values of its pieces."""
+    15.8.4) as c1 s1 + c2 s2, |c1 s1| + |c2 s2|, and whether both sums
+    converged."""
     gc = math.gamma(c)
     c1 = gc * math.gamma(d) * _rgamma(c - a) * _rgamma(c - b)
     c2 = gc * math.gamma(-d) * _rgamma(a) * _rgamma(b) * _each(
         lambda x: x ** d, w)
-    s1, m1 = _w_sums(a, b, 1.0 - d, 1.0, w, start=math.floor(d))
-    s2, m2 = _w_sums(c - a, c - b, 1.0 + d, 1.0, w)
-    return c1 * s1 + c2 * s2, abs(c1) * m1 + abs(c2) * m2
+    s1, ok1 = _sums(a, b, 1.0 - d, 1.0, w, start=math.floor(d))
+    s2, ok2 = _sums(c - a, c - b, 1.0 + d, 1.0, w)
+    return c1 * s1 + c2 * s2, abs(c1 * s1) + abs(c2 * s2), ok1 & ok2
 
 
 def _connection_log(a: float, b: float, c: float, m: int, w):
-    """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0 (DLMF 15.8.10),
-    and the sum of the absolute values of its pieces: a finite sum in
-    (z - 1)^k = (-w)^k and a series with the bracket ln(w) - psi(k + 1) -
+    """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0 (DLMF 15.8.10), the
+    absolute values of its pieces summed, and whether its series converged:
+    a finite sum in (-w)^k, and c2 s2 with the bracket ln(w) - psi(k + 1) -
     psi(k + m + 1) + psi(a + k + m) + psi(b + k + m)."""
     gc = math.gamma(c)
     total = mass = 0.0 * w
@@ -214,55 +216,61 @@ def _connection_log(a: float, b: float, c: float, m: int, w):
         x = x * -w
     c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
     if c2 == 0.0:                  # a or b a pole: 2F1 is the finite sum
-        return total, mass
+        return total, mass, True
     c2 = c2 * x
     am, bm = a + m, b + m
     g0 = 2.0 * EULER_GAMMA - math.fsum(1.0 / j for j in range(1, m + 1)) \
         + _digamma(am) + _digamma(bm)
-    s2, m2 = _w_sums(am, bm, 1.0, m + 1.0, w, g=_each(math.log, w) + g0)
-    return total + c2 * s2, mass + abs(c2) * m2
+    s2, ok = _sums(am, bm, 1.0, m + 1.0, w, g=_each(math.log, w) + g0)
+    return total + c2 * s2, mass + abs(c2 * s2), ok
 
 
 def _hyp2f1_near_one(a: float, b: float, c: float, w):
     """2F1(a, b; c; 1 - w) for w a float or an array of entries in (0, 1)
     summed in w, and where that holds (a bool, or a bool array). It does
-    not hold, and the direct series must serve, when c - a - b lies within
-    INTEGER_GAP of an integer, a Gamma factor overflows, or the absolute
-    values of the pieces add up to CONNECTION_MAX_GAIN times the result or
-    more (cancellation). For c - a - b < 0 Euler's transformation (DLMF
-    15.8.1) comes first, so the connection formula sees c - a - b > 0.
+    not hold when c - a - b lies within INTEGER_GAP of an integer, a Gamma
+    factor overflows, a series does not converge, or the pieces' absolute
+    values add up to CONNECTION_MAX_GAIN / w times the result (cancellation).
+    For c - a - b < 0 Euler's transformation (DLMF 15.8.1) comes first; its
+    factor w^(c - a - b) may carry the result beyond double range, to +-inf.
     """
     a, b, c = float(a), float(b), float(c)
     d = c - a - b
     m = round(d)
-    declined = w * math.nan, w < 0.0       # (nan, False) for every entry
     if m != d and abs(d - m) < INTEGER_GAP:
-        return declined
-    scale = 1.0
+        return w * math.nan, w < 0.0       # (nan, False) for every entry
+    euler = d < 0.0
+    if euler:
+        a, b, d, m = c - a, c - b, -d, -m
     try:
-        if d < 0.0:
-            scale = _each(lambda x: _pow_or_inf(x, d), w)
-            a, b, d, m = c - a, c - b, -d, -m
         if m == d:
-            value, mass = _connection_log(a, b, c, m, w)
+            value, mass, ok = _connection_log(a, b, c, m, w)
         else:
-            value, mass = _connection_noninteger(a, b, c, d, w)
+            value, mass, ok = _connection_noninteger(a, b, c, d, w)
     except OverflowError:
-        return declined
-    holds = (mass * w < CONNECTION_MAX_GAIN * abs(value)) \
-        & (abs(scale) < math.inf)
-    return scale * value, holds
+        return w * math.nan, w < 0.0
+    holds = ok & (mass * w < CONNECTION_MAX_GAIN * abs(value))
+    if euler:
+        value = _each(lambda v, x: _times_power(v, x, -d), value, w)
+    return value, holds
 
 
-def _hyp2f1(a: float, b: float, c: float, z: float):
-    """2F1(a, b; c; z) for 0 <= z < 1 (b, c > 0): the direct series below
-    CONNECTION_SWITCH, and the 1 - z connection formula at or above it
-    where that holds. Returns (value, converged)."""
-    if z >= CONNECTION_SWITCH:
-        value, holds = _hyp2f1_near_one(a, b, c, 1.0 - float(z))
-        if holds:
-            return value, True
-    return _hyp2f1_series(a, b, c, z)
+def _hyp2f1(a: float, b: float, c: float, z):
+    """2F1(a, b; c; z) and whether it converged, for z a float or an array
+    in [0, 1) (b, c > 0): in 1 - z from CONNECTION_SWITCH where that holds,
+    else the direct series _sums(a, b, c, 1, z) (DLMF 15.2)."""
+    if not isinstance(z, np.ndarray):
+        if z >= CONNECTION_SWITCH:
+            value, holds = _hyp2f1_near_one(a, b, c, 1.0 - float(z))
+            if holds:
+                return value, True
+        return _sums(a, b, c, 1.0, z)
+    value, ok = np.empty_like(z), np.zeros(z.shape, dtype=bool)
+    near = np.flatnonzero(z >= CONNECTION_SWITCH)
+    value[near], ok[near] = _hyp2f1_near_one(a, b, c, 1.0 - z[near])
+    rest = np.flatnonzero(~ok)
+    value[rest], ok[rest] = _sums(a, b, c, 1.0, z[rest])
+    return value, ok
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -448,13 +456,13 @@ def _beta_log_quadrature(law: BetaJumps, kappa: float) -> float:
                       lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
 
 
-def _log_ratio(law: BetaJumps):
-    """Term ratio of E[ln(1 - kappa Y)] = -sum_(n >= 1) kappa^n E[Y^n] / n
-    for Y ~ Beta(a, b), with E[Y^n] / E[Y^(n-1)] = (a + n - 1) /
-    (a + b + n - 1): the one log series of the scalar and the curve."""
+def _log_series(law: BetaJumps, kappa):
+    """E[ln(1 - kappa Y)] for Y ~ Beta(a, b) and kappa < 1 (a float or an
+    array) as -kappa a / (a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa), and
+    whether it converged: the one log series of the scalar and the curve."""
     a, b = law.alpha, law.beta
-    return lambda n: (-a / (a + b) if n == 0
-                      else (a + n) / (a + b + n) * n / (n + 1.0))
+    total, converged = _sums(a + 1.0, 1.0, a + b + 1.0, 2.0, kappa)
+    return -kappa * a / (a + b) * total, converged
 
 
 def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
@@ -467,54 +475,10 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
         return float(np.sum(law.weights * np.log(1.0 - kappa * law.points)))
     if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
         return _digamma(law.beta) - _digamma(law.alpha + law.beta)
-    total, converged = _series_by_entry(np.array([kappa]), 0.0,
-                                        _log_ratio(law), 1.0)
-    if converged[0]:
-        return float(total[0])
+    total, converged = _log_series(law, kappa)
+    if converged:
+        return total
     return _beta_log_quadrature(law, kappa)
-
-
-def _series_by_entry(z: np.ndarray, first: float, ratio, floor: float):
-    """first + sum over n >= 0 of t_n for every entry of z, where
-    t_n = t_(n-1) * (ratio(n) z) and t_(-1) = 1.
-
-    Each entry stops on its own, at the first n with
-    |t_n| <= SERIES_RTOL (floor + |sum|), so its value does not depend on
-    the other entries; the loop carries only the entries still running,
-    and the last one runs on in Python floats: the same IEEE arithmetic,
-    so the same bits, without numpy's per-call cost on a 1-entry array.
-    Returns (sums, converged).
-    """
-    out = np.empty_like(z)
-    converged = np.zeros(z.shape, dtype=bool)
-    live = np.arange(z.size)
-    zl = z
-    term = np.ones_like(z)
-    total = np.full_like(z, first)
-    n = 0
-    while live.size > 1 and n < SERIES_MAX_TERMS:
-        term = term * (ratio(n) * zl)
-        total = total + term
-        n += 1
-        stop = np.abs(term) <= SERIES_RTOL * (floor + np.abs(total))
-        if stop.any():
-            out[live[stop]] = total[stop]
-            converged[live[stop]] = True
-            keep = ~stop
-            live, zl, term, total = live[keep], zl[keep], term[keep], \
-                total[keep]
-    if live.size == 1:
-        zi, t, acc = float(zl[0]), float(term[0]), float(total[0])
-        while n < SERIES_MAX_TERMS:
-            t = t * (ratio(n) * zi)
-            acc = acc + t
-            n += 1
-            if abs(t) <= SERIES_RTOL * (floor + abs(acc)):
-                converged[live] = True
-                break
-        total = acc
-    out[live] = total
-    return out, converged
 
 
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
@@ -522,14 +486,15 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
     jump term.
 
-    Beta laws sum a series for every kappa < 1 at once, each entry to its
-    own stop, so an entry equals the same kappa evaluated alone: the series
-    of utility_jump_term term for term (for eta = 1 the very same log
-    series; for eta != 1 in 1 - kappa from CONNECTION_SWITCH where that
-    holds, else the direct series), and an entry whose series did not
-    converge takes the scalar route's quadrature. kappa = 1 takes the scalar route's closed form, so
-    where E[U_eta(1 - Y)] diverges (eta >= beta + 1) the kappa = 1 entry is
-    -inf, the objective's true value there.
+    A Beta law hands every kappa < 1 to the series of utility_jump_term at
+    once: the log series for eta = 1, else 2F1(eta - 1, alpha; alpha +
+    beta; kappa), in 1 - kappa from CONNECTION_SWITCH where that holds.
+    The kernel _sums stops each entry on its own (SERIES_RTOL, at most
+    SERIES_MAX_TERMS terms), so an entry has the bits of utility_jump_term
+    at the same kappa: -inf where the sum lies beyond double range, and the
+    quadrature where it did not converge. kappa = 1 takes the closed form:
+    -inf where E[U_eta(1 - Y)] diverges (eta >= beta + 1), the objective's
+    true value there.
     """
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
@@ -540,28 +505,14 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
             return np.log(z) @ w
         return (z ** (1.0 - eta)) @ w / (1.0 - eta)
     out = np.empty_like(kappas)
-    summed = kappas < 1.0          # by _series_by_entry
+    summed = np.flatnonzero(kappas < 1.0)
     if eta == 1.0:
-        total, converged = _series_by_entry(kappas[summed], 0.0,
-                                            _log_ratio(law), 1.0)
-        out[summed] = total
+        out[summed], converged = _log_series(law, kappas[summed])
     else:
-        # E[(1-kY)^(1-eta)] = 2F1(eta-1, alpha; alpha+beta; k): in 1 - k
-        # from CONNECTION_SWITCH where that holds, else with the term ratio
-        # of _hyp2f1_series; at a huge eta a term overflows to inf, and so
-        # does the sum: the entry is then -inf, its value in double
-        # precision
-        aa, bb, cc = eta - 1.0, law.alpha, law.alpha + law.beta
-        near = np.flatnonzero(summed & (kappas >= CONNECTION_SWITCH))
-        value, holds = _hyp2f1_near_one(aa, bb, cc, 1.0 - kappas[near])
-        out[near[holds]] = value[holds] / (1.0 - eta)
-        summed[near[holds]] = False
-        ratio = lambda n: (aa + n) * (bb + n) / ((cc + n) * (1.0 + n))
-        with np.errstate(over="ignore"):
-            total, converged = _series_by_entry(kappas[summed], 1.0, ratio,
-                                                0.0)
+        total, converged = _hyp2f1(eta - 1.0, law.alpha,
+                                   law.alpha + law.beta, kappas[summed])
         out[summed] = total / (1.0 - eta)
-    for i in np.flatnonzero(summed)[~converged]:
+    for i in summed[~converged]:
         kappa = float(kappas[i])   # the scalar route's quadrature
         out[i] = (_beta_log_quadrature(law, kappa) if eta == 1.0 else
                   psi_quadrature(jumps, kappa, eta - 1.0, m=0) / (1.0 - eta))

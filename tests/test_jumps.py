@@ -1,9 +1,12 @@
 """Jump-functional tests: frozen closed-form values, dual-path agreement,
 derivative and Monte Carlo oracles, dominance and sampling."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -22,6 +25,26 @@ def quad_psi_oracle(alpha, beta, kappa, eta):
     f = lambda y: c * y ** alpha * (1 - y) ** (beta - 1) * (1 - kappa * y) ** (-eta)
     v, _ = integrate.quad(f, 0, 1, epsabs=1e-13, epsrel=1e-12, limit=300)
     return v
+
+
+def count_direct_calls(monkeypatch):
+    """Wrap the series kernel jumps._sums and list its outermost calls with
+    an entry at z >= CONNECTION_SWITCH: the direct series near kappa = 1
+    (the 1 - kappa route sums in w = 1 - kappa <= 0.1). A call the kernel
+    makes to finish an array's last entry is part of the outer call."""
+    calls, depth = [], [0]
+    kernel, switch = jumps_mod._sums, jumps_mod.CONNECTION_SWITCH
+
+    def counted(p, q, r, s, z, *args, **kwargs):
+        if not depth[0] and np.any(np.asarray(z) >= switch):
+            calls.append((p, q, r, s, z))
+        depth[0] += 1
+        try:
+            return kernel(p, q, r, s, z, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(jumps_mod, "_sums", counted)
+    return calls
 
 
 def utility_quadrature(law, kappa, eta):
@@ -97,14 +120,11 @@ class TestPsi:
 
     def test_b1_psi_near_one_makes_no_direct_series_call(self, monkeypatch):
         # b1 (Beta(2, 8), eta = 2): c - a - b = 6, DLMF 15.8.10 in 1 - kappa
-        def no_direct_series(*args):
-            raise AssertionError("the direct series ran")
-        monkeypatch.setattr(jumps_mod, "_hyp2f1_series", no_direct_series)
+        direct = count_direct_calls(monkeypatch)
         val = pk.psi(BETA28, 0.999, 2.0)
-        monkeypatch.undo()
+        assert direct == []
         assert val == pytest.approx(
-            jumps_mod._hyp2f1_series(2.0, 3.0, 11.0, 0.999)[0] * 0.2,
-            rel=1e-10)
+            jumps_mod._sums(2.0, 3.0, 11.0, 1.0, 0.999)[0] * 0.2, rel=1e-10)
 
     def test_out_of_range_kappa(self):
         with pytest.raises(pk.DomainError):
@@ -178,7 +198,6 @@ def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
     # psi = a/(a+b) 2F1(eta, a+1; a+b+1; kappa), psi_dkappa =
     # a(a+1)/((a+b)(a+b+1)) 2F1(eta+1, a+2; a+b+2; kappa) and the utility
     # term 2F1(eta-1, a; a+b; kappa)/(1-eta) for Y ~ Beta(a, b)
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     with mpmath.workdps(30):
         for _ in range(25):
@@ -226,14 +245,7 @@ def test_near_one_route_matches_mpmath(alpha, beta, eta, kappas, taken,
     # psi, psi_dkappa and the utility term from kappa = 0.9 on: within
     # 1e-13 of 30-digit mpmath where the 1 - kappa route takes them, and
     # within the direct series' own 1e-11 where it declines
-    mpmath = pytest.importorskip("mpmath")
-    direct = []
-    series = jumps_mod._hyp2f1_series
-
-    def counted(*args):
-        direct.append(args)
-        return series(*args)
-    monkeypatch.setattr(jumps_mod, "_hyp2f1_series", counted)
+    direct = count_direct_calls(monkeypatch)
     law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=alpha, beta=beta))
     A, B, E = (mpmath.mpf(x) for x in (alpha, beta, eta))
     with mpmath.workdps(30):
@@ -267,7 +279,6 @@ def mp_log_term(mpmath, a, b, kappa):
 @pytest.mark.parametrize("lo,hi,rtol", LOG_BANDS,
                          ids=[f"kappa{lo:g}" for lo, _, _ in LOG_BANDS])
 def test_log_term_matches_mpmath_quadrature(lo, hi, rtol):
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261019)
     with mpmath.workdps(30):
         for _ in range(25):
@@ -282,7 +293,6 @@ def test_log_term_matches_mpmath_quadrature(lo, hi, rtol):
 def test_log_term_at_kappa_one_is_the_digamma_difference():
     # E[ln(1 - Y)] = digamma(b) - digamma(a + b), against the quadrature
     # and against mpmath's digamma
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261020)
     with mpmath.workdps(30):
         for _ in range(10):
@@ -297,10 +307,84 @@ def test_log_term_at_kappa_one_is_the_digamma_difference():
 
 
 def test_digamma_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     for x in np.linspace(0.3, 40.0, 400):
         ref = mpmath.digamma(mpmath.mpf(float(x)))
         assert abs(jumps_mod._digamma(float(x)) - float(ref)) <= 5e-15
+
+
+@given(p=st.one_of(st.floats(-12.0, 40.0), st.floats(1e100, 1e300)),
+       q=st.floats(-12.0, 40.0), r=st.floats(0.25, 40.0),
+       s=st.floats(0.25, 40.0), start=st.integers(0, 4),
+       zs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10),
+       g0=st.one_of(st.none(), st.floats(-4.0, 4.0)))
+@example(p=1e200, q=1.0, r=2.0, s=1.0, start=0, zs=[0.0, 1e-250, 0.5],
+         g0=None)                  # the 0.5 entry overflows to +inf
+@example(p=0.5, q=0.5, r=1.5, s=1.0, start=0, zs=[0.1, 0.999, 0.5],
+         g0=None)                  # the 0.999 entry hits the term cap
+@example(p=2.5, q=3.0, r=1.0, s=4.0, start=0, zs=[0.05, 0.1, 0.02, 0.3, 0.5],
+         g0=-3.0)                  # |g_k| crosses 1 in the numpy loop
+@settings(max_examples=200, deadline=None)
+def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0):
+    # the series kernel sums a float z, a 1-entry array and a many-entry
+    # array with the same IEEE arithmetic: bit-identical sums and the same
+    # converged flags. The term cap is lowered so that entries reach it
+    # cheaply.
+    if g0 is not None:             # the bracket divides by p + k and q + k
+        assume(all(x > 0.0 or x != round(x) for x in (p, q)))
+    z = np.array(zs)
+    g = None if g0 is None else g0 + z
+    bits = lambda x: np.float64(x).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumps_mod, "SERIES_MAX_TERMS", 500)
+        many, many_ok = jumps_mod._sums(p, q, r, s, z, g, start)
+        for i, zi in enumerate(zs):
+            gi = None if g is None else float(g[i])
+            alone, ok = jumps_mod._sums(p, q, r, s, zi, gi, start)
+            one, one_ok = jumps_mod._sums(
+                p, q, r, s, z[i:i + 1], None if g is None else g[i:i + 1],
+                start)
+            assert bits(alone) == bits(one[0]) == bits(many[i]), (i, zi)
+            assert ok == one_ok[0] == many_ok[i], (i, zi)
+
+
+def test_sums_overflow_and_term_cap():
+    # a partial sum past double range stops there, converged, at +inf; a
+    # series too slow for SERIES_MAX_TERMS stops at the cap, unconverged
+    assert jumps_mod._sums(1e200, 1.0, 2.0, 1.0, 0.5) == (math.inf, True)
+    total, ok = jumps_mod._sums(0.5, 0.5, 1.5, 1.0, 1.0)
+    assert math.isfinite(total) and not ok
+
+
+class TestBeyondDoubleRange:
+    # On Beta(2, 8) at kappa = 1 - 1e-12 and eta = 40 the power moments are
+    # finite, but beyond double range (psi is about 1.5e377): psi and
+    # psi_dkappa are +inf, the utility term and its curve entry -inf, as at
+    # a divergent kappa = 1
+    KAPPA = 1.0 - 1e-12
+
+    @pytest.mark.parametrize("eta", [40.0, 40.5])
+    def test_moment_beyond_double_range_is_inf(self, eta):
+        with mpmath.workdps(30):
+            K, E = mpmath.mpf(self.KAPPA), mpmath.mpf(eta)
+            refs = [mpmath.mpf(1) / 5 * mpmath.hyp2f1(E, 3, 11, K),
+                    mpmath.mpf(6) / 110 * mpmath.hyp2f1(E + 1, 4, 12, K),
+                    mpmath.hyp2f1(E, 2, 10, K) / E]
+            assert all(ref > mpmath.mpf(np.finfo(float).max) for ref in refs)
+        assert pk.psi(BETA28, self.KAPPA, eta) == math.inf
+        assert pk.psi_dkappa(BETA28, self.KAPPA, eta) == math.inf
+        assert pk.utility_jump_term(BETA28, self.KAPPA, eta + 1.0) == -math.inf
+        curve = utility_jump_curve(BETA28, np.array([0.5, self.KAPPA]),
+                                   eta + 1.0)
+        assert np.isfinite(curve[0]) and curve[1] == -math.inf
+
+    def test_large_representable_moment_keeps_its_value(self):
+        kappa, eta = 1.0 - 1e-9, 40.0
+        with mpmath.workdps(30):
+            ref = mpmath.mpf(1) / 5 * mpmath.hyp2f1(
+                mpmath.mpf(eta), 3, 11, mpmath.mpf(kappa))
+        val = pk.psi(BETA28, kappa, eta)
+        assert val == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+        assert val == pytest.approx(1.4628510949e281, rel=1e-10, abs=0.0)
 
 
 class TestUtilityJumpTerm:
@@ -435,26 +519,19 @@ class TestUtilityCurveSlowTail:
     def test_unconverged_series_goes_straight_to_quadrature(self,
                                                             monkeypatch):
         # c - a - b = beta - eta + 1 = 1.0005 lies within INTEGER_GAP of 1,
-        # so the 1 - kappa route declines and the vectorized direct series
+        # so the 1 - kappa route declines and the curve's direct series
         # cannot finish this entry; it must not sum the same series again
-        # through the scalar route
-        calls = []
-        series = jumps_mod._hyp2f1_series
-
-        def counted(*args):
-            calls.append(args)
-            return series(*args)
-        monkeypatch.setattr(jumps_mod, "_hyp2f1_series", counted)
+        # through the scalar route: one direct call, the curve's own
+        calls = count_direct_calls(monkeypatch)
         kappa, eta = 1.0 - 2.5e-6, 7.9995
         curve = utility_jump_curve(BETA28, np.array([kappa]), eta)
-        assert calls == []
+        assert len(calls) == 1
         assert curve[0] == pk.psi_quadrature(BETA28, kappa, eta - 1.0,
                                              m=0) / (1.0 - eta)
 
     def test_former_quadrature_entry_matches_mpmath(self):
         # kappa = 1 - 2.5e-6 at eta = 7.9 took the quadrature before the
         # 1 - kappa route (c - a - b = 1.1) converged there
-        mpmath = pytest.importorskip("mpmath")
         kappa, eta = 1.0 - 2.5e-6, 7.9
         with mpmath.workdps(30):
             E = mpmath.mpf(eta)
