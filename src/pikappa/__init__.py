@@ -17,7 +17,7 @@ from .models import (BetaJumps, DifferentialRates, DiscreteJumps,
                      load_model_file, make_sqrt_premium_rate,
                      parse_model_dict, validate_model)
 from .jumps import (JumpFunctionals, Ordering, fosd_compare, psi,
-                    psi_dkappa, psi_quadrature, sample_jumps,
+                    psi_dkappa, sample_jumps,
                     utility_jump_term)
 from .hamiltonian import (Certificate, ObjectiveEval, certify, conjugate,
                           conj_premium, eval_objective, friction_term,

@@ -7,12 +7,14 @@ class PikappaError(Exception):
 
 class DomainError(PikappaError):
     """An evaluation was requested outside its mathematical domain (e.g.
-    kappa outside [0, 1], or a float overflow in a quadrature integrand).
-    A jump moment that diverges at kappa = 1 is not one: it is +inf."""
+    kappa outside [0, 1], a non-finite eta, or a float overflow in the
+    value function). A jump moment that diverges at kappa = 1 is not one:
+    it is +inf."""
 
 
 class NonConvergence(PikappaError):
-    """Both evaluation paths of a dual-route computation missed tolerance."""
+    """A numerical evaluation did not converge (a series within its term
+    cap)."""
 
 
 class ModelValidationError(PikappaError):

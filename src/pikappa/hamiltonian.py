@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jumps import _overflow_as_domain_error, psi, utility_jump_term
+from .jumps import _each, _overflow_as_domain_error, psi, utility_jump_term
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, MarketModel, Policy, PortfolioPremium,
                      PowerPremium, PremiumSchedule, SmoothG, TabulatedPremium,
@@ -36,13 +36,6 @@ class ObjectiveEval:
     dH_dkappa: float
     f_value: float
     H_value: float
-
-
-def _each(fn, x):
-    """A scalar callable applied to every entry of x, one float at a time:
-    the user callables (g, q, tabulated premiums) need not broadcast."""
-    x = np.asarray(x)
-    return np.array([float(fn(float(v))) for v in x.ravel()]).reshape(x.shape)
 
 
 def _premium_value(premium: PremiumSchedule, kappa):

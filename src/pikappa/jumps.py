@@ -12,41 +12,28 @@ evaluates all three:
 - Beta at kappa < CONNECTION_SWITCH = 0.9: (alpha)_m / (alpha + beta)_m
   2F1(s, alpha + m; alpha + beta + m; kappa), its series summed directly
   (DLMF 15.2); the terms decay like n^(s - beta - 1) kappa^n;
-- Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa, whose
-  terms decay like w^n: DLMF 15.8.4 for c - a - b = beta - s not an
-  integer, DLMF 15.8.10 (with _digamma) for an integer beta - s >= 0, and
-  Euler's transformation (DLMF 15.8.1) first for beta - s < 0, whose factor
-  w^(beta - s) may carry the moment beyond double range, to +inf. It leaves
-  to the direct series: beta - s within INTEGER_GAP of an integer, Gamma
-  factors that overflow (eta = 1e6, say), and cancellation between its
-  pieces (large alpha or eta near w = 0.1);
-- when the direct series does not converge: adaptive quadrature against
-  the Beta density with algebraic endpoint weights.
+- Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa by the
+  connection formulas of DLMF 15.8 (_hyp2f1_near_one), whose terms decay
+  like w^n; the direct series where those overflow or cancel.
 
-The log-utility term (eta = 1) is not a power moment: an exact sum for
-discrete laws; for Beta below kappa = 1 the series E[ln(1 - kappa Y)] =
+The log-utility term (eta = 1) is an exact sum for discrete laws and, for
+a Beta law, digamma(beta) - digamma(alpha + beta) at kappa = 1, the series
 -kappa alpha / (alpha + beta) 3F2(1, 1, alpha + 1; 2, alpha + beta + 1;
-kappa) (quadrature if it does not converge), and at kappa = 1 the closed
-form digamma(beta) - digamma(alpha + beta).
+kappa) below 0.9, and from there the connection formula's derivative in
+2F1's first parameter (_log_near_one).
 
-Every one of these series, in kappa or in 1 - kappa, has terms u_k with
-the ratio u_(k+1) / u_k = (p + k)(q + k) / ((r + k)(s + k)) z, and the one
-kernel _sums sums them all, for a float z or an array. It stops at the
-first term below SERIES_RTOL times the partial sum whose successor is
-smaller still (or where the sum overflows to inf), and gives up,
-unconverged, at SERIES_MAX_TERMS terms. utility_jump_curve hands a kappa
-grid to the same routes; each entry stops on its own, so it has the bits
-of utility_jump_term at the same kappa.
-
-The quadrature route alone (psi_quadrature) is the tests' independent
-reference. Only it and fosd_compare's Beta CDF import scipy, on first call:
-the series and closed forms, all a bundled config's solve reaches, do not.
+Every one of these series has terms u_k with the ratio u_(k+1) / u_k =
+(p + k)(q + k) / ((r + k)(s + k)) z, and the one kernel _sums sums them
+all, for a float z or an array; a functional whose series has not
+converged at SERIES_MAX_TERMS terms raises NonConvergence. Each entry of
+utility_jump_curve's kappa grid stops on its own, so it has the bits of
+utility_jump_term at the same kappa. fosd_compare's Beta CDF is such a
+series too (DLMF 8.17.7), so nothing here needs scipy.
 
 A divergent moment is decided here alone. At kappa = 1 under a Beta law,
 psi is +inf for eta >= beta, psi_dkappa for 1 + eta >= beta, and the
 utility term is -inf for eta >= beta + 1. The solvers read the sign of
-their kappa condition at kappa = 1 from these values like any other
-(psi_quadrature, the reference, still raises DomainError there).
+their kappa condition at kappa = 1 from these values like any other.
 """
 
 from __future__ import annotations
@@ -54,7 +41,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,35 +53,40 @@ SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
 CONNECTION_SWITCH = 0.9        # z from which 2F1 is summed in 1 - z
 # the 1 - z route holds while (|c1 s1| + |c2 s2|) / |2F1| stays below
-# CONNECTION_MAX_GAIN / (1 - z): the direct series' stop rule leaves an error
-# that grows like 1 / (1 - z), so nearer 1 the route may cancel more digits
+# CONNECTION_MAX_GAIN / (1 - z): the direct series takes about 40 / (1 - z)
+# terms, so nearer 1 the route may cancel more digits before it gives way
 CONNECTION_MAX_GAIN = 1.0
-INTEGER_GAP = 1e-3             # c - a - b this near an integer: direct series
+INTEGER_GAP = 1e-3             # c - a - b this near an integer: no 15.8.4
+# DLMF 15.8.4 holds while its pieces cancel less than this: its Gamma factors
+# carry errors of about 1e-14 each near 40, and the result keeps 1e-13
+_NONINTEGER_MAX_GAIN = 4.0
 EULER_GAMMA = 0.5772156649015329
-QUAD_LIMIT = 200               # max interval subdivisions
-QUAD_EPSABS = 1e-12
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series of ln Gamma (DLMF 5.11.1)
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0)
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
 
 
-def _sums(p, q, r, s, z, g=None, start=0):
-    """sum_k u_k g_k, and whether it converged, for z a float or an array:
-    u_k = (p)_k (q)_k / ((r)_k (s)_k) z^k, and g_k = 1 or, given g_0 (like
-    z), the digamma bracket g_k = g_0 + sum_(j < k) (1/(p + j) + 1/(q + j)
-    - 1/(r + j) - 1/(s + j)).
+def _sums(p, q, r, s, z, g=None, start=0, eps=0.0):
+    """sum_k u_k g_k and whether it converged, for z a float or an array,
+    with u_k = (p)_k (q)_k / ((r)_k (s)_k) z^k and g_k = 1 or, given g_0
+    (like z), g_(k+1) = g_k + rho_k (1 + eps g_k) with rho_k of
+    _bracket_step; then sum_k |u_k g_k| comes back too, between the two.
 
     Each entry stops at its first k >= start with |u_k| max(1, |g_k|) <=
-    SERIES_RTOL |S_k| and |u_(k+1) / u_k| < 1, or with S_k overflowed to
-    +-inf; it has not converged if SERIES_MAX_TERMS terms do not get there.
-    Callers keep r + k and s + k off 0, and r + k > 0 past start, so no
-    small denominator scales up the tail left behind. A float z is summed
-    in Python floats, an array by _array_sums with the same IEEE
-    arithmetic, so each entry has the bits of its z alone.
+    rtol |S_k| and |u_(k+1) / u_k| < 1, or with S_k overflowed to +-inf; it
+    has not converged if SERIES_MAX_TERMS terms do not get there. rtol is
+    SERIES_RTOL times min(1, (1 - z) / (1 - CONNECTION_SWITCH)), as the
+    tail left is about 1 / (1 - z) times the last term. Callers keep r + k
+    and s + k off 0, and r + k > 0 past start. A float z is summed in
+    Python floats, an array by _array_sums with the same IEEE arithmetic,
+    so each entry has the bits of its z alone.
     """
     if isinstance(z, np.ndarray):
-        return _array_sums(p, q, r, s, z, g, start)
+        return _array_sums(p, q, r, s, z, g, start, eps)
     # the term ratio is written out twice, so that the loop every psi runs
     # keeps no temporary
-    rtol = SERIES_RTOL
+    rtol = SERIES_RTOL * min(1.0, (1.0 - z) / (1.0 - CONNECTION_SWITCH))
     u, total = 1.0, 0.0
     if g is None:
         for k in range(SERIES_MAX_TERMS):
@@ -106,59 +97,77 @@ def _sums(p, q, r, s, z, g=None, start=0):
                 return total, True
             u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
         return total, False
+    mass = 0.0
     for k in range(SERIES_MAX_TERMS):
         piece = u * g
         total = total + piece
+        mass = mass + abs(piece)
         # |u_k| max(1, |g_k|) <= rtol |S_k|: both |u_k| and |u_k g_k| are
         if abs(u) <= rtol * abs(total) >= abs(piece) and k >= start and (abs(
                 (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
                 or abs(total) == math.inf):
-            return total, True
+            return total, mass, True
         u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
-        g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
-                 - 1.0 / (s + k))
-    return total, False
+        if eps:
+            g = g + _bracket_step(p, q, r, s, k, eps) * (1.0 + eps * g)
+        else:                      # the same bits, with no call
+            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
+                     - 1.0 / (s + k))
+    return total, mass, False
 
 
-def _array_sums(p, q, r, s, z, g, start):
+def _bracket_step(p, q, r, s, k, eps):
+    """rho_k of _sums: the digamma step, each 1/x log1p(eps / x) / eps."""
+    if not eps:
+        return 1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k) - 1.0 / (s + k)
+    return math.expm1(math.log1p(eps / (p + k)) + math.log1p(eps / (q + k))
+                      - math.log1p(eps / (r + k))
+                      - math.log1p(eps / (s + k))) / eps
+
+
+def _array_sums(p, q, r, s, z, g, start, eps):
     """_sums for an array z: one numpy loop that carries only the entries
-    still running. The last one is summed again alone, in Python floats,
-    which is cheaper than numpy's per-call cost on one entry."""
-    out, converged = np.empty_like(z), np.zeros(z.shape, dtype=bool)
+    still running. The last eight are summed again alone, in Python floats,
+    which is cheaper than numpy's per-call cost on a few entries."""
+    out, masses = np.empty_like(z), np.empty_like(z)
+    converged = np.zeros(z.shape, dtype=bool)
     live, zl, gl = np.arange(z.size), z, g
-    u, total = np.ones_like(z), np.zeros_like(z)
+    rtol = SERIES_RTOL * np.minimum(1.0, (1.0 - z) / (1.0 - CONNECTION_SWITCH))
+    u, total, mass = np.ones_like(z), np.zeros_like(z), np.zeros_like(z)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while live.size > 1 and k < SERIES_MAX_TERMS:
+        while live.size > 8 and k < SERIES_MAX_TERMS:
             if g is None:
                 total = total + u
                 bound = np.abs(u)
             else:              # |u_k| max(1, |g_k|), as max(|u_k|, |u_k g_k|)
                 piece = u * gl
                 total = total + piece
+                mass = mass + np.abs(piece)
                 bound = np.maximum(np.abs(u), np.abs(piece))
             ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * zl
-            stop = bound <= SERIES_RTOL * np.abs(total)
+            stop = bound <= rtol * np.abs(total)
             if k >= start and stop.any():
                 stop &= (np.abs(ratio) < 1.0) | np.isinf(total)
                 out[live[stop]] = total[stop]
+                masses[live[stop]] = mass[stop]
                 converged[live[stop]] = True
                 keep = ~stop
-                live, zl, u, total, ratio = (
-                    x[keep] for x in (live, zl, u, total, ratio))
+                live, zl, rtol, u, total, mass, ratio = (x[keep] for x in (
+                    live, zl, rtol, u, total, mass, ratio))
                 gl = None if g is None else gl[keep]
             u = u * ratio
-            if g is not None:
-                gl = gl + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
-                           - 1.0 / (s + k))
+            if g is not None:      # at eps = 0, 1 + eps g is 1.0 exactly
+                gl = gl + _bracket_step(p, q, r, s, k, eps) * (1.0 + eps * gl)
             k += 1
-    if live.size == 1:
-        i = live[0]
-        gi = None if g is None else float(g[i])
-        out[i], converged[i] = _sums(p, q, r, s, float(z[i]), gi, start)
+    if k < SERIES_MAX_TERMS:
+        for i in live:
+            one = _sums(p, q, r, s, float(z[i]), None if g is None else
+                        float(g[i]), start, eps)
+            out[i], masses[i], converged[i] = one[0], one[-2], one[-1]
     else:
-        out[live] = total
-    return out, converged
+        out[live], masses[live] = total, mass
+    return (out, converged) if g is None else (out, masses, converged)
 
 
 def _rgamma(x: float) -> float:
@@ -168,21 +177,31 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _times_power(v: float, x: float, d: float) -> float:
-    """v x^d, +-inf where that lies beyond double range (x^d alone may)."""
+def _times_power(v: float, x: float, d: float, finish) -> float:
+    """finish(v x^d) for finish a product of scale factors, +-inf only where
+    that lies beyond double range (x^d or v x^d alone may)."""
     try:
-        return v * x ** d
+        value = finish(v * x ** d)
+        if abs(value) < math.inf:
+            return value
     except OverflowError:
-        lg = d * math.log(x) + (math.log(abs(v)) if v else -math.inf)
-        return math.copysign(math.inf if lg > 709.0 else math.exp(lg), v)
+        pass
+    try:
+        half = x ** (d / 2.0)
+    except OverflowError:
+        return finish(math.copysign(math.inf, v))
+    return finish(v * half) * half
 
 
 def _each(fn, *args):
-    """fn of floats, or of arrays entry by entry in Python floats, so that
-    an entry has the bits of the same floats alone."""
-    if isinstance(args[0], np.ndarray):
-        return np.array([fn(*x) for x in zip(*(a.tolist() for a in args))])
-    return fn(*args)
+    """fn of floats over arrays of one shape entry by entry, in Python floats
+    (an entry has the bits of its floats alone; user callables need not
+    broadcast); floats give a float."""
+    if not isinstance(args[0], np.ndarray):
+        return float(fn(*map(float, args)))
+    flat = (np.asarray(a, dtype=float).ravel().tolist() for a in args)
+    return np.array([float(fn(*x)) for x in zip(*flat)]).reshape(
+        args[0].shape)
 
 
 def _connection_noninteger(a: float, b: float, c: float, d: float, w):
@@ -198,18 +217,43 @@ def _connection_noninteger(a: float, b: float, c: float, d: float, w):
     return c1 * s1 + c2 * s2, abs(c1 * s1) + abs(c2 * s2), ok1 & ok2
 
 
-def _connection_log(a: float, b: float, c: float, m: int, w):
-    """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0 (DLMF 15.8.10), the
-    absolute values of its pieces summed, and whether its series converged:
-    a finite sum in (-w)^k, and c2 s2 with the bracket ln(w) - psi(k + 1) -
-    psi(k + m + 1) + psi(a + k + m) + psi(b + k + m)."""
+def _paired_sum(p: float, q: float, m: int, eps: float, w):
+    """(f, s, sum of |terms of s|, converged): the k >= m terms of DLMF
+    15.8.4's two sums at c - a - b = m + eps, p = a + m and q = b + m,
+    paired across their poles at eps = 0 (N. Michel and M. V. Stoitsov,
+    Comput. Phys. Commun. 178 (2008) 535). Term k = m + n of the first sum
+    and term n of the second add up to -Gamma(c) (-w)^m f / (Gamma(a)
+    Gamma(b) m!) times term n of s = sum_n (p)_n (q)_n / ((1 - eps)_n
+    (1 + m)_n) w^n g_n, with f = (pi eps / sin(pi eps)) Gamma(p) Gamma(q) /
+    (Gamma(p + eps) Gamma(q + eps) Gamma(1 - eps)) and g_n = expm1(eps l_n)
+    / eps, l_0 = ln w + D(p) + D(q) - D(1 - eps) - D(1 + m) for D of
+    _digamma. At eps = 0, f = 1 and g_n = l_n: DLMF 15.8.10."""
+    if eps:
+        dp, dq, d1 = (_digamma(x, eps) for x in (p, q, 1.0 - eps))
+        f = math.pi * eps / math.sin(math.pi * eps) \
+            * math.exp(-eps * (dp + dq - d1))
+        g0 = dp + dq - d1 - _digamma(m + 1.0, eps)
+        g = _each(lambda x: math.expm1(eps * (math.log(x) + g0)) / eps, w)
+    else:
+        f = 1.0
+        g = _each(math.log, w) + (2.0 * EULER_GAMMA - math.fsum(
+            1.0 / j for j in range(1, m + 1)) + _digamma(p) + _digamma(q))
+    return (f,) + _sums(p, q, 1.0 - eps, m + 1.0, w, g=g, eps=eps)
+
+
+def _connection_log(a: float, b: float, c: float, d: float, w):
+    """2F1(a, b; a + b + d; 1 - w) for d = m + eps > 0, m the integer
+    nearest, the absolute values of its pieces summed, and whether its
+    series converged: the k < m terms of DLMF 15.8.4's first sum, a finite
+    sum in (-w)^k, and the rest by _paired_sum, with no pole to cancel."""
+    m = round(d)
     gc = math.gamma(c)
     total = mass = 0.0 * w
     x = 1.0 + total                # (-w)^k
-    t = gc * _rgamma(a + m) * _rgamma(b + m) * math.gamma(m) if m else 0.0
+    t = gc * _rgamma(a + d) * _rgamma(b + d) * math.gamma(d) if m else 0.0
     for k in range(m):
         if k:
-            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (m - k))
+            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (d - k))
         piece = t * x
         total = total + piece
         mass = mass + abs(piece)
@@ -217,60 +261,76 @@ def _connection_log(a: float, b: float, c: float, m: int, w):
     c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
     if c2 == 0.0:                  # a or b a pole: 2F1 is the finite sum
         return total, mass, True
-    c2 = c2 * x
-    am, bm = a + m, b + m
-    g0 = 2.0 * EULER_GAMMA - math.fsum(1.0 / j for j in range(1, m + 1)) \
-        + _digamma(am) + _digamma(bm)
-    s2, ok = _sums(am, bm, 1.0, m + 1.0, w, g=_each(math.log, w) + g0)
-    return total + c2 * s2, mass + abs(c2 * s2), ok
+    f, s2, mass2, ok = _paired_sum(a + m, b + m, m, d - m, w)
+    c2 = c2 * f * x
+    return total + c2 * s2, mass + abs(c2) * mass2, ok
 
 
-def _hyp2f1_near_one(a: float, b: float, c: float, w):
-    """2F1(a, b; c; 1 - w) for w a float or an array of entries in (0, 1)
-    summed in w, and where that holds (a bool, or a bool array). It does
-    not hold when c - a - b lies within INTEGER_GAP of an integer, a Gamma
-    factor overflows, a series does not converge, or the pieces' absolute
-    values add up to CONNECTION_MAX_GAIN / w times the result (cancellation).
-    For c - a - b < 0 Euler's transformation (DLMF 15.8.1) comes first; its
-    factor w^(c - a - b) may carry the result beyond double range, to +-inf.
-    """
-    a, b, c = float(a), float(b), float(c)
-    d = c - a - b
-    m = round(d)
-    if m != d and abs(d - m) < INTEGER_GAP:
-        return w * math.nan, w < 0.0       # (nan, False) for every entry
+def _hyp2f1_near_one(a: float, b: float, c: float, d: float, w, finish):
+    """finish(2F1(a, b; c; 1 - w)), d = c - a - b, for w a float or an
+    array in (0, 1), and where that holds (a bool or a bool array): DLMF
+    15.8.4 for d at least INTEGER_GAP from an integer while its pieces'
+    absolute values add up to at most _NONINTEGER_MAX_GAIN times the
+    result, else _connection_log. It fails where a Gamma factor overflows,
+    a series does not converge, or the pieces add up to CONNECTION_MAX_GAIN
+    / w times the result. For d < 0 Euler's transformation (DLMF 15.8.1)
+    comes first, finish scaling the result before its factor w^d."""
     euler = d < 0.0
     if euler:
-        a, b, d, m = c - a, c - b, -d, -m
+        a, b, d = c - a, c - b, -d
+    value, mass, ok = w * math.nan, w * math.nan, w < 0.0
     try:
-        if m == d:
-            value, mass, ok = _connection_log(a, b, c, m, w)
-        else:
+        if abs(d - round(d)) >= INTEGER_GAP:
             value, mass, ok = _connection_noninteger(a, b, c, d, w)
+        fast = ok & (mass <= _NONINTEGER_MAX_GAIN * abs(value))
+        if not isinstance(w, np.ndarray):
+            if not fast:
+                value, mass, ok = _connection_log(a, b, c, d, w)
+        elif not fast.all():
+            i = np.flatnonzero(~fast)
+            value[i], mass[i], ok[i] = _connection_log(a, b, c, d, w[i])
     except OverflowError:
-        return w * math.nan, w < 0.0
+        return w * math.nan, w < 0.0       # (nan, False) for every entry
     holds = ok & (mass * w < CONNECTION_MAX_GAIN * abs(value))
     if euler:
-        value = _each(lambda v, x: _times_power(v, x, -d), value, w)
-    return value, holds
+        return _each(lambda v, x: _times_power(v, x, -d, finish), value,
+                     w), holds
+    return finish(value), holds
 
 
-def _hyp2f1(a: float, b: float, c: float, z):
-    """2F1(a, b; c; z) and whether it converged, for z a float or an array
-    in [0, 1) (b, c > 0): in 1 - z from CONNECTION_SWITCH where that holds,
-    else the direct series _sums(a, b, c, 1, z) (DLMF 15.2)."""
+def _hyp2f1(law: BetaJumps, m: int, eta: float, shift: float, z, finish):
+    """finish(2F1(s, alpha + m; alpha + beta + m; z)), s = eta + shift, for
+    z a float or an array in [0, 1). c - a - b = beta - s is rounded once:
+    near z = 1 the result goes like (1 - z)^(c - a - b), so its error comes
+    back times ln(1 - z)."""
+    a, b, c = eta + shift, law.alpha + m, law.alpha + law.beta + m
+
+    def direct(z):
+        total, ok = _sums(a, b, c, 1.0, z)
+        return finish(total), ok
+    return _near_one_or_direct(lambda w: _hyp2f1_near_one(
+        a, b, c, math.fsum((law.beta, -eta, -shift)), w, finish), direct, z)
+
+
+def _near_one_or_direct(near_one, direct, z):
+    """near_one(1 - z) from CONNECTION_SWITCH where it holds, else direct(z),
+    for z a float or an array; NonConvergence where neither converges."""
     if not isinstance(z, np.ndarray):
         if z >= CONNECTION_SWITCH:
-            value, holds = _hyp2f1_near_one(a, b, c, 1.0 - float(z))
+            value, holds = near_one(1.0 - float(z))
             if holds:
-                return value, True
-        return _sums(a, b, c, 1.0, z)
-    value, ok = np.empty_like(z), np.zeros(z.shape, dtype=bool)
-    near = np.flatnonzero(z >= CONNECTION_SWITCH)
-    value[near], ok[near] = _hyp2f1_near_one(a, b, c, 1.0 - z[near])
-    rest = np.flatnonzero(~ok)
-    value[rest], ok[rest] = _sums(a, b, c, 1.0, z[rest])
-    return value, ok
+                return value
+        value, ok = direct(z)
+    else:
+        value, ok = np.empty_like(z), np.zeros(z.shape, dtype=bool)
+        near = np.flatnonzero(z >= CONNECTION_SWITCH)
+        value[near], ok[near] = near_one(1.0 - z[near])
+        rest = np.flatnonzero(~ok)
+        value[rest], ok[rest] = direct(z[rest])
+        ok = ok.all()
+    if not ok:
+        raise NonConvergence(f"series unconverged at z = {z}")
+    return value
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -278,15 +338,22 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _digamma(x: float) -> float:
-    """digamma(x) = d ln Gamma(x) / dx for x > 0: the recurrence
-    digamma(x) = digamma(x + 1) - 1/x up to x >= 12, then the asymptotic
-    series of DLMF 5.11.2 through its z^-14 term (the next is below 1e-18
-    there)."""
+def _digamma(x: float, eps: float = 0.0) -> float:
+    """digamma(x) for x > 0 or, for eps != 0, D(x) = (ln Gamma(x + eps) -
+    ln Gamma(x)) / eps, its mean over [x, x + eps]: the recurrence D(x) =
+    D(x + 1) - log1p(eps / x) / eps (1/x at eps = 0) up to x >= 12, then
+    the asymptotic series of DLMF 5.11.2 through its z^-14 term (the next
+    is below 1e-18 there), its mean taken in log1p and expm1."""
     shift = []
     while x < 12.0:
-        shift.append(1.0 / x)
+        shift.append(math.log1p(eps / x) / eps if eps else 1.0 / x)
         x += 1.0
+    if eps:
+        lg = math.log1p(eps / x)   # (x + eps)^j = x^j exp(j lg)
+        tail = -math.fsum(c * x ** (1 - 2 * k) * math.expm1((1 - 2 * k) * lg)
+                          for k, c in enumerate(_STIRLING, 1)) / eps
+        return math.log(x) + lg + ((x - 0.5) * lg / eps - 1.0) - tail \
+            - math.fsum(shift)
     w = 1.0 / (x * x)
     tail = w * (1.0 / 12.0 - w * (1.0 / 120.0 - w * (1.0 / 252.0 - w * (
         1.0 / 240.0 - w * (1.0 / 132.0 - w * (691.0 / 32760.0
@@ -294,10 +361,22 @@ def _digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - tail - math.fsum(shift)
 
 
+def _digamma_gap(x: float, a: float) -> float:
+    """digamma(x + a) - digamma(x) for x, a > 0, as _digamma's recurrence
+    and asymptotic series differenced term by term, with no cancellation."""
+    shift = []
+    while x < 12.0:
+        shift.append(a / (x * (x + a)))
+        x += 1.0
+    lg = math.log1p(a / x)
+    tail = math.fsum(c * (1 - 2 * k) * x ** (-2 * k) * math.expm1(-2 * k * lg)
+                     for k, c in enumerate(_STIRLING, 1))
+    return lg + 0.5 * a / (x * (x + a)) + tail + math.fsum(shift)
+
+
 def _overflow_as_domain_error(fn):
-    """Report a float overflow (in a quadrature integrand or the value
-    function at a huge or tiny eta, say) as a DomainError instead of an
-    untyped OverflowError."""
+    """Report a float overflow (in the value function at a huge or tiny eta,
+    say) as a DomainError instead of an untyped OverflowError."""
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
@@ -307,162 +386,83 @@ def _overflow_as_domain_error(fn):
     return wrapped
 
 
-@_overflow_as_domain_error
-def _beta_quad(alpha: float, beta_: float, p_extra: float, q_extra: float,
-               smooth):
-    """Integrate smooth(y) * y^(alpha-1+p_extra) * (1-y)^(beta-1+q_extra)
-    over [0,1], normalized by B(alpha, beta).
-
-    The algebraic endpoint exponents are delegated to the quadrature weight
-    so integrable singularities at 0 and 1 are handled exactly.
-    """
-    p = alpha - 1.0 + p_extra
-    q = beta_ - 1.0 + q_extra
-    if p <= -1.0 or q <= -1.0:
-        raise DomainError(f"non-integrable endpoint exponent (p={p}, q={q})")
-    from scipy import integrate
-    norm = math.exp(-_log_beta(alpha, beta_))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if p < 1.0 or q < 1.0:
-            # delegate (near-)singular endpoint factors to the algebraic
-            # quadrature weight; normalization stays inside the integrand so
-            # the tolerances are meaningful for peaked densities
-            val, abserr = integrate.quad(lambda y: norm * smooth(y), 0.0, 1.0,
-                                         weight="alg", wvar=(p, q),
-                                         epsabs=QUAD_EPSABS, epsrel=1e-12,
-                                         limit=QUAD_LIMIT)
-        else:
-            f = lambda y: norm * smooth(y) * y ** p * (1.0 - y) ** q
-            val, abserr = integrate.quad(f, 0.0, 1.0, epsabs=QUAD_EPSABS,
-                                         epsrel=1e-12, limit=QUAD_LIMIT)
-    if abserr > 1e-8 * (1.0 + abs(val)):
-        raise NonConvergence(
-            f"quadrature error estimate {abserr:.2e} exceeds tolerance")
-    return val
-
-
-@_overflow_as_domain_error
-def _beta_power_quad(alpha: float, beta_: float, m_pow: float, s_pow: float,
-                     kappa: float) -> float:
-    """E[Y^m (1 - kappa Y)^s] for Y ~ Beta(alpha, beta), robust as
-    kappa -> 1.
-
-    In the variable w = 1 - y the awkward factor becomes (eps + kappa w)^s
-    with eps = 1 - kappa, an algebraic layer of width eps at w = 0. The
-    integral is split at the layer edge; the outer piece runs on a log grid
-    in w, where the layer is polynomial and adaptive quadrature resolves it.
-    """
-    from scipy import integrate
-    eps = 1.0 - kappa              # kappa < 1: kappa = 1 has a closed form
-    norm = math.exp(-_log_beta(alpha, beta_))
-    p = alpha - 1.0 + m_pow        # exponent of (1 - w), > -1 for m >= 0
-    q = beta_ - 1.0                # exponent of w
-    w1 = min(0.25, eps * 2.0 ** (10.0 / max(abs(s_pow), 1.0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        # inner piece [0, w1]: bounded (eps + kappa w)^s ratio by choice of w1
-        fa = lambda w: norm * (1.0 - w) ** p * (eps + kappa * w) ** s_pow
-        if q < 1.0:
-            va, ea = integrate.quad(fa, 0.0, w1, weight="alg", wvar=(q, 0.0),
-                                    epsabs=QUAD_EPSABS, epsrel=1e-12,
-                                    limit=QUAD_LIMIT)
-        else:
-            va, ea = integrate.quad(lambda w: fa(w) * w ** q, 0.0, w1,
-                                    epsabs=QUAD_EPSABS, epsrel=1e-12,
-                                    limit=QUAD_LIMIT)
-        # outer piece on the log grid w = e^x, x in [ln w1, 0]
-        def fb(x):
-            w = np.exp(x)
-            return norm * (1.0 - w) ** p * w ** (q + 1.0) \
-                * (eps + kappa * w) ** s_pow
-        vb, eb = integrate.quad(fb, np.log(w1), 0.0, epsabs=QUAD_EPSABS,
-                                epsrel=1e-12, limit=2 * QUAD_LIMIT)
-    val = va + vb
-    if ea + eb > 1e-8 * (1.0 + abs(val)):
-        raise NonConvergence(
-            f"split quadrature error estimate {ea + eb:.2e} exceeds tolerance")
-    return val
-
-
 def _check_kappa_eta(kappa: float, eta: float) -> None:
     if not (0.0 <= kappa <= 1.0):
         raise DomainError(f"kappa={kappa} outside [0, 1]")
-    if eta <= 0.0:
-        raise DomainError(f"eta={eta} must be positive")
+    if not (0.0 < eta < math.inf):
+        raise DomainError(f"eta={eta} must be positive and finite")
 
 
-def _beta_moment_quadrature(law: BetaJumps, m: int, s: float,
-                            kappa: float) -> float:
-    """E[Y^m (1 - kappa Y)^(-s)] for Y ~ Beta(alpha, beta) by quadrature
-    alone; at kappa = 1 the factor (1 - y)^(-s) joins the algebraic weight."""
-    a, b = law.alpha, law.beta
-    if kappa == 1.0:
-        return _beta_quad(a, b, m, -s, lambda y: 1.0)
-    if kappa >= 0.9 and s > 0.0:
-        return _beta_power_quad(a, b, m, -s, kappa)
-    return _beta_quad(a, b, m, 0.0, lambda y: (1.0 - kappa * y) ** (-s))
-
-
-def _power_moment(law, m: int, s: float, kappa: float) -> float:
-    """E[Y^m (1 - kappa Y)^(-s)]: the one route of every power-type jump
-    functional (see the module docstring)."""
+def _power_moment(law, m: int, eta: float, shift: float, kappa: float,
+                  div: float = 1.0) -> float:
+    """E[Y^m (1 - kappa Y)^(-s)] / div with s = eta + shift: the one route
+    of every power-type jump functional (see the module docstring)."""
+    s = eta + shift
     if isinstance(law, DiscreteJumps):
         y, w = law.points, law.weights
-        return float(np.sum(w * y ** m / (1.0 - kappa * y) ** s))
+        return float(np.sum(w * y ** m / (1.0 - kappa * y) ** s)) / div
     a, b = law.alpha, law.beta
     if kappa == 1.0:
         if s >= b:
-            return math.inf
-        return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b))
-    val, ok = _hyp2f1(s, a + m, a + b + m, kappa)
-    if ok:
-        for j in range(m):         # times (alpha)_m / (alpha + beta)_m
+            return math.inf / div
+        return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b)) / div
+
+    def finish(val):               # times (alpha)_m / (alpha + beta)_m
+        for j in range(m):
             val = val * (a + j) / (a + b + j)
-        return val
-    return _beta_moment_quadrature(law, m, s, kappa)
+        return val / div
+    return _hyp2f1(law, m, eta, shift, kappa, finish)
 
 
 def psi(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[Y / (1 - kappa Y)^eta]."""
     _check_kappa_eta(kappa, eta)
-    return _power_moment(jumps.law, 1, eta, kappa)
-
-
-def psi_quadrature(jumps: JumpLaw, kappa: float, s: float,
-                   m: int = 1) -> float:
-    """E[Y^m (1 - kappa Y)^(-s)] by quadrature alone (exact sums for
-    discrete laws): the independent reference of every jump functional.
-    With m = 1 and s = eta it is psi."""
-    if not (0.0 <= kappa <= 1.0):
-        raise DomainError(f"kappa={kappa} outside [0, 1]")
-    if isinstance(jumps.law, DiscreteJumps):
-        return _power_moment(jumps.law, m, s, kappa)
-    return _beta_moment_quadrature(jumps.law, m, s, kappa)
+    return _power_moment(jumps.law, 1, eta, 0.0, kappa)
 
 
 def psi_dkappa(jumps: JumpLaw, kappa: float, eta: float) -> float:
     """E[Y^2 / (1 - kappa Y)^(1+eta)], i.e. (1/eta) d(psi)/d(kappa)."""
     _check_kappa_eta(kappa, eta)
-    return _power_moment(jumps.law, 2, 1.0 + eta, kappa)
+    return _power_moment(jumps.law, 2, eta, 1.0, kappa)
 
 
-def _beta_log_quadrature(law: BetaJumps, kappa: float) -> float:
-    """E[ln(1 - kappa Y)] for Y ~ Beta(alpha, beta) by quadrature: the
-    fallback of an unconverged log series."""
-    # clip keeps the y=1 endpoint evaluation finite; the log singularity
-    # is integrable and the quadrature weight never sits exactly on it
-    return _beta_quad(law.alpha, law.beta, 0.0, 0.0,
-                      lambda y: np.log1p(-kappa * min(y, 1.0 - 1e-16)))
+def _log_near_one(a: float, b: float, w):
+    """E[ln(1 - kappa Y)] for Y ~ Beta(a, b), w = 1 - kappa a float or an
+    array, and where that holds, as in _hyp2f1_near_one: minus the
+    derivative at 0 of 2F1(., a; a + b; 1 - w) by DLMF 15.8.4 at m =
+    max(1, round b), eps = b - m, where only 1/Gamma(0) = 0 moves (its
+    derivative is 1): digamma(b) - digamma(a + b) - sum_(k = 1)^(m - 1)
+    (a)_k w^k / (k (1 - b)_k) + Gamma(a + b) (-w)^m f / (Gamma(a) m!) s,
+    with f and s of _paired_sum at p = m and q = a + m."""
+    m = max(1, round(b))
+    try:                           # before the loop, which a huge b makes long
+        c2 = math.gamma(a + b) * _rgamma(a) / math.gamma(m + 1.0)
+        f, s2, mass2, ok = _paired_sum(float(m), a + m, m, b - m, w)
+    except OverflowError:
+        return w * math.nan, w < 0.0
+    total = 0.0 * w - _digamma_gap(b, a)
+    mass, t, x = abs(total), 1.0 + 0.0 * w, -w
+    for k in range(1, m):          # t = (a)_k w^k / (1 - b)_k, x = (-w)^k
+        t = t * ((a + k - 1.0) / (k - b) * w)
+        total = total - t / k
+        mass = mass + abs(t / k)
+        x = x * -w
+    c2 = c2 * f * x
+    total = total + c2 * s2
+    return total, ok & ((mass + abs(c2) * mass2) * w
+                        < CONNECTION_MAX_GAIN * abs(total))
 
 
-def _log_series(law: BetaJumps, kappa):
-    """E[ln(1 - kappa Y)] for Y ~ Beta(a, b) and kappa < 1 (a float or an
-    array) as -kappa a / (a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa), and
-    whether it converged: the one log series of the scalar and the curve."""
+def _log_moment(law: BetaJumps, kappa):
+    """E[ln(1 - kappa Y)], Y ~ Beta(a, b), kappa < 1 a float or an array; its
+    direct series: -kappa a/(a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa)."""
     a, b = law.alpha, law.beta
-    total, converged = _sums(a + 1.0, 1.0, a + b + 1.0, 2.0, kappa)
-    return -kappa * a / (a + b) * total, converged
+
+    def direct(kappa):
+        total, ok = _sums(a + 1.0, 1.0, a + b + 1.0, 2.0, kappa)
+        return -kappa * a / (a + b) * total, ok
+    return _near_one_or_direct(lambda w: _log_near_one(a, b, w), direct,
+                               kappa)
 
 
 def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
@@ -470,32 +470,22 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
     _check_kappa_eta(kappa, eta)
     law = jumps.law
     if eta != 1.0:
-        return _power_moment(law, 0, eta - 1.0, kappa) / (1.0 - eta)
+        return _power_moment(law, 0, eta, -1.0, kappa, 1.0 - eta)
     if isinstance(law, DiscreteJumps):
         return float(np.sum(law.weights * np.log(1.0 - kappa * law.points)))
     if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
-        return _digamma(law.beta) - _digamma(law.alpha + law.beta)
-    total, converged = _log_series(law, kappa)
-    if converged:
-        return total
-    return _beta_log_quadrature(law, kappa)
+        return -_digamma_gap(law.beta, law.alpha)
+    return _log_moment(law, kappa)
 
 
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
                        eta: float) -> np.ndarray:
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
-    jump term.
-
-    A Beta law hands every kappa < 1 to the series of utility_jump_term at
-    once: the log series for eta = 1, else 2F1(eta - 1, alpha; alpha +
-    beta; kappa), in 1 - kappa from CONNECTION_SWITCH where that holds.
-    The kernel _sums stops each entry on its own (SERIES_RTOL, at most
-    SERIES_MAX_TERMS terms), so an entry has the bits of utility_jump_term
-    at the same kappa: -inf where the sum lies beyond double range, and the
-    quadrature where it did not converge. kappa = 1 takes the closed form:
-    -inf where E[U_eta(1 - Y)] diverges (eta >= beta + 1), the objective's
-    true value there.
-    """
+    jump term. Every kappa < 1 of a Beta law takes the routes of
+    utility_jump_term at once, each entry with the bits of the same kappa
+    alone; kappa = 1 takes the closed form, -inf where E[U_eta(1 - Y)]
+    diverges (eta >= beta + 1), the objective's true value there."""
+    _check_kappa_eta(0.0, eta)     # eta alone: 0.0 stands in for the grid
     kappas = np.asarray(kappas, dtype=float)
     law = jumps.law
     if isinstance(law, DiscreteJumps):
@@ -507,15 +497,10 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     out = np.empty_like(kappas)
     summed = np.flatnonzero(kappas < 1.0)
     if eta == 1.0:
-        out[summed], converged = _log_series(law, kappas[summed])
+        out[summed] = _log_moment(law, kappas[summed])
     else:
-        total, converged = _hyp2f1(eta - 1.0, law.alpha,
-                                   law.alpha + law.beta, kappas[summed])
-        out[summed] = total / (1.0 - eta)
-    for i in summed[~converged]:
-        kappa = float(kappas[i])   # the scalar route's quadrature
-        out[i] = (_beta_log_quadrature(law, kappa) if eta == 1.0 else
-                  psi_quadrature(jumps, kappa, eta - 1.0, m=0) / (1.0 - eta))
+        out[summed] = _hyp2f1(law, 0, eta, -1.0, kappas[summed],
+                              lambda v: v / (1.0 - eta))
     for i in np.flatnonzero(kappas == 1.0):
         out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
     return out
@@ -529,10 +514,25 @@ class Ordering(enum.Enum):
 
 def _cdf(law, y: np.ndarray) -> np.ndarray:
     if isinstance(law, BetaJumps):
-        from scipy import special
-        return special.betainc(law.alpha, law.beta, y)
+        return _beta_cdf(law.alpha, law.beta, y)
     pts, w = law.points, law.weights
     return (w[None, :] * (pts[None, :] <= y[:, None])).sum(axis=1)
+
+
+def _beta_cdf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x) for
+    x <= 1/2 (DLMF 8.17.7), and 1 - I_(1 - x)(b, a) above (DLMF 8.17.4)."""
+    out = np.empty_like(x)
+    for upper, p, q in ((False, a, b), (True, b, a)):
+        i = np.flatnonzero((x > 0.5) == upper)
+        y = 1.0 - x[i] if upper else x[i]
+        total, ok = _sums(p + q, 1.0, p + 1.0, 1.0, y)
+        if not ok.all():
+            raise NonConvergence(f"Beta({a}, {b}) CDF series unconverged")
+        v = np.exp(p * np.log(y) + q * np.log1p(-y) - math.log(p)
+                   - _log_beta(p, q)) * total
+        out[i] = 1.0 - v if upper else v
+    return out
 
 
 def fosd_compare(law_a: JumpLaw, law_b: JumpLaw) -> Ordering:

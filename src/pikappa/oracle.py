@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import PikappaError
-from .hamiltonian import (_each, _pi_friction, _premium_value,
-                          friction_term)
-from .jumps import _overflow_as_domain_error, utility_jump_curve
+from .hamiltonian import _pi_friction, _premium_value, friction_term
+from .jumps import _each, _overflow_as_domain_error, utility_jump_curve
 from .models import (FrictionSpec, JumpLaw, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, Utility)
 from . import solvers

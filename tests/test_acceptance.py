@@ -22,6 +22,7 @@ from pikappa.solvers import _DiffRatesKernel
 from pikappa.rootfind import bisect
 
 from nested_reference import pi_sum
+from quadrature_reference import psi_quadrature
 
 
 def criterion(cid: str, ok: bool, detail: str = ""):
@@ -225,7 +226,7 @@ def test_c08_special_function_cross_check():
         eta = rng.uniform(1e-3, b - 0.01)
         law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=a, beta=b))
         s = pk.psi(law, kappa, eta)
-        qd = pk.psi_quadrature(law, kappa, eta)
+        qd = psi_quadrature(law, kappa, eta)
         worst = max(worst, abs(s - qd) / (1.0 + abs(s)))
     dt = time.time() - t0
     ok = ok and worst <= 1e-8 and dt < 5.0

@@ -222,9 +222,8 @@ class TestVerify:
 
 
 class TestColdStart:
-    # the bundled solves reach only series and closed forms, so scipy (about
-    # half a second of import) stays unloaded; it is imported on first use by
-    # the quadrature fallback and fosd_compare alone. hashlib (and with it
+    # no runtime code imports scipy (about half a second of import), so it
+    # stays unloaded through every bundled solve. hashlib (and with it
     # OpenSSL) is imported only to hash the files --out writes.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys

@@ -1,7 +1,12 @@
-"""Jump-functional tests: frozen closed-form values, dual-path agreement,
-derivative and Monte Carlo oracles, dominance and sampling."""
+"""Jump-functional tests: frozen closed-form values, agreement with the
+quadrature reference and 30-digit mpmath, derivative and Monte Carlo
+oracles, dominance and sampling."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import mpmath
 import numpy as np
@@ -13,6 +18,7 @@ from scipy import integrate, special
 import pikappa as pk
 from pikappa import jumps as jumps_mod
 from pikappa.jumps import utility_jump_curve
+from quadrature_reference import _beta_log_quadrature, psi_quadrature
 
 BETA28 = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=2.0, beta=8.0))
 
@@ -52,8 +58,8 @@ def utility_quadrature(law, kappa, eta):
     of the series and the digamma closed form: the power moment
     (m, s) = (0, eta - 1) over 1 - eta, and the log case integrated."""
     if eta == 1.0:
-        return jumps_mod._beta_log_quadrature(law.law, kappa)
-    return pk.psi_quadrature(law, kappa, eta - 1.0, m=0) / (1.0 - eta)
+        return _beta_log_quadrature(law.law, kappa)
+    return psi_quadrature(law, kappa, eta - 1.0, m=0) / (1.0 - eta)
 
 
 class TestPsi:
@@ -87,7 +93,7 @@ class TestPsi:
             eta = rng.uniform(1e-3, b - 0.01)
             law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=a, beta=b))
             s = pk.psi(law, kappa, eta)
-            q = pk.psi_quadrature(law, kappa, eta)
+            q = psi_quadrature(law, kappa, eta)
             assert abs(s - q) <= 1e-8 * (1.0 + abs(s))
 
     def test_discrete_exact_sum(self):
@@ -96,15 +102,9 @@ class TestPsi:
         expect = 0.25 * 0.3 / 0.85 ** 2 + 0.75 * 0.6 / 0.7 ** 2
         assert pk.psi(law, 0.5, 2.0) == pytest.approx(expect, abs=1e-15)
 
-    def test_near_one_series_route(self, monkeypatch):
+    def test_near_one_series_route(self):
         # every kappa < 1 takes a series: at 1 - 5e-7 the one in 1 - kappa
-        # converges, and no quadrature runs
-        def no_quadrature(*args):
-            raise AssertionError("the quadrature fallback ran")
-        monkeypatch.setattr(jumps_mod, "_beta_moment_quadrature",
-                            no_quadrature)
         val = pk.psi(BETA28, 1.0 - 5e-7, 3.0)
-        monkeypatch.undo()
         orc = quad_psi_oracle(2.0, 8.0, 1.0 - 5e-7, 3.0)
         assert val == pytest.approx(orc, rel=1e-8)
 
@@ -175,21 +175,17 @@ class TestPsiDkappa:
         # (m, s) = (2, 1 + eta) on the series, closed-form and split routes
         for kappa in (0.3, 0.95, 1.0 - 5e-7, 1.0):
             for eta in (0.5, 3.0, 6.5):
-                ref = pk.psi_quadrature(BETA28, kappa, 1.0 + eta, m=2)
+                ref = psi_quadrature(BETA28, kappa, 1.0 + eta, m=2)
                 assert pk.psi_dkappa(BETA28, kappa, eta) == \
                     pytest.approx(ref, rel=1e-9)
 
 
 # kappa bands of the 30-digit reference checks and their relative
-# tolerances. The power moments sum the direct series below kappa = 0.9 and
-# in 1 - kappa above it; [0.9, 0.999) keeps the direct series' 1e-12 for
-# the draws the 1 - kappa route declines (cancellation).
+# tolerances. Every moment, the log term too, sums the direct series below
+# kappa = 0.9 and in 1 - kappa above it; [0.9, 0.999) keeps the direct
+# series' 1e-12 for the draws the 1 - kappa route declines (cancellation).
 MP_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-12),
             (0.999, 1.0 - 1e-6, 1e-13), (1.0 - 1e-6, 1.0, 1e-13)]
-# the log term (eta = 1) is not a 2F1: its series still runs for every
-# kappa < 1, and its stop rule leaves a longer tail near kappa = 1
-LOG_BANDS = [(0.0, 0.9, 1e-12), (0.9, 0.999, 1e-9),
-             (0.999, 1.0 - 1e-6, 1e-9), (1.0 - 1e-6, 1.0, 1e-9)]
 
 
 @pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
@@ -228,8 +224,8 @@ ROUTE_CASES = [
     (2.0, 8.0, 10.0, NEAR_ONE, True),         # integer < 0: Euler first
     (2.0, 8.0, 11.0, NEAR_ONE, True),         # Euler gives a = 0: finite
     (2.0, 8.0, 2.0 + 1e-2, NEAR_ONE, None),   # DLMF 15.8.4
-    (2.0, 8.0, 2.0 + 1e-4, NEAR_ONE, False),  # within INTEGER_GAP
-    (2.0, 8.0, 2.0 + 1e-8, NEAR_ONE, False),
+    (2.0, 8.0, 2.0 + 1e-4, NEAR_ONE, True),   # within INTEGER_GAP: paired
+    (2.0, 8.0, 2.0 + 1e-8, NEAR_ONE, True),
     (2.0, 8.0, 200.0, [0.9], False),          # Gamma(200) overflows
     (20.0, 30.0, 25.0, [0.9], False),         # cancellation at 1 - kappa 0.1
 ]
@@ -276,8 +272,8 @@ def mp_log_term(mpmath, a, b, kappa):
                        * (1 - y) ** (B - 1), [0, 0.5, 1]) / mpmath.beta(A, B)
 
 
-@pytest.mark.parametrize("lo,hi,rtol", LOG_BANDS,
-                         ids=[f"kappa{lo:g}" for lo, _, _ in LOG_BANDS])
+@pytest.mark.parametrize("lo,hi,rtol", MP_BANDS,
+                         ids=[f"kappa{lo:g}" for lo, _, _ in MP_BANDS])
 def test_log_term_matches_mpmath_quadrature(lo, hi, rtol):
     rng = np.random.default_rng(20261019)
     with mpmath.workdps(30):
@@ -315,36 +311,56 @@ def test_digamma_matches_mpmath():
 @given(p=st.one_of(st.floats(-12.0, 40.0), st.floats(1e100, 1e300)),
        q=st.floats(-12.0, 40.0), r=st.floats(0.25, 40.0),
        s=st.floats(0.25, 40.0), start=st.integers(0, 4),
-       zs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10),
-       g0=st.one_of(st.none(), st.floats(-4.0, 4.0)))
+       zs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=14),
+       g0=st.one_of(st.none(), st.floats(-4.0, 4.0)),
+       eps=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
 @example(p=1e200, q=1.0, r=2.0, s=1.0, start=0, zs=[0.0, 1e-250, 0.5],
-         g0=None)                  # the 0.5 entry overflows to +inf
+         g0=None, eps=0.0)         # the 0.5 entry overflows to +inf
 @example(p=0.5, q=0.5, r=1.5, s=1.0, start=0, zs=[0.1, 0.999, 0.5],
-         g0=None)                  # the 0.999 entry hits the term cap
+         g0=None, eps=0.0)         # the 0.999 entry hits the term cap
 @example(p=2.5, q=3.0, r=1.0, s=4.0, start=0, zs=[0.05, 0.1, 0.02, 0.3, 0.5],
-         g0=-3.0)                  # |g_k| crosses 1 in the numpy loop
+         g0=-3.0, eps=0.0)         # |g_k| crosses 1 in the numpy loop
+@example(p=2.5, q=3.0, r=1.0004, s=3.0, start=0, zs=[0.05, 0.1, 0.3, 0.02],
+         g0=1.5, eps=-4e-4)        # the weight of the paired sums
 @settings(max_examples=200, deadline=None)
-def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0):
+def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0,
+                                                 eps):
     # the series kernel sums a float z, a 1-entry array and a many-entry
-    # array with the same IEEE arithmetic: bit-identical sums and the same
-    # converged flags. The term cap is lowered so that entries reach it
-    # cheaply.
+    # array with the same IEEE arithmetic: bit-identical sums (and, with a
+    # weight, sums of absolute values) and the same converged flags. The
+    # term cap is lowered so that entries reach it cheaply.
     if g0 is not None:             # the bracket divides by p + k and q + k
         assume(all(x > 0.0 or x != round(x) for x in (p, q)))
+        assume(not eps or min(p, q, p + eps, q + eps) > 0.0)
     z = np.array(zs)
     g = None if g0 is None else g0 + z
     bits = lambda x: np.float64(x).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jumps_mod, "SERIES_MAX_TERMS", 500)
-        many, many_ok = jumps_mod._sums(p, q, r, s, z, g, start)
+        many = jumps_mod._sums(p, q, r, s, z, g, start, eps)
         for i, zi in enumerate(zs):
             gi = None if g is None else float(g[i])
-            alone, ok = jumps_mod._sums(p, q, r, s, zi, gi, start)
-            one, one_ok = jumps_mod._sums(
+            alone = jumps_mod._sums(p, q, r, s, zi, gi, start, eps)
+            one = jumps_mod._sums(
                 p, q, r, s, z[i:i + 1], None if g is None else g[i:i + 1],
-                start)
-            assert bits(alone) == bits(one[0]) == bits(many[i]), (i, zi)
-            assert ok == one_ok[0] == many_ok[i], (i, zi)
+                start, eps)
+            for x_alone, x_one, x_many in zip(alone, one, many):
+                assert bits(x_alone) == bits(x_one[0]) == bits(x_many[i]), \
+                    (i, zi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pk.psi(BETA28, 0.5, 3.0),
+    lambda: pk.utility_jump_term(BETA28, 0.5, 1.0),
+    lambda: utility_jump_curve(BETA28, np.array([0.2, 0.5]), 3.0),
+    lambda: pk.fosd_compare(BETA28, BETA28)],
+    ids=["psi", "log-term", "curve", "fosd"])
+def test_unconverged_series_raises_nonconvergence(call, monkeypatch):
+    # with no quadrature behind it, a series that reaches its term cap is
+    # a typed error, not a value
+    monkeypatch.setattr(jumps_mod, "SERIES_MAX_TERMS", 3)
+    with pytest.raises(pk.NonConvergence):
+        call()
 
 
 def test_sums_overflow_and_term_cap():
@@ -505,29 +521,42 @@ class TestCache:
         assert cache.second_moment == pytest.approx(6.0 / 110.0)
 
 
+def mp_utility(alpha, beta, kappa, eta):
+    """E[U_eta(1 - kappa Y)] for Y ~ Beta(alpha, beta) in mpmath at the
+    working precision: 2F1(eta - 1, alpha; alpha + beta; kappa) / (1 - eta),
+    and for eta = 1 minus the derivative at 0 of 2F1(., alpha; alpha + beta;
+    kappa) (tanh-sinh quadrature loses digits near kappa = 1 for beta < 1/2).
+    """
+    A, B, K, E = (mpmath.mpf(float(x)) for x in (alpha, beta, kappa, eta))
+    if eta == 1.0:
+        return -mpmath.diff(lambda a: mpmath.hyp2f1(a, A, A + B, K), 0)
+    return mpmath.hyp2f1(E - 1, A, A + B, K) / (1 - E)
+
+
 class TestUtilityCurveSlowTail:
     def test_kappa_near_one_eta_near_beta(self):
-        # the vectorized series outlasts its term cap here; the scalar
-        # route's quadrature fallback must kick in per entry
-        kappas = np.array([0.5, 0.999, 1.0 - 2.5e-6, 1.0 - 1e-7, 1.0])
+        # kappa near 1 with eta - 1 near beta, where the direct series would
+        # outlast its term cap: every entry within 1e-13 of 30-digit mpmath
+        kappas = np.array([0.5, 0.999, 1.0 - 2.5e-6, 1.0 - 1e-7])
         for eta in (7.9, 7.5, 1.0):
             curve = utility_jump_curve(BETA28, kappas, eta)
-            direct = [utility_quadrature(BETA28, float(k), eta)
-                      for k in kappas]
-            np.testing.assert_allclose(curve, direct, rtol=1e-9, atol=1e-9)
+            with mpmath.workdps(30):
+                ref = [float(mp_utility(2.0, 8.0, k, eta)) for k in kappas]
+            np.testing.assert_allclose(curve, ref, rtol=1e-13, atol=0.0)
+            assert utility_jump_curve(BETA28, np.array([1.0]), eta)[0] == \
+                pk.utility_jump_term(BETA28, 1.0, eta)
 
-    def test_unconverged_series_goes_straight_to_quadrature(self,
-                                                            monkeypatch):
+    def test_near_integer_entry_takes_the_near_one_route(self, monkeypatch):
         # c - a - b = beta - eta + 1 = 1.0005 lies within INTEGER_GAP of 1,
-        # so the 1 - kappa route declines and the curve's direct series
-        # cannot finish this entry; it must not sum the same series again
-        # through the scalar route: one direct call, the curve's own
+        # where the direct series cannot finish: the paired connection
+        # formula takes the entry, with no direct call
         calls = count_direct_calls(monkeypatch)
         kappa, eta = 1.0 - 2.5e-6, 7.9995
         curve = utility_jump_curve(BETA28, np.array([kappa]), eta)
-        assert len(calls) == 1
-        assert curve[0] == pk.psi_quadrature(BETA28, kappa, eta - 1.0,
-                                             m=0) / (1.0 - eta)
+        assert calls == []
+        with mpmath.workdps(30):
+            ref = float(mp_utility(2.0, 8.0, kappa, eta))
+        assert curve[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_former_quadrature_entry_matches_mpmath(self):
         # kappa = 1 - 2.5e-6 at eta = 7.9 took the quadrature before the
@@ -550,3 +579,123 @@ def test_curve_entries_do_not_depend_on_the_grid(eta):
     for kappa, value in zip(kappas, curve):
         assert value == utility_jump_curve(BETA28, np.array([kappa]), eta)[0]
         assert value == pk.utility_jump_term(BETA28, float(kappa), eta)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [
+    pk.psi, pk.psi_dkappa, pk.utility_jump_term,
+    lambda law, kappa, eta: utility_jump_curve(law, np.array([kappa]), eta)],
+    ids=["psi", "psi_dkappa", "utility_jump_term", "utility_jump_curve"])
+def test_non_finite_eta_is_a_domain_error(fn, eta):
+    with pytest.raises(pk.DomainError):
+        fn(BETA28, 0.5, eta)
+
+
+def test_jump_functionals_run_without_scipy():
+    # scipy is no runtime dependency: with its import blocked, the
+    # near-integer and log routes near kappa = 1, a curve and fosd_compare
+    # all run
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import pikappa as pk
+        from pikappa.jumps import utility_jump_curve
+        law = pk.JumpLaw(1.0, pk.BetaJumps(2.0, 8.0))
+        skew = pk.JumpLaw(1.0, pk.BetaJumps(6.904, 1.428))
+        values = [pk.psi(law, 0.999, 7.9995),
+                  pk.psi_dkappa(law, 0.999, 6.9995),
+                  pk.utility_jump_term(law, 1.0 - 2.5e-6, 7.9995),
+                  pk.utility_jump_term(skew, 0.99997, 1.0)]
+        values += list(utility_jump_curve(law, np.array([0.5, 0.999, 1.0]),
+                                          1.0))
+        assert np.all(np.isfinite(values)), values
+        hi = pk.JumpLaw(1.0, pk.BetaJumps(12.0, 8.0))
+        assert pk.fosd_compare(hi, law) is pk.Ordering.DOMINATES
+        print("ok")
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_beta_cdf_matches_scipy_betainc():
+    # fosd_compare's series CDF (DLMF 8.17.7, reflected above x = 1/2)
+    rng = np.random.default_rng(20261021)
+    for _ in range(200):
+        a, b = 10.0 ** rng.uniform(-1.0, math.log10(40.0), size=2)
+        x = rng.uniform(0.0, 1.0, size=64)
+        np.testing.assert_allclose(
+            jumps_mod._cdf(pk.BetaJumps(a, b), x), special.betainc(a, b, x),
+            rtol=0.0, atol=1e-13)
+
+
+def assert_matches_mp(value, ref, rtol):
+    """value within rtol of the mpmath ref, or +-inf where ref lies beyond
+    double range."""
+    if abs(ref) > mpmath.mpf(np.finfo(float).max):
+        assert value == math.copysign(math.inf, ref)
+    else:
+        assert value == pytest.approx(float(ref), rel=rtol, abs=0.0)
+
+
+@given(alpha=st.floats(0.1, 40.0), beta=st.floats(0.1, 40.0),
+       log_w=st.floats(-12.0, -1.0),
+       eta=st.one_of(st.just(1.0), st.floats(1e-3, 64.0)),
+       near=st.one_of(st.none(), st.tuples(
+           st.integers(-3, 3), st.floats(-1e-3, 1e-3),
+           st.sampled_from([0.0, 1.0, -1.0]))))
+@example(alpha=0.5, beta=32.0, log_w=-12.0, eta=31.0 + 1e-9, near=None)
+@example(alpha=4.0, beta=0.2, log_w=-12.0, eta=1.0, near=None)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_census_near_one_matches_mpmath(alpha, beta, log_w, eta, near):
+    # every Beta moment for kappa = 1 - w in [0.9, 1 - 1e-12] takes a
+    # series that converges, within MP_BANDS of 30-digit mpmath: half the
+    # draws put beta - s within 1e-3 of an integer j in [-3, 3], with s =
+    # eta + shift the exponent of psi (0), psi_dkappa (1) or the utility
+    # term (-1)
+    if near is not None:
+        j, off, shift = near
+        eta = beta - j - off - shift
+        assume(1e-3 <= eta <= 64.0)
+    kappa = 1.0 - 10.0 ** log_w
+    rtol = next(r for lo, hi, r in MP_BANDS if lo <= kappa < hi)
+    law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=alpha, beta=beta))
+    u = pk.utility_jump_term(law, kappa, eta)
+    curve = utility_jump_curve(law, np.array([0.5, kappa, 1.0]), eta)
+    assert curve[1] == u or math.isnan(u)
+    with mpmath.workdps(30):
+        A, B, K, E = (mpmath.mpf(x) for x in (alpha, beta, kappa, eta))
+        assert_matches_mp(pk.psi(law, kappa, eta), A / (A + B)
+                          * mpmath.hyp2f1(E, A + 1, A + B + 1, K), rtol)
+        assert_matches_mp(pk.psi_dkappa(law, kappa, eta),
+                          A * (A + 1) / ((A + B) * (A + B + 1))
+                          * mpmath.hyp2f1(E + 1, A + 2, A + B + 2, K), rtol)
+        assert_matches_mp(u, mp_utility(alpha, beta, kappa, eta), rtol)
+
+
+def test_log_term_with_a_huge_beta_skips_the_long_finite_sum(monkeypatch):
+    # Gamma(alpha + beta) overflows, so the 1 - kappa log route gives way
+    # before its sum of round(beta) - 1 terms (1e5 here): the direct series
+    # takes the moment
+    def unreached(*args):
+        raise AssertionError("the finite sum ran")
+    monkeypatch.setattr(jumps_mod, "_digamma_gap", unreached)
+    law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=2.0, beta=1e5))
+    total, ok = jumps_mod._sums(3.0, 1.0, 1e5 + 3.0, 2.0, 0.95)
+    assert ok and pk.utility_jump_term(law, 0.95, 1.0) == \
+        -0.95 * 2.0 / (1e5 + 2.0) * total
+
+
+def test_census_pins():
+    # two moments the quadrature fallback raised on, to the digits known
+    law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=0.5, beta=32.0))
+    assert pk.psi(law, 1.0 - 1e-12, 31.0 + 1e-9) == \
+        pytest.approx(2.11939741371, rel=1e-11)
+    law = pk.JumpLaw(lam=1.0, law=pk.BetaJumps(alpha=4.0, beta=0.2))
+    assert pk.utility_jump_term(law, 1.0 - 1e-12, 1.0) == \
+        pytest.approx(-6.57041947003, rel=1e-11)
