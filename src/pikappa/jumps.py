@@ -117,12 +117,18 @@ def _sums(p, q, r, s, z, g=None, start=0, eps=0.0):
 
 
 def _bracket_step(p, q, r, s, k, eps):
-    """rho_k of _sums: the digamma step, each 1/x log1p(eps / x) / eps."""
+    """rho_k of _sums: the digamma step, each 1/x log1p(eps / x) / eps.
+    A step past double range is +-inf, as the plain sum of 1/x gives at
+    eps = 0 (math.expm1 would raise); callers keep |eps| < 1, so an e^x
+    past range divided by eps is past range too."""
     if not eps:
         return 1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k) - 1.0 / (s + k)
-    return math.expm1(math.log1p(eps / (p + k)) + math.log1p(eps / (q + k))
-                      - math.log1p(eps / (r + k))
-                      - math.log1p(eps / (s + k))) / eps
+    x = (math.log1p(eps / (p + k)) + math.log1p(eps / (q + k))
+         - math.log1p(eps / (r + k)) - math.log1p(eps / (s + k)))
+    try:
+        return math.expm1(x) / eps
+    except OverflowError:
+        return math.inf / eps
 
 
 def _array_sums(p, q, r, s, z, g, start, eps):
@@ -157,8 +163,9 @@ def _array_sums(p, q, r, s, z, g, start, eps):
                     live, zl, rtol, u, total, mass, ratio))
                 gl = None if g is None else gl[keep]
             u = u * ratio
-            if g is not None:      # at eps = 0, 1 + eps g is 1.0 exactly
-                gl = gl + _bracket_step(p, q, r, s, k, eps) * (1.0 + eps * gl)
+            if g is not None:      # as _sums: no 1 + eps g at eps = 0, where
+                step = _bracket_step(p, q, r, s, k, eps)  # g = inf gives nan
+                gl = gl + (step * (1.0 + eps * gl) if eps else step)
             k += 1
     if k < SERIES_MAX_TERMS:
         for i in live:

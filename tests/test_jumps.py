@@ -322,6 +322,11 @@ def test_digamma_matches_mpmath():
          g0=-3.0, eps=0.0)         # |g_k| crosses 1 in the numpy loop
 @example(p=2.5, q=3.0, r=1.0004, s=3.0, start=0, zs=[0.05, 0.1, 0.3, 0.02],
          g0=1.5, eps=-4e-4)        # the weight of the paired sums
+@example(p=4.091537975268825e-196, q=2.77500102626232e-138, r=1.0, s=1.0,
+         start=0, zs=[0.0, 0.0], g0=0.0,
+         eps=0.0008759508510148754)  # the first weight step is past range
+@example(p=1e100, q=2.225073858507203e-309, r=1.0, s=1.0, start=0,
+         zs=[0.0] * 8 + [1.0], g0=0.0, eps=0.0)  # g_1 = +inf in numpy
 @settings(max_examples=200, deadline=None)
 def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0,
                                                  eps):
