@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BracketError, DomainError
 from .jumps import _each, _overflow_as_domain_error, psi, utility_jump_term
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, MarketModel, Policy, PortfolioPremium,
@@ -163,7 +163,7 @@ def conjugate(zeta: np.ndarray, gamma: float, friction: FrictionSpec,
                                     x0=0.0, step=1.0, max_expand=60)
             x = bisect(lambda x_: friction.g_prime(x_) + z, lo, hi,
                        xtol=1e-12).root
-        except Exception:
+        except BracketError:       # g' + z keeps one sign: no maximiser
             return (math.inf, False)
         val = float(friction.g(x)) + z * x \
             + conj_premium(gamma, friction.premium)

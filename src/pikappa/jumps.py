@@ -5,16 +5,19 @@ Each one is a power moment E[Y^m (1 - kappa Y)^(-s)]: psi is (m, s) =
 (0, eta - 1), divided by 1 - eta. One routing function, _power_moment,
 evaluates all three:
 
-- discrete laws: the exact weighted sum;
+- discrete laws: the exact weighted sum, for one kappa or a grid;
 - Beta(alpha, beta) at kappa = 1: the closed form
   B(alpha + m, beta - s) / B(alpha, beta) when s < beta, and +inf, the
   moment's true value, when s >= beta;
 - Beta at kappa < CONNECTION_SWITCH = 0.9: (alpha)_m / (alpha + beta)_m
   2F1(s, alpha + m; alpha + beta + m; kappa), its series summed directly
   (DLMF 15.2); the terms decay like n^(s - beta - 1) kappa^n;
-- Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa by the
-  connection formulas of DLMF 15.8 (_hyp2f1_near_one), whose terms decay
-  like w^n; the direct series where those overflow or cancel.
+- Beta at 0.9 <= kappa < 1: the same 2F1 summed in w = 1 - kappa
+  (_hyp2f1_near_one) by DLMF 15.8.4 with the terms of its two sums paired
+  across their poles (the one form for every c - a - b, integer or not),
+  after Euler's transformation where c - a - b < 0; its terms decay like
+  w^n. The direct series serves where Gamma factors overflow or the
+  pieces cancel.
 
 The log-utility term (eta = 1) is an exact sum for discrete laws and, for
 a Beta law, digamma(beta) - digamma(alpha + beta) at kappa = 1, the series
@@ -52,14 +55,11 @@ from .models import (BetaJumps, DiscreteJumps, JumpLaw, law_mean,
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 200_000
 CONNECTION_SWITCH = 0.9        # z from which 2F1 is summed in 1 - z
-# the 1 - z route holds while (|c1 s1| + |c2 s2|) / |2F1| stays below
-# CONNECTION_MAX_GAIN / (1 - z): the direct series takes about 40 / (1 - z)
-# terms, so nearer 1 the route may cancel more digits before it gives way
+# the 1 - z route holds while the sum of its terms' absolute values over
+# |2F1| stays below CONNECTION_MAX_GAIN / (1 - z): the direct series takes
+# about 40 / (1 - z) terms, so nearer 1 the route may cancel more digits
+# before it gives way
 CONNECTION_MAX_GAIN = 1.0
-INTEGER_GAP = 1e-3             # c - a - b this near an integer: no 15.8.4
-# DLMF 15.8.4 holds while its pieces cancel less than this: its Gamma factors
-# carry errors of about 1e-14 each near 40, and the result keeps 1e-13
-_NONINTEGER_MAX_GAIN = 4.0
 EULER_GAMMA = 0.5772156649015329
 # B_2k / (2k (2k - 1)), k = 1..7: Stirling's series of ln Gamma (DLMF 5.11.1)
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
@@ -211,19 +211,6 @@ def _each(fn, *args):
         args[0].shape)
 
 
-def _connection_noninteger(a: float, b: float, c: float, d: float, w):
-    """2F1(a, b; c; 1 - w) for c - a - b = d > 0 not an integer (DLMF
-    15.8.4) as c1 s1 + c2 s2, |c1 s1| + |c2 s2|, and whether both sums
-    converged."""
-    gc = math.gamma(c)
-    c1 = gc * math.gamma(d) * _rgamma(c - a) * _rgamma(c - b)
-    c2 = gc * math.gamma(-d) * _rgamma(a) * _rgamma(b) * _each(
-        lambda x: x ** d, w)
-    s1, ok1 = _sums(a, b, 1.0 - d, 1.0, w, start=math.floor(d))
-    s2, ok2 = _sums(c - a, c - b, 1.0 + d, 1.0, w)
-    return c1 * s1 + c2 * s2, abs(c1 * s1) + abs(c2 * s2), ok1 & ok2
-
-
 def _paired_sum(p: float, q: float, m: int, eps: float, w):
     """(f, s, sum of |terms of s|, converged): the k >= m terms of DLMF
     15.8.4's two sums at c - a - b = m + eps, p = a + m and q = b + m,
@@ -248,61 +235,45 @@ def _paired_sum(p: float, q: float, m: int, eps: float, w):
     return (f,) + _sums(p, q, 1.0 - eps, m + 1.0, w, g=g, eps=eps)
 
 
-def _connection_log(a: float, b: float, c: float, d: float, w):
-    """2F1(a, b; a + b + d; 1 - w) for d = m + eps > 0, m the integer
-    nearest, the absolute values of its pieces summed, and whether its
-    series converged: the k < m terms of DLMF 15.8.4's first sum, a finite
-    sum in (-w)^k, and the rest by _paired_sum, with no pole to cancel."""
-    m = round(d)
-    gc = math.gamma(c)
-    total = mass = 0.0 * w
-    x = 1.0 + total                # (-w)^k
-    t = gc * _rgamma(a + d) * _rgamma(b + d) * math.gamma(d) if m else 0.0
-    for k in range(m):
-        if k:
-            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (d - k))
-        piece = t * x
-        total = total + piece
-        mass = mass + abs(piece)
-        x = x * -w
-    c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
-    if c2 == 0.0:                  # a or b a pole: 2F1 is the finite sum
-        return total, mass, True
-    f, s2, mass2, ok = _paired_sum(a + m, b + m, m, d - m, w)
-    c2 = c2 * f * x
-    return total + c2 * s2, mass + abs(c2) * mass2, ok
-
-
 def _hyp2f1_near_one(a: float, b: float, c: float, d: float, w, finish):
     """finish(2F1(a, b; c; 1 - w)), d = c - a - b, for w a float or an
-    array in (0, 1), and where that holds (a bool or a bool array): DLMF
-    15.8.4 for d at least INTEGER_GAP from an integer while its pieces'
-    absolute values add up to at most _NONINTEGER_MAX_GAIN times the
-    result, else _connection_log. It fails where a Gamma factor overflows,
-    a series does not converge, or the pieces add up to CONNECTION_MAX_GAIN
-    / w times the result. For d < 0 Euler's transformation (DLMF 15.8.1)
-    comes first, finish scaling the result before its factor w^d."""
+    array in (0, 1), and where that holds (a bool or a bool array). With
+    d = m + eps > 0, m the integer nearest, it is the k < m terms of DLMF
+    15.8.4's first sum, a finite sum in (-w)^k, and the rest by
+    _paired_sum, with no pole to cancel. It fails where a Gamma factor
+    overflows, the series does not converge, or the pieces add up to
+    CONNECTION_MAX_GAIN / w times the result. For d < 0 Euler's
+    transformation (DLMF 15.8.1) comes first, finish scaling the result
+    before its factor w^d."""
     euler = d < 0.0
     if euler:
         a, b, d = c - a, c - b, -d
-    value, mass, ok = w * math.nan, w * math.nan, w < 0.0
+    m = round(d)
     try:
-        if abs(d - round(d)) >= INTEGER_GAP:
-            value, mass, ok = _connection_noninteger(a, b, c, d, w)
-        fast = ok & (mass <= _NONINTEGER_MAX_GAIN * abs(value))
-        if not isinstance(w, np.ndarray):
-            if not fast:
-                value, mass, ok = _connection_log(a, b, c, d, w)
-        elif not fast.all():
-            i = np.flatnonzero(~fast)
-            value[i], mass[i], ok[i] = _connection_log(a, b, c, d, w[i])
+        gc = math.gamma(c)
+        total = mass = 0.0 * w
+        x = 1.0 + total            # (-w)^k
+        t = gc * _rgamma(a + d) * _rgamma(b + d) * math.gamma(d) if m else 0.0
+        for k in range(m):
+            if k:
+                t *= (a + k - 1.0) * (b + k - 1.0) / (k * (d - k))
+            piece = t * x
+            total = total + piece
+            mass = mass + abs(piece)
+            x = x * -w
+        c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
+        ok = True
+        if c2 != 0.0:              # else a or b is a pole: the finite sum
+            f, s2, mass2, ok = _paired_sum(a + m, b + m, m, d - m, w)
+            c2 = c2 * f * x
+            total, mass = total + c2 * s2, mass + abs(c2) * mass2
     except OverflowError:
         return w * math.nan, w < 0.0       # (nan, False) for every entry
-    holds = ok & (mass * w < CONNECTION_MAX_GAIN * abs(value))
+    holds = ok & (mass * w < CONNECTION_MAX_GAIN * abs(total))
     if euler:
-        return _each(lambda v, x: _times_power(v, x, -d, finish), value,
+        return _each(lambda v, x: _times_power(v, x, -d, finish), total,
                      w), holds
-    return finish(value), holds
+    return finish(total), holds
 
 
 def _hyp2f1(law: BetaJumps, m: int, eta: float, shift: float, z, finish):
@@ -400,14 +371,30 @@ def _check_kappa_eta(kappa: float, eta: float) -> None:
         raise DomainError(f"eta={eta} must be positive and finite")
 
 
+def _discrete_sum(law: DiscreteJumps, kappa, term):
+    """sum_i term(w_i, y_i, 1 - kappa y_i) over the atoms y_i of weight w_i:
+    a discrete law's exact moment, for kappa a float or an array (a sum per
+    entry, with the bits of that kappa alone)."""
+    y = law.points
+    total = np.sum(term(law.weights, y, 1.0 - np.multiply.outer(kappa, y)),
+                   axis=-1)
+    return total if isinstance(kappa, np.ndarray) else float(total)
+
+
+def _log_term(w, y, z):
+    """The term of E[ln(1 - kappa Y)] in _discrete_sum."""
+    return w * np.log(z)
+
+
 def _power_moment(law, m: int, eta: float, shift: float, kappa: float,
                   div: float = 1.0) -> float:
     """E[Y^m (1 - kappa Y)^(-s)] / div with s = eta + shift: the one route
-    of every power-type jump functional (see the module docstring)."""
+    of every power-type jump functional (see the module docstring); kappa
+    is a float, or for a discrete law a float or an array."""
     s = eta + shift
     if isinstance(law, DiscreteJumps):
-        y, w = law.points, law.weights
-        return float(np.sum(w * y ** m / (1.0 - kappa * y) ** s)) / div
+        return _discrete_sum(law, kappa,
+                             lambda w, y, z: w * y ** m / z ** s) / div
     a, b = law.alpha, law.beta
     if kappa == 1.0:
         if s >= b:
@@ -479,7 +466,7 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
     if eta != 1.0:
         return _power_moment(law, 0, eta, -1.0, kappa, 1.0 - eta)
     if isinstance(law, DiscreteJumps):
-        return float(np.sum(law.weights * np.log(1.0 - kappa * law.points)))
+        return _discrete_sum(law, kappa, _log_term)
     if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
         return -_digamma_gap(law.beta, law.alpha)
     return _log_moment(law, kappa)
@@ -488,19 +475,19 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
                        eta: float) -> np.ndarray:
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
-    jump term. Every kappa < 1 of a Beta law takes the routes of
-    utility_jump_term at once, each entry with the bits of the same kappa
-    alone; kappa = 1 takes the closed form, -inf where E[U_eta(1 - Y)]
-    diverges (eta >= beta + 1), the objective's true value there."""
-    _check_kappa_eta(0.0, eta)     # eta alone: 0.0 stands in for the grid
+    jump term. Every entry takes the routes of utility_jump_term, with the
+    bits of the same kappa alone: a discrete law's exact sum, and for a
+    Beta law every kappa < 1 at once and kappa = 1 by the closed form, -inf
+    where E[U_eta(1 - Y)] diverges (eta >= beta + 1), the objective's true
+    value there. A kappa outside [0, 1], NaN too, is a DomainError."""
     kappas = np.asarray(kappas, dtype=float)
+    outside = kappas[~((0.0 <= kappas) & (kappas <= 1.0))]
+    _check_kappa_eta(outside[0] if outside.size else 0.0, eta)
     law = jumps.law
     if isinstance(law, DiscreteJumps):
-        y, w = law.points, law.weights
-        z = 1.0 - np.outer(kappas, y)
         if eta == 1.0:
-            return np.log(z) @ w
-        return (z ** (1.0 - eta)) @ w / (1.0 - eta)
+            return _discrete_sum(law, kappas, _log_term)
+        return _power_moment(law, 0, eta, -1.0, kappas, 1.0 - eta)
     out = np.empty_like(kappas)
     summed = np.flatnonzero(kappas < 1.0)
     if eta == 1.0:

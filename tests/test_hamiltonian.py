@@ -185,6 +185,28 @@ class TestConjugate:
         v, ok = pk.conjugate(np.array([z]), -1.0, fric, m)
         assert ok and v == pytest.approx(z * z / (4 * c), abs=1e-9)
 
+    def test_smooth_g_callable_errors_propagate(self):
+        # only a bracket that never changes sign means "outside the domain";
+        # an exception raised by the user's g_prime is the caller's to see
+        c = 0.25
+
+        def g_prime(x):
+            if abs(x) > 100.0:
+                raise ZeroDivisionError("g_prime undefined here")
+            return -2 * c * x
+        fric = pk.SmoothG(premium=pk.LinearPremium(q=0.0),
+                          g=lambda x: -c * x * x, g_prime=g_prime,
+                          g_second=lambda x: -2 * c)
+        with pytest.raises(ZeroDivisionError):
+            pk.conjugate(np.array([1e3]), 0.0, fric, c2_model())
+        bounded = pk.SmoothG(premium=pk.LinearPremium(q=0.0),
+                             g=lambda x: -math.log1p(x * x),
+                             g_prime=lambda x: -2 * x / (1 + x * x),
+                             g_second=lambda x: -2 * (1 - x * x)
+                             / (1 + x * x) ** 2)
+        assert pk.conjugate(np.array([5.0]), 0.0, bounded, c2_model()) == \
+            (math.inf, False)
+
     def test_conjugate_dominates_lagrangian(self):
         # f(pi,kappa) + pi.zeta + kappa gamma <= ftilde(zeta,gamma) + 1e-9
         rng = np.random.default_rng(17)

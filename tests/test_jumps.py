@@ -217,15 +217,17 @@ def test_psi_and_psi_dkappa_match_mpmath_hyp2f1(lo, hi, rtol):
 NEAR_ONE = [0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
 # (alpha, beta, eta, kappas, taken): c - a - b is beta - eta for psi,
 # beta - eta - 1 for psi_dkappa and beta - eta + 1 for the utility term;
-# taken says whether the 1 - kappa route must take all three (True), must
-# leave all three to the direct series (False), or may do either (None)
+# taken says whether the 1 - kappa route must take all three (True) or
+# leave all three to the direct series (False)
 ROUTE_CASES = [
     (2.0, 8.0, 2.0, NEAR_ONE, True),          # integer > 0: DLMF 15.8.10
     (2.0, 8.0, 10.0, NEAR_ONE, True),         # integer < 0: Euler first
     (2.0, 8.0, 11.0, NEAR_ONE, True),         # Euler gives a = 0: finite
-    (2.0, 8.0, 2.0 + 1e-2, NEAR_ONE, None),   # DLMF 15.8.4
-    (2.0, 8.0, 2.0 + 1e-4, NEAR_ONE, True),   # within INTEGER_GAP: paired
+    (2.0, 8.0, 2.0 + 1e-2, NEAR_ONE, True),   # near an integer: paired
+    (2.0, 8.0, 2.0 + 1e-4, NEAR_ONE, True),
     (2.0, 8.0, 2.0 + 1e-8, NEAR_ONE, True),
+    (2.0, 8.0, 2.5, NEAR_ONE, True),          # 5.5, 4.5, 6.5: half-integers
+    (2.0, 8.0, 7.7, NEAR_ONE[1:], True),      # 0.3, -0.7, 1.3; cancels at 0.9
     (2.0, 8.0, 200.0, [0.9], False),          # Gamma(200) overflows
     (20.0, 30.0, 25.0, [0.9], False),         # cancellation at 1 - kappa 0.1
 ]
@@ -234,7 +236,8 @@ ROUTE_CASES = [
 @pytest.mark.parametrize("alpha,beta,eta,kappas,taken", ROUTE_CASES,
                          ids=["integer", "integer-negative",
                               "integer-negative-pole", "gap1e-2",
-                              "gap1e-4", "gap1e-8", "gamma-overflow",
+                              "gap1e-4", "gap1e-8", "half-integer",
+                              "far-from-integer", "gamma-overflow",
                               "cancellation"])
 def test_near_one_route_matches_mpmath(alpha, beta, eta, kappas, taken,
                                        monkeypatch):
@@ -257,8 +260,7 @@ def test_near_one_route_matches_mpmath(alpha, beta, eta, kappas, taken,
                 before = len(direct)
                 val = fn(law, kappa, eta)
                 took = len(direct) == before
-                if taken is not None:
-                    assert took == taken, (fn.__name__, kappa)
+                assert took == taken, (fn.__name__, kappa)
                 assert val == pytest.approx(float(ref), rel=1e-13 if took
                                             else 1e-11, abs=0.0), \
                     (fn.__name__, kappa)
@@ -552,7 +554,7 @@ class TestUtilityCurveSlowTail:
                 pk.utility_jump_term(BETA28, 1.0, eta)
 
     def test_near_integer_entry_takes_the_near_one_route(self, monkeypatch):
-        # c - a - b = beta - eta + 1 = 1.0005 lies within INTEGER_GAP of 1,
+        # c - a - b = beta - eta + 1 = 1.0005 lies 5e-4 from the integer 1,
         # where the direct series cannot finish: the paired connection
         # formula takes the entry, with no direct call
         calls = count_direct_calls(monkeypatch)
@@ -584,6 +586,40 @@ def test_curve_entries_do_not_depend_on_the_grid(eta):
     for kappa, value in zip(kappas, curve):
         assert value == utility_jump_curve(BETA28, np.array([kappa]), eta)[0]
         assert value == pk.utility_jump_term(BETA28, float(kappa), eta)
+
+
+@given(atoms=st.lists(st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 1.0)),
+                     min_size=1, max_size=24),
+       kappas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+       eta=st.one_of(st.just(1.0), st.sampled_from([0.5, 3.0, 7.3]),
+                     st.floats(0.05, 12.0)))
+@settings(max_examples=200, deadline=None)
+def test_discrete_curve_entries_are_the_scalar_term(atoms, kappas, eta):
+    # a discrete law's curve is the exact sum of utility_jump_term, entry by
+    # entry: the same bits at every kappa, at eta = 1 and eta != 1
+    points, weights = zip(*atoms)
+    law = pk.JumpLaw(lam=1.0, law=pk.DiscreteJumps(
+        points=np.array(points), weights=np.array(weights) / sum(weights)))
+    curve = utility_jump_curve(law, np.array(kappas), eta)
+    for kappa, value in zip(kappas, curve):
+        term = pk.utility_jump_term(law, kappa, eta)
+        assert np.float64(value).tobytes() == np.float64(term).tobytes(), \
+            (kappa, value, term)
+
+
+@pytest.mark.parametrize("law", [BETA28, pk.JumpLaw(
+    lam=1.0, law=pk.DiscreteJumps(points=[0.2, 0.6], weights=[0.5, 0.5]))],
+    ids=["beta", "discrete"])
+@pytest.mark.parametrize("kappas,first", [
+    ([math.nan, 0.5, 1.5, -0.5], "nan"), ([0.5, 1.5, -0.5], "1.5"),
+    ([0.0, 1.0, -0.5], "-0.5"), ([math.inf], "inf")],
+    ids=["nan", "above-one", "negative", "inf"])
+def test_curve_kappa_outside_unit_interval_is_a_domain_error(law, kappas,
+                                                             first):
+    # the grid is checked once, as the scalar functionals check one kappa:
+    # the error names the first kappa outside [0, 1]
+    with pytest.raises(pk.DomainError, match=f"kappa={first} outside"):
+        utility_jump_curve(law, np.array(kappas), 2.0)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])

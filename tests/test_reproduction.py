@@ -18,14 +18,40 @@ def artifacts():
     return {name: recipe() for name, recipe in RECIPES.items()}
 
 
+def _rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _column_diff(new, old):
+    """Per column of two CSV texts: the rows that changed and, for a numeric
+    column, the largest |change|; for a label column the changed labels."""
+    new_rows, old_rows = _rows(new), _rows(old)
+    if len(new_rows) != len(old_rows) or (
+            new_rows and new_rows[0].keys() != old_rows[0].keys()):
+        return (f"shape changed: {len(old_rows)} -> {len(new_rows)} rows, "
+                f"columns {list(old_rows[0]) if old_rows else []} -> "
+                f"{list(new_rows[0]) if new_rows else []}")
+    lines = []
+    for col in new_rows[0] if new_rows else ():
+        pairs = [(r[col], o[col]) for r, o in zip(new_rows, old_rows)
+                 if r[col] != o[col]]
+        if not pairs:
+            continue
+        try:
+            largest = max(abs(float(a) - float(b)) for a, b in pairs)
+        except ValueError:
+            lines.append(f"{col}: {len(pairs)} labels changed")
+        else:
+            lines.append(f"{col}: {len(pairs)} rows changed, "
+                         f"largest |change| {largest:.3g}")
+    return "; ".join(lines) or "only the text outside the cells changed"
+
+
 @pytest.mark.parametrize("name", sorted(RECIPES))
 def test_bit_identical_to_reference(name, artifacts):
     with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
-        assert artifacts[name] == fh.read()
-
-
-def _rows(text):
-    return list(csv.DictReader(io.StringIO(text)))
+        golden = fh.read()
+    assert artifacts[name] == golden, _column_diff(artifacts[name], golden)
 
 
 def test_a2_case_transition_matches_eta_r(artifacts):
