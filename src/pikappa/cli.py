@@ -33,8 +33,8 @@ from . import __version__, oracle, simulate, solvers
 from .errors import (CrossCheckFailed, ModelValidationError, NoSolution,
                      PikappaError)
 from .hamiltonian import eval_objective, value_function
-from .models import (DifferentialRates, ModelInputs, Policy, Utility,
-                     load_model_file, require_valid)
+from .models import (DifferentialRates, Policy, Utility, load_model_file,
+                     require_valid)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -62,14 +62,15 @@ def resolve_model_path(name: str) -> str:
                             f"bundled config)")
 
 
-def _load_inputs(args) -> ModelInputs:
+def _load_inputs(args) -> tuple:
+    """(model, jumps, friction, utility) of --model with its overrides."""
     inputs = load_model_file(resolve_model_path(args.model))
     parts = (inputs.model, inputs.jumps, inputs.friction, inputs.utility)
     for name in OVERRIDES:
         v = getattr(args, name, None)
         if v is not None:
             parts = oracle._apply_param(name, v, *parts)
-    return ModelInputs(*parts)
+    return parts
 
 
 def _file_sha256(path: str) -> str:
@@ -147,15 +148,15 @@ def cmd_solve(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
     if args.thresholds:
-        prem = getattr(inputs.friction, "premium", None)
-        eta_R, eta_r = solvers.threshold_etas(inputs.model, inputs.jumps, prem)
+        model, jumps, friction, _ = inputs
+        prem = getattr(friction, "premium", None)
+        eta_R, eta_r = solvers.threshold_etas(model, jumps, prem)
         if args.format == "json":
             _emit(args, json.dumps({"eta_R": eta_R, "eta_r": eta_r}), t0)
         else:
             _emit(args, f"eta_R = {eta_R:.8f}\neta_r = {eta_r:.8f}", t0)
         return
-    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                        inputs.utility)
+    rep = solvers.solve(*inputs)
     if args.format == "json":
         _emit(args, json.dumps(_report_json(rep), indent=2), t0)
     else:
@@ -167,24 +168,25 @@ def cmd_sweep(args) -> None:
     inputs = _load_inputs(args)
     if args.steps < 1:
         raise ValueError("--steps must be a positive interval count")
+    d = inputs[0].d
+    numeric = [c for c in oracle.sweep_header(d)[1:] if c != "case_label"]
+    ycols = [c.strip() for c in args.y.split(",") if c.strip()]
+    if args.plot and (not ycols or not set(ycols) <= set(numeric)):
+        raise ValueError(f"--y {args.y!r}: the plot columns are the CSV's "
+                         f"numeric columns, {', '.join(numeric)}")
     grid = np.linspace(args.frm, args.to, args.steps + 1)
-    result = oracle.sweep(args.param, grid, inputs.model, inputs.jumps,
-                          inputs.friction, inputs.utility)
-    csv_text = oracle.sweep_csv(result, inputs.model.d)
-    outputs = []
+    result = oracle.sweep(args.param, grid, *inputs)
     out = args.out or "sweep.csv"
-    _atomic_write(out, csv_text)
-    outputs.append(out)
+    _atomic_write(out, oracle.sweep_csv(result, d))
+    outputs = [out]
     n_err = sum(1 for p in result.points if p.error)
     if n_err:
         print(f"{n_err}/{len(result.points)} points failed; see case_label "
               f"column", file=sys.stderr)
     if args.plot:
-        ycols = [c.strip() for c in args.y.split(",") if c.strip()]
-        series = {}
-        for col in ycols:
-            series[col] = [None if p.error else getattr(p, col, None)
-                           for p in result.points]
+        series = {col: [None if p.error else float(p.pi[numeric.index(col)])
+                        if col in numeric[:d] else getattr(p, col)
+                        for p in result.points] for col in ycols}
         svg = line_chart([p.param_value for p in result.points], series,
                          x_label=args.param)
         _atomic_write(args.plot, svg)
@@ -192,33 +194,43 @@ def cmd_sweep(args) -> None:
     _write_manifest(args, outputs, t0)
 
 
+def _mc_vs_closed_form(policy: Policy, objective, inputs: tuple,
+                       config: simulate.SimConfig, dump_csv=None):
+    """Monte Carlo estimate, closed form and z: 0 where they agree to 1e-12
+    (1 + |closed|), as at a riskless policy, else infinite at SE = 0."""
+    model, jumps, _, utility = inputs
+    closed = value_function(0.0, config.x0, config.horizon, objective, model,
+                            jumps, utility)
+    est = simulate.simulate_terminal_utility(policy, *inputs, config,
+                                             dump_csv=dump_csv)
+    diff = est.mean - closed
+    if abs(diff) <= 1e-12 * (1.0 + abs(closed)):
+        return est, closed, 0.0
+    if est.std_error > 0.0:
+        return est, closed, diff / est.std_error
+    return est, closed, float(np.copysign(np.inf, diff))
+
+
 def cmd_simulate(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
-    if args.pi is not None:
-        # the one path that never solves, so it validates here
-        require_valid(inputs.model, inputs.jumps, inputs.friction,
-                      inputs.utility)
-        pi = np.array([float(v) for v in args.pi.split(",")])
-        policy = Policy(pi=pi, kappa=args.kappa if args.kappa is not None else 0.0)
-        label = "user-supplied policy"
-    else:
-        rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                            inputs.utility)
-        policy = rep.policy
-        label = rep.case_label
-    obj = eval_objective(policy, inputs.model, inputs.jumps, inputs.friction,
-                         inputs.utility)
-    closed = value_function(0.0, args.x0, args.horizon, obj, inputs.model,
-                            inputs.jumps, inputs.utility)
     cfg = simulate.SimConfig(horizon=args.horizon, x0=args.x0,
                              n_paths=args.paths, seed=args.seed,
                              antithetic=args.antithetic)
-    est = simulate.simulate_terminal_utility(policy, inputs.model,
-                                             inputs.jumps, inputs.friction,
-                                             inputs.utility, cfg,
-                                             dump_csv=args.dump)
-    z = (est.mean - closed) / est.std_error if est.std_error > 0 else 0.0
+    if args.pi is not None:
+        # the one path that never solves, so it validates here
+        require_valid(*inputs)
+        pi = np.array([float(v) for v in args.pi.split(",")])
+        policy = Policy(pi=pi, kappa=args.kappa if args.kappa is not None else 0.0)
+        label = "user-supplied policy"
+        obj = eval_objective(policy, *inputs)
+    elif args.kappa is not None:
+        raise ValueError("--kappa needs --pi: it sets the retention of a "
+                         "user-supplied policy")
+    else:
+        rep = solvers.solve(*inputs)
+        policy, label, obj = rep.policy, rep.case_label, rep.objective
+    est, closed, z = _mc_vs_closed_form(policy, obj, inputs, cfg, args.dump)
     lines = [f"policy = {label}",
              f"pi = {', '.join(f'{p:.8g}' for p in policy.pi)}",
              f"kappa = {policy.kappa:.8g}",
@@ -233,33 +245,24 @@ def cmd_simulate(args) -> None:
 def cmd_verify(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
-    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                        inputs.utility)
+    cfg = simulate.SimConfig(n_paths=args.mc_paths, seed=args.seed)
+    rep = solvers.solve(*inputs)
     checks: list[tuple[str, str, str]] = [
         ("validation", "pass", ""),
         ("certificate", "pass", f"residual={rep.certificate.residual:.3e}")]
 
-    _, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                         inputs.friction, inputs.utility)
+    _, val, bound = oracle.grid_maximize(*inputs)
     gap = val - rep.objective.value
     ok = gap <= bound + 1e-12
     checks.append(("oracle-gap", "pass" if ok else "fail",
                    f"gap={gap:.3e} bound={bound:.3e}"))
 
-    obj = rep.objective
-    closed = value_function(0.0, 1.0, 1.0, obj, inputs.model, inputs.jumps,
-                            inputs.utility)
-    cfg = simulate.SimConfig(horizon=1.0, x0=1.0, n_paths=args.mc_paths,
-                             seed=args.seed)
-    est = simulate.simulate_terminal_utility(rep.policy, inputs.model,
-                                             inputs.jumps, inputs.friction,
-                                             inputs.utility, cfg)
+    est, closed, z = _mc_vs_closed_form(rep.policy, rep.objective, inputs, cfg)
     if est.std_error > 0.01 * abs(closed):
         checks.append(("mc-vs-closed-form", "inconclusive",
                        f"SE={est.std_error:.3g} too wide at "
                        f"{args.mc_paths} paths"))
     else:
-        z = (est.mean - closed) / est.std_error if est.std_error else 0.0
         checks.append(("mc-vs-closed-form", "pass" if abs(z) <= 3.0 else "fail",
                        f"z={z:.2f}"))
 
@@ -272,12 +275,12 @@ def cmd_verify(args) -> None:
 
 def cmd_mutual_fund(args) -> None:
     t0 = time.time()
-    inputs = _load_inputs(args)
-    prem = getattr(inputs.friction, "premium", None)
-    res = solvers.mutual_fund_combine(inputs.model, inputs.jumps, prem,
-                                      args.eta1, args.eta2, args.eta_bar)
-    direct = solvers.solve(inputs.model, inputs.jumps,
-                           DifferentialRates(prem), Utility(args.eta_bar))
+    model, jumps, friction, _ = _load_inputs(args)
+    prem = getattr(friction, "premium", None)
+    res = solvers.mutual_fund_combine(model, jumps, prem, args.eta1,
+                                      args.eta2, args.eta_bar)
+    direct = solvers.solve(model, jumps, DifferentialRates(prem),
+                           Utility(args.eta_bar))
     disc = max(float(np.max(np.abs(res.policy.pi - direct.policy.pi))),
                abs(res.policy.kappa - direct.policy.kappa))
     lines = [f"delta = {res.delta:.10g}",
@@ -297,14 +300,11 @@ def cmd_mutual_fund(args) -> None:
 def cmd_oracle(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
-    rep = solvers.solve(inputs.model, inputs.jumps, inputs.friction,
-                        inputs.utility)
+    rep = solvers.solve(*inputs)
     grid = oracle.GridSpec(resolution=args.resolution,
                            refine_resolution=args.refine_resolution,
                            rounds=args.rounds)
-    pol, val, bound = oracle.grid_maximize(inputs.model, inputs.jumps,
-                                           inputs.friction, inputs.utility,
-                                           grid)
+    pol, val, bound = oracle.grid_maximize(*inputs, grid)
     gap = val - rep.objective.value
     lines = [f"oracle_pi = {', '.join(f'{p:.8g}' for p in pol.pi)}",
              f"oracle_kappa = {pol.kappa:.8g}",

@@ -324,13 +324,18 @@ def _fmt(v) -> str:
     return f"{v:.12g}"
 
 
+def sweep_header(d: int) -> list[str]:
+    """The sweep CSV's columns for d assets; all but param_value and
+    case_label hold numbers."""
+    return ["param_value"] + [f"pi_{i+1}" for i in range(d)] \
+        + ["pi_sum", "kappa", "case_label", "xi_star", "objective",
+           "cert_residual"]
+
+
 def sweep_csv(result: SweepResult, d: int) -> str:
     """Render a sweep as CSV text (12 significant digits, '.' decimals)."""
     buf = io.StringIO()
-    cols = ["param_value"] + [f"pi_{i+1}" for i in range(d)] \
-        + ["pi_sum", "kappa", "case_label", "xi_star", "objective",
-           "cert_residual"]
-    buf.write(",".join(cols) + "\n")
+    buf.write(",".join(sweep_header(d)) + "\n")
     for p in result.points:
         pis = [_fmt(float(x)) for x in p.pi] if p.pi is not None else [""] * d
         row = [_fmt(p.param_value)] + pis + [

@@ -22,6 +22,9 @@ WEALTH_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo settings. At least 2 paths, so that a standard error
+    exists; antithetic mode pairs the paths, so it needs an even count and
+    at least 2 pairs."""
     horizon: float = 1.0
     x0: float = 1.0
     n_paths: int = 100_000
@@ -33,8 +36,12 @@ class SimConfig:
             raise ValueError("horizon must be positive")
         if self.x0 <= 0.0:
             raise ValueError("initial wealth must be positive")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        if self.n_paths < 2:
+            raise ValueError(f"need at least 2 paths for a standard error, "
+                             f"got {self.n_paths}")
+        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
+            raise ValueError(f"antithetic sampling needs an even path count "
+                             f"of at least 4 (2 pairs), got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -66,20 +73,33 @@ def _draw_jumps(rng, jumps: JumpLaw, n: int, T: float):
     return counts, y, np.repeat(np.arange(n), counts)
 
 
-def _jump_losses(kappa: float, y: np.ndarray) -> np.ndarray:
-    """kappa Y per sampled jump; one that takes all the wealth is refused."""
-    ky = kappa * y
+def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
+                        owner: np.ndarray, model: MarketModel,
+                        friction: FrictionSpec, utility: Utility,
+                        config: SimConfig):
+    """Floored V_T, U_eta(V_T) and the floor mask on each path.
+
+    z holds the paths' standard normals, shape (..., n); y the pooled jump
+    sizes and owner the path of each, so every row of z shares the jumps.
+    A sampled jump that would take all the wealth is refused.
+    """
+    T = config.horizon
+    drift, var_rate = _policy_coefficients(policy, model, friction)
+    ky = policy.kappa * y
     if np.any(ky >= 1.0):
         raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
-    return ky
+    jl = np.bincount(owner, weights=np.log1p(-ky), minlength=z.shape[-1])
+    v = np.exp(np.log(config.x0) + drift * T + np.sqrt(var_rate * T) * z + jl)
+    floored = v < WEALTH_FLOOR
+    v = np.maximum(v, WEALTH_FLOOR)
+    eta = utility.eta
+    u = np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta)
+    return v, u, floored
 
 
-def _draw_jump_logs(rng, jumps: JumpLaw, kappa: float, n: int, T: float):
-    """Per-path sum of log(1 - kappa Y_i) over a Poisson number of jumps,
-    with the per-path jump counts."""
-    counts, y, owner = _draw_jumps(rng, jumps, n, T)
-    return np.bincount(owner, weights=np.log(1.0 - _jump_losses(kappa, y)),
-                       minlength=n), counts
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (SimConfig ensures 2+ samples)."""
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
 
 
 def simulate_terminal_utility(policy: Policy, model: MarketModel,
@@ -89,50 +109,33 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     """Sample mean and standard error of U_eta(V_T) under the policy.
 
     Deterministic given the seed (counter-based Philox stream, fixed
-    reduction order). Antithetic mode negates the Gaussian exponent within
-    pairs sharing the jump draws; the standard error then comes from pair
-    means. dump_csv optionally writes per-path debug rows
-    (path_id, N_T, G, V_T, utility).
+    reduction order). One sampler serves this and compare_policies, so on
+    the same config the plain mean here equals compare_policies' mean_a bit
+    for bit. Antithetic mode draws n_paths / 2 normals z and runs the paths
+    [z, -z] over the same jump draws; the standard error then comes from the
+    pair means. dump_csv optionally writes per-path debug rows
+    (path_id, N_T, G, V_T, utility), the antithetic mirror paths last.
     """
-    T, x = config.horizon, config.x0
-    eta = utility.eta
-    drift, var_rate = _policy_coefficients(policy, model, friction)
-    sd = np.sqrt(var_rate * T)
     rng = np.random.Generator(np.random.Philox(config.seed))
-
-    if config.antithetic and config.n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
     n = config.n_paths // 2 if config.antithetic else config.n_paths
     z = rng.standard_normal(n)
-    jl, counts = _draw_jump_logs(rng, jumps, policy.kappa, n, T)
-    g = sd * z
+    counts, y, owner = _draw_jumps(rng, jumps, n, config.horizon)
     if config.antithetic:
-        g = np.concatenate([g, -g])
-        jl = np.concatenate([jl, jl])
-        counts = np.concatenate([counts, counts])
-    logv = np.log(x) + drift * T + g + jl
-
-    v = np.exp(logv)
-    floored = v < WEALTH_FLOOR
-    v = np.maximum(v, WEALTH_FLOOR)
-    u = np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta)
+        z = np.stack([z, -z])
+    v, u, floored = _terminal_utilities(policy, z, y, owner, model, friction,
+                                        utility, config)
 
     if dump_csv is not None:
+        sd = np.sqrt(_policy_coefficients(policy, model, friction)[1]
+                     * config.horizon)
         with open(dump_csv, "w", encoding="utf-8") as fh:
             fh.write("path_id,N_T,G,V_T,utility\n")
-            for i in range(config.n_paths):
-                fh.write(f"{i},{counts[i]},{g[i]:.12g},{v[i]:.12g},"
-                         f"{u[i]:.12g}\n")
+            for i, (zi, vi, ui) in enumerate(zip(z.ravel(), v.ravel(),
+                                                 u.ravel())):
+                fh.write(f"{i},{counts[i % n]},{sd * zi:.12g},{vi:.12g},"
+                         f"{ui:.12g}\n")
 
-    if config.antithetic:
-        half = config.n_paths // 2
-        pair_means = 0.5 * (u[:half] + u[half:])
-        mean = float(pair_means.mean())
-        se = float(pair_means.std(ddof=1) / np.sqrt(half)) if half > 1 else 0.0
-    else:
-        mean = float(u.mean())
-        se = float(u.std(ddof=1) / np.sqrt(config.n_paths)) \
-            if config.n_paths > 1 else 0.0
+    mean, se = _mean_se(0.5 * (u[0] + u[1]) if config.antithetic else u)
     return SimEstimate(mean=mean, std_error=se, n_paths=config.n_paths,
                        floor_fraction=float(floored.mean()))
 
@@ -151,28 +154,12 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
                      config: SimConfig) -> ComparisonVerdict:
     """Paired estimate of E[U(V_T^A)] - E[U(V_T^B)] under common random
     numbers, judged at three standard errors."""
-    T, x = config.horizon, config.x0
-    eta = utility.eta
-    n = config.n_paths
     rng = np.random.Generator(np.random.Philox(config.seed))
-    z = rng.standard_normal(n)
-    _, y, owner = _draw_jumps(rng, jumps, n, T)
-
-    def terminal_utilities(policy: Policy) -> np.ndarray:
-        drift, var_rate = _policy_coefficients(policy, model, friction)
-        sd = np.sqrt(var_rate * T)
-        jl = np.bincount(owner,
-                         weights=np.log1p(-_jump_losses(policy.kappa, y)),
-                         minlength=n)
-        v = np.exp(np.log(x) + drift * T + sd * z + jl)
-        v = np.maximum(v, WEALTH_FLOOR)
-        return np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta)
-
-    ua = terminal_utilities(policy_a)
-    ub = terminal_utilities(policy_b)
-    diff = ua - ub
-    dm = float(diff.mean())
-    dse = float(diff.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    z = rng.standard_normal(config.n_paths)
+    _, y, owner = _draw_jumps(rng, jumps, config.n_paths, config.horizon)
+    ua, ub = (_terminal_utilities(p, z, y, owner, model, friction, utility,
+                                  config)[1] for p in (policy_a, policy_b))
+    dm, dse = _mean_se(ua - ub)
     if dm > 3.0 * dse:
         verdict = "A-better"
     elif dm < -3.0 * dse:

@@ -182,6 +182,61 @@ class TestSweep:
         assert text.startswith("<svg") and "polyline" in text
 
 
+    @pytest.mark.parametrize("y", ["case_label", "pi", "error", "kapa",
+                                   "pi_sum,pi_2", ","])
+    def test_plot_column_outside_the_csv_is_an_input_error(self, y, tmp_path,
+                                                           capsys):
+        out = tmp_path / "s.csv"
+        code, _, err = run(["sweep", "--model", "c2", "--param", "rho",
+                            "--from", "-0.5", "--to", "0.5", "--steps", "2",
+                            "--out", str(out), "--plot",
+                            str(tmp_path / "s.svg"), "--y", y], capsys)
+        assert code == 1
+        assert err.startswith("input error: --y ")
+        assert "pi_1, pi_sum, kappa, xi_star, objective, cert_residual" in err
+        assert not out.exists()          # refused before the sweep ran
+
+    def test_plot_takes_the_csv_column_names(self, tmp_path, capsys):
+        svg = tmp_path / "s.svg"
+        code, _, _ = run(["sweep", "--model", "c2", "--param", "rho",
+                          "--from", "-0.5", "--to", "0.5", "--steps", "4",
+                          "--out", str(tmp_path / "s.csv"), "--plot",
+                          str(svg), "--y", "pi_1,cert_residual"], capsys)
+        assert code == 0
+        assert svg.read_text().count("<polyline") == 2
+
+
+class TestMonteCarloVsClosedForm:
+    def test_riskless_policy_matches_to_rounding(self, capsys):
+        # pi = 0, kappa = 0: every path has the same wealth, and the SE is
+        # 0 or the rounding noise of the mean (1.1e-17 at 100 paths)
+        for paths in ("2", "100"):
+            code, out, _ = run(["simulate", "--model", "c2", "--pi", "0",
+                                "--kappa", "0", "--paths", paths], capsys)
+            fields = dict(l.split(" = ") for l in out.strip().splitlines())
+            assert code == 0 and float(fields["mc_se"]) < 1e-15
+            assert fields["z"] == "0.000"
+
+    def test_zero_se_off_the_closed_form_is_not_a_pass(self, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(cli, "value_function", lambda *args: -1.0)
+        code, out, _ = run(["simulate", "--model", "c2", "--pi", "0",
+                            "--kappa", "0", "--paths", "2"], capsys)
+        assert code == 0
+        assert "mc_se = 0\n" in out and "z = inf\n" in out
+
+    def test_verify_fails_a_zero_se_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.simulate, "simulate_terminal_utility",
+                            lambda *args, **kwargs: cli.simulate.SimEstimate(
+                                mean=-0.4, std_error=0.0, n_paths=2,
+                                floor_fraction=0.0))
+        code, out, err = run(["verify", "--model", "c2", "--mc-paths", "2"],
+                             capsys)
+        assert code == 2
+        assert "[fail] mc-vs-closed-form z=inf" in out
+        assert err == "verify failed: CrossCheckFailed: mc-vs-closed-form\n"
+
+
 class TestVerify:
     def test_c2_all_pass(self, capsys):
         code, out, _ = run(["verify", "--model", "c2", "--mc-paths",
@@ -401,6 +456,16 @@ class TestExitContract:
         # a user policy so large that f + H overflows
         ("simulate --model c2 --paths 100 --pi 1e308 --kappa 0.5", 2,
          "simulate failed: DomainError:"),
+        # one path has no standard error, so nothing to compare with
+        ("simulate --model c2 --paths 1", 1,
+         "input error: need at least 2 paths"),
+        ("verify --model c2 --mc-paths 1", 1,
+         "input error: need at least 2 paths"),
+        ("simulate --model c2 --paths 2 --antithetic", 1,
+         "input error: antithetic sampling needs an even path count of at "
+         "least 4"),
+        ("simulate --model c2 --kappa 0.9 --paths 1000", 1,
+         "input error: --kappa needs --pi"),
     ])
     def test_failure_is_one_typed_line(self, command, code, prefix, capsys):
         got, _, err = run(command.split(), capsys)

@@ -133,6 +133,28 @@ class TestSimulateTerminalUtility:
         assert anti.std_error < plain.std_error
 
 
+@pytest.mark.parametrize("n_paths,antithetic", [
+    (1, False), (3, True), (2, True), (1, True)])
+def test_path_count_without_a_standard_error_is_refused(n_paths, antithetic):
+    with pytest.raises(ValueError, match="path"):
+        pk.SimConfig(n_paths=n_paths, antithetic=antithetic)
+
+
+def test_smallest_path_counts_give_a_standard_error():
+    m = c2_model()
+    fric = pk.DifferentialRates(premium=PREM02)
+    pol = pk.Policy(pi=[0.8], kappa=0.5)
+    for cfg in (pk.SimConfig(n_paths=2, seed=1),
+                pk.SimConfig(n_paths=4, seed=1, antithetic=True)):
+        est = pk.simulate_terminal_utility(pol, m, BETA128, fric,
+                                           pk.Utility(2.0), cfg)
+        assert est.std_error > 0.0
+    v = pk.compare_policies(pol, pk.Policy(pi=[0.5], kappa=0.5), m, BETA128,
+                            fric, pk.Utility(2.0),
+                            pk.SimConfig(n_paths=2, seed=1))
+    assert v.diff_se > 0.0
+
+
 class TestComparePolicies:
     def test_identical_policies_tie_exactly(self):
         m = c2_model()
@@ -177,15 +199,15 @@ PIN_LAWS = {
     "discrete": pk.JumpLaw(lam=0.8, law=pk.DiscreteJumps(
         points=np.array([0.1, 0.4, 0.8]), weights=np.array([0.5, 0.3, 0.2]))),
 }
-# law -> (plain mean, plain SE, antithetic mean, antithetic SE,
-#         comparison diff mean, diff SE, mean A, mean B)
+PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
+             "comparison diff mean", "diff SE", "mean A", "mean B")
 MC_PINS = {
     "beta": (-0.5701812077077362, 0.0012807181805052329,
              -0.5718849278524243, 0.001217098328804395,
              0.05857776980599558, 0.0008630253750706904,
              -0.5701812077077362, -0.6287589775137318),
     "discrete": (-0.6772638582940447, 0.002977849115147976,
-                 -0.6758694762320889, 0.003885835871264706,
+                 -0.6758694762320889, 0.0038858358712647056,
                  0.27724069328175205, 0.009010644090605206,
                  -0.6772638582940447, -0.9545045515757967),
 }
@@ -209,7 +231,10 @@ def test_monte_carlo_streams_bit_identical(law):
                               pk.SimConfig(n_paths=20_000, seed=7))
     got = (plain.mean, plain.std_error, anti.mean, anti.std_error,
            cmp.diff_mean, cmp.diff_se, cmp.mean_a, cmp.mean_b)
-    assert got == MC_PINS[law]
+    moved = [f"{name}: {pin!r} -> {value!r}"
+             for name, pin, value in zip(PIN_NAMES, MC_PINS[law], got)
+             if value != pin]
+    assert got == MC_PINS[law], "moved pins:\n" + "\n".join(moved)
     assert cmp.verdict == "A-better"
 
 
