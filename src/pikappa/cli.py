@@ -13,9 +13,10 @@ stderr line,
 
 and exits 0 otherwise. verify and mutual-fund print their checks (or write
 them to --out), then raise CrossCheckFailed when one fails. A usage error
-exits 1 with argparse's message. Output files are written atomically (temp
-file + rename) with a JSON run manifest alongside; outputs are a pure
-function of (input file, flags, seed).
+exits 1 with argparse's message. A stdout closed by its reader (as by
+`| head -1`) exits 1 with nothing on stderr. Output files are written
+atomically (temp file + rename) with a JSON run manifest alongside; outputs
+are a pure function of (input file, flags, seed).
 """
 
 from __future__ import annotations
@@ -221,6 +222,10 @@ def cmd_simulate(args) -> None:
         # the one path that never solves, so it validates here
         require_valid(*inputs)
         pi = np.array([float(v) for v in args.pi.split(",")])
+        d = inputs[0].d
+        if len(pi) != d:
+            raise ValueError(f"--pi gives {len(pi)} weights; the model has "
+                             f"d = {d}")
         policy = Policy(pi=pi, kappa=args.kappa if args.kappa is not None else 0.0)
         label = "user-supplied policy"
         obj = eval_objective(policy, *inputs)
@@ -275,6 +280,9 @@ def cmd_verify(args) -> None:
 
 def cmd_mutual_fund(args) -> None:
     t0 = time.time()
+    if args.eta is not None:
+        raise ValueError("--eta does not apply to mutual-fund: its risk "
+                         "aversions are --eta1, --eta2 and --eta-bar")
     model, jumps, friction, _ = _load_inputs(args)
     prem = getattr(friction, "premium", None)
     res = solvers.mutual_fund_combine(model, jumps, prem, args.eta1,
@@ -404,6 +412,12 @@ def main(argv=None) -> int:
     args.argv = argv              # the manifest's command
     try:
         args.fn(args)
+        sys.stdout.flush()        # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except (FileNotFoundError, ValueError, ModelValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

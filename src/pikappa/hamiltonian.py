@@ -158,11 +158,11 @@ def conjugate(zeta: np.ndarray, gamma: float, friction: FrictionSpec,
                          "the first/second-order conditions for that regime")
     if isinstance(friction, SmoothG):
         z = float(zeta[0])
+        slope = lambda x_: friction.g_prime(x_) + z
         try:
-            lo, hi = expand_bracket(lambda x: friction.g_prime(x) + z,
-                                    x0=0.0, step=1.0, max_expand=60)
-            x = bisect(lambda x_: friction.g_prime(x_) + z, lo, hi,
-                       xtol=1e-12).root
+            lo, hi, flo, fhi = expand_bracket(slope, x0=0.0, step=1.0,
+                                              max_expand=60)
+            x = bisect(slope, lo, hi, xtol=1e-12, flo=flo, fhi=fhi).root
         except BracketError:       # g' + z keeps one sign: no maximiser
             return (math.inf, False)
         val = float(friction.g(x)) + z * x \

@@ -32,7 +32,7 @@ from one h call at the kappa that puts pi.1 on 1.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,29 +70,27 @@ class SolveReport:
     xi_star: float | None
     objective: ObjectiveEval
     certificate: Certificate
-    iterations: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
 
 
 def _solve_kappa(h):
     """Root of the strictly decreasing h on [0, 1] with corner handling.
 
-    Returns (kappa, tag, iterations, residual); tag is "lo"/"hi" for strict
-    corners, "tie" when h vanishes at a corner (labeled as the interior
-    case) and "interior" otherwise.
+    Returns (kappa, tag); tag is "lo"/"hi" for strict corners, "tie" when
+    h vanishes at a corner (labeled as the interior case) and "interior"
+    otherwise.
     """
     h0 = h(0.0)
     if h0 < -CORNER_TIE:
-        return 0.0, "lo", 0, h0
+        return 0.0, "lo"
     if abs(h0) <= CORNER_TIE:
-        return 0.0, "tie", 0, h0
+        return 0.0, "tie"
     h1 = h(1.0)
     if h1 > CORNER_TIE:
-        return 1.0, "hi", 0, h1
+        return 1.0, "hi"
     if abs(h1) <= CORNER_TIE:
-        return 1.0, "tie", 0, h1
+        return 1.0, "tie"
     res = bisect(h, 0.0, 1.0, xtol=KAPPA_XTOL, flo=h0, fhi=h1)
-    return res.root, "interior", res.iterations, res.residual
+    return res.root, "interior"
 
 
 _ROMAN = {("i", "interior"): "i", ("i", "tie"): "i",
@@ -120,8 +118,7 @@ def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule | None,
 
 def _certified(policy: Policy, label: str, xi_star: float | None,
                model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-               utility: Utility, cert_tol: float, iterations: dict,
-               residuals: dict) -> SolveReport:
+               utility: Utility, cert_tol: float) -> SolveReport:
     """Evaluate, corner-check and certify a candidate policy.
 
     Raises NoSolution when the certificate fails or a corner kappa violates
@@ -131,17 +128,14 @@ def _certified(policy: Policy, label: str, xi_star: float | None,
     obj = eval_objective(policy, model, jumps, friction, utility)
     corner_violation = _corner_consistency(
         obj, getattr(friction, "premium", None), policy.kappa)
-    residuals["corner"] = corner_violation
     cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
                    obj=obj)
-    residuals["certificate"] = cert.residual
     if not cert.passes or corner_violation > 1e-7:
         raise NoSolution(f"label={label} residual={cert.residual:.3e} "
                          f"in_domain={cert.in_domain} "
                          f"corner_violation={corner_violation:.3e}")
     return SolveReport(policy=policy, case_label=label, xi_star=xi_star,
-                       objective=obj, certificate=cert,
-                       iterations=iterations, residuals=residuals)
+                       objective=obj, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +214,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
     def xi_of(k: float) -> float:
         return min(max(kern.xi_plane(k, eta, level), xi_lo), xi_hi)
 
-    kappa, tag, it_k, hres = _solve_kappa(lambda k: kern.h(k, xi_of(k), eta))
+    kappa, tag = _solve_kappa(lambda k: kern.h(k, xi_of(k), eta))
     xi_p = kern.xi_plane(kappa, eta, level)
     family = below if xi_p < xi_lo else above if xi_p > xi_hi else "iii"
     xi = xi_of(kappa)
@@ -232,8 +226,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
             pi = np.zeros(1)
     return _certified(Policy(pi=pi, kappa=kappa),
                       _case_label(prefix, family, tag), xi, model, jumps,
-                      friction, utility, cert_tol, {"kappa": it_k},
-                      {"h": hres})
+                      friction, utility, cert_tol)
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
@@ -324,18 +317,19 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                 + f_pi(x, k)
         x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
         try:
-            lo_b, hi_b = expand_bracket(t, x0=x0, step=max(1.0, abs(x0)))
+            lo_b, hi_b, t_lo, t_hi = expand_bracket(t, x0=x0,
+                                                    step=max(1.0, abs(x0)))
         except BracketError as exc:
             raise BracketError(f"the allocation condition has no root at "
                                f"kappa={k:.6g}") from exc
-        return bisect(t, lo_b, hi_b, xtol=1e-12).root
+        return bisect(t, lo_b, hi_b, xtol=1e-12, flo=t_lo, fhi=t_hi).root
 
     def foc(k: float) -> float:
         pi_k = pi_of(k)
         return f_k(pi_k, k) + eta * b * sig * rho * pi_k \
             - (eta * b * b * k + lam * (psi(jumps, k, eta) if lam > 0 else 0.0))
 
-    k_hat, tag, it_k, res_k = _solve_kappa(foc)
+    k_hat, tag = _solve_kappa(foc)
     if not premium_rate:
         label = {"lo": "SmoothG-2", "hi": "SmoothG-3"}.get(tag, "SmoothG-1")
     elif tag != "interior":
@@ -344,8 +338,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     else:
         label = "PortfolioPremium-interior"
     return _certified(Policy(pi=np.array([pi_of(k_hat)]), kappa=k_hat),
-                      label, None, model, jumps, friction, utility, cert_tol,
-                      {"kappa": it_k}, {"foc": res_k})
+                      label, None, model, jumps, friction, utility, cert_tol)
 
 
 # ---------------------------------------------------------------------------

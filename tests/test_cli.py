@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pikappa import cli, models
+from pikappa import cli, models, oracle, solvers
 from pikappa.errors import DomainError
 
 
@@ -320,6 +321,25 @@ class TestColdStart:
         assert proc.stdout == "ok\n"
 
 
+class TestClosedStdout:
+    def test_exit_1_without_a_traceback(self):
+        # the reader closes the pipe before the child prints (as `| head`
+        # does): exit 1, and nothing on stderr, not even at shutdown
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pikappa.cli", "oracle", "--model", "c2",
+             "--resolution", "21", "--refine-resolution", "21", "--rounds",
+             "1"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        assert err == ""
+
+
 class TestBeyondBeta:
     # b1 has Beta(2, 8) jumps: at eta = 40 >= beta the kappa = 1 corner is
     # ruled out by h(1) = -inf, and every command certifies
@@ -466,6 +486,16 @@ class TestExitContract:
          "least 4"),
         ("simulate --model c2 --kappa 0.9 --paths 1000", 1,
          "input error: --kappa needs --pi"),
+        # a1 has d = 2, so one weight is not a policy
+        ("simulate --model a1 --pi 0 --kappa 0 --paths 1000", 1,
+         "input error: --pi gives 1 weights; the model has d = 2"),
+        ("simulate --model c2 --pi 0.5,0.5 --paths 1000", 1,
+         "input error: --pi gives 2 weights; the model has d = 1"),
+        # the combination reads its risk aversions from its own three
+        # flags, so a point --eta would be dropped without a word
+        ("mutual-fund --model a2 --eta1 1 --eta2 2 --eta-bar 1.5 --eta 7", 1,
+         "input error: --eta does not apply to mutual-fund: its risk "
+         "aversions are --eta1, --eta2 and --eta-bar"),
     ])
     def test_failure_is_one_typed_line(self, command, code, prefix, capsys):
         got, _, err = run(command.split(), capsys)
@@ -566,3 +596,139 @@ def test_flag_contract(argv):
         doc = json.loads(out.getvalue())
         assert doc["cert_in_domain"] is True
         assert abs(doc["cert_residual"]) <= 1e-7
+
+
+# single-field edits that take a model document out of the documented
+# domain: each must exit 1 with an input error, whatever the rest of it
+_MUTATIONS = {
+    "R below r": lambda doc: doc.update(R=doc["r"] - 0.01),
+    "eta zero": lambda doc: doc.update(eta=0.0),
+    "lambda negative": lambda doc: doc.update({"lambda": -0.1}),
+    "rho above 1": lambda doc: doc.update(rho=[1.5] * doc["d"]),
+    "b negative": lambda doc: doc.update(b=-0.1),
+    "mu too long": lambda doc: doc.update(mu=doc["mu"] + [0.1]),
+    "mu not finite": lambda doc: doc.update(mu=[float("nan")] * doc["d"]),
+    "sigma shape": lambda doc: doc.update(sigma=[[0.2, 0.0, 0.0]]),
+    "sigma singular": lambda doc: doc.update(
+        sigma=[[0.0] * doc["d"]] * doc["d"]),
+    "law unknown": lambda doc: doc.update(jump_law={"type": "gamma"}),
+    "alpha zero": lambda doc: doc.update(
+        jump_law={"type": "beta", "alpha": 0.0, "beta": 8.0}),
+    "point outside (0, 1)": lambda doc: doc.update(
+        jump_law={"type": "discrete", "points": [0.5, 1.2],
+                  "weights": [0.5, 0.5]}),
+    "weights off 1": lambda doc: doc.update(
+        jump_law={"type": "discrete", "points": [0.2, 0.5],
+                  "weights": [0.5, 0.6]}),
+    "q negative": lambda doc: doc.update(
+        premium={"type": "linear", "q": -0.1}),
+    "delta below 1": lambda doc: doc.update(
+        premium={"type": "power", "q": 0.2, "delta": 0.5}),
+    "friction unknown": lambda doc: doc.update(friction={"type": "tax"}),
+    "smooth g not concave": lambda doc: doc.update(
+        friction={"type": "smooth_g", "form": "quadratic", "c": 0.0}),
+    "smooth g form unknown": lambda doc: doc.update(
+        friction={"type": "smooth_g", "form": "cubic", "c": 0.1}),
+    "m+ above m-": lambda doc: doc.update(
+        friction={"type": "large_investor", "m_plus": 0.02,
+                  "m_minus": -0.02}),
+    "missing field": lambda doc: doc.pop("b"),
+}
+
+
+@st.composite
+def _model_documents(draw):
+    """A model document inside the documented domain, covering every sigma
+    form, jump law, premium and friction of the schema."""
+    d = draw(st.sampled_from([1, 2]))
+    friction = draw(st.sampled_from(
+        ["differential_rates", "frictionless"] + (d == 1) * [
+            "large_investor", "smooth_g", "portfolio_premium"]))
+    r = draw(st.floats(0.0, 0.05))
+    s1, s2 = draw(st.floats(0.15, 0.45)), draw(st.floats(0.15, 0.45))
+    if d == 1:
+        sigma = draw(st.sampled_from([s1, [[s1]]]))
+    else:
+        s = draw(st.floats(-0.7, 0.7))
+        tri = [[s1, 0.0], [s2 * s, s2 * (1.0 - s * s) ** 0.5]]
+        sigma = draw(st.sampled_from([{"sigma1": s1, "sigma2": s2, "s": s},
+                                      tri]))
+    rho = [draw(st.floats(-0.9, 0.9)) / d ** 0.5 for _ in range(d)]
+    if draw(st.booleans()):
+        law = {"type": "beta", "alpha": draw(st.floats(0.8, 14.0)),
+               "beta": draw(st.floats(2.5, 12.0))}
+    else:
+        w = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+        law = {"type": "discrete",
+               "points": [draw(st.floats(0.05, 0.95)) for _ in w],
+               "weights": [x / sum(w) for x in w]}
+    eta = draw(st.sampled_from([1.0, draw(st.floats(0.4, 6.0))]))
+    b = draw(st.floats(0.05, 0.8))
+    lam = draw(st.floats(0.01 if friction == "portfolio_premium" else 0.0,
+                         0.5))
+    q = draw(st.floats(0.0, 0.5))
+    premium = draw(st.sampled_from(
+        [{"type": "linear", "q": q},
+         {"type": "power", "q": q, "delta": draw(st.floats(1.0, 3.0))}]))
+    fr = {"type": friction}
+    if friction == "large_investor":
+        fr.update(m_plus=-draw(st.floats(0.0, 0.04)),
+                  m_minus=draw(st.floats(0.0, 0.04)))
+    elif friction == "smooth_g":
+        fr.update(form="quadratic", c=draw(st.floats(0.01, 0.4)))
+    elif friction == "portfolio_premium":
+        # q(pi) >= lambda E[Y] must be positive, so lambda is; and
+        # |q'| <= C below eta b sigma (1 - |rho|) keeps the second-order
+        # bound, so the solve turns on the first-order condition alone
+        c_max = eta * b * s1 * (1.0 - abs(rho[0]))
+        fr.update(form="fair_plus_sqrt", C=draw(st.floats(0.0, 0.9)) * c_max,
+                  A=draw(st.floats(0.2, 1.0)))
+    return {"d": d, "mu": [r + draw(st.floats(-0.02, 0.18))
+                           for _ in range(d)],
+            "sigma": sigma, "r": r, "R": r + draw(st.floats(0.0, 0.08)),
+            "rho": rho, "b": b, "lambda": lam, "jump_law": law,
+            "premium": premium, "friction": fr, "eta": eta}
+
+
+def _solve_file(doc):
+    """cli.main's exit code, stdout and stderr on a json solve of doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["solve", "--model", path, "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_model_documents())
+def test_model_file_contract(doc):
+    """A model file inside the documented domain exits 0 or 2, a failure
+    with one stderr line. Exit 0 carries a passing certificate, and the
+    grid oracle finds nothing above the solved objective beyond its
+    resolution bound."""
+    code, out, err = _solve_file(doc)
+    assert code in (0, 2), (code, err)
+    if code:
+        assert len(err.splitlines()) == 1, err
+        return
+    inputs = models.parse_model_dict(doc)
+    parts = (inputs.model, inputs.jumps, inputs.friction, inputs.utility)
+    rep = solvers.solve(*parts)
+    assert rep.certificate.passes
+    assert json.loads(out)["kappa"] == rep.policy.kappa
+    grid = oracle.GridSpec(resolution=21, refine_resolution=21, rounds=1)
+    _, val, bound = oracle.grid_maximize(*parts, grid)
+    assert val - rep.objective.value <= bound + 1e-12
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(doc=_model_documents())
+def test_model_file_out_of_domain_is_an_input_error(mutation, doc):
+    _MUTATIONS[mutation](doc)
+    code, _, err = _solve_file(doc)
+    assert code == 1, (code, err)
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1

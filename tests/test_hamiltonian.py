@@ -9,6 +9,7 @@ import pytest
 
 import pikappa as pk
 from pikappa.cli import resolve_model_path
+from pikappa import hamiltonian
 from pikappa.hamiltonian import friction_term
 
 BETA28 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -272,6 +273,38 @@ class TestCertify:
         cert = pk.certify(rep.policy, *parts, obj=moved)
         assert cert.residual == pytest.approx(shift, rel=1e-3)
         assert cert.passes is passes
+
+
+@pytest.mark.parametrize("delta", [1.0, 3.0])
+@pytest.mark.parametrize("friction", [pk.DifferentialRates, pk.Frictionless])
+@pytest.mark.parametrize("config", ["a1", "b1", "c2"])
+def test_tabulated_power_premium_certifies_as_the_power_schedule(
+        config, friction, delta, monkeypatch):
+    # a black-box premium with the power schedule's own p and p' solves to
+    # the same bits; its conjugate takes the bisection for the kappa with
+    # p'(kappa) = gamma where the power schedule has a closed form
+    calls = []
+    bisect = hamiltonian.bisect
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bisect(*args, **kwargs)
+    monkeypatch.setattr(hamiltonian, "bisect", counting)
+    inputs = pk.load_model_file(resolve_model_path(config))
+    parts = (inputs.model, inputs.jumps)
+    power = pk.PowerPremium(q=inputs.friction.premium.q, delta=delta)
+    tabulated = pk.TabulatedPremium(p=power.value, p_prime=power.derivative)
+    want = pk.solve(*parts, friction(power), inputs.utility)
+    assert not calls
+    got = pk.solve(*parts, friction(tabulated), inputs.utility)
+    # at delta = 3 the gradient's gamma lies inside the range of p'; at
+    # delta = 1 that range is the one point -q, which gamma misses
+    assert len(calls) == (1 if delta == 3.0 else 0)
+    assert got.case_label == want.case_label
+    assert got.policy.kappa == want.policy.kappa
+    np.testing.assert_array_equal(got.policy.pi, want.policy.pi)
+    assert got.certificate.passes
+    assert abs(got.certificate.residual - want.certificate.residual) <= 1e-15
 
 
 class TestValueFunction:

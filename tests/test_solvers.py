@@ -126,7 +126,7 @@ class TestDiffRates:
             hi = eta * m.b ** 2 * (1 - 0.25) \
                 + jumps.lam * pk.psi(jumps, 1.0, eta) - Q02.q
             if lo < mid < hi:
-                kappa, tag, _, _ = kappa_of_xi(kern, float(xi), eta)
+                kappa, tag = kappa_of_xi(kern, float(xi), eta)
                 assert tag == "interior" and 0.0 < kappa < 1.0
                 checked += 1
         assert checked >= 1
