@@ -212,6 +212,14 @@ def _mc_vs_closed_form(policy: Policy, objective, inputs: tuple,
     return est, closed, float(np.copysign(np.inf, diff))
 
 
+def _pi_entry(position: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--pi entry {position} is not a number: "
+                         f"{text!r}") from None
+
+
 def cmd_simulate(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
@@ -221,7 +229,8 @@ def cmd_simulate(args) -> None:
     if args.pi is not None:
         # the one path that never solves, so it validates here
         require_valid(*inputs)
-        pi = np.array([float(v) for v in args.pi.split(",")])
+        pi = np.array([_pi_entry(i, v)
+                       for i, v in enumerate(args.pi.split(","), 1)])
         d = inputs[0].d
         if len(pi) != d:
             raise ValueError(f"--pi gives {len(pi)} weights; the model has "

@@ -491,6 +491,22 @@ class TestExitContract:
          "input error: --pi gives 1 weights; the model has d = 2"),
         ("simulate --model c2 --pi 0.5,0.5 --paths 1000", 1,
          "input error: --pi gives 2 weights; the model has d = 1"),
+        ("simulate --model a1 --pi abc --paths 1000", 1,
+         "input error: --pi entry 1 is not a number: 'abc'"),
+        ("simulate --model a1 --pi 0.1,,0.2 --paths 1000", 1,
+         "input error: --pi entry 2 is not a number: ''"),
+        # non-finite settings would reach numpy's Poisson sampler or print
+        # a NaN estimate with exit 0
+        ("simulate --model a1 --paths 1000 --x0 nan", 1,
+         "input error: x0 must be finite and positive, got nan"),
+        ("simulate --model a1 --paths 1000 --horizon nan", 1,
+         "input error: horizon must be finite and positive, got nan"),
+        ("simulate --model a1 --paths 1000 --horizon inf", 1,
+         "input error: horizon must be finite and positive, got inf"),
+        ("simulate --model a1 --paths 1000 --seed -1", 1,
+         "input error: seed must be a non-negative integer, got -1"),
+        ("verify --model c2 --mc-paths 1000 --seed -1", 1,
+         "input error: seed must be a non-negative integer, got -1"),
         # the combination reads its risk aversions from its own three
         # flags, so a point --eta would be dropped without a word
         ("mutual-fund --model a2 --eta1 1 --eta2 2 --eta-bar 1.5 --eta 7", 1,

@@ -51,7 +51,10 @@ def _column_diff(new, old):
 def test_bit_identical_to_reference(name, artifacts):
     with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
         golden = fh.read()
-    assert artifacts[name] == golden, _column_diff(artifacts[name], golden)
+    # a bool, so that a failure reports the column diff alone, not pytest's
+    # diff of the two texts
+    same = artifacts[name] == golden
+    assert same, _column_diff(artifacts[name], golden)
 
 
 def test_a2_case_transition_matches_eta_r(artifacts):

@@ -1,10 +1,17 @@
 """Simulator tests: exact-law sampling against closed forms, determinism,
 error scaling and paired comparisons."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pikappa as pk
+from pikappa import simulate
 
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
 NOJUMPS = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -131,6 +138,16 @@ class TestSimulateTerminalUtility:
                                             pk.SimConfig(n_paths=200_000, seed=4,
                                                          antithetic=True))
         assert anti.std_error < plain.std_error
+
+
+@pytest.mark.parametrize("field,value", [
+    ("horizon", float("nan")), ("horizon", float("inf")), ("horizon", 0.0),
+    ("x0", float("nan")), ("x0", float("inf")), ("x0", -1.0),
+    ("n_paths", 1e6), ("n_paths", 1000.0),
+    ("seed", -1), ("seed", 1.5)])
+def test_sim_config_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        pk.SimConfig(**{field: value})
 
 
 @pytest.mark.parametrize("n_paths,antithetic", [
@@ -285,3 +302,136 @@ class TestPathDump:
         assert np.mean(us) == pytest.approx(est.mean, rel=1e-9)
         vs = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(v > 0 for v in vs)
+
+
+def _run(jumps, cfg):
+    """Every estimate one config gives: the plain or antithetic estimate and
+    a paired comparison."""
+    m = c2_model()
+    fric = pk.DifferentialRates(premium=PREM02)
+    u = pk.Utility(3.0)
+    a = pk.Policy(pi=[0.6], kappa=0.4)
+    b = pk.Policy(pi=[0.5], kappa=0.6)
+    return (pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg),
+            pk.compare_policies(a, b, m, jumps, fric, u, cfg))
+
+
+def _fresh(jumps, cfg):
+    """_run with no draw kept from an earlier call, as in a new process."""
+    simulate._last_draw = ()
+    return _run(jumps, cfg)
+
+
+MEMO_CASES = {
+    "seed 7": (BETA128, pk.SimConfig(n_paths=20_000, seed=7)),
+    "seed 8": (BETA128, pk.SimConfig(n_paths=20_000, seed=8)),
+    # n_paths / 2 = 20,000 normals: the same draw as the plain seed 7
+    "antithetic 7": (BETA128, pk.SimConfig(n_paths=40_000, seed=7,
+                                           antithetic=True)),
+    # equal to BETA128 but another object, so drawn again
+    "equal law 7": (pk.JumpLaw(lam=0.15, law=pk.BetaJumps(12.0, 8.0)),
+                    pk.SimConfig(n_paths=20_000, seed=7)),
+    "discrete 7": (PIN_LAWS["discrete"], pk.SimConfig(n_paths=20_000,
+                                                      seed=7)),
+    "horizon 2": (BETA128, pk.SimConfig(n_paths=20_000, seed=7,
+                                        horizon=2.0)),
+    # x0 is not part of the draw, so this reuses the seed 7 draw
+    "x0 2": (BETA128, pk.SimConfig(n_paths=20_000, seed=7, x0=2.0)),
+}
+
+
+class TestCommonDraws:
+    """Calls on one config and law share one draw; no order of calls moves
+    a bit of any estimate."""
+
+    def test_any_order_gives_the_fresh_bits(self):
+        fresh = {name: _fresh(*case) for name, case in MEMO_CASES.items()}
+        order = ["seed 7", "seed 8", "seed 7", "seed 7", "antithetic 7",
+                 "seed 7", "antithetic 7", "equal law 7", "seed 7",
+                 "discrete 7", "horizon 2", "x0 2", "seed 7", "x0 2",
+                 "seed 8"]
+        simulate._last_draw = ()
+        for name in order:
+            assert _run(*MEMO_CASES[name]) == fresh[name], name
+
+    def test_kept_draw_is_read_only_and_reused(self):
+        cfg = pk.SimConfig(n_paths=1_000, seed=3)
+        first = simulate._common_draws(BETA128, 1_000, cfg)
+        again = simulate._common_draws(BETA128, 1_000, cfg)
+        assert all(a is b for a, b in zip(first, again))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0
+
+    def test_threads_on_different_seeds_match_serial_results(self):
+        seeds = (7, 8, 9, 10)
+        cases = {s: (BETA128, pk.SimConfig(n_paths=20_000, seed=s))
+                 for s in seeds}
+        serial = {s: _fresh(*cases[s]) for s in seeds}
+        got = {s: [] for s in seeds}
+
+        def work(s):
+            for _ in range(6):
+                got[s].append(_run(*cases[s]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,))
+                       for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for s in seeds:
+            assert got[s] == [serial[s]] * 6, s
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
+        # the stream's order: n normals, then the n Poisson counts
+        jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
+        cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
+        n = 200 if antithetic else 400
+        rng = np.random.Generator(np.random.Philox(11))
+        rng.standard_normal(n)
+        counts = rng.poisson(2.0, size=n)
+        _run(jumps, cfg)              # the dump below reuses this draw
+        out = tmp_path / "paths.csv"
+        pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.4),
+                                     c2_model(), jumps,
+                                     pk.DifferentialRates(premium=PREM02),
+                                     pk.Utility(3.0), cfg, dump_csv=str(out))
+        n_t = [int(line.split(",")[1])
+               for line in out.read_text().splitlines()[1:]]
+        assert n_t == counts.tolist() * (2 if antithetic else 1)
+        assert counts.sum() > 0
+
+
+NONE_GLOBALS = """
+import importlib, pkgutil, sys
+import pikappa, pikappa.cli
+for info in pkgutil.iter_modules(pikappa.__path__):
+    importlib.import_module("pikappa." + info.name)
+print(sorted(f"{name}.{attr}" for name, mod in list(sys.modules.items())
+             if name == "pikappa" or name.startswith("pikappa.")
+             for attr, value in vars(mod).items() if value is None))
+"""
+
+
+def test_no_pikappa_module_holds_none_at_module_level():
+    # perfbench/tracer.py Tracer.unwrapped() reports a module-level name as
+    # an unwrapped layer function when _originals.get(id(value)) is value,
+    # which holds for every None, so a None global fails a traced benchmark
+    # run; module state uses another sentinel, such as (). A new process
+    # sees the globals as imported, before any call sets them.
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NONE_GLOBALS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
