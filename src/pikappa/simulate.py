@@ -116,18 +116,31 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
     z holds the paths' standard normals, shape (..., n); y the pooled jump
     sizes and owner the path of each, so every row of z shares the jumps.
     A sampled jump that would take all the wealth is refused.
+
+    Each output has one buffer, worked in place. Log wealth is summed as
+    ((log x0 + drift T) + sd z) + jump log, so a draw gives the same bits
+    as the out-of-place expression.
     """
     T = config.horizon
     drift, var_rate = _policy_coefficients(policy, model, friction)
     ky = policy.kappa * y
     if np.any(ky >= 1.0):
         raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
-    jl = np.bincount(owner, weights=np.log1p(-ky), minlength=z.shape[-1])
-    v = np.exp(np.log(config.x0) + drift * T + np.sqrt(var_rate * T) * z + jl)
+    np.negative(ky, out=ky)
+    np.log1p(ky, out=ky)
+    jl = np.bincount(owner, weights=ky, minlength=z.shape[-1])
+    v = np.multiply(z, np.sqrt(var_rate * T))
+    v += np.log(config.x0) + drift * T
+    v += jl
+    np.exp(v, out=v)
     floored = v < WEALTH_FLOOR
-    v = np.maximum(v, WEALTH_FLOOR)
+    np.maximum(v, WEALTH_FLOOR, out=v)
     eta = utility.eta
-    u = np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta)
+    if eta == 1.0:
+        u = np.log(v)
+    else:
+        u = v ** (1.0 - eta)
+        u /= 1.0 - eta
     return v, u, floored
 
 
