@@ -430,6 +430,14 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError, ModelValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # a path count too large for memory fails its first allocation
+        paths = getattr(args, "paths", None) or getattr(args, "mc_paths", None)
+        what = f"{paths} Monte Carlo paths" if paths else args.command
+        detail = f": {exc}" if str(exc) else ""
+        print(f"input error: not enough memory for {what}{detail}",
+              file=sys.stderr)
+        return EXIT_INPUT
     except NoSolution as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -82,7 +82,15 @@ _last_draw = ()
 
 def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     """The n paths' standard normals z, then the pooled jump sizes y and the
-    path each belongs to, from the Philox stream of config.seed.
+    path each belongs to (sorted), from the Philox stream of config.seed.
+
+    The stream is drawn in this order: z = standard_normal(n); one total
+    jump count N ~ Poisson(n lam T), or 0 when lam = 0; the N owners,
+    uniform on the n paths, then sorted; the N jump sizes. This is exact:
+    n independent Poisson(lam T) counts have the law of one Poisson(n lam T)
+    total whose points fall on paths chosen uniformly and independently
+    (superposition and conditional uniformity of a Poisson process). Sorted
+    owners make the per-path sums in _terminal_utilities faster.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the law,
@@ -97,10 +105,11 @@ def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     _last_draw = ()
     rng = np.random.Generator(np.random.Philox(config.seed))
     z = rng.standard_normal(n)
-    counts = rng.poisson(jumps.lam * config.horizon, size=n) \
-        if jumps.lam > 0.0 else np.zeros(n, dtype=int)
-    y = _draw_y(rng, jumps.law, int(counts.sum()))
-    owner = np.repeat(np.arange(n), counts)
+    total = int(rng.poisson(jumps.lam * config.horizon * n)) \
+        if jumps.lam > 0.0 else 0
+    owner = rng.integers(0, n, size=total)
+    owner.sort()
+    y = _draw_y(rng, jumps.law, total)
     for a in (z, y, owner):
         a.setflags(write=False)
     _last_draw = (key, jumps, z, y, owner)
@@ -156,11 +165,17 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     """Sample mean and standard error of U_eta(V_T) under the policy.
 
     Deterministic given the seed (counter-based Philox stream, fixed
-    reduction order). One sampler serves this and compare_policies, so on
-    the same config the plain mean here equals compare_policies' mean_a bit
-    for bit. One config and law are drawn once and shared: the normals and
-    jumps of the last draw stay in memory until the next draw, about
-    8 n (1 + 2 lam T) bytes for n paths (16 MB at 1e6 paths and lam T = 0.5).
+    reduction order). The stream holds n normals, one Poisson(n lam T)
+    total jump count, the jumps' owners drawn uniformly on the paths, and
+    the jump sizes; by Poisson superposition this is the exact law of n
+    independent compound Poisson paths. Earlier releases drew one Poisson
+    count per path, so a seed now gives other bits than it gave there.
+    One sampler serves this and compare_policies, so on the same config the
+    plain mean here equals compare_policies' mean_a bit for bit. One config
+    and law are drawn once and shared: the normals and jumps of the last
+    draw stay in memory until the next draw, about 8 n (1 + 2 lam T) bytes
+    for n paths (16 MB at 1e6 paths and lam T = 0.5), as with per-path
+    counts.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows

@@ -507,6 +507,14 @@ class TestExitContract:
          "input error: seed must be a non-negative integer, got -1"),
         ("verify --model c2 --mc-paths 1000 --seed -1", 1,
          "input error: seed must be a non-negative integer, got -1"),
+        # 8 PB of normals lies beyond any address space, so the first
+        # allocation fails at once
+        ("simulate --model a1 --paths 1000000000000000", 1,
+         "input error: not enough memory for 1000000000000000 Monte Carlo "
+         "paths"),
+        ("verify --model c2 --mc-paths 1000000000000000", 1,
+         "input error: not enough memory for 1000000000000000 Monte Carlo "
+         "paths"),
         # the combination reads its risk aversions from its own three
         # flags, so a point --eta would be dropped without a word
         ("mutual-fund --model a2 --eta1 1 --eta2 2 --eta-bar 1.5 --eta 7", 1,

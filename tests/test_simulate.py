@@ -1,6 +1,7 @@
 """Simulator tests: exact-law sampling against closed forms, determinism,
 error scaling and paired comparisons."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import pikappa as pk
 from pikappa import simulate
@@ -219,14 +221,14 @@ PIN_LAWS = {
 PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
              "comparison diff mean", "diff SE", "mean A", "mean B")
 MC_PINS = {
-    "beta": (-0.5701812077077362, 0.0012807181805052329,
-             -0.5718849278524243, 0.001217098328804395,
-             0.05857776980599558, 0.0008630253750706904,
-             -0.5701812077077362, -0.6287589775137318),
-    "discrete": (-0.6772638582940447, 0.002977849115147976,
-                 -0.6758694762320889, 0.0038858358712647056,
-                 0.27724069328175205, 0.009010644090605206,
-                 -0.6772638582940447, -0.9545045515757967),
+    "beta": (-0.5704040080014364, 0.001287997603503859,
+             -0.5718020080426639, 0.001241908414337664,
+             0.05897395767207948, 0.0008838971413304336,
+             -0.5704040080014364, -0.629377965673516),
+    "discrete": (-0.676459901362681, 0.0030898904048485497,
+                 -0.6718000628067456, 0.003392502209570292,
+                 0.28258918493995727, 0.012711538340020829,
+                 -0.676459901362681, -0.9590490863026382),
 }
 
 
@@ -392,13 +394,15 @@ class TestCommonDraws:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
-        # the stream's order: n normals, then the n Poisson counts
+        # the stream's order: n normals, one Poisson(n lam T) total count,
+        # then that many owners, uniform on the n paths
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
         cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
         n = 200 if antithetic else 400
         rng = np.random.Generator(np.random.Philox(11))
         rng.standard_normal(n)
-        counts = rng.poisson(2.0, size=n)
+        total = rng.poisson(2.0 * n)
+        counts = np.bincount(rng.integers(0, n, size=total), minlength=n)
         _run(jumps, cfg)              # the dump below reuses this draw
         out = tmp_path / "paths.csv"
         pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.4),
@@ -409,6 +413,40 @@ class TestCommonDraws:
                for line in out.read_text().splitlines()[1:]]
         assert n_t == counts.tolist() * (2 if antithetic else 1)
         assert counts.sum() > 0
+
+
+def _poisson_chi2(counts, mean):
+    """Pearson's chi-square of the counts against the Poisson(mean) pmf, one
+    bin per count while the pooled tail still expects 5 paths, and its p."""
+    n = counts.size
+    pmf, p, k = [], math.exp(-mean), 0
+    while n * (1.0 - sum(pmf) - p) >= 5.0:
+        pmf.append(p)
+        k += 1
+        p *= mean / k
+    expected = n * np.array(pmf + [1.0 - sum(pmf)])
+    observed = np.bincount(np.minimum(counts, len(pmf)),
+                           minlength=len(pmf) + 1)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return stat, float(stats.chi2.sf(stat, df=len(pmf)))
+
+
+@pytest.mark.parametrize("lam_t", [0.05, 0.5, 2.0])
+def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
+    # each path's N_T is Poisson(lam T), however the stream draws it
+    jumps = pk.JumpLaw(lam=lam_t, law=pk.BetaJumps(2.0, 8.0))
+    cfg = pk.SimConfig(n_paths=200_000, seed=31)
+    out = tmp_path / "paths.csv"
+    pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.4), c2_model(),
+                                 jumps, pk.DifferentialRates(premium=PREM02),
+                                 pk.Utility(3.0), cfg, dump_csv=str(out))
+    n_t = np.array([int(line.split(",")[1])
+                    for line in out.read_text().splitlines()[1:]])
+    assert n_t.size == cfg.n_paths
+    _, y, _ = simulate._common_draws(jumps, cfg.n_paths, cfg)
+    assert n_t.sum() == y.size
+    stat, p = _poisson_chi2(n_t, lam_t)
+    assert p > 1e-3, (stat, p)
 
 
 NONE_GLOBALS = """
