@@ -12,10 +12,9 @@ from .errors import (BracketError, CaseMismatch, CrossCheckFailed,
 from .models import (BetaJumps, DifferentialRates, DiscreteJumps,
                      FrictionSpec, Frictionless, JumpLaw, LargeInvestor,
                      LinearPremium, MarketModel, ModelInputs, Policy,
-                     PortfolioPremium, PowerPremium, SmoothG,
-                     TabulatedPremium, Utility, ValidationReport,
-                     load_model_file, make_sqrt_premium_rate,
-                     parse_model_dict, validate_model)
+                     PortfolioPremium, PowerPremium, SmoothG, Utility,
+                     ValidationReport, load_model_file, parse_model_dict,
+                     validate_model)
 from .jumps import (JumpFunctionals, Ordering, fosd_compare, psi,
                     psi_dkappa, sample_jumps,
                     utility_jump_term)

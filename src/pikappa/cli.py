@@ -339,7 +339,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    "section5-example)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--format", choices=("json", "text"), default="text")
     for name in OVERRIDES:
         p.add_argument("--" + name, type=float, default=None)
 
@@ -361,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one model and print the policy")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--thresholds", action="store_true",
                    help="print the risk-aversion thresholds eta_R, eta_r")
     p.set_defaults(fn=cmd_solve)

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError
-from .jumps import _each, _overflow_as_domain_error, psi, utility_jump_term
+from .errors import DomainError
+from .jumps import _overflow_as_domain_error, psi, utility_jump_term
 from .models import (DifferentialRates, FrictionSpec, Frictionless, JumpLaw,
                      LargeInvestor, MarketModel, Policy, PortfolioPremium,
-                     PowerPremium, PremiumSchedule, SmoothG, TabulatedPremium,
-                     Utility, law_second_moment)
-from .rootfind import bisect, expand_bracket
+                     PowerPremium, SmoothG, Utility, law_second_moment)
 
 DOMAIN_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-7
@@ -36,12 +34,6 @@ class ObjectiveEval:
     dH_dkappa: float
     f_value: float
     H_value: float
-
-
-def _premium_value(premium: PremiumSchedule, kappa):
-    if isinstance(premium, TabulatedPremium):
-        return _each(premium.value, kappa)
-    return premium.value(kappa)
 
 
 def _shadow_interval(friction: FrictionSpec, model: MarketModel):
@@ -62,25 +54,26 @@ def _shadow_interval(friction: FrictionSpec, model: MarketModel):
 def _pi_friction(friction: FrictionSpec, model: MarketModel, pi: np.ndarray):
     """The part of a separable friction that depends on pi alone."""
     if isinstance(friction, SmoothG):
-        return _each(friction.g, pi[..., 0])
+        x = pi[..., 0]
+        return -friction.c * x * x
     lo, hi, level = _shadow_interval(friction, model)
     s = pi.sum(axis=-1) - level
     return -np.maximum(lo * s, hi * s)
 
 
-def friction_term(friction: FrictionSpec, model: MarketModel,
+def friction_term(friction: FrictionSpec, model: MarketModel, jumps: JumpLaw,
                   pi: np.ndarray, kappa):
-    """The drift friction f(pi, kappa) for any regime.
+    """The drift friction f(pi, kappa) for any regime; the jump law gives
+    the portfolio premium's fair part.
 
     The last axis of pi holds the d weights; its other axes broadcast
     against kappa, so a grid of portfolios of shape (..., 1, d) against a
     kappa axis gives the whole table at once. One policy gives a float.
     """
     if isinstance(friction, PortfolioPremium):
-        f = -(1.0 - kappa) * _each(friction.q, pi[..., 0])
+        f = -(1.0 - kappa) * friction.rate(pi[..., 0], jumps)
     else:
-        f = _pi_friction(friction, model, pi) \
-            - _premium_value(friction.premium, kappa)
+        f = _pi_friction(friction, model, pi) - friction.premium.value(kappa)
     return float(f) if np.ndim(f) == 0 else f
 
 
@@ -108,7 +101,7 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
         grad_pi = model.mu - model.r * np.ones(model.d) \
             - eta * (model.sigma @ (st_pi - model.rho * b * kappa))
         dH_dk = eta * b * (pi_srho - b * kappa) - lam * jump_psi
-        f = friction_term(friction, model, pi, kappa)
+        f = friction_term(friction, model, jumps, pi, kappa)
     if not math.isfinite(f + H):
         raise DomainError(f"f + H = {f + H} at pi={pi.tolist()}, "
                           f"kappa={kappa}")
@@ -120,28 +113,17 @@ def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
 # Convex conjugate
 # ---------------------------------------------------------------------------
 
-def conj_premium(gamma: float, premium: PremiumSchedule) -> float:
+def conj_premium(gamma: float, premium: PowerPremium) -> float:
     """sup over kappa in [0,1] of -p(kappa) + gamma kappa."""
-    if isinstance(premium, PowerPremium):
-        if premium.delta == 1.0 or premium.q == 0.0:
-            # Range p' is the single point -q; endpoint enumeration is exact.
-            return max(-premium.q, gamma)
-        q, delta = premium.q, premium.delta
-        dp0, dp1 = -q * delta, 0.0
-        if gamma <= dp0:
-            return -q
-        if gamma >= dp1:
-            return gamma
-        kstar = 1.0 - (-gamma / (q * delta)) ** (1.0 / (delta - 1.0))
-        return -premium.value(kstar) + gamma * kstar
-    dp0 = premium.derivative(0.0)
-    dp1 = premium.derivative(1.0)
-    if gamma < dp0:
-        return -premium.value(0.0)
-    if gamma > dp1:
+    if premium.delta == 1.0 or premium.q == 0.0:
+        # Range p' is the single point -q; endpoint enumeration is exact.
+        return max(-premium.q, gamma)
+    q, delta = premium.q, premium.delta
+    if gamma <= -q * delta:
+        return -q
+    if gamma >= 0.0:
         return gamma
-    kstar = bisect(lambda k: premium.derivative(k) - gamma, 0.0, 1.0,
-                   xtol=1e-12).root
+    kstar = 1.0 - (-gamma / (q * delta)) ** (1.0 / (delta - 1.0))
     return -premium.value(kstar) + gamma * kstar
 
 
@@ -157,17 +139,10 @@ def conjugate(zeta: np.ndarray, gamma: float, friction: FrictionSpec,
                          "friction is not piecewise-simple; certify() uses "
                          "the first/second-order conditions for that regime")
     if isinstance(friction, SmoothG):
+        # sup over x of -c x^2 + z x, attained at x = z / (2c)
         z = float(zeta[0])
-        slope = lambda x_: friction.g_prime(x_) + z
-        try:
-            lo, hi, flo, fhi = expand_bracket(slope, x0=0.0, step=1.0,
-                                              max_expand=60)
-            x = bisect(slope, lo, hi, xtol=1e-12, flo=flo, fhi=fhi).root
-        except BracketError:       # g' + z keeps one sign: no maximiser
-            return (math.inf, False)
-        val = float(friction.g(x)) + z * x \
-            + conj_premium(gamma, friction.premium)
-        return (val, True)
+        return (z * z / (4.0 * friction.c)
+                + conj_premium(gamma, friction.premium), True)
     # sup over pi of min over x of -x (pi.1 - level) + pi.zeta is finite
     # only for zeta = x 1 with x in [lo, hi], where it is x level
     lo, hi, level = _shadow_interval(friction, model)
@@ -220,9 +195,9 @@ def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
                  obj: ObjectiveEval) -> Certificate:
     pi = float(policy.pi[0])
     kappa = policy.kappa
-    qp = float(friction.q_prime(pi))
+    qp = float(friction.slope(pi))
     foc_pi = -qp * (1.0 - kappa) + float(obj.grad_pi[0])
-    foc_k = float(friction.q(pi)) + obj.dH_dkappa
+    foc_k = float(friction.rate(pi, jumps)) + obj.dH_dkappa
     if kappa <= tol:
         k_res = max(foc_k, 0.0)            # corner: slope must push down
     elif kappa >= 1.0 - tol:

@@ -201,9 +201,9 @@ def _times_power(v: float, x: float, d: float, finish) -> float:
 
 
 def _each(fn, *args):
-    """fn of floats over arrays of one shape entry by entry, in Python floats
-    (an entry has the bits of its floats alone; user callables need not
-    broadcast); floats give a float."""
+    """fn of floats over arrays of one shape entry by entry, in Python floats,
+    for the scalar math and series of this module that do not broadcast (an
+    entry has the bits of its floats alone); floats give a float."""
     if not isinstance(args[0], np.ndarray):
         return float(fn(*map(float, args)))
     flat = (np.asarray(a, dtype=float).ravel().tolist() for a in args)

@@ -10,14 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ModelValidationError
 
 SIGMA_COND_BOUND = 1e12
-_PREMIUM_GRID = np.linspace(0.0, 1.0, 101)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -134,22 +132,6 @@ def LinearPremium(q: float) -> PowerPremium:
     return PowerPremium(q=q, delta=1.0)
 
 
-@dataclass(frozen=True)
-class TabulatedPremium:
-    """Black-box convex differentiable premium with p(1) = 0."""
-    p: Callable[[float], float]
-    p_prime: Callable[[float], float]
-
-    def value(self, kappa: float) -> float:
-        return float(self.p(kappa))
-
-    def derivative(self, kappa: float) -> float:
-        return float(self.p_prime(kappa))
-
-
-PremiumSchedule = PowerPremium | TabulatedPremium
-
-
 # ---------------------------------------------------------------------------
 # Friction regimes
 # ---------------------------------------------------------------------------
@@ -157,37 +139,48 @@ PremiumSchedule = PowerPremium | TabulatedPremium
 @dataclass(frozen=True)
 class Frictionless:
     """f(pi, kappa) = -p(kappa): no portfolio friction, premium only."""
-    premium: PremiumSchedule
+    premium: PowerPremium
 
 
 @dataclass(frozen=True)
 class SmoothG:
-    """f = g(pi) - p(kappa) with g smooth and strictly concave; d = 1 only."""
-    premium: PremiumSchedule
-    g: Callable[[float], float]
-    g_prime: Callable[[float], float]
-    g_second: Callable[[float], float]
+    """f = g(pi) - p(kappa) with the concave g(pi) = -c pi^2, c > 0; d = 1
+    only."""
+    premium: PowerPremium
+    c: float
 
 
 @dataclass(frozen=True)
 class DifferentialRates:
     """f = -(R - r)(pi.1 - 1)^+ - p(kappa): borrowing costs R > r."""
-    premium: PremiumSchedule
+    premium: PowerPremium
 
 
 @dataclass(frozen=True)
 class LargeInvestor:
     """f = pi(m+ 1{pi>=0} + m- 1{pi<0}) - p(kappa); d = 1, m+ < m-."""
-    premium: PremiumSchedule
+    premium: PowerPremium
     m_plus: float
     m_minus: float
 
 
 @dataclass(frozen=True)
 class PortfolioPremium:
-    """f = -(1 - kappa) q(pi): premium rate depends on the allocation; d = 1."""
-    q: Callable[[float], float]
-    q_prime: Callable[[float], float]
+    """f = -(1 - kappa) q(pi): the premium rate depends on the allocation,
+    q(pi) = lambda E[Y] + C (sqrt(pi^2 + A^2) - A) with C >= 0 and A > 0;
+    d = 1. The fair part lambda E[Y] is read from the jump law where the
+    rate is used, so a change of lambda reaches it."""
+    C: float
+    A: float
+
+    def rate(self, pi, jumps: JumpLaw):
+        """q(pi) for a float or an array of allocations."""
+        base = jumps.lam * law_mean(jumps.law)
+        return base + self.C * (np.sqrt(pi * pi + self.A * self.A) - self.A)
+
+    def slope(self, pi):
+        """q'(pi) = C pi / sqrt(pi^2 + A^2)."""
+        return self.C * pi / np.sqrt(pi * pi + self.A * self.A)
 
 
 FrictionSpec = Frictionless | SmoothG | DifferentialRates | LargeInvestor | PortfolioPremium
@@ -241,23 +234,11 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _premium_checks(premium: PremiumSchedule, out: list[ValidationCheck]) -> None:
-    if isinstance(premium, PowerPremium):
-        out.append(ValidationCheck("premium.q >= 0", premium.q >= 0.0,
-                                   f"q={premium.q}"))
-        out.append(ValidationCheck("premium.delta >= 1", premium.delta >= 1.0,
-                                   f"delta={premium.delta}"))
-        return
-    # a black box: sample what no parameter decides
-    p1 = premium.value(1.0)
-    out.append(ValidationCheck("premium.p(1)=0", abs(p1) <= 1e-12,
-                               f"p(1)={p1!r}"))
-    dp = np.array([premium.derivative(k) for k in _PREMIUM_GRID])
-    nondec = bool(np.all(np.diff(dp) >= -1e-10))
-    out.append(ValidationCheck("premium.p' nondecreasing (101-point grid)", nondec))
-    vals = np.array([premium.value(k) for k in _PREMIUM_GRID])
-    out.append(ValidationCheck("premium.p >= 0 on [0,1]",
-                               bool(np.all(vals >= -1e-12))))
+def _premium_checks(premium: PowerPremium, out: list[ValidationCheck]) -> None:
+    out.append(ValidationCheck("premium.q >= 0", premium.q >= 0.0,
+                               f"q={premium.q}"))
+    out.append(ValidationCheck("premium.delta >= 1", premium.delta >= 1.0,
+                               f"delta={premium.delta}"))
 
 
 def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
@@ -278,8 +259,8 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         else [law.points, law.weights]
     numbers += [getattr(premium, k) for k in ("q", "delta")
                 if hasattr(premium, k)]
-    if isinstance(friction, LargeInvestor):
-        numbers += [friction.m_plus, friction.m_minus]
+    numbers += [getattr(friction, k) for k in ("m_plus", "m_minus", "c", "C",
+                                               "A") if hasattr(friction, k)]
     # one reduction per array field; math.isfinite refuses arrays, even of
     # one entry, so dispatch on the type
     checks.append(ValidationCheck(
@@ -339,10 +320,8 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
             _premium_checks(friction.premium, checks)
     if isinstance(friction, SmoothG):
         checks.append(ValidationCheck("smooth-g requires d=1", d == 1))
-        grid = np.linspace(-10.0, 10.0, 41)
-        gpp = np.array([friction.g_second(x) for x in grid])
-        checks.append(ValidationCheck("g'' < 0 on sampled grid",
-                                      bool(np.all(gpp < 0.0))))
+        checks.append(ValidationCheck("smooth-g c > 0", friction.c > 0.0,
+                                      f"c={friction.c}"))
     if isinstance(friction, LargeInvestor):
         checks.append(ValidationCheck("large-investor requires d=1", d == 1))
         checks.append(ValidationCheck("m_plus <= m_minus",
@@ -350,10 +329,15 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                                       f"m+={friction.m_plus} m-={friction.m_minus}"))
     if isinstance(friction, PortfolioPremium):
         checks.append(ValidationCheck("portfolio-premium requires d=1", d == 1))
-        grid = np.linspace(-10.0, 10.0, 41)
-        qv = np.array([friction.q(x) for x in grid])
-        checks.append(ValidationCheck("q > 0 on sampled grid",
-                                      bool(np.all(qv > 0.0))))
+        checks.append(ValidationCheck("portfolio-premium C >= 0",
+                                      friction.C >= 0.0, f"C={friction.C}"))
+        checks.append(ValidationCheck("portfolio-premium A > 0",
+                                      friction.A > 0.0, f"A={friction.A}"))
+        # with C >= 0 and A > 0, q(pi) >= q(0) = lambda E[Y]: q > 0 on every
+        # pi exactly when the fair part is
+        fair = jumps.lam * law_mean(law)
+        checks.append(ValidationCheck("portfolio-premium lambda E[Y] > 0",
+                                      fair > 0.0, f"lambda E[Y]={fair!r}"))
 
     return ValidationReport(tuple(checks))
 
@@ -381,9 +365,11 @@ def require_valid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
 #             "delta": d}
 #   friction: {"type": "frictionless" | "differential_rates"}
 #             | {"type": "large_investor", "m_plus": ..., "m_minus": ...}
-#             | {"type": "smooth_g", "form": "quadratic", "c": c}   (g = -c pi^2)
+#             | {"type": "smooth_g", "form": "quadratic", "c": c}
+#                 (g = -c pi^2, c > 0)
 #             | {"type": "portfolio_premium", "form": "fair_plus_sqrt",
-#                "C": ..., "A": ...}   (q(pi) = lambda E[Y] + C(sqrt(pi^2+A^2)-A))
+#                "C": ..., "A": ...}
+#                 (q(pi) = lambda E[Y] + C(sqrt(pi^2+A^2)-A), C >= 0, A > 0)
 
 def _sigma_from_config(spec, d: int) -> np.ndarray:
     if isinstance(spec, (int, float)):
@@ -397,7 +383,7 @@ def _sigma_from_config(spec, d: int) -> np.ndarray:
     return m
 
 
-def _premium_from_config(spec) -> PremiumSchedule:
+def _premium_from_config(spec) -> PowerPremium:
     kind = spec.get("type", "linear")
     if kind == "linear":
         return LinearPremium(q=float(spec["q"]))
@@ -418,18 +404,7 @@ def _jump_law_from_config(spec, lam: float) -> JumpLaw:
     raise ValueError(f"unknown jump law type {kind!r}")
 
 
-def make_sqrt_premium_rate(jumps: JumpLaw, C: float, A: float):
-    """q(pi) = lambda E[Y] + C (sqrt(pi^2 + A^2) - A), with its derivative."""
-    base = jumps.lam * law_mean(jumps.law)
-    def q(pi: float) -> float:
-        return base + C * (np.sqrt(pi * pi + A * A) - A)
-    def q_prime(pi: float) -> float:
-        return C * pi / np.sqrt(pi * pi + A * A)
-    return q, q_prime
-
-
-def _friction_from_config(spec, premium: PremiumSchedule,
-                          jumps: JumpLaw) -> FrictionSpec:
+def _friction_from_config(spec, premium: PowerPremium) -> FrictionSpec:
     kind = spec.get("type", "differential_rates")
     if kind == "frictionless":
         return Frictionless(premium=premium)
@@ -441,18 +416,11 @@ def _friction_from_config(spec, premium: PremiumSchedule,
     if kind == "smooth_g":
         if spec.get("form") != "quadratic":
             raise ValueError("smooth_g config supports form='quadratic' only")
-        c = float(spec["c"])
-        if c <= 0:
-            raise ValueError("quadratic smooth_g needs c > 0")
-        return SmoothG(premium=premium,
-                       g=lambda x: -c * x * x,
-                       g_prime=lambda x: -2.0 * c * x,
-                       g_second=lambda x: -2.0 * c)
+        return SmoothG(premium=premium, c=float(spec["c"]))
     if kind == "portfolio_premium":
         if spec.get("form") != "fair_plus_sqrt":
             raise ValueError("portfolio_premium config supports form='fair_plus_sqrt' only")
-        q, qp = make_sqrt_premium_rate(jumps, float(spec["C"]), float(spec["A"]))
-        return PortfolioPremium(q=q, q_prime=qp)
+        return PortfolioPremium(C=float(spec["C"]), A=float(spec["A"]))
     raise ValueError(f"unknown friction type {kind!r}")
 
 
@@ -495,7 +463,7 @@ def parse_model_dict(doc: dict) -> ModelInputs:
         premium = _premium_from_config(doc.get("premium", {"type": "linear", "q": 0.0}))
         friction = _friction_from_config(doc.get("friction",
                                                  {"type": "differential_rates"}),
-                                         premium, jumps)
+                                         premium)
         utility = Utility(eta=float(doc["eta"]))
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc.args[0]!r}") from exc

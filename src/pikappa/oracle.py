@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import PikappaError
-from .hamiltonian import _pi_friction, _premium_value, friction_term
-from .jumps import _each, _overflow_as_domain_error, utility_jump_curve
+from .hamiltonian import _pi_friction, friction_term
+from .jumps import _overflow_as_domain_error, utility_jump_curve
 from .models import (FrictionSpec, JumpLaw, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, Utility)
 from . import solvers
@@ -90,7 +90,7 @@ def _eval_grid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
         - 0.5 * eta * (quad_pi.reshape(shape)[..., None] + (b * k) ** 2
                        - 2.0 * b * k * pi_srho.reshape(shape)[..., None]) \
         + _jump_curve(jumps, kappas, eta).reshape(kshape)
-    return H + friction_term(friction, model,
+    return H + friction_term(friction, model, jumps,
                              pis.reshape(shape + (1, pis.shape[-1])), kappas)
 
 
@@ -138,11 +138,11 @@ def _grid_argmax(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     K = -0.5 * eta * (model.b * kappas) ** 2 + _jump_curve(jumps, kappas, eta)
     u = eta * model.b * pi_srho
     if isinstance(friction, PortfolioPremium):
-        q = _each(friction.q, pis[:, 0])   # f = -q(pi) + kappa q(pi)
+        q = friction.rate(pis[:, 0], jumps)   # f = -q(pi) + kappa q(pi)
         P, u = P - q, u + q
     else:
         P = P + _pi_friction(friction, model, pis)
-        K = K - _premium_value(friction.premium, kappas)
+        K = K - friction.premium.value(kappas)
     best = _row_argmax(kappas, K, u)
     row = int(np.argmax(P + K[best] + u * kappas[best]))
     return np.unravel_index(row, shape) + (int(best[row]),)
@@ -262,10 +262,6 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
     if parameter in ("R", "r", "b"):
         return model.replace(**{parameter: float(v)}), jumps, friction, utility
     if parameter == "lambda":
-        if isinstance(friction, PortfolioPremium):
-            # a parsed premium rate q(pi) holds the fair part lambda E[Y]
-            raise ValueError("lambda cannot change on a portfolio-premium "
-                             "model: its premium rate holds lambda")
         return model, JumpLaw(lam=float(v), law=jumps.law), friction, utility
     if parameter == "q":
         prem = getattr(friction, "premium", None)

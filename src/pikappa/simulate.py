@@ -61,14 +61,14 @@ class SimEstimate:
     floor_fraction: float
 
 
-def _policy_coefficients(policy: Policy, model: MarketModel,
+def _policy_coefficients(policy: Policy, model: MarketModel, jumps: JumpLaw,
                          friction: FrictionSpec):
     """Deterministic drift and Gaussian variance rate of log wealth."""
     pi, kappa = policy.pi, policy.kappa
     st = model.sigma.T @ pi
     var_rate = float(st @ st) + (model.b * kappa) ** 2 \
         - 2.0 * model.b * kappa * float(pi @ (model.sigma @ model.rho))
-    f = friction_term(friction, model, pi, kappa)
+    f = friction_term(friction, model, jumps, pi, kappa)
     drift = model.r + f + float(pi @ (model.mu - model.r)) - 0.5 * var_rate
     return drift, max(var_rate, 0.0)
 
@@ -116,8 +116,23 @@ def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     return z, y, owner
 
 
+def _paths(jumps: JumpLaw, config: SimConfig):
+    """(z, y, owner) of config's paths: _common_draws for n_paths paths, or
+    in antithetic mode for n_paths / 2 paths, whose normals z become the
+    two rows [z, -z] over the same jumps."""
+    n = config.n_paths // 2 if config.antithetic else config.n_paths
+    z, y, owner = _common_draws(jumps, n, config)
+    return (np.stack([z, -z]) if config.antithetic else z), y, owner
+
+
+def _samples(x: np.ndarray, config: SimConfig) -> np.ndarray:
+    """The independent samples of a per-path quantity on _paths' draw: the
+    pair means of the rows [z, -z] in antithetic mode, else x itself."""
+    return 0.5 * (x[0] + x[1]) if config.antithetic else x
+
+
 def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
-                        owner: np.ndarray, model: MarketModel,
+                        owner: np.ndarray, model: MarketModel, jumps: JumpLaw,
                         friction: FrictionSpec, utility: Utility,
                         config: SimConfig):
     """Floored V_T, U_eta(V_T) and the floor mask on each path.
@@ -131,7 +146,7 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
     as the out-of-place expression.
     """
     T = config.horizon
-    drift, var_rate = _policy_coefficients(policy, model, friction)
+    drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
     ky = policy.kappa * y
     if np.any(ky >= 1.0):
         raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
@@ -170,27 +185,25 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     the jump sizes; by Poisson superposition this is the exact law of n
     independent compound Poisson paths. Earlier releases drew one Poisson
     count per path, so a seed now gives other bits than it gave there.
-    One sampler serves this and compare_policies, so on the same config the
-    plain mean here equals compare_policies' mean_a bit for bit. One config
-    and law are drawn once and shared: the normals and jumps of the last
-    draw stay in memory until the next draw, about 8 n (1 + 2 lam T) bytes
-    for n paths (16 MB at 1e6 paths and lam T = 0.5), as with per-path
-    counts.
+    One sampler serves this and compare_policies, so on the same config,
+    plain or antithetic, the mean here equals compare_policies' mean_a bit
+    for bit. One config and law are drawn once and shared: the normals and
+    jumps of the last draw stay in memory until the next draw, about
+    8 n (1 + 2 lam T) bytes for n paths (16 MB at 1e6 paths and
+    lam T = 0.5), as with per-path counts.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
     (path_id, N_T, G, V_T, utility), the antithetic mirror paths last.
     """
-    n = config.n_paths // 2 if config.antithetic else config.n_paths
-    z, y, owner = _common_draws(jumps, n, config)
-    if config.antithetic:
-        z = np.stack([z, -z])
-    v, u, floored = _terminal_utilities(policy, z, y, owner, model, friction,
-                                        utility, config)
+    z, y, owner = _paths(jumps, config)
+    v, u, floored = _terminal_utilities(policy, z, y, owner, model, jumps,
+                                        friction, utility, config)
 
     if dump_csv is not None:
-        sd = np.sqrt(_policy_coefficients(policy, model, friction)[1]
+        sd = np.sqrt(_policy_coefficients(policy, model, jumps, friction)[1]
                      * config.horizon)
+        n = z.shape[-1]
         counts = np.bincount(owner, minlength=n)
         with open(dump_csv, "w", encoding="utf-8") as fh:
             fh.write("path_id,N_T,G,V_T,utility\n")
@@ -199,7 +212,7 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
                 fh.write(f"{i},{counts[i % n]},{sd * zi:.12g},{vi:.12g},"
                          f"{ui:.12g}\n")
 
-    mean, se = _mean_se(0.5 * (u[0] + u[1]) if config.antithetic else u)
+    mean, se = _mean_se(_samples(u, config))
     return SimEstimate(mean=mean, std_error=se, n_paths=config.n_paths,
                        floor_fraction=float(floored.mean()))
 
@@ -219,10 +232,12 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     """Paired estimate of E[U(V_T^A)] - E[U(V_T^B)] under common random
     numbers, judged at three standard errors. The draw is the one
     simulate_terminal_utility makes on the same config and law, and is
-    shared with it."""
-    z, y, owner = _common_draws(jumps, config.n_paths, config)
-    ua, ub = (_terminal_utilities(p, z, y, owner, model, friction, utility,
-                                  config)[1] for p in (policy_a, policy_b))
+    shared with it; in antithetic mode the standard error comes from the
+    pair means, as there."""
+    z, y, owner = _paths(jumps, config)
+    ua, ub = (_samples(_terminal_utilities(p, z, y, owner, model, jumps,
+                                           friction, utility, config)[1],
+                       config) for p in (policy_a, policy_b))
     dm, dse = _mean_se(ua - ub)
     if dm > 3.0 * dse:
         verdict = "A-better"

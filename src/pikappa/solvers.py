@@ -44,8 +44,8 @@ from .hamiltonian import (Certificate, DEFAULT_CERT_TOL, ObjectiveEval,
 from .jumps import psi
 from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, MarketModel, Policy,
-                     PortfolioPremium, PowerPremium, PremiumSchedule, SmoothG,
-                     Utility, require_valid)
+                     PortfolioPremium, PowerPremium, SmoothG, Utility,
+                     require_valid)
 from .rootfind import bisect, expand_bracket
 
 CORNER_TIE = 1e-12
@@ -106,7 +106,7 @@ def _case_label(prefix: str, family: str, tag: str) -> str:
     return sys.intern(f"{prefix}-{_ROMAN[(family, tag)]}")
 
 
-def _corner_consistency(obj: ObjectiveEval, premium: PremiumSchedule | None,
+def _corner_consistency(obj: ObjectiveEval, premium: PowerPremium | None,
                         kappa: float) -> float:
     """Corner optimality inequalities, returned as a violation magnitude."""
     if kappa <= 0.0:
@@ -153,7 +153,7 @@ class _DiffRatesKernel:
     """
 
     def __init__(self, model: MarketModel, jumps: JumpLaw,
-                 premium: PremiumSchedule):
+                 premium: PowerPremium):
         self.model = model
         self.jumps = jumps
         self.premium = premium
@@ -230,7 +230,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
-                   premium: PremiumSchedule) -> tuple[float, float]:
+                   premium: PowerPremium) -> tuple[float, float]:
     """Risk-aversion thresholds (eta_R, eta_r) bracketing the all-risky band.
 
     eta_R solves pi(R, eta).1 = 1 and eta_r solves pi(r, eta).1 = 1 at the
@@ -298,17 +298,17 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     r = model.r
     premium_rate = isinstance(friction, PortfolioPremium)
     if premium_rate:
-        soc_lhs, soc_rhs = _soc_bound(
-            [friction.q_prime(x) for x in _SOC_PI_GRID], model, jumps, eta)
+        soc_lhs, soc_rhs = _soc_bound(friction.slope(_SOC_PI_GRID), model,
+                                      jumps, eta)
         if soc_lhs >= soc_rhs:
             raise SOCViolation(
                 f"second-order bound fails on the search bracket: "
                 f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
                 f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
-        f_pi = lambda x, k: -(1.0 - k) * float(friction.q_prime(x))
-        f_k = lambda x, k: float(friction.q(x))
+        f_pi = lambda x, k: -(1.0 - k) * float(friction.slope(x))
+        f_k = lambda x, k: float(friction.rate(x, jumps))
     else:
-        f_pi = lambda x, k: float(friction.g_prime(x))
+        f_pi = lambda x, k: -2.0 * friction.c * x
         f_k = lambda x, k: -friction.premium.derivative(k)
 
     def pi_of(k: float) -> float:

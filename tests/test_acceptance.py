@@ -310,9 +310,7 @@ def test_c09_oracle_equivalence_randomized():
         util = pk.Utility(rng.uniform(0.4, beta - 0.3))
         prem = pk.LinearPremium(q=rng.uniform(0.0, 0.5))
         c = rng.uniform(0.01, 0.4)
-        fric = pk.SmoothG(premium=prem, g=lambda x, c=c: -c * x * x,
-                          g_prime=lambda x, c=c: -2 * c * x,
-                          g_second=lambda x, c=c: -2 * c)
+        fric = pk.SmoothG(premium=prem, c=c)
         rep = pk.solve(m, jumps, fric, util)
         _check_oracle(rep, m, jumps, fric, util, failures, f"sg[{n}]")
         n += 1
@@ -348,12 +346,11 @@ def test_c09_oracle_equivalence_randomized():
             continue
         C = rng.uniform(0.3, 0.9) * c_max
         A = rng.uniform(0.2, 1.0)
-        q_fn = pk.make_sqrt_premium_rate(jumps, C=C, A=A)
+        fric = pk.PortfolioPremium(C=C, A=A)
         try:
-            rep = pk.solve(m, jumps, pk.PortfolioPremium(*q_fn), util)
+            rep = pk.solve(m, jumps, fric, util)
         except (pk.NoInteriorSolution, pk.SOCViolation):
             continue
-        fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
         _check_oracle(rep, m, jumps, fric, util, failures, f"pp[{n}]")
         n += 1
 
@@ -452,9 +449,8 @@ def test_c13_section5_interior_and_fosd():
     interval_ok = lhs <= 1.0 / eta ** 2 <= rhs
 
     m = c2_model(rho0)
-    q_fn = pk.make_sqrt_premium_rate(J_C, C=C, A=A)
-    rep = pk.solve(m, J_C, pk.PortfolioPremium(*q_fn), pk.Utility(eta))
-    fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
+    fric = pk.PortfolioPremium(C=C, A=A)
+    rep = pk.solve(m, J_C, fric, pk.Utility(eta))
     pol, val, bound = pk.grid_maximize(m, J_C, fric, pk.Utility(eta))
     oracle_ok = rep.objective.value >= val - bound
 
@@ -465,10 +461,9 @@ def test_c13_section5_interior_and_fosd():
     for rho in np.round(np.arange(-0.45, 0.46, 0.15), 10):
         ks = {}
         for tag, jumps in (("hi", J_C), ("lo", j_low)):
-            qf = pk.make_sqrt_premium_rate(jumps, C=C, A=A)
             try:
-                r = pk.solve(c2_model(float(rho)), jumps,
-                             pk.PortfolioPremium(*qf), pk.Utility(eta))
+                r = pk.solve(c2_model(float(rho)), jumps, fric,
+                             pk.Utility(eta))
                 ks[tag] = r.policy.kappa
             except (pk.NoInteriorSolution, pk.SOCViolation):
                 pass

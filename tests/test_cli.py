@@ -119,6 +119,19 @@ class TestSolve:
         assert err.startswith("certification failed: label=DiffRates-")
         assert "in_domain=" in err and "corner_violation=" in err
 
+    @pytest.mark.parametrize("command", [
+        ["oracle"], ["verify"], ["simulate"], ["sweep", "--param", "eta",
+                                               "--from", "1", "--to", "2",
+                                               "--steps", "1"],
+        ["mutual-fund", "--eta1", "1", "--eta2", "2", "--eta-bar", "1.5"]])
+    def test_format_is_a_solve_option(self, command, capsys):
+        # only solve prints json; elsewhere the flag would be dropped
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--model", "c2", "--format", "json"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --format json" in err
+
     def test_threads_is_a_sweep_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--model", "a1", "--threads", "2"])
@@ -437,6 +450,46 @@ class TestSimulateCmd:
         assert abs(float(fields["z"])) <= 3.5
 
 
+class TestPortfolioPremiumLambda:
+    """The portfolio premium reads its fair part lambda E[Y] from the jump
+    law, so --lambda and a lambda sweep solve the file with that lambda."""
+
+    @staticmethod
+    def _with_lambda(tmp_path, lam):
+        doc = json.loads(open(cli.resolve_model_path("section5-example")).read())
+        doc["lambda"] = lam
+        path = tmp_path / f"lambda-{lam}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_lambda_flag_solves_the_file_with_that_lambda(self, tmp_path,
+                                                          capsys):
+        code, out, _ = run(["solve", "--model", "section5-example",
+                            "--lambda", "0.5"], capsys)
+        assert code == 0
+        assert out == run(["solve", "--model",
+                           self._with_lambda(tmp_path, 0.5)], capsys)[1]
+        assert out != run(["solve", "--model", "section5-example"], capsys)[1]
+
+    def test_lambda_sweep_solves_the_file_at_each_lambda(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(["sweep", "--model", "section5-example", "--param",
+                          "lambda", "--from", "0.25", "--to", "0.75",
+                          "--steps", "2", "--out", str(out)], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.open()))[1:]
+        assert [row[0] for row in rows] == ["0.25", "0.5", "0.75"]
+        for lam, row in zip((0.25, 0.5, 0.75), rows):
+            inp = models.load_model_file(self._with_lambda(tmp_path, lam))
+            rep = solvers.solve(inp.model, inp.jumps, inp.friction,
+                                inp.utility)
+            numbers = (rep.policy.pi[0], rep.policy.pi_sum, rep.policy.kappa)
+            assert row[1:] == [f"{v:.12g}" for v in numbers] + [
+                rep.case_label, "", f"{rep.objective.value:.12g}",
+                f"{rep.certificate.residual:.12g}"]
+
+
 class TestVerifyInvalidModel:
     def test_r_above_R_exit_1(self, tmp_path, capsys):
         doc = json.loads(open(cli.resolve_model_path("c2")).read())
@@ -455,7 +508,6 @@ class TestExitContract:
         ("solve --model c1 --thresholds", 2, "solve failed: NoThreshold:"),
         ("solve --model section5-example --thresholds", 1, "input error:"),
         ("solve --model section5-example --q 5", 1, "input error:"),
-        ("solve --model section5-example --lambda 0.5", 1, "input error:"),
         ("simulate --model b1 --eta 1e6 --paths 1000", 2,
          "certification failed:"),
         ("simulate --model section5-example --eta 0.2504069946105812 "
@@ -541,6 +593,25 @@ class TestExitContract:
                               "premium.delta >= 1")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("C,A,check", [
+        (0.25, 0.0, "A > 0"), (0.25, -0.5, "A > 0"), (-0.005, 0.5, "C >= 0")])
+    def test_portfolio_premium_outside_its_domain_is_one_typed_line(
+            self, C, A, check, tmp_path, capsys):
+        # A = 0 makes q'(0) = 0/0; A < 0 and C < 0 make q dip below its
+        # fair part far out, past any sampled grid
+        doc = json.loads(open(cli.resolve_model_path("section5-example"))
+                         .read())
+        doc["friction"].update(C=C, A=A)
+        path = tmp_path / "pp.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["solve", "--model", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("input error: model validation failed: "
+                              f"portfolio-premium {check}")
+        assert len(err.splitlines()) == 1
 
     def test_overflowing_policy_warns_nothing(self, capsys):
         with warnings.catch_warnings():
@@ -653,6 +724,15 @@ _MUTATIONS = {
         friction={"type": "smooth_g", "form": "quadratic", "c": 0.0}),
     "smooth g form unknown": lambda doc: doc.update(
         friction={"type": "smooth_g", "form": "cubic", "c": 0.1}),
+    "portfolio premium A zero": lambda doc: doc.update(
+        friction={"type": "portfolio_premium", "form": "fair_plus_sqrt",
+                  "C": 0.1, "A": 0.0}),
+    "portfolio premium A negative": lambda doc: doc.update(
+        friction={"type": "portfolio_premium", "form": "fair_plus_sqrt",
+                  "C": 0.1, "A": -0.5}),
+    "portfolio premium C negative": lambda doc: doc.update(
+        friction={"type": "portfolio_premium", "form": "fair_plus_sqrt",
+                  "C": -0.005, "A": 0.5}),
     "m+ above m-": lambda doc: doc.update(
         friction={"type": "large_investor", "m_plus": 0.02,
                   "m_minus": -0.02}),

@@ -9,7 +9,6 @@ import pytest
 
 import pikappa as pk
 from pikappa.cli import resolve_model_path
-from pikappa import hamiltonian
 from pikappa.hamiltonian import friction_term
 
 BETA28 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -102,16 +101,13 @@ class TestGradientConsistency:
         m1 = c2_model(rho=0.35)
         m2 = merton_model(d=2)
         prem = pk.LinearPremium(q=0.2)
-        q_fn, qp_fn = pk.make_sqrt_premium_rate(BETA128, C=0.2, A=0.5)
         regimes = [
             (m2, BETA28, pk.DifferentialRates(premium=prem)),
             (m1, BETA128, pk.Frictionless(premium=prem)),
-            (m1, BETA128, pk.SmoothG(premium=prem, g=lambda x: -0.1 * x * x,
-                                     g_prime=lambda x: -0.2 * x,
-                                     g_second=lambda x: -0.2)),
+            (m1, BETA128, pk.SmoothG(premium=prem, c=0.1)),
             (m1, BETA128, pk.LargeInvestor(premium=prem, m_plus=-0.01,
                                            m_minus=0.02)),
-            (m1, BETA128, pk.PortfolioPremium(q=q_fn, q_prime=qp_fn)),
+            (m1, BETA128, pk.PortfolioPremium(C=0.2, A=0.5)),
         ]
         for model, jumps, fric in regimes:
             policies = [(rng.uniform(-2, 2, size=model.d),
@@ -178,35 +174,15 @@ class TestConjugate:
         # g = -c pi^2: gtilde(z) = z^2/(4c), attained at x = z/(2c)
         c = 0.25
         m = c2_model()
-        fric = pk.SmoothG(premium=pk.LinearPremium(q=0.0),
-                          g=lambda x: -c * x * x,
-                          g_prime=lambda x: -2 * c * x,
-                          g_second=lambda x: -2 * c)
+        fric = pk.SmoothG(premium=pk.LinearPremium(q=0.0), c=c)
         z = 0.3
         v, ok = pk.conjugate(np.array([z]), -1.0, fric, m)
         assert ok and v == pytest.approx(z * z / (4 * c), abs=1e-9)
-
-    def test_smooth_g_callable_errors_propagate(self):
-        # only a bracket that never changes sign means "outside the domain";
-        # an exception raised by the user's g_prime is the caller's to see
-        c = 0.25
-
-        def g_prime(x):
-            if abs(x) > 100.0:
-                raise ZeroDivisionError("g_prime undefined here")
-            return -2 * c * x
-        fric = pk.SmoothG(premium=pk.LinearPremium(q=0.0),
-                          g=lambda x: -c * x * x, g_prime=g_prime,
-                          g_second=lambda x: -2 * c)
-        with pytest.raises(ZeroDivisionError):
-            pk.conjugate(np.array([1e3]), 0.0, fric, c2_model())
-        bounded = pk.SmoothG(premium=pk.LinearPremium(q=0.0),
-                             g=lambda x: -math.log1p(x * x),
-                             g_prime=lambda x: -2 * x / (1 + x * x),
-                             g_second=lambda x: -2 * (1 - x * x)
-                             / (1 + x * x) ** 2)
-        assert pk.conjugate(np.array([5.0]), 0.0, bounded, c2_model()) == \
-            (math.inf, False)
+        # every z is in the domain, and the sup dominates g on a grid
+        xs = np.linspace(-50.0, 50.0, 20001)
+        for z in (-1e3, -2.0, 0.0, 7.5, 1e3):
+            v, ok = pk.conjugate(np.array([z]), -1.0, fric, m)
+            assert ok and v >= float(np.max(-c * xs * xs + z * xs))
 
     def test_conjugate_dominates_lagrangian(self):
         # f(pi,kappa) + pi.zeta + kappa gamma <= ftilde(zeta,gamma) + 1e-9
@@ -221,7 +197,7 @@ class TestConjugate:
             assert ok
             pi = rng.uniform(-3, 3, size=2)
             kappa = rng.uniform(0, 1)
-            f = friction_term(fric, m, pi, kappa)
+            f = friction_term(fric, m, BETA28, pi, kappa)
             assert f + pi @ zeta + kappa * gamma <= v + 1e-9
 
 
@@ -273,38 +249,6 @@ class TestCertify:
         cert = pk.certify(rep.policy, *parts, obj=moved)
         assert cert.residual == pytest.approx(shift, rel=1e-3)
         assert cert.passes is passes
-
-
-@pytest.mark.parametrize("delta", [1.0, 3.0])
-@pytest.mark.parametrize("friction", [pk.DifferentialRates, pk.Frictionless])
-@pytest.mark.parametrize("config", ["a1", "b1", "c2"])
-def test_tabulated_power_premium_certifies_as_the_power_schedule(
-        config, friction, delta, monkeypatch):
-    # a black-box premium with the power schedule's own p and p' solves to
-    # the same bits; its conjugate takes the bisection for the kappa with
-    # p'(kappa) = gamma where the power schedule has a closed form
-    calls = []
-    bisect = hamiltonian.bisect
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return bisect(*args, **kwargs)
-    monkeypatch.setattr(hamiltonian, "bisect", counting)
-    inputs = pk.load_model_file(resolve_model_path(config))
-    parts = (inputs.model, inputs.jumps)
-    power = pk.PowerPremium(q=inputs.friction.premium.q, delta=delta)
-    tabulated = pk.TabulatedPremium(p=power.value, p_prime=power.derivative)
-    want = pk.solve(*parts, friction(power), inputs.utility)
-    assert not calls
-    got = pk.solve(*parts, friction(tabulated), inputs.utility)
-    # at delta = 3 the gradient's gamma lies inside the range of p'; at
-    # delta = 1 that range is the one point -q, which gamma misses
-    assert len(calls) == (1 if delta == 3.0 else 0)
-    assert got.case_label == want.case_label
-    assert got.policy.kappa == want.policy.kappa
-    np.testing.assert_array_equal(got.policy.pi, want.policy.pi)
-    assert got.certificate.passes
-    assert abs(got.certificate.residual - want.certificate.residual) <= 1e-15
 
 
 class TestValueFunction:

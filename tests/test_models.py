@@ -99,15 +99,6 @@ class TestValidation:
         r2 = pk.validate_model(inp.model, inp.jumps, inp.friction, inp.utility)
         assert str(r1) == str(r2) and r1.ok == r2.ok
 
-    def test_premium_p1_zero_enforced(self):
-        prem = pk.TabulatedPremium(p=lambda k: 0.1 * (1 - k) + 0.05,
-                                   p_prime=lambda k: -0.1)
-        inp = base_inputs()
-        rep = pk.validate_model(inp.model, inp.jumps,
-                                pk.DifferentialRates(premium=prem),
-                                inp.utility)
-        assert not rep.ok
-
     @pytest.mark.parametrize("name,bad", [
         (name, bad) for name in NUMERIC_FIELDS
         for bad in (float("nan"), float("inf"))])
@@ -165,6 +156,34 @@ class TestValidation:
         assert pk.validate_model(inp.model, inp.jumps, inp.friction,
                                  inp.utility).ok
 
+    @pytest.mark.parametrize("c,failed", [
+        (0.2, []), (0.0, ["smooth-g c > 0"]), (-0.1, ["smooth-g c > 0"]),
+        (float("nan"), ["numeric fields finite", "smooth-g c > 0"])])
+    def test_smooth_g_decided_by_its_parameter(self, c, failed):
+        inp = base_inputs(d=1, mu=[0.16], sigma=0.3, rho=[0.3])
+        rep = pk.validate_model(inp.model, inp.jumps,
+                                pk.SmoothG(inp.friction.premium, c=c),
+                                inp.utility)
+        assert [c.name for c in rep.failures()] == failed
+
+    @pytest.mark.parametrize("C,A,lam,failed", [
+        (0.25, 0.5, 0.15, []),
+        (0.0, 0.5, 0.15, []),
+        (-0.005, 0.5, 0.15, ["portfolio-premium C >= 0"]),
+        (0.25, 0.0, 0.15, ["portfolio-premium A > 0"]),
+        (0.25, -0.5, 0.15, ["portfolio-premium A > 0"]),
+        (0.25, 0.5, 0.0, ["portfolio-premium lambda E[Y] > 0"]),
+        (0.25, float("inf"), 0.15, ["numeric fields finite"])])
+    def test_portfolio_premium_decided_by_its_parameters(self, C, A, lam,
+                                                         failed):
+        # q(pi) >= lambda E[Y] once C >= 0 and A > 0, so three comparisons
+        # decide q > 0 on every pi
+        inp = base_inputs(d=1, mu=[0.16], sigma=0.3, rho=[0.3],
+                          **{"lambda": lam})
+        rep = pk.validate_model(inp.model, inp.jumps,
+                                pk.PortfolioPremium(C=C, A=A), inp.utility)
+        assert [c.name for c in rep.failures()] == failed
+
     def test_parse_rejects_non_finite(self):
         with pytest.raises(ValueError, match=r"model\.jump_law\.beta"):
             base_inputs(jump_law={"type": "beta", "alpha": 2.0,
@@ -197,6 +216,19 @@ class TestModelFiles:
                                  "b": 0.4, "lambda": 0.1,
                                  "jump_law": {"type": "beta", "alpha": 2,
                                               "beta": 8}})
+
+    @pytest.mark.parametrize("friction", [
+        {"type": "frictionless"},
+        {"type": "differential_rates"},
+        {"type": "large_investor", "m_plus": -0.01, "m_minus": 0.02},
+        {"type": "smooth_g", "form": "quadratic", "c": 0.2},
+        {"type": "portfolio_premium", "form": "fair_plus_sqrt", "C": 0.25,
+         "A": 0.5}])
+    def test_two_parses_give_equal_frictions(self, friction):
+        # a friction is its parameters, so one document parses to == values
+        first, second = (base_inputs(friction=dict(friction)).friction
+                         for _ in range(2))
+        assert first == second
 
     def test_types_immutable(self):
         inp = base_inputs()

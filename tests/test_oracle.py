@@ -100,16 +100,13 @@ def _hull_cases():
         points=[0.1, 0.35, 0.8], weights=[0.5, 0.3, 0.2]))
     linear = pk.LinearPremium(q=rng.uniform(0.05, 0.5))
     power = pk.PowerPremium(q=rng.uniform(0.05, 0.5), delta=2.5)
-    tabulated = pk.TabulatedPremium(p=lambda k: 0.2 * (1.0 - k) ** 3,
-                                    p_prime=lambda k: -0.6 * (1.0 - k) ** 2)
-    c = rng.uniform(0.01, 0.4)
-    smooth_g = pk.SmoothG(premium=power, g=lambda x: -c * x * x,
-                          g_prime=lambda x: -2.0 * c * x,
-                          g_second=lambda x: -2.0 * c)
+    # p = 0.2 (1 - kappa)^3; the "tabulated" cases once took this schedule
+    # as a black-box premium and keep their names
+    tabulated = pk.PowerPremium(q=0.2, delta=3.0)
+    smooth_g = pk.SmoothG(premium=power, c=rng.uniform(0.01, 0.4))
     # the section-5 example, whose retention is interior
     beta128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(12.0, 8.0))
-    pp = pk.PortfolioPremium(*pk.make_sqrt_premium_rate(beta128, C=0.25,
-                                                        A=0.5))
+    pp = pk.PortfolioPremium(C=0.25, A=0.5)
     return {
         "rates-beta-linear": (market(), beta28,
                               pk.DifferentialRates(linear), 3.0),

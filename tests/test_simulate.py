@@ -257,6 +257,35 @@ def test_monte_carlo_streams_bit_identical(law):
     assert cmp.verdict == "A-better"
 
 
+@pytest.mark.parametrize("law", sorted(PIN_LAWS))
+def test_antithetic_comparison_runs_the_antithetic_paths(law, tmp_path):
+    # an antithetic config pairs the comparison's paths as it pairs the
+    # estimate's: mean_a is the antithetic mean to the bit, and the SE comes
+    # from the pair means of the difference
+    m = pk.MarketModel(mu=[0.08], sigma=[[0.2]], r=0.03, R=0.05, rho=[0.4],
+                       b=0.2)
+    fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.05))
+    u = pk.Utility(3.0)
+    a = pk.Policy(pi=[0.6], kappa=0.4)
+    b = pk.Policy(pi=[0.5], kappa=0.6)
+    jumps = PIN_LAWS[law]
+    cfg = pk.SimConfig(n_paths=20_000, seed=7, antithetic=True)
+    means, utilities = [], []
+    for policy, name in ((a, "a.csv"), (b, "b.csv")):
+        means.append(pk.simulate_terminal_utility(
+            policy, m, jumps, fric, u, cfg, dump_csv=str(tmp_path / name)).mean)
+        utilities.append(np.loadtxt(tmp_path / name, delimiter=",",
+                                    skiprows=1, usecols=4))
+    cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
+    assert (cmp.mean_a, cmp.mean_b) == tuple(means)
+    assert cmp.mean_a == MC_PINS[law][2]
+    # the dump lists the mirror paths last, at 12 significant digits
+    pairs = [0.5 * (x[:10_000] + x[10_000:]) for x in utilities]
+    diff = pairs[0] - pairs[1]
+    assert cmp.diff_mean == pytest.approx(diff.mean(), rel=1e-9)
+    assert cmp.diff_se == pytest.approx(diff.std(ddof=1) / 100.0, rel=1e-6)
+
+
 def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
     # Beta(0.5, 0.001) is a valid law whose draws round to 1.0 (9,601 of
     # 10,000 at seed 1): at kappa = 1 such a jump takes all the wealth

@@ -220,17 +220,16 @@ def test_thresholds_match_nested_route_randomized():
         assert got == pytest.approx(expected, abs=ETA_XTOL), i
 
 
-QUAD_G = (lambda x: -0.2 * x * x, lambda x: -0.4 * x, lambda x: -0.4)
+QUAD_C = 0.2
 
 
 class TestSmoothG:
     def test_degenerate_merton(self):
         # tiny regularizer keeps g'' < 0; b = 0, lambda = 0 reduces to Merton
-        g = (lambda x: -1e-12 * x * x, lambda x: -2e-12 * x, lambda x: -2e-12)
         m = pk.MarketModel(mu=[0.10], sigma=[[0.25]], r=0.02, R=0.02,
                            rho=[0.0], b=0.0)
         jumps = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(2.0, 8.0))
-        rep = pk.solve(m, jumps, pk.SmoothG(pk.LinearPremium(q=0.0), *g),
+        rep = pk.solve(m, jumps, pk.SmoothG(pk.LinearPremium(q=0.0), 1e-12),
                        pk.Utility(2.0))
         assert rep.policy.pi[0] == pytest.approx(0.08 / (2 * 0.0625), rel=1e-8)
 
@@ -238,13 +237,12 @@ class TestSmoothG:
         # g = -c pi^2, b = 0, lambda E[Y] > q: linear FOC gives
         # pi = (mu - r)/(eta sigma^2 + 2c), kappa = 0 (cheap full insurance)
         c = 0.3
-        g = (lambda x: -c * x * x, lambda x: -2 * c * x, lambda x: -2 * c)
         m = pk.MarketModel(mu=[0.12], sigma=[[0.25]], r=0.02, R=0.02,
                            rho=[0.0], b=0.0)
         jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))   # lam E[Y] = 0.1
         prem = pk.LinearPremium(q=0.05)
         eta = 2.0
-        rep = pk.solve(m, jumps, pk.SmoothG(prem, *g), pk.Utility(eta))
+        rep = pk.solve(m, jumps, pk.SmoothG(prem, c), pk.Utility(eta))
         assert rep.case_label == "SmoothG-2"
         assert rep.policy.kappa == 0.0
         assert rep.policy.pi[0] == pytest.approx(0.10 / (eta * 0.0625 + 2 * c),
@@ -252,10 +250,8 @@ class TestSmoothG:
 
     def test_matches_grid_oracle(self):
         m = c_model(0.16, 0.4, -0.35)
-        rep = pk.solve(m, BETA128_015, pk.SmoothG(Q02, *QUAD_G),
-                       pk.Utility(4.0))
-        fric = pk.SmoothG(premium=Q02, g=QUAD_G[0], g_prime=QUAD_G[1],
-                          g_second=QUAD_G[2])
+        fric = pk.SmoothG(premium=Q02, c=QUAD_C)
+        rep = pk.solve(m, BETA128_015, fric, pk.Utility(4.0))
         pol, val, bound = pk.grid_maximize(m, BETA128_015, fric, pk.Utility(4.0))
         assert rep.objective.value >= val - bound
         assert abs(pol.pi[0] - rep.policy.pi[0]) <= 0.05
@@ -403,12 +399,6 @@ DISCRETE_03 = pk.JumpLaw(lam=0.3, law=pk.DiscreteJumps([0.1, 0.4, 0.7],
                                                        [0.5, 0.3, 0.2]))
 
 
-def _quadratic_g(c, premium):
-    return pk.SmoothG(premium=premium, g=lambda x: -c * x * x,
-                      g_prime=lambda x: -2.0 * c * x,
-                      g_second=lambda x: -2.0 * c)
-
-
 def _large(q):
     return pk.LargeInvestor(premium=pk.LinearPremium(q=q), m_plus=-0.015,
                             m_minus=0.025)
@@ -419,13 +409,13 @@ def _large(q):
 # smooth and shadow kernels replaced the per-regime solvers.
 UNPINNED_PINS = [
     ("smoothg-beta", c_model(0.16, 0.4, -0.35), BETA128_015,
-     _quadratic_g(0.2, Q02), 4.0,
+     pk.SmoothG(Q02, c=0.2), 4.0,
      ("SmoothG-1", None, (0.15025376990307554,), 0.09409008853253908,
       -0.2349989226558508)),
     ("smoothg-discrete",
      pk.MarketModel(mu=[0.12], sigma=[[0.25]], r=0.03, R=0.09, rho=[0.5],
                     b=0.3),
-     DISCRETE_03, _quadratic_g(0.1, pk.PowerPremium(q=0.15, delta=2.0)), 2.0,
+     DISCRETE_03, pk.SmoothG(pk.PowerPremium(q=0.15, delta=2.0), c=0.1), 2.0,
      ("SmoothG-1", None, (0.36486559751576353,), 0.3810842559032608,
       -0.3928532497410177)),
     ("large-i", c_model(0.16, 0.4, 0.45), BETA128_015, _large(0.2), 3.0,
@@ -491,43 +481,41 @@ def test_b1_beyond_beta_certifies(eta):
     assert val - rep.objective.value <= bound + 1e-12
 
 
-def test_portfolio_premium_takes_no_kappa_scan():
-    # beyond the validation grid, q is called once per first-order-condition
-    # evaluation of one kappa bisection, plus the objective and certificate
+def test_portfolio_premium_takes_no_kappa_scan(monkeypatch):
+    # q is evaluated once per first-order-condition evaluation of one kappa
+    # bisection, plus the objective and certificate; validation reads C, A
+    # and lambda E[Y] and evaluates none
     inputs = load_model_file(resolve_model_path("section5-example"))
     calls = []
+    rate = pk.PortfolioPremium.rate
 
-    def q(x):
-        calls.append(x)
-        return inputs.friction.q(x)
-
-    fric = pk.PortfolioPremium(q=q, q_prime=inputs.friction.q_prime)
-    pk.validate_model(inputs.model, inputs.jumps, fric, inputs.utility)
-    n_validate = len(calls)
-    calls.clear()
-    pk.solve(inputs.model, inputs.jumps, fric, inputs.utility)
-    assert len(calls) - n_validate < 60
+    def counting(self, pi, jumps):
+        calls.append(pi)
+        return rate(self, pi, jumps)
+    monkeypatch.setattr(pk.PortfolioPremium, "rate", counting)
+    parts = (inputs.model, inputs.jumps, inputs.friction, inputs.utility)
+    assert pk.validate_model(*parts).ok and not calls
+    pk.solve(*parts)
+    assert 0 < len(calls) < 60
 
 
 class TestPortfolioPremium:
     def test_section5_interior_matches_oracle(self):
         m = c_model(0.16, 0.4, 0.3)
-        q_fn = pk.make_sqrt_premium_rate(BETA128_015, C=0.25, A=0.5)
-        rep = pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
-                       pk.Utility(4.0))
+        fric = pk.PortfolioPremium(C=0.25, A=0.5)
+        rep = pk.solve(m, BETA128_015, fric, pk.Utility(4.0))
         assert rep.case_label == "PortfolioPremium-interior"
         assert 0.0 < rep.policy.kappa < 1.0
-        fric = pk.PortfolioPremium(q=q_fn[0], q_prime=q_fn[1])
         pol, val, bound = pk.grid_maximize(m, BETA128_015, fric, pk.Utility(4.0))
         assert rep.objective.value >= val - bound
 
     def test_constant_q_decouples_to_frictionless(self):
-        # q' = 0: pi FOC is Merton-with-hedge and kappa solves the
-        # frictionless h with p = Linear(q); both solvers must agree
-        qv = 0.105
+        # C = 0: q = lambda E[Y] and q' = 0, so the pi FOC is
+        # Merton-with-hedge and kappa solves the frictionless h with
+        # p = Linear(q); both solvers must agree
+        qv = 0.15 * 0.6
         m = c_model(0.16, 0.4, 0.4)
-        q_fn = (lambda x: qv, lambda x: 0.0)
-        rep = pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+        rep = pk.solve(m, BETA128_015, pk.PortfolioPremium(C=0.0, A=0.5),
                        pk.Utility(4.0))
         base = pk.solve(m, BETA128_015,
                         pk.Frictionless(pk.LinearPremium(q=qv)),
@@ -536,22 +524,20 @@ class TestPortfolioPremium:
         assert rep.policy.kappa == pytest.approx(base.policy.kappa, abs=1e-8)
 
     def test_degenerate_coupling_reports_no_interior(self):
-        # b = 0 and q' = 0: the kappa FOC is sign-definite when q is below
-        # the fair premium
+        # b = 0 and C = 0: q is the fair premium lam E[Y] = 0.09, so the
+        # kappa FOC q - lam psi(kappa) starts at 0 and falls: no interior
+        # root
         m = pk.MarketModel(mu=[0.16], sigma=[[0.3]], r=0.03, R=0.03,
                            rho=[0.0], b=0.0)
-        q_fn = (lambda x: 0.05, lambda x: 0.0)   # q < lam E[Y] = 0.09
         with pytest.raises(pk.NoInteriorSolution):
-            pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+            pk.solve(m, BETA128_015, pk.PortfolioPremium(C=0.0, A=0.5),
                      pk.Utility(4.0))
 
     def test_soc_violation_raised(self):
         # steep q' breaks the global second-order bound
         m = c_model(0.16, 0.4, 0.3)
-        q_fn = (lambda x: 0.09 + 2.0 * (np.sqrt(x * x + 0.25) - 0.5),
-                lambda x: 2.0 * x / np.sqrt(x * x + 0.25))
         with pytest.raises(pk.SOCViolation):
-            pk.solve(m, BETA128_015, pk.PortfolioPremium(*q_fn),
+            pk.solve(m, BETA128_015, pk.PortfolioPremium(C=2.0, A=0.5),
                      pk.Utility(4.0))
 
 
@@ -629,7 +615,7 @@ class TestComparativeStatics:
         util = pk.Utility(3.0)
         mus = [0.08, 0.10, 0.12, 0.14]
         reps = [pk.solve(c_model(mu, 0.4, 0.5), jumps,
-                         pk.SmoothG(Q02, *QUAD_G), util) for mu in mus]
+                         pk.SmoothG(Q02, QUAD_C), util) for mu in mus]
         pis = [r.policy.pi[0] for r in reps]
         ks = [r.policy.kappa for r in reps]
         assert all(a <= b + 1e-9 for a, b in zip(pis, pis[1:]))
