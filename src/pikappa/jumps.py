@@ -67,23 +67,23 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
 
 
-def _sums(p, q, r, s, z, g=None, start=0, eps=0.0):
+def _sums(p, q, r, s, z, g=None, eps=0.0):
     """sum_k u_k g_k and whether it converged, for z a float or an array,
     with u_k = (p)_k (q)_k / ((r)_k (s)_k) z^k and g_k = 1 or, given g_0
     (like z), g_(k+1) = g_k + rho_k (1 + eps g_k) with rho_k of
     _bracket_step; then sum_k |u_k g_k| comes back too, between the two.
 
-    Each entry stops at its first k >= start with |u_k| max(1, |g_k|) <=
-    rtol |S_k| and |u_(k+1) / u_k| < 1, or with S_k overflowed to +-inf; it
-    has not converged if SERIES_MAX_TERMS terms do not get there. rtol is
+    Each entry stops at its first k with |u_k| max(1, |g_k|) <= rtol |S_k|
+    and |u_(k+1) / u_k| < 1, or with S_k overflowed to +-inf; it has not
+    converged if SERIES_MAX_TERMS terms do not get there. rtol is
     SERIES_RTOL times min(1, (1 - z) / (1 - CONNECTION_SWITCH)), as the
     tail left is about 1 / (1 - z) times the last term. Callers keep r + k
-    and s + k off 0, and r + k > 0 past start. A float z is summed in
-    Python floats, an array by _array_sums with the same IEEE arithmetic,
-    so each entry has the bits of its z alone.
+    and s + k off 0, and r > 0. A float z is summed in Python floats, an
+    array by _array_sums with the same IEEE arithmetic, so each entry has
+    the bits of its z alone.
     """
     if isinstance(z, np.ndarray):
-        return _array_sums(p, q, r, s, z, g, start, eps)
+        return _array_sums(p, q, r, s, z, g, eps)
     # the term ratio is written out twice, so that the loop every psi runs
     # keeps no temporary
     rtol = SERIES_RTOL * min(1.0, (1.0 - z) / (1.0 - CONNECTION_SWITCH))
@@ -91,7 +91,7 @@ def _sums(p, q, r, s, z, g=None, start=0, eps=0.0):
     if g is None:
         for k in range(SERIES_MAX_TERMS):
             total = total + u
-            if abs(u) <= rtol * abs(total) and k >= start and (abs(
+            if abs(u) <= rtol * abs(total) and (abs(
                     (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
                     or abs(total) == math.inf):
                 return total, True
@@ -103,7 +103,7 @@ def _sums(p, q, r, s, z, g=None, start=0, eps=0.0):
         total = total + piece
         mass = mass + abs(piece)
         # |u_k| max(1, |g_k|) <= rtol |S_k|: both |u_k| and |u_k g_k| are
-        if abs(u) <= rtol * abs(total) >= abs(piece) and k >= start and (abs(
+        if abs(u) <= rtol * abs(total) >= abs(piece) and (abs(
                 (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
                 or abs(total) == math.inf):
             return total, mass, True
@@ -131,7 +131,7 @@ def _bracket_step(p, q, r, s, k, eps):
         return math.inf / eps
 
 
-def _array_sums(p, q, r, s, z, g, start, eps):
+def _array_sums(p, q, r, s, z, g, eps):
     """_sums for an array z: one numpy loop that carries only the entries
     still running. The last eight are summed again alone, in Python floats,
     which is cheaper than numpy's per-call cost on a few entries."""
@@ -153,7 +153,7 @@ def _array_sums(p, q, r, s, z, g, start, eps):
                 bound = np.maximum(np.abs(u), np.abs(piece))
             ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * zl
             stop = bound <= rtol * np.abs(total)
-            if k >= start and stop.any():
+            if stop.any():
                 stop &= (np.abs(ratio) < 1.0) | np.isinf(total)
                 out[live[stop]] = total[stop]
                 masses[live[stop]] = mass[stop]
@@ -170,7 +170,7 @@ def _array_sums(p, q, r, s, z, g, start, eps):
     if k < SERIES_MAX_TERMS:
         for i in live:
             one = _sums(p, q, r, s, float(z[i]), None if g is None else
-                        float(g[i]), start, eps)
+                        float(g[i]), eps)
             out[i], masses[i], converged[i] = one[0], one[-2], one[-1]
     else:
         out[live], masses[live] = total, mass

@@ -469,6 +469,14 @@ def parse_model_dict(doc: dict) -> ModelInputs:
         raise ValueError(f"model file missing field {exc.args[0]!r}") from exc
     if mu.shape[0] != d:
         raise ValueError(f"mu has length {mu.shape[0]}, expected d={d}")
+    if isinstance(friction, PortfolioPremium):
+        # the friction has no use for the file's premium, which must still
+        # lie in the documented domain
+        checks: list[ValidationCheck] = []
+        _premium_checks(premium, checks)
+        report = ValidationReport(tuple(checks))
+        if not report.ok:
+            raise ModelValidationError(report)
     return ModelInputs(model=model, jumps=jumps, friction=friction,
                        utility=utility, raw=doc)
 

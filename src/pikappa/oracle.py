@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace as dc_replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class GridSpec:
     resolution: int = 401
     refine_resolution: int = 2001
     rounds: int = 2
-    cap_3d: int = 201
+    cap_3d: ClassVar[int] = 201
 
     def __post_init__(self):
         if self.resolution < 3 or self.refine_resolution < 3:

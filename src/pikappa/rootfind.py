@@ -1,10 +1,11 @@
 """Bracketing bisection for monotone scalar equations.
 
 Every 1-D root in this package is solved by plain bisection on a sign-change
-bracket: the equations are monotone by construction, so bisection converges
-unconditionally and needs no derivative code. f is evaluated only to move
-the bracket: never again at an end expand_bracket has found, nor at the
-returned root, since optimality is proved by the certificate.
+bracket that its caller writes down in closed form: the equations are
+monotone by construction, so bisection converges unconditionally and needs
+no derivative code. f is evaluated only to move the bracket: never again at
+an end the caller has evaluated, nor at the returned root, since optimality
+is proved by the certificate.
 """
 
 from __future__ import annotations
@@ -56,31 +57,3 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
             hi = mid
     return RootResult(0.5 * (lo + hi), it)
 
-
-def expand_bracket(f: Callable[[float], float], x0: float = 0.0,
-                   step: float = 1.0, max_expand: int = 80
-                   ) -> tuple[float, float, float, float]:
-    """Geometrically expand outward from x0 until f changes sign.
-
-    Returns (lo, hi, f(lo), f(hi)), the last two of opposite signs and ready
-    for bisect's flo and fhi. Raises BracketError if the function appears
-    single-signed within the expansion budget (range ~ step * 2^80).
-    """
-    lo = hi = x0
-    flo = fhi = f(x0)
-    if flo == 0.0:
-        return (x0, x0, flo, fhi)
-    d = step
-    for _ in range(max_expand):
-        lo_new = lo - d
-        fl = f(lo_new)
-        if (fl > 0) != (fhi > 0):
-            return (lo_new, hi, fl, fhi)
-        lo, flo = lo_new, fl
-        hi_new = hi + d
-        fh = f(hi_new)
-        if (fh > 0) != (flo > 0):
-            return (lo, hi_new, flo, fh)
-        hi, fhi = hi_new, fh
-        d *= 2.0
-    raise BracketError("no sign change found while expanding bracket")

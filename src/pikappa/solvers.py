@@ -18,15 +18,17 @@ the portfolio-dependent premium (1 - kappa) q(pi): one kappa root over the
 allocation root pi(kappa).
 
 Every scalar root here is a bracketing bisection on a function that is
-monotone by construction: the kappa first-order condition is the derivative
-of a concave partial maximum, so it decreases in kappa (for the
-portfolio-dependent premium, the second-order bound makes f + H jointly
-concave). Every kappa root brackets [0, 1]: where the jump moment diverges
-at kappa = 1 (a Beta law with eta >= beta), psi(1) = +inf gives h(1) = -inf,
-which rules that corner out. One root nests another: the smooth kernel
-finds the allocation root afresh at every step of its kappa root. The
+monotone by construction, over a bracket given by a formula: the kappa
+first-order condition is the derivative of a concave partial maximum, so it
+decreases in kappa (for the portfolio-dependent premium, the second-order
+bound makes f + H jointly concave). Every kappa root brackets [0, 1]: where
+the jump moment diverges at kappa = 1 (a Beta law with eta >= beta),
+psi(1) = +inf gives h(1) = -inf, which rules that corner out. One root nests
+another: the smooth kernel finds the allocation root afresh at every step of
+its kappa root, on a bracket around 0 and the frictionless allocation. The
 risk-aversion thresholds bisect eta alone, reading the sign of pi.1 - 1
-from one h call at the kappa that puts pi.1 on 1.
+from one h call at the kappa that puts pi.1 on 1. The mutual-fund weight
+bisects [0, 1] for interior kappas and has a closed form at a shared corner.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, SmoothG, Utility,
                      require_valid)
-from .rootfind import bisect, expand_bracket
+from .rootfind import bisect
 
 CORNER_TIE = 1e-12
 KAPPA_XTOL = 1e-10
@@ -54,8 +56,9 @@ ETA_XTOL = 1e-8
 # eta search interval of threshold_etas; a Beta law caps it below beta
 ETA_LO = 1e-3
 ETA_HI = 64.0
-# pi grid on which the portfolio-premium second-order bound is checked
-_SOC_PI_GRID = np.linspace(-50.0, 50.0, 201)
+# ends of the pi range on which the portfolio-premium second-order bound is
+# checked: q' increases in pi and (q' + c)^2 is convex, so it peaks at one
+_SOC_PI_ENDS = np.array([-50.0, 50.0])
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,8 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                   cert_tol: float) -> SolveReport:
     """pi(kappa) is the one root of the allocation first-order condition
 
-        mu - r - eta sigma^2 pi + eta sigma rho b kappa + f_pi(pi, kappa) = 0,
+        t(pi) = eta sigma^2 (x0 - pi) + f_pi(pi, kappa) = 0,
+        x0 = (mu - r + eta sigma rho b kappa) / (eta sigma^2),
 
     which decreases in pi, and kappa is the root of
 
@@ -287,10 +291,14 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
 
     the derivative of a concave partial maximum, so it decreases. The
     friction slopes (f_pi, f_kappa) are (g', -p') for smooth g and
-    (-(1 - kappa) q', q) for the portfolio premium. Smooth g labels its
-    kappa corners. The portfolio premium first checks its second-order bound
-    on a pi grid, which makes f + H jointly concave, and a kappa corner
-    raises NoInteriorSolution.
+    (-(1 - kappa) q', q) for the portfolio premium. Both f_pi have the
+    sign of -pi, so t(0) has the sign of x0 and t(x0) the other one: the
+    root lies between 0 and x0. The bracket widens that by max(1, |x0|) on
+    each side, so that t has strict signs at its ends under rounding too.
+    Smooth g labels its kappa corners. The portfolio premium first checks
+    its second-order bound, which makes f + H jointly concave, at pi = +-50
+    (q' increases in pi, so (q' + eta rho b sigma)^2 peaks at an end), and
+    a kappa corner raises NoInteriorSolution.
     """
     eta = utility.eta
     mu, sig, rho = model.d1()
@@ -298,7 +306,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     r = model.r
     premium_rate = isinstance(friction, PortfolioPremium)
     if premium_rate:
-        soc_lhs, soc_rhs = _soc_bound(friction.slope(_SOC_PI_GRID), model,
+        soc_lhs, soc_rhs = _soc_bound(friction.slope(_SOC_PI_ENDS), model,
                                       jumps, eta)
         if soc_lhs >= soc_rhs:
             raise SOCViolation(
@@ -316,13 +324,8 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
             return mu - r - eta * sig * sig * x + eta * sig * rho * b * k \
                 + f_pi(x, k)
         x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
-        try:
-            lo_b, hi_b, t_lo, t_hi = expand_bracket(t, x0=x0,
-                                                    step=max(1.0, abs(x0)))
-        except BracketError as exc:
-            raise BracketError(f"the allocation condition has no root at "
-                               f"kappa={k:.6g}") from exc
-        return bisect(t, lo_b, hi_b, xtol=1e-12, flo=t_lo, fhi=t_hi).root
+        w = max(1.0, abs(x0))
+        return bisect(t, min(0.0, x0) - w, max(0.0, x0) + w, xtol=1e-12).root
 
     def foc(k: float) -> float:
         pi_k = pi_of(k)
@@ -364,9 +367,10 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     """Combine the eta1 and eta2 optimal policies into one for eta_bar.
 
     Both endpoint solves must land in the same case family. When both
-    endpoint kappas sit on the same corner the combination weight reduces to
-    the harmonic-mean condition on eta and the result is exact; for interior
-    kappas the scalar optimality-defect function L is bisected in delta.
+    endpoint kappas sit on the same corner the combination weight solves
+    the harmonic-mean condition 1/eta_bar = delta/eta1 + (1 - delta)/eta2
+    in closed form and the result is exact; for interior kappas the scalar
+    optimality-defect function L is bisected in delta on [0, 1].
     """
     if not (isinstance(premium_linear, PowerPremium)
             and premium_linear.delta == 1.0):
@@ -388,32 +392,31 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     q = premium_linear.q
     util_bar = Utility(eta_bar)
 
-    same_corner = (min(k1, k2) >= 1.0 - 1e-9) or (max(k1, k2) <= 1e-9)
-    if same_corner:
-        # corner kappa makes the kappa bracket of L slack; the remaining
-        # gradient condition is the harmonic-mean equation in delta
-        f = lambda d: 1.0 - eta_bar * (d / eta1 + (1.0 - d) / eta2)
-    else:
-        def f(d: float) -> float:
-            pi_t = d * pi1 + (1.0 - d) * pi2
-            k_t = d * k1 + (1.0 - d) * k2
-            obj = eval_objective(Policy(pi=pi_t, kappa=k_t), model, jumps,
-                                 friction, util_bar)
-            if fam1 == "i":
-                xi = model.r
-            elif fam1 == "ii":
-                xi = model.R
-            else:
-                xi = d * xi1 + (1.0 - d) * xi2
-            zeta = obj.grad_pi - (xi - model.r)
-            return float(pi_t @ zeta) + k_t * (obj.dH_dkappa + q)
+    def f(d: float) -> float:
+        pi_t = d * pi1 + (1.0 - d) * pi2
+        k_t = d * k1 + (1.0 - d) * k2
+        obj = eval_objective(Policy(pi=pi_t, kappa=k_t), model, jumps,
+                             friction, util_bar)
+        if fam1 == "i":
+            xi = model.r
+        elif fam1 == "ii":
+            xi = model.R
+        else:
+            xi = d * xi1 + (1.0 - d) * xi2
+        zeta = obj.grad_pi - (xi - model.r)
+        return float(pi_t @ zeta) + k_t * (obj.dH_dkappa + q)
 
-    try:
-        res = bisect(f, 0.0, 1.0, xtol=1e-10)
-    except BracketError as exc:
-        raise NoRoot("combination function L has no sign change in delta; "
-                     "separation hypothesis violated") from exc
-    delta = res.root
+    if (min(k1, k2) >= 1.0 - 1e-9) or (max(k1, k2) <= 1e-9):
+        # a shared corner kappa makes the kappa bracket of L slack; the
+        # remaining gradient condition 1/eta_bar = d/eta1 + (1 - d)/eta2 is
+        # linear in d
+        delta = (1.0 / eta_bar - 1.0 / eta2) / (1.0 / eta1 - 1.0 / eta2)
+    else:
+        try:
+            delta = bisect(f, 0.0, 1.0, xtol=1e-10).root
+        except BracketError as exc:
+            raise NoRoot("combination function L has no sign change in "
+                         "delta; separation hypothesis violated") from exc
     policy = Policy(pi=delta * pi1 + (1.0 - delta) * pi2,
                     kappa=delta * k1 + (1.0 - delta) * k2)
     return MutualFundResult(delta=delta, policy=policy, endpoint_low=rep1,

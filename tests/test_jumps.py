@@ -312,26 +312,24 @@ def test_digamma_matches_mpmath():
 
 @given(p=st.one_of(st.floats(-12.0, 40.0), st.floats(1e100, 1e300)),
        q=st.floats(-12.0, 40.0), r=st.floats(0.25, 40.0),
-       s=st.floats(0.25, 40.0), start=st.integers(0, 4),
+       s=st.floats(0.25, 40.0),
        zs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=14),
        g0=st.one_of(st.none(), st.floats(-4.0, 4.0)),
        eps=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
-@example(p=1e200, q=1.0, r=2.0, s=1.0, start=0, zs=[0.0, 1e-250, 0.5],
+@example(p=1e200, q=1.0, r=2.0, s=1.0, zs=[0.0, 1e-250, 0.5],
          g0=None, eps=0.0)         # the 0.5 entry overflows to +inf
-@example(p=0.5, q=0.5, r=1.5, s=1.0, start=0, zs=[0.1, 0.999, 0.5],
+@example(p=0.5, q=0.5, r=1.5, s=1.0, zs=[0.1, 0.999, 0.5],
          g0=None, eps=0.0)         # the 0.999 entry hits the term cap
-@example(p=2.5, q=3.0, r=1.0, s=4.0, start=0, zs=[0.05, 0.1, 0.02, 0.3, 0.5],
+@example(p=2.5, q=3.0, r=1.0, s=4.0, zs=[0.05, 0.1, 0.02, 0.3, 0.5],
          g0=-3.0, eps=0.0)         # |g_k| crosses 1 in the numpy loop
-@example(p=2.5, q=3.0, r=1.0004, s=3.0, start=0, zs=[0.05, 0.1, 0.3, 0.02],
+@example(p=2.5, q=3.0, r=1.0004, s=3.0, zs=[0.05, 0.1, 0.3, 0.02],
          g0=1.5, eps=-4e-4)        # the weight of the paired sums
 @example(p=4.091537975268825e-196, q=2.77500102626232e-138, r=1.0, s=1.0,
-         start=0, zs=[0.0, 0.0], g0=0.0,
-         eps=0.0008759508510148754)  # the first weight step is past range
-@example(p=1e100, q=2.225073858507203e-309, r=1.0, s=1.0, start=0,
+         zs=[0.0, 0.0], g0=0.0, eps=0.0008759508510148754)  # the first weight step is past range
+@example(p=1e100, q=2.225073858507203e-309, r=1.0, s=1.0,
          zs=[0.0] * 8 + [1.0], g0=0.0, eps=0.0)  # g_1 = +inf in numpy
 @settings(max_examples=200, deadline=None)
-def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0,
-                                                 eps):
+def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, zs, g0, eps):
     # the series kernel sums a float z, a 1-entry array and a many-entry
     # array with the same IEEE arithmetic: bit-identical sums (and, with a
     # weight, sums of absolute values) and the same converged flags. The
@@ -344,13 +342,13 @@ def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, start, zs, g0,
     bits = lambda x: np.float64(x).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jumps_mod, "SERIES_MAX_TERMS", 500)
-        many = jumps_mod._sums(p, q, r, s, z, g, start, eps)
+        many = jumps_mod._sums(p, q, r, s, z, g, eps)
         for i, zi in enumerate(zs):
             gi = None if g is None else float(g[i])
-            alone = jumps_mod._sums(p, q, r, s, zi, gi, start, eps)
+            alone = jumps_mod._sums(p, q, r, s, zi, gi, eps)
             one = jumps_mod._sums(
                 p, q, r, s, z[i:i + 1], None if g is None else g[i:i + 1],
-                start, eps)
+                eps)
             for x_alone, x_one, x_many in zip(alone, one, many):
                 assert bits(x_alone) == bits(x_one[0]) == bits(x_many[i]), \
                     (i, zi)

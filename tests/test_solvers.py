@@ -3,9 +3,13 @@ corner detection, comparative statics and the mutual-fund combination."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pikappa as pk
 from pikappa import solvers
+from pikappa.hamiltonian import _soc_bound
+from pikappa.rootfind import bisect
 from pikappa.cli import resolve_model_path
 from pikappa.models import law_mean, load_model_file
 from pikappa.oracle import _apply_param
@@ -499,6 +503,69 @@ def test_portfolio_premium_takes_no_kappa_scan(monkeypatch):
     assert 0 < len(calls) < 60
 
 
+def _log_floats(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp).map(float)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(premium_rate=st.booleans(), eta=_log_floats(1e-3, 50.0),
+       sig=_log_floats(1e-3, 2.0), c=_log_floats(1e-8, 5.0),
+       excess=st.floats(-0.5, 0.5), rho=st.sampled_from([0.0, 0.4, -0.9]),
+       b=st.sampled_from([0.0, 0.3, 1.0]), big_c=st.floats(0.0, 5.0),
+       a=_log_floats(1e-4, 5.0),
+       kappas=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_allocation_bracket_has_a_sign_change(premium_rate, eta, sig, c,
+                                              excess, rho, b, big_c, a,
+                                              kappas):
+    # every bisection the smooth kernel starts, the allocation root's at
+    # kappa 0, 1 and random kappas among them, has t of strictly opposite
+    # signs at its two ends, or exactly 0 at one; the second-order check
+    # is switched off, since the bracket does not rest on it
+    model = pk.MarketModel(mu=[0.03 + excess], sigma=[[sig]], r=0.03,
+                           R=0.09, rho=[rho], b=b)
+    jumps = pk.JumpLaw(lam=0.2, law=pk.DiscreteJumps([0.1, 0.5], [0.6, 0.4]))
+    friction = pk.PortfolioPremium(C=big_c, A=a) if premium_rate \
+        else pk.SmoothG(Q02, c=c)
+    ends = []
+
+    def checked(f, lo, hi, **kw):
+        flo, fhi = f(lo), f(hi)
+        ends.append((lo, hi, flo, fhi))
+        assert flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0, ends[-1]
+        return bisect(f, lo, hi, **kw)
+
+    def probe(h):
+        for k in [0.0, 1.0] + kappas:
+            h(k)
+        return 0.5, "interior"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "bisect", checked)
+        mp.setattr(solvers, "_solve_kappa", probe)
+        mp.setattr(solvers, "_soc_bound", lambda *args: (0.0, 1.0))
+        try:
+            pk.solve(model, jumps, friction, pk.Utility(eta))
+        except pk.PikappaError:
+            pass                   # the certificate at kappa = 0.5
+    assert len(ends) >= 2 + len(kappas)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(big_c=st.floats(0.0, 5.0), a=_log_floats(1e-4, 50.0),
+       sig=_log_floats(1e-3, 2.0), rho=st.floats(-1.0, 1.0),
+       b=st.floats(0.0, 2.0), lam=st.floats(0.0, 2.0),
+       eta=_log_floats(1e-3, 50.0))
+def test_soc_bound_peaks_at_the_ends(big_c, a, sig, rho, b, lam, eta):
+    # q' increases in pi and (q' + eta rho b sigma)^2 is convex in q', so
+    # the bound on a pi grid is the bound at the grid's two ends
+    model = pk.MarketModel(mu=[0.1], sigma=[[sig]], r=0.03, R=0.09,
+                           rho=[rho], b=b)
+    jumps = pk.JumpLaw(lam=lam, law=pk.BetaJumps(2.0, 8.0))
+    slope = pk.PortfolioPremium(C=big_c, A=a).slope
+    grid = np.linspace(-50.0, 50.0, 201)
+    assert _soc_bound(slope(grid), model, jumps, eta) == \
+        _soc_bound(slope(grid[[0, -1]]), model, jumps, eta)
+
+
 class TestPortfolioPremium:
     def test_section5_interior_matches_oracle(self):
         m = c_model(0.16, 0.4, 0.3)
@@ -552,6 +619,11 @@ class TestMutualFund:
                    abs(res.policy.kappa - direct.policy.kappa))
         assert disc <= 1e-6
         assert res.policy.pi_sum == pytest.approx(1.0, abs=1e-6)
+        # both kappas on the corner 1: delta solves
+        # 1/1.5 = delta/1 + (1 - delta)/2 in closed form, with no root
+        assert res.endpoint_low.policy.kappa == 1.0
+        assert res.endpoint_high.policy.kappa == 1.0
+        assert res.delta == (1.0 / 1.5 - 1.0 / 2.0) / (1.0 / 1.0 - 1.0 / 2.0)
 
     def test_a1_interior_triple_near_optimal(self):
         # interior-kappa separation is only approximate; the combination
