@@ -119,9 +119,19 @@ def _row_argmax(kappas: np.ndarray, K: np.ndarray,
     vertex v is optimal while the hull's edge slopes before it exceed -u_i
     and the ones after it do not (a discrete Legendre transform), so one
     search on the decreasing edge slopes answers a row. -inf entries are
-    never a maximum and are left out."""
+    never a maximum and are left out.
+
+    K is concave in exact arithmetic, so the chain's own test usually keeps
+    every point: it is run first on all consecutive triples at once, and
+    _upper_hull's loop only where one fails, with the same bits either
+    way."""
     live = np.flatnonzero(np.isfinite(K))
-    hull = live[_upper_hull(kappas[live].tolist(), K[live].tolist())]
+    x, y = kappas[live], K[live]
+    if np.all((x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
+              < (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])):
+        hull = live        # no triple pops a point, so all are vertices
+    else:
+        hull = live[_upper_hull(x.tolist(), y.tolist())]
     slopes = np.diff(K[hull]) / np.diff(kappas[hull])
     return hull[np.searchsorted(-slopes, u, side="left")]
 

@@ -20,6 +20,7 @@ from .jumps import _draw_y
 from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
+LOG_FLOOR = math.log(WEALTH_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -127,23 +128,34 @@ def _paths(jumps: JumpLaw, config: SimConfig):
 
 def _samples(x: np.ndarray, config: SimConfig) -> np.ndarray:
     """The independent samples of a per-path quantity on _paths' draw: the
-    pair means of the rows [z, -z] in antithetic mode, else x itself."""
-    return 0.5 * (x[0] + x[1]) if config.antithetic else x
+    pair means of the rows [z, -z] in antithetic mode, else x itself.
+
+    The pair means are formed in x's own buffer, as 0.5 x[0] + 0.5 x[1]:
+    halving is exact, so these are the bits of 0.5 (x[0] + x[1]), and a
+    pair of finite values never overflows to inf."""
+    if not config.antithetic:
+        return x
+    x *= 0.5
+    return np.add(x[0], x[1], out=x[0])
 
 
 def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
                         owner: np.ndarray, model: MarketModel, jumps: JumpLaw,
                         friction: FrictionSpec, utility: Utility,
-                        config: SimConfig):
-    """Floored V_T, U_eta(V_T) and the floor mask on each path.
+                        config: SimConfig, wealth: bool = False):
+    """U_eta(V_T) on each path, the number of floored paths, and the floored
+    V_T when wealth is set (else None).
 
     z holds the paths' standard normals, shape (..., n); y the pooled jump
     sizes and owner the path of each, so every row of z shares the jumps.
     A sampled jump that would take all the wealth is refused.
 
-    Each output has one buffer, worked in place. Log wealth is summed as
-    ((log x0 + drift T) + sd z) + jump log, so a draw gives the same bits
-    as the out-of-place expression.
+    The work stays in log space, in one n-float buffer: log wealth
+    w = ((log x0 + drift T) + sd z) + jump log, floored at LOG_FLOOR, then
+    mapped in place to exp((1 - eta) w) / (1 - eta); at eta = 1 the floored
+    w is the utility. That is one exp a path, within 4 eps (1 + |(1 - eta) w|)
+    relative of max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta).
+    V_T = exp(w) is formed only when wealth asks for it.
     """
     T = config.horizon
     drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
@@ -153,24 +165,41 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
     np.negative(ky, out=ky)
     np.log1p(ky, out=ky)
     jl = np.bincount(owner, weights=ky, minlength=z.shape[-1])
-    v = np.multiply(z, np.sqrt(var_rate * T))
-    v += np.log(config.x0) + drift * T
-    v += jl
-    np.exp(v, out=v)
-    floored = v < WEALTH_FLOOR
-    np.maximum(v, WEALTH_FLOOR, out=v)
+    w = np.multiply(z, np.sqrt(var_rate * T))
+    w += np.log(config.x0) + drift * T
+    w += jl
+    floored = int(np.count_nonzero(w < LOG_FLOOR))
+    np.maximum(w, LOG_FLOOR, out=w)
+    v = np.exp(w) if wealth else None
     eta = utility.eta
-    if eta == 1.0:
-        u = np.log(v)
-    else:
-        u = v ** (1.0 - eta)
-        u /= 1.0 - eta
-    return v, u, floored
+    if eta != 1.0:
+        w *= 1.0 - eta
+        np.exp(w, out=w)
+        w /= 1.0 - eta
+    return w, floored, v
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (SimConfig ensures 2+ samples)."""
-    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))
+    """Sample mean and its standard error (SimConfig ensures 2+ samples).
+
+    x is a buffer the caller owns and is centred in place; the sum of
+    squares is one dot product. Where that overflows though every sample
+    is finite, the centred sample is scaled by its largest magnitude and
+    the sum taken again, so a finite sample gives a finite standard error.
+    A non-finite mean is a DomainError."""
+    mean = float(x.mean())
+    if not math.isfinite(mean):
+        raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is {mean}: "
+                          f"the utilities leave double range")
+    x -= mean
+    scale = 1.0
+    with np.errstate(over="ignore"):     # an overflow is rescaled below
+        ss = float(np.dot(x, x))
+    if not math.isfinite(ss):
+        scale = max(float(x.max()), -float(x.min()))
+        x /= scale
+        ss = float(np.dot(x, x))
+    return mean, scale * math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size)
 
 
 def simulate_terminal_utility(policy: Policy, model: MarketModel,
@@ -190,15 +219,18 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     for bit. One config and law are drawn once and shared: the normals and
     jumps of the last draw stay in memory until the next draw, about
     8 n (1 + 2 lam T) bytes for n paths (16 MB at 1e6 paths and
-    lam T = 0.5), as with per-path counts.
+    lam T = 0.5), as with per-path counts. The utilities take one more
+    n-float buffer, worked in log space (see _terminal_utilities), and the
+    standard error is a centred dot product in that buffer (see _mean_se).
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
     (path_id, N_T, G, V_T, utility), the antithetic mirror paths last.
     """
     z, y, owner = _paths(jumps, config)
-    v, u, floored = _terminal_utilities(policy, z, y, owner, model, jumps,
-                                        friction, utility, config)
+    u, floored, v = _terminal_utilities(policy, z, y, owner, model, jumps,
+                                        friction, utility, config,
+                                        wealth=dump_csv is not None)
 
     if dump_csv is not None:
         sd = np.sqrt(_policy_coefficients(policy, model, jumps, friction)[1]
@@ -214,7 +246,7 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
 
     mean, se = _mean_se(_samples(u, config))
     return SimEstimate(mean=mean, std_error=se, n_paths=config.n_paths,
-                       floor_fraction=float(floored.mean()))
+                       floor_fraction=floored / config.n_paths)
 
 
 @dataclass(frozen=True)
@@ -236,9 +268,11 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     pair means, as there."""
     z, y, owner = _paths(jumps, config)
     ua, ub = (_samples(_terminal_utilities(p, z, y, owner, model, jumps,
-                                           friction, utility, config)[1],
+                                           friction, utility, config)[0],
                        config) for p in (policy_a, policy_b))
-    dm, dse = _mean_se(ua - ub)
+    mean_a, mean_b = float(ua.mean()), float(ub.mean())
+    ua -= ub
+    dm, dse = _mean_se(ua)
     if dm > 3.0 * dse:
         verdict = "A-better"
     elif dm < -3.0 * dse:
@@ -246,4 +280,4 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     else:
         verdict = "indistinguishable"
     return ComparisonVerdict(verdict=verdict, diff_mean=dm, diff_se=dse,
-                             mean_a=float(ua.mean()), mean_b=float(ub.mean()))
+                             mean_a=mean_a, mean_b=mean_b)

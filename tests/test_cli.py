@@ -251,6 +251,25 @@ class TestMonteCarloVsClosedForm:
         assert err == "verify failed: CrossCheckFailed: mc-vs-closed-form\n"
 
 
+    def test_utilities_near_double_range_give_a_finite_se(self, capsys):
+        # section5-example at eta = 1e4: the utilities reach 1e256, so the
+        # centred sum of squares overflows and is taken again rescaled
+        model = ["--model", "section5-example", "--eta", "1e4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(["simulate", *model, "--paths", "20000"],
+                               capsys)
+            assert code == 0
+            fields = dict(l.split(" = ") for l in out.strip().splitlines())
+            se, closed = float(fields["mc_se"]), float(fields["closed_form"])
+            assert 0.0 < se <= 0.01 * abs(closed) < float("inf")
+            assert abs(float(fields["z"])) <= 3.0
+            code, out, _ = run(["verify", *model, "--mc-paths", "20000"],
+                               capsys)
+        assert code == 0
+        assert "[pass] mc-vs-closed-form" in out
+        assert "inconclusive" not in out and "inf" not in out
+
 class TestVerify:
     def test_c2_all_pass(self, capsys):
         code, out, _ = run(["verify", "--model", "c2", "--mc-paths",

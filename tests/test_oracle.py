@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pikappa as pk
+from pikappa import oracle
 from pikappa.oracle import (_auto_pi_bounds, _eval_grid, _grid_argmax,
-                            _point_value, sweep_csv)
+                            _point_value, _row_argmax, sweep_csv)
 
 BETA28 = pk.JumpLaw(lam=0.25, law=pk.BetaJumps(alpha=2.0, beta=8.0))
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
@@ -161,6 +164,66 @@ def test_hull_argmax_is_the_brute_force_argmax(case):
         bounds = [(c - (hi - lo) / 20.0, c + (hi - lo) / 20.0)
                   for (lo, hi), c in zip(bounds, pt)]
         bounds[-1] = (max(0.0, bounds[-1][0]), min(1.0, bounds[-1][1]))
+
+
+@st.composite
+def _hull_rows(draw):
+    """(kappas, K, u, shape) on a dyadic grid kappa_j = j / 32 with integer
+    K and slopes u in quarters, so that K_j + u kappa_j and the chain's
+    cross products are exact and a tie in the brute force is a tie in the
+    hull: a strictly concave K, one with collinear runs, one that is not
+    concave, and any of these with -inf entries (one entry stays finite)."""
+    n = draw(st.integers(1, 33))
+    shape = draw(st.sampled_from(["concave", "collinear", "non-concave",
+                                  "with -inf"]))
+    ints = st.integers(-200, 200)
+    if shape == "non-concave":
+        K = draw(st.lists(ints, min_size=n, max_size=n))
+    else:
+        steps = sorted(draw(st.lists(ints, min_size=n - 1, max_size=n - 1,
+                                     unique=shape == "concave")),
+                       reverse=True)
+        if shape == "collinear":
+            steps = sorted(s for s in steps for _ in range(2))[::-1][:n - 1]
+        K = np.concatenate([[draw(ints)], steps]).cumsum().tolist()
+    K = np.array(K, dtype=float)
+    if shape == "with -inf":
+        dead = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        K[dead] = -np.inf
+        K[draw(st.integers(0, n - 1))] = float(draw(ints))
+    kappas = np.arange(n) / 32.0
+    # quarter slopes, and the exact ties -32 (K_(j+1) - K_j) of neighbours
+    u = [q / 4.0 for q in draw(st.lists(st.integers(-40_000, 40_000),
+                                        min_size=1, max_size=8))]
+    finite = np.flatnonzero(np.isfinite(K))
+    u += (-32.0 * np.diff(K[finite])[np.diff(finite) == 1]).tolist()
+    return kappas, K, np.array(u), shape
+
+
+@given(_hull_rows())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_row_argmax_is_the_first_brute_force_argmax(row):
+    kappas, K, u, shape = row
+    brute = np.argmax(K[None, :] + u[:, None] * kappas[None, :], axis=1)
+    assert _row_argmax(kappas, K, u).tolist() == brute.tolist(), shape
+
+
+def test_row_argmax_takes_the_chain_only_where_a_triple_fails(monkeypatch):
+    calls = []
+
+    def chain(x, y):
+        calls.append(len(x))
+        return upper_hull(x, y)
+
+    upper_hull = oracle._upper_hull
+    monkeypatch.setattr(oracle, "_upper_hull", chain)
+    kappas = np.arange(5) / 4.0
+    u = np.array([-3.0, 0.0, 3.0])
+    _row_argmax(kappas, np.array([0.0, 3.0, 5.0, 6.0, 6.5]), u)
+    assert calls == []
+    # 0.0, 1.0, 2.0 are collinear: the chain pops the middle point
+    _row_argmax(kappas, np.array([0.0, 1.0, 2.0, 2.5, 2.0]), u)
+    assert calls == [5]
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -223,11 +224,11 @@ PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
 MC_PINS = {
     "beta": (-0.5704040080014364, 0.001287997603503859,
              -0.5718020080426639, 0.001241908414337664,
-             0.05897395767207948, 0.0008838971413304336,
+             0.058973957672079476, 0.0008838971413304336,
              -0.5704040080014364, -0.629377965673516),
-    "discrete": (-0.676459901362681, 0.0030898904048485497,
+    "discrete": (-0.676459901362681, 0.0030898904048485506,
                  -0.6718000628067456, 0.003392502209570292,
-                 0.28258918493995727, 0.012711538340020829,
+                 0.28258918493995727, 0.012711538340020827,
                  -0.676459901362681, -0.9590490863026382),
 }
 
@@ -333,6 +334,99 @@ class TestPathDump:
         assert np.mean(us) == pytest.approx(est.mean, rel=1e-9)
         vs = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(v > 0 for v in vs)
+
+
+def _log_wealth(policy, model, jumps, fric, cfg):
+    """Unfloored log V_T on the paths of cfg, built apart from the kernel."""
+    z, y, owner = simulate._paths(jumps, cfg)
+    drift, var = simulate._policy_coefficients(policy, model, jumps, fric)
+    jump_log = np.zeros(z.shape[-1])
+    np.add.at(jump_log, owner, np.log1p(-policy.kappa * y))
+    return (math.log(cfg.x0) + drift * cfg.horizon) \
+        + math.sqrt(var * cfg.horizon) * z + jump_log
+
+
+def _parent_utility(w, eta):
+    """U_eta(max(exp(w), WEALTH_FLOOR)) by exp and pow, the direct form."""
+    v = np.maximum(np.exp(w), simulate.WEALTH_FLOOR)
+    return v, (np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta))
+
+
+# pi = 128 at sigma = 0.3 takes most paths, not all, below WEALTH_FLOOR
+FLOORED = pk.Policy(pi=[128.0], kappa=0.0)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0, 30.0])
+def test_log_space_utilities_match_the_direct_form(eta, antithetic):
+    # the kernel's one exp of a rounded product (1 - eta) w is within
+    # 4 eps (1 + |(1 - eta) w|) relative of the direct form
+    # max(exp(w), 1e-300) ** (1 - eta) / (1 - eta), log at eta = 1, taken
+    # at 30 digits on the same log wealth
+    m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
+    pol = pk.Policy(pi=[2.5], kappa=0.5)
+    cfg = pk.SimConfig(n_paths=2_000, seed=5, antithetic=antithetic)
+    z, y, owner = simulate._paths(BETA128, cfg)
+    u, floored, v = simulate._terminal_utilities(
+        pol, z, y, owner, m, BETA128, fric, pk.Utility(eta), cfg)
+    assert u.shape == z.shape and floored == 0 and v is None
+    w = _log_wealth(pol, m, BETA128, fric, cfg).ravel()
+    with mpmath.workdps(30):
+        floor = mpmath.mpf(simulate.WEALTH_FLOOR)
+        ref = [max(mpmath.exp(wi), floor) for wi in w]
+        ref = [mpmath.log(x) if eta == 1.0
+               else x ** (1 - eta) / (1 - eta) for x in ref]
+        err = np.array([float(abs(ui - ri) / abs(ri))
+                        for ui, ri in zip(u.ravel(), ref)])
+    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((1.0 - eta) * w))
+    assert (err <= tol).all(), float((err / tol).max())
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_floor_fraction_counts_the_paths_below_the_wealth_floor(eta):
+    m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
+    cfg = pk.SimConfig(n_paths=20_000, seed=3)
+    w = _log_wealth(FLOORED, m, BETA128, fric, cfg)
+    below = int(np.count_nonzero(np.exp(w) < simulate.WEALTH_FLOOR))
+    assert 0 < below < cfg.n_paths
+    est = pk.simulate_terminal_utility(FLOORED, m, BETA128, fric,
+                                       pk.Utility(eta), cfg)
+    assert est.floor_fraction == below / cfg.n_paths
+    assert est.mean == pytest.approx(
+        _parent_utility(w, eta)[1].mean(), rel=1e-12)
+    assert math.isfinite(est.std_error) and est.std_error > 0.0
+
+
+@pytest.mark.parametrize("policy,eta,antithetic", [
+    (pk.Policy(pi=[0.8], kappa=0.5), 3.0, False),
+    (pk.Policy(pi=[0.8], kappa=0.5), 3.0, True),
+    (FLOORED, 0.5, False)])
+def test_dump_columns_match_the_direct_form(policy, eta, antithetic,
+                                            tmp_path):
+    # V_T = max(exp(w), 1e-300) and its utility by pow, as printed at 12
+    # significant digits, the antithetic mirror paths last
+    m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
+    cfg = pk.SimConfig(n_paths=2_000, seed=6, antithetic=antithetic)
+    out = tmp_path / "paths.csv"
+    pk.simulate_terminal_utility(policy, m, BETA128, fric, pk.Utility(eta),
+                                 cfg, dump_csv=str(out))
+    got = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4))
+    v, u = _parent_utility(_log_wealth(policy, m, BETA128, fric, cfg).ravel(),
+                           eta)
+    np.testing.assert_allclose(got[:, 0], v, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(got[:, 1], u, rtol=1e-11, atol=0.0)
+
+
+def test_standard_error_of_a_sample_near_double_range_is_finite():
+    # the centred squares overflow; the rescaled sum gives the SE of x / s
+    # times s
+    x = np.array([1e300, 3e300, -2e300, 5e300, 4e300])
+    mean, se = simulate._mean_se(x.copy())
+    assert mean == x.mean()
+    assert se == pytest.approx(np.std(x / 1e300, ddof=1) * 1e300
+                               / math.sqrt(5), rel=1e-15)
+    with pytest.raises(pk.DomainError, match="mean"):
+        simulate._mean_se(np.array([1.0, 2.0, np.inf]))
 
 
 def _run(jumps, cfg):
