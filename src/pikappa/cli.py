@@ -198,14 +198,14 @@ def cmd_sweep(args) -> None:
 def _mc_vs_closed_form(policy: Policy, objective, inputs: tuple,
                        config: simulate.SimConfig, dump_csv=None):
     """Monte Carlo estimate, closed form and z: 0 where they agree to 1e-12
-    (1 + |closed|), as at a riskless policy, else infinite at SE = 0."""
+    relative, as at a riskless policy, else infinite at SE = 0."""
     model, jumps, _, utility = inputs
     closed = value_function(0.0, config.x0, config.horizon, objective, model,
                             jumps, utility)
     est = simulate.simulate_terminal_utility(policy, *inputs, config,
                                              dump_csv=dump_csv)
     diff = est.mean - closed
-    if abs(diff) <= 1e-12 * (1.0 + abs(closed)):
+    if abs(diff) <= 1e-12 * max(abs(closed), abs(est.mean)):
         return est, closed, 0.0
     if est.std_error > 0.0:
         return est, closed, diff / est.std_error

@@ -14,8 +14,9 @@ kappa root solves the whole case split, and the clip names the case: an
 interval end for cases i and ii, the hyperplane for case iii.
 
 The smooth kernel solves the one-asset smooth frictions, a concave g(pi) and
-the portfolio-dependent premium (1 - kappa) q(pi): one kappa root over the
-allocation root pi(kappa).
+the portfolio-dependent premium (1 - kappa) q(pi), by one kappa root over the
+allocation pi(kappa): a formula for g = -c pi^2, whose allocation condition
+is linear in pi, and a bisection for the premium, whose condition is not.
 
 Every scalar root here is a bracketing bisection on a function that is
 monotone by construction, over a bracket given by a formula: the kappa
@@ -23,12 +24,11 @@ first-order condition is the derivative of a concave partial maximum, so it
 decreases in kappa (for the portfolio-dependent premium, the second-order
 bound makes f + H jointly concave). Every kappa root brackets [0, 1]: where
 the jump moment diverges at kappa = 1 (a Beta law with eta >= beta),
-psi(1) = +inf gives h(1) = -inf, which rules that corner out. One root nests
-another: the smooth kernel finds the allocation root afresh at every step of
-its kappa root, on a bracket around 0 and the frictionless allocation. The
-risk-aversion thresholds bisect eta alone, reading the sign of pi.1 - 1
-from one h call at the kappa that puts pi.1 on 1. The mutual-fund weight
-bisects [0, 1] for interior kappas and has a closed form at a shared corner.
+psi(1) = +inf gives h(1) = -inf, which rules that corner out. The portfolio
+premium's allocation root is bisected at every step of its kappa root. The
+risk-aversion thresholds bisect eta alone, reading the sign of pi.1 - 1 from
+one h call at the kappa that puts pi.1 on 1. The mutual-fund weight bisects
+[0, 1] for interior kappas and has a closed form at a shared corner.
 """
 
 from __future__ import annotations
@@ -279,33 +279,33 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
 def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                   friction: SmoothG | PortfolioPremium, utility: Utility,
                   cert_tol: float) -> SolveReport:
-    """pi(kappa) is the one root of the allocation first-order condition
-
-        t(pi) = eta sigma^2 (x0 - pi) + f_pi(pi, kappa) = 0,
-        x0 = (mu - r + eta sigma rho b kappa) / (eta sigma^2),
-
-    which decreases in pi, and kappa is the root of
+    """kappa is the root of
 
         f_kappa(pi(kappa), kappa) + eta b sigma rho pi(kappa)
             - (eta b^2 kappa + lambda psi(kappa)),
 
-    the derivative of a concave partial maximum, so it decreases. The
-    friction slopes (f_pi, f_kappa) are (g', -p') for smooth g and
-    (-(1 - kappa) q', q) for the portfolio premium. Both f_pi have the
-    sign of -pi, so t(0) has the sign of x0 and t(x0) the other one: the
-    root lies between 0 and x0. The bracket widens that by max(1, |x0|) on
-    each side, so that t has strict signs at its ends under rounding too.
-    Smooth g labels its kappa corners. The portfolio premium first checks
-    its second-order bound, which makes f + H jointly concave, at pi = +-50
-    (q' increases in pi, so (q' + eta rho b sigma)^2 peaks at an end), and
-    a kappa corner raises NoInteriorSolution.
+    the derivative of a concave partial maximum, so it decreases. pi(kappa)
+    zeroes mu - r - eta sigma^2 pi + eta sigma rho b kappa + f_pi(pi, kappa).
+    Smooth g, f = -c pi^2 - p(kappa), makes that condition linear, so
+    pi(kappa) = (mu - r + eta sigma rho b kappa) / (eta sigma^2 + 2c); it
+    labels its kappa corners. The portfolio premium, f = -(1 - kappa) q(pi),
+    bisects pi(kappa): f_pi has the sign of -pi, so the root lies between 0
+    and the frictionless allocation x0, on a bracket widened by
+    w = max(1, |x0|) for strict end signs under rounding, and the bisection
+    stops at 1e-12 w, above pi's float spacing. It first checks its
+    second-order bound, which makes f + H jointly concave, at pi = +-50 (q'
+    increases in pi, so (q' + eta rho b sigma)^2 peaks at an end); a kappa
+    corner raises NoInteriorSolution.
     """
     eta = utility.eta
     mu, sig, rho = model.d1()
     b, lam = model.b, jumps.lam
     r = model.r
-    premium_rate = isinstance(friction, PortfolioPremium)
-    if premium_rate:
+    if isinstance(friction, SmoothG):
+        den = eta * sig * sig + 2.0 * friction.c
+        pi_of = lambda k: (mu - r + eta * sig * rho * b * k) / den
+        f_k = lambda x, k: -friction.premium.derivative(k)
+    else:
         soc_lhs, soc_rhs = _soc_bound(friction.slope(_SOC_PI_ENDS), model,
                                       jumps, eta)
         if soc_lhs >= soc_rhs:
@@ -313,19 +313,16 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                 f"second-order bound fails on the search bracket: "
                 f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
                 f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
-        f_pi = lambda x, k: -(1.0 - k) * float(friction.slope(x))
-        f_k = lambda x, k: float(friction.rate(x, jumps))
-    else:
-        f_pi = lambda x, k: -2.0 * friction.c * x
-        f_k = lambda x, k: -friction.premium.derivative(k)
 
-    def pi_of(k: float) -> float:
-        def t(x: float) -> float:
-            return mu - r - eta * sig * sig * x + eta * sig * rho * b * k \
-                + f_pi(x, k)
-        x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
-        w = max(1.0, abs(x0))
-        return bisect(t, min(0.0, x0) - w, max(0.0, x0) + w, xtol=1e-12).root
+        def pi_of(k: float) -> float:
+            def t(x: float) -> float:
+                return mu - r - eta * sig * sig * x + eta * sig * rho * b * k \
+                    - (1.0 - k) * float(friction.slope(x))
+            x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
+            w = max(1.0, abs(x0))
+            return bisect(t, min(0.0, x0) - w, max(0.0, x0) + w,
+                          xtol=1e-12 * w).root
+        f_k = lambda x, k: float(friction.rate(x, jumps))
 
     def foc(k: float) -> float:
         pi_k = pi_of(k)
@@ -333,7 +330,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
             - (eta * b * b * k + lam * (psi(jumps, k, eta) if lam > 0 else 0.0))
 
     k_hat, tag = _solve_kappa(foc)
-    if not premium_rate:
+    if isinstance(friction, SmoothG):
         label = {"lo": "SmoothG-2", "hi": "SmoothG-3"}.get(tag, "SmoothG-1")
     elif tag != "interior":
         raise NoInteriorSolution(

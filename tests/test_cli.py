@@ -231,6 +231,17 @@ class TestMonteCarloVsClosedForm:
             assert code == 0 and float(fields["mc_se"]) < 1e-15
             assert fields["z"] == "0.000"
 
+    def test_tiny_values_far_apart_are_not_a_match(self, capsys):
+        # pi = 128 floors 84.6% of the paths: the estimate (6.2e-134) and
+        # the closed form (1.5e-78) both lie far below 1e-12, 55 orders of
+        # magnitude apart, and must not read as equal
+        code, out, _ = run(["simulate", "--model", "c2", "--pi", "128",
+                            "--kappa", "0", "--eta", "0.5", "--paths",
+                            "2000"], capsys)
+        fields = dict(l.split(" = ") for l in out.strip().splitlines())
+        assert code == 0 and float(fields["closed_form"]) > 0.0
+        assert abs(float(fields["z"])) > 3.0
+
     def test_zero_se_off_the_closed_form_is_not_a_pass(self, monkeypatch,
                                                       capsys):
         monkeypatch.setattr(cli, "value_function", lambda *args: -1.0)

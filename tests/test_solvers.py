@@ -3,13 +3,13 @@ corner detection, comparative statics and the mutual-fund combination."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pikappa as pk
 from pikappa import solvers
 from pikappa.hamiltonian import _soc_bound
-from pikappa.rootfind import bisect
+from pikappa.rootfind import MAX_ITER, bisect
 from pikappa.cli import resolve_model_path
 from pikappa.models import law_mean, load_model_file
 from pikappa.oracle import _apply_param
@@ -508,24 +508,21 @@ def _log_floats(lo, hi):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(premium_rate=st.booleans(), eta=_log_floats(1e-3, 50.0),
-       sig=_log_floats(1e-3, 2.0), c=_log_floats(1e-8, 5.0),
+@given(eta=_log_floats(1e-3, 50.0), sig=_log_floats(1e-3, 2.0),
        excess=st.floats(-0.5, 0.5), rho=st.sampled_from([0.0, 0.4, -0.9]),
        b=st.sampled_from([0.0, 0.3, 1.0]), big_c=st.floats(0.0, 5.0),
        a=_log_floats(1e-4, 5.0),
        kappas=st.lists(st.floats(0.0, 1.0), max_size=4))
-def test_allocation_bracket_has_a_sign_change(premium_rate, eta, sig, c,
-                                              excess, rho, b, big_c, a,
-                                              kappas):
-    # every bisection the smooth kernel starts, the allocation root's at
-    # kappa 0, 1 and random kappas among them, has t of strictly opposite
-    # signs at its two ends, or exactly 0 at one; the second-order check
-    # is switched off, since the bracket does not rest on it
+def test_allocation_bracket_has_a_sign_change(eta, sig, excess, rho, b,
+                                              big_c, a, kappas):
+    # every bisection the portfolio premium's kernel starts, the allocation
+    # root's at kappa 0, 1 and random kappas among them, has t of strictly
+    # opposite signs at its two ends, or exactly 0 at one; the second-order
+    # check is switched off, since the bracket does not rest on it
     model = pk.MarketModel(mu=[0.03 + excess], sigma=[[sig]], r=0.03,
                            R=0.09, rho=[rho], b=b)
     jumps = pk.JumpLaw(lam=0.2, law=pk.DiscreteJumps([0.1, 0.5], [0.6, 0.4]))
-    friction = pk.PortfolioPremium(C=big_c, A=a) if premium_rate \
-        else pk.SmoothG(Q02, c=c)
+    friction = pk.PortfolioPremium(C=big_c, A=a)
     ends = []
 
     def checked(f, lo, hi, **kw):
@@ -547,6 +544,72 @@ def test_allocation_bracket_has_a_sign_change(premium_rate, eta, sig, c,
         except pk.PikappaError:
             pass                   # the certificate at kappa = 0.5
     assert len(ends) >= 2 + len(kappas)
+
+
+BETA28_020 = pk.JumpLaw(lam=0.2, law=pk.BetaJumps(alpha=2.0, beta=8.0))
+# at eta = 1e-4 the allocation is about 1.2e4, where pi's float spacing
+# (1.8e-12) exceeds an absolute step of 1e-12
+LARGE_PI_ETA = 1e-4
+
+
+def _recording_bisect(monkeypatch):
+    """Patch the solvers' bisect to record each call's bracket and steps."""
+    calls = []
+
+    def recording(f, lo, hi, **kw):
+        res = bisect(f, lo, hi, **kw)
+        calls.append((lo, hi, res.iterations))
+        return res
+    monkeypatch.setattr(solvers, "bisect", recording)
+    return calls
+
+
+@pytest.mark.parametrize("model,jumps,friction,eta",
+                         [p[1:5] for p in UNPINNED_PINS[:2]]
+                         + [(c_model(0.16, 0.4, 0.3), BETA28_020,
+                             pk.SmoothG(Q02, c=1e-6), LARGE_PI_ETA)],
+                         ids=["smoothg-beta", "smoothg-discrete", "large-pi"])
+def test_smooth_g_bisects_kappa_only(model, jumps, friction, eta,
+                                     monkeypatch):
+    # pi(kappa) is a formula for smooth g, so an interior kappa root on
+    # [0, 1] is the one bisection a solve starts, and a corner starts none
+    calls = _recording_bisect(monkeypatch)
+    rep = pk.solve(model, jumps, friction, pk.Utility(eta))
+    interior = 0.0 < rep.policy.kappa < 1.0
+    assert [c[:2] for c in calls] == [(0.0, 1.0)] * interior
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(excess=st.floats(-0.05, 0.2), sig=st.floats(0.05, 0.6),
+       rho=st.floats(-0.95, 0.95), b=st.floats(0.0, 1.0),
+       lam=st.floats(0.0, 0.6), c=_log_floats(1e-6, 2.0),
+       eta=_log_floats(0.05, 30.0))
+@example(excess=0.13, sig=0.3, rho=0.3, b=0.4, lam=0.2, c=1e-6,
+         eta=LARGE_PI_ETA)
+def test_smooth_g_allocation_condition_vanishes(excess, sig, rho, b, lam, c,
+                                                eta):
+    # mu - r - eta sigma^2 pi + eta sigma rho b kappa - 2c pi = 0 at the
+    # solved policy, to the rounding of its terms
+    model = pk.MarketModel(mu=[0.03 + excess], sigma=[[sig]], r=0.03,
+                           R=0.09, rho=[rho], b=b)
+    jumps = pk.JumpLaw(lam=lam, law=pk.BetaJumps(2.0, 8.0))
+    rep = pk.solve(model, jumps, pk.SmoothG(Q02, c=c), pk.Utility(eta))
+    pi, kappa = float(rep.policy.pi[0]), rep.policy.kappa
+    terms = [0.03 + excess, 0.03, eta * sig * sig * pi,
+             eta * sig * rho * b * kappa, 2.0 * c * pi]
+    residual = float(rep.objective.grad_pi[0]) - 2.0 * c * pi
+    assert abs(residual) <= 4 * np.finfo(float).eps * sum(map(abs, terms))
+
+
+def test_portfolio_premium_allocation_root_stops_at_large_pi(monkeypatch):
+    # the allocation root steps to 1e-12 max(1, |x0|), above pi's float
+    # spacing, so no bisection runs to MAX_ITER; C = 0 with this fair rate
+    # leaves the kappa condition without an interior root
+    calls = _recording_bisect(monkeypatch)
+    with pytest.raises(pk.NoInteriorSolution):
+        pk.solve(c_model(0.16, 0.4, 0.3), BETA28_020,
+                 pk.PortfolioPremium(C=0.0, A=0.5), pk.Utility(LARGE_PI_ETA))
+    assert calls and max(c[2] for c in calls) < MAX_ITER
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
