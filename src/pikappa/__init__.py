@@ -23,6 +23,6 @@ from .hamiltonian import (Certificate, ObjectiveEval, certify, conjugate,
                           value_function)
 from .solvers import (MutualFundResult, SolveReport, mutual_fund_combine,
                       solve, threshold_etas)
-from .oracle import GridSpec, SweepResult, grid_maximize, sweep, sweep_csv
+from .oracle import GridSpec, grid_maximize, sweep, sweep_csv
 from .simulate import (ComparisonVerdict, SimConfig, SimEstimate,
                        compare_policies, simulate_terminal_utility)

@@ -167,28 +167,33 @@ def cmd_solve(args) -> None:
 def cmd_sweep(args) -> None:
     t0 = time.time()
     inputs = _load_inputs(args)
+    flag = {"mu1": "mu"}.get(args.param, args.param)   # both set mu[0]
+    if getattr(args, flag, None) is not None:
+        raise ValueError(f"--{flag} does not apply to a sweep of "
+                         f"{args.param}: the sweep sets that field")
     if args.steps < 1:
         raise ValueError("--steps must be a positive interval count")
     d = inputs[0].d
-    numeric = [c for c in oracle.sweep_header(d)[1:] if c != "case_label"]
+    header = oracle.sweep_header(d)
+    numeric = [c for c in header[1:] if c != "case_label"]
     ycols = [c.strip() for c in args.y.split(",") if c.strip()]
     if args.plot and (not ycols or not set(ycols) <= set(numeric)):
         raise ValueError(f"--y {args.y!r}: the plot columns are the CSV's "
                          f"numeric columns, {', '.join(numeric)}")
-    grid = np.linspace(args.frm, args.to, args.steps + 1)
-    result = oracle.sweep(args.param, grid, *inputs)
+    with np.errstate(invalid="ignore"):     # an infinite end: sweep refuses
+        grid = np.linspace(args.frm, args.to, args.steps + 1)
+    points = oracle.sweep(args.param, grid, *inputs)
     out = args.out or "sweep.csv"
-    _atomic_write(out, oracle.sweep_csv(result, d))
+    _atomic_write(out, oracle.sweep_csv(points, d))
     outputs = [out]
-    n_err = sum(1 for p in result.points if p.error)
+    n_err = sum(1 for p in points if p.error)
     if n_err:
-        print(f"{n_err}/{len(result.points)} points failed; see case_label "
+        print(f"{n_err}/{len(points)} points failed; see case_label "
               f"column", file=sys.stderr)
     if args.plot:
-        series = {col: [None if p.error else float(p.pi[numeric.index(col)])
-                        if col in numeric[:d] else getattr(p, col)
-                        for p in result.points] for col in ycols}
-        svg = line_chart([p.param_value for p in result.points], series,
+        rows = [oracle.sweep_row(p, d) for p in points]
+        series = {c: [row[header.index(c)] for row in rows] for c in ycols}
+        svg = line_chart([p.param_value for p in points], series,
                          x_label=args.param)
         _atomic_write(args.plot, svg)
         outputs.append(args.plot)

@@ -10,11 +10,13 @@ per row, which finds the exact maximizer of the grid, the first in C order
 on a tie, without the (pi, kappa) tensor. Rounds zoom in around the
 incumbent, and the result carries a resolution bound (numerical Lipschitz
 estimate times the final cell diagonal) for comparison slack.
+
+A sweep returns one SweepPoint(param_value, report, error) per grid point:
+its SolveReport, or None and the error that stopped the solve.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace as dc_replace
 from typing import ClassVar
 
@@ -237,22 +239,11 @@ SWEEP_PARAMS = ("eta", "rho", "R", "r", "lambda", "q", "b", "mu", "mu1",
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid point of a sweep: its solve report, or None and the error
+    that stopped the solve."""
     param_value: float
-    pi: np.ndarray | None
-    pi_sum: float | None
-    kappa: float | None
-    case_label: str
-    xi_star: float | None
-    objective: float | None
-    cert_residual: float | None
+    report: solvers.SolveReport | None
     error: str = ""
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    parameter: str
-    grid: np.ndarray
-    points: tuple[SweepPoint, ...]
 
 
 def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
@@ -284,6 +275,8 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
         idx = 0 if parameter in ("mu", "mu1") else 1
         if parameter == "mu" and model.d != 1:
             raise ValueError("mu needs a single-asset model; use mu1 or mu2")
+        if idx >= model.d:
+            raise ValueError("mu2 needs a two-asset model; use mu or mu1")
         mu = np.array(model.mu, copy=True)
         mu[idx] = float(v)
         return model.replace(mu=mu), jumps, friction, utility
@@ -291,44 +284,30 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
 
 
 def sweep(parameter: str, grid, base_model: MarketModel, jumps: JumpLaw,
-          friction: FrictionSpec, utility: Utility) -> SweepResult:
+          friction: FrictionSpec, utility: Utility) -> tuple[SweepPoint, ...]:
     """Solve once per grid point of the swept parameter.
 
-    An unknown parameter or a malformed grid raises ValueError; per-point
-    failures are recorded as error strings without aborting the sweep.
-    Output is a pure function of the inputs.
+    An unknown parameter or a grid that is not a nonempty, finite, strictly
+    increasing vector raises ValueError; per-point failures are recorded as
+    error strings without aborting the sweep. Output is a pure function of
+    the inputs.
     """
     if parameter not in SWEEP_PARAMS:
         raise ValueError(f"unknown parameter {parameter!r}; one of "
                          f"{', '.join(SWEEP_PARAMS)}")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("sweep grid must be a nonempty strictly increasing vector")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
+            or not np.all(np.diff(grid) > 0.0):
+        raise ValueError("sweep grid must be a nonempty, finite, strictly "
+                         "increasing vector")
     points = []
-    for v in grid:
+    for v in map(float, grid):
         try:
-            m, j, f, u = _apply_param(parameter, float(v), base_model, jumps,
-                                      friction, utility)
-            rep = solvers.solve(m, j, f, u)
-            points.append(SweepPoint(
-                param_value=float(v), pi=rep.policy.pi,
-                pi_sum=rep.policy.pi_sum, kappa=rep.policy.kappa,
-                case_label=rep.case_label, xi_star=rep.xi_star,
-                objective=rep.objective.value,
-                cert_residual=rep.certificate.residual))
+            points.append(SweepPoint(v, solvers.solve(*_apply_param(
+                parameter, v, base_model, jumps, friction, utility))))
         except (PikappaError, ValueError) as exc:
-            points.append(SweepPoint(param_value=float(v), pi=None,
-                                     pi_sum=None, kappa=None,
-                                     case_label=f"error({exc})",
-                                     xi_star=None, objective=None,
-                                     cert_residual=None, error=str(exc)))
-    return SweepResult(parameter=parameter, grid=grid, points=tuple(points))
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.12g}"
+            points.append(SweepPoint(v, None, str(exc)))
+    return tuple(points)
 
 
 def sweep_header(d: int) -> list[str]:
@@ -339,14 +318,27 @@ def sweep_header(d: int) -> list[str]:
            "cert_residual"]
 
 
-def sweep_csv(result: SweepResult, d: int) -> str:
+def sweep_row(point: SweepPoint, d: int) -> list:
+    """The point's cells in sweep_header(d) order: numbers, None for an
+    empty cell, and the case label, error(<msg>) on a failed point."""
+    rep = point.report
+    if rep is None:
+        return [point.param_value] + [None] * (d + 2) \
+            + [f"error({point.error})"] + [None] * 3
+    return [point.param_value, *map(float, rep.policy.pi), rep.policy.pi_sum,
+            rep.policy.kappa, rep.case_label, rep.xi_star,
+            rep.objective.value, rep.certificate.residual]
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v.replace(",", ";")
+    return f"{v:.12g}"
+
+
+def sweep_csv(points: tuple[SweepPoint, ...], d: int) -> str:
     """Render a sweep as CSV text (12 significant digits, '.' decimals)."""
-    buf = io.StringIO()
-    buf.write(",".join(sweep_header(d)) + "\n")
-    for p in result.points:
-        pis = [_fmt(float(x)) for x in p.pi] if p.pi is not None else [""] * d
-        row = [_fmt(p.param_value)] + pis + [
-            _fmt(p.pi_sum), _fmt(p.kappa), p.case_label.replace(",", ";"),
-            _fmt(p.xi_star), _fmt(p.objective), _fmt(p.cert_residual)]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    rows = [sweep_header(d)] + [map(_cell, sweep_row(p, d)) for p in points]
+    return "".join(",".join(row) + "\n" for row in rows)

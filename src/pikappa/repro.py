@@ -28,9 +28,9 @@ def _sweep_csv(config: str, param: str, lo: float, hi: float,
                steps: int) -> str:
     inputs = load_model_file(_bundled(config))
     grid = np.linspace(lo, hi, steps + 1)
-    result = oracle.sweep(param, grid, inputs.model, inputs.jumps,
+    points = oracle.sweep(param, grid, inputs.model, inputs.jumps,
                           inputs.friction, inputs.utility)
-    return oracle.sweep_csv(result, inputs.model.d)
+    return oracle.sweep_csv(points, inputs.model.d)
 
 
 def _eta_threshold_table(config: str) -> str:

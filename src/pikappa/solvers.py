@@ -40,9 +40,8 @@ import numpy as np
 
 from .errors import (BracketError, CaseMismatch, NoInteriorSolution, NoRoot,
                      NoSolution, NoThreshold, SOCViolation)
-from .hamiltonian import (Certificate, DEFAULT_CERT_TOL, ObjectiveEval,
-                          _shadow_interval, _soc_bound, certify,
-                          eval_objective)
+from .hamiltonian import (Certificate, ObjectiveEval, _shadow_interval,
+                          _soc_bound, certify, eval_objective)
 from .jumps import psi
 from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, MarketModel, Policy,
@@ -121,7 +120,7 @@ def _corner_consistency(obj: ObjectiveEval, premium: PowerPremium | None,
 
 def _certified(policy: Policy, label: str, xi_star: float | None,
                model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-               utility: Utility, cert_tol: float) -> SolveReport:
+               utility: Utility) -> SolveReport:
     """Evaluate, corner-check and certify a candidate policy.
 
     Raises NoSolution when the certificate fails or a corner kappa violates
@@ -131,8 +130,7 @@ def _certified(policy: Policy, label: str, xi_star: float | None,
     obj = eval_objective(policy, model, jumps, friction, utility)
     corner_violation = _corner_consistency(
         obj, getattr(friction, "premium", None), policy.kappa)
-    cert = certify(policy, model, jumps, friction, utility, tol=cert_tol,
-                   obj=obj)
+    cert = certify(policy, model, jumps, friction, utility, obj=obj)
     if not cert.passes or corner_violation > 1e-7:
         raise NoSolution(f"label={label} residual={cert.residual:.3e} "
                          f"in_domain={cert.in_domain} "
@@ -195,7 +193,7 @@ _SHADOW_CASES = {DifferentialRates: ("DiffRates", "i", "ii"),
 
 def _solve_shadow(model: MarketModel, jumps: JumpLaw,
                   friction: DifferentialRates | Frictionless | LargeInvestor,
-                  utility: Utility, cert_tol: float) -> SolveReport:
+                  utility: Utility) -> SolveReport:
     """Case split on the shadow interval and the hyperplane pi.1 = level, by
     one kappa root.
 
@@ -229,7 +227,7 @@ def _solve_shadow(model: MarketModel, jumps: JumpLaw,
             pi = np.zeros(1)
     return _certified(Policy(pi=pi, kappa=kappa),
                       _case_label(prefix, family, tag), xi, model, jumps,
-                      friction, utility, cert_tol)
+                      friction, utility)
 
 
 def threshold_etas(model: MarketModel, jumps: JumpLaw,
@@ -277,8 +275,8 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
 # ---------------------------------------------------------------------------
 
 def _solve_smooth(model: MarketModel, jumps: JumpLaw,
-                  friction: SmoothG | PortfolioPremium, utility: Utility,
-                  cert_tol: float) -> SolveReport:
+                  friction: SmoothG | PortfolioPremium,
+                  utility: Utility) -> SolveReport:
     """kappa is the root of
 
         f_kappa(pi(kappa), kappa) + eta b sigma rho pi(kappa)
@@ -338,7 +336,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     else:
         label = "PortfolioPremium-interior"
     return _certified(Policy(pi=np.array([pi_of(k_hat)]), kappa=k_hat),
-                      label, None, model, jumps, friction, utility, cert_tol)
+                      label, None, model, jumps, friction, utility)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +423,7 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
 # ---------------------------------------------------------------------------
 
 def solve(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
-          utility: Utility, cert_tol: float = DEFAULT_CERT_TOL) -> SolveReport:
+          utility: Utility) -> SolveReport:
     """The certified optimal policy under any friction regime.
 
     Validates the inputs as given, then solves a piecewise-linear friction
@@ -437,4 +435,4 @@ def solve(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
     require_valid(model, jumps, friction, utility)
     smooth = isinstance(friction, (SmoothG, PortfolioPremium))
     kernel = _solve_smooth if smooth else _solve_shadow
-    return kernel(model, jumps, friction, utility, cert_tol)
+    return kernel(model, jumps, friction, utility)

@@ -117,18 +117,20 @@ def test_c04_c1_full_insurance_region():
     thresh = 0.5156
     ok = True
     detail = []
-    for p in res.points:
+    for p in res:
         if p.error:
             ok = False
             detail.append(f"error at rho={p.param_value}")
             continue
         if p.param_value >= thresh + 0.01:
-            if p.kappa != 0.0 or abs(p.pi[0] + 0.2222) > 1e-3:
+            if p.report.policy.kappa != 0.0 \
+                    or abs(p.report.policy.pi[0] + 0.2222) > 1e-3:
                 ok = False
-                detail.append(f"rho={p.param_value}: kappa={p.kappa} "
-                              f"pi={p.pi[0]}")
+                detail.append(f"rho={p.param_value}: "
+                              f"kappa={p.report.policy.kappa} "
+                              f"pi={p.report.policy.pi[0]}")
         elif p.param_value <= thresh - 0.01:
-            if p.kappa <= 0.0:
+            if p.report.policy.kappa <= 0.0:
                 ok = False
                 detail.append(f"rho={p.param_value}: kappa=0 below threshold")
     criterion("4", ok, f"kappa=0 iff rho >= 0.5156 +-0.01 with "
@@ -142,18 +144,20 @@ def test_c05_c2_full_insurance_region():
     thresh = -0.6346
     ok = True
     detail = []
-    for p in res.points:
+    for p in res:
         if p.error:
             ok = False
             detail.append(f"error at rho={p.param_value}")
             continue
         if p.param_value <= thresh - 0.01:
-            if p.kappa != 0.0 or abs(p.pi[0] - 0.3611) > 1e-3:
+            if p.report.policy.kappa != 0.0 \
+                    or abs(p.report.policy.pi[0] - 0.3611) > 1e-3:
                 ok = False
-                detail.append(f"rho={p.param_value}: kappa={p.kappa} "
-                              f"pi={p.pi[0]}")
+                detail.append(f"rho={p.param_value}: "
+                              f"kappa={p.report.policy.kappa} "
+                              f"pi={p.report.policy.pi[0]}")
         elif p.param_value >= thresh + 0.01:
-            if p.kappa <= 0.0:
+            if p.report.policy.kappa <= 0.0:
                 ok = False
                 detail.append(f"rho={p.param_value}: kappa=0 above threshold")
     criterion("5", ok, f"kappa=0 on rho in [-1, -0.6346+-0.01] with "
@@ -428,9 +432,10 @@ def test_c12_fosd_monotonicity_diff_rates():
     res_hi = pk.sweep("rho", grid, c2_model(0.0), J_C, fric, pk.Utility(4.0))
     res_lo = pk.sweep("rho", grid, c2_model(0.0), j_low, fric, pk.Utility(4.0))
     bad = [
-        (p_hi.param_value, p_hi.kappa, p_lo.kappa)
-        for p_hi, p_lo in zip(res_hi.points, res_lo.points)
-        if p_hi.error or p_lo.error or p_hi.kappa > p_lo.kappa + 1e-9
+        (p_hi.param_value, p_hi.report.policy.kappa, p_lo.report.policy.kappa)
+        for p_hi, p_lo in zip(res_hi, res_lo)
+        if p_hi.error or p_lo.error
+        or p_hi.report.policy.kappa > p_lo.report.policy.kappa + 1e-9
     ]
     ok = dominance is pk.Ordering.DOMINATES and not bad
     criterion("12", ok, f"Beta(12,8) vs Beta(2,8): {dominance.value}; "

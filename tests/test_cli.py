@@ -219,6 +219,51 @@ class TestSweep:
         assert code == 0
         assert svg.read_text().count("<polyline") == 2
 
+    @pytest.mark.parametrize("frm,to", [("nan", "1"), ("0.5", "inf")])
+    def test_non_finite_grid_exit_1(self, frm, to, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(["sweep", "--model", "a1", "--param", "eta",
+                            "--from", frm, "--to", to, "--steps", "2",
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err == ("input error: sweep grid must be a nonempty, finite, "
+                       "strictly increasing vector\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,param,flag", [
+        ("c2", "eta", "--eta"), ("a2", "rho", "--rho"), ("b1", "mu", "--mu"),
+        ("b1", "mu1", "--mu")])
+    def test_override_of_the_swept_field_exit_1(self, config, param, flag,
+                                                tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(["sweep", "--model", config, "--param", param,
+                            flag, "0.12", "--from", "1", "--to", "2",
+                            "--steps", "1", "--out", str(out)], capsys)
+        assert code == 1
+        assert err == (f"input error: {flag} does not apply to a sweep of "
+                       f"{param}: the sweep sets that field\n")
+        assert not out.exists()
+
+
+# one value per override flag at which b1 and a2 both certify
+_OVERRIDE_VALUES = {"eta": 2.5, "rho": 0.3, "r": 0.025, "R": 0.07, "q": 0.25,
+                    "lambda": 0.2, "b": 0.5, "mu": 0.12}
+
+
+@pytest.mark.parametrize("config", ["b1", "a2"])
+@pytest.mark.parametrize("flag", cli.OVERRIDES)
+def test_override_solves_as_a_one_point_sweep(flag, config, capsys):
+    inp = models.load_model_file(cli.resolve_model_path(config))
+    if flag == "mu" and inp.model.d != 1:
+        pytest.skip("--mu needs a single-asset model")
+    v = _OVERRIDE_VALUES[flag]
+    code, out, _ = run(["solve", "--model", config, f"--{flag}", repr(v),
+                        "--format", "json"], capsys)
+    assert code == 0
+    (point,) = oracle.sweep(flag, [v], inp.model, inp.jumps, inp.friction,
+                            inp.utility)
+    assert out == json.dumps(cli._report_json(point.report), indent=2) + "\n"
+
 
 class TestMonteCarloVsClosedForm:
     def test_riskless_policy_matches_to_rounding(self, capsys):

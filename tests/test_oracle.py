@@ -1,5 +1,7 @@
 """Grid-oracle and sweep-engine tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import pikappa as pk
 from pikappa import oracle
+from pikappa.cli import resolve_model_path
 from pikappa.oracle import (_auto_pi_bounds, _eval_grid, _grid_argmax,
                             _point_value, _row_argmax, sweep_csv)
 
@@ -235,8 +238,8 @@ class TestSweep:
         fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.3))
         grid = np.arange(0.4, 4.01, 0.2)
         res = pk.sweep("eta", grid, m, BETA28, fric, pk.Utility(1.0))
-        assert all(not p.error for p in res.points)
-        ks = np.array([p.kappa for p in res.points])
+        assert all(not p.error for p in res)
+        ks = np.array([p.report.policy.kappa for p in res])
         # kappa = 1 on an initial segment, then strictly decreasing
         on = ks >= 1.0 - 1e-12
         assert on[0]
@@ -245,7 +248,7 @@ class TestSweep:
         tail = ks[first_off:]
         assert np.all(np.diff(tail) < 0)
         # pi sum nonincreasing in eta (one grid step slack)
-        sums = np.array([p.pi_sum for p in res.points])
+        sums = np.array([p.report.policy.pi_sum for p in res])
         assert np.all(np.diff(sums) <= 1e-9)
 
     def test_sweep_deterministic_csv(self):
@@ -263,7 +266,7 @@ class TestSweep:
         fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.3))
         grid = np.linspace(-1.0, 1.0, 41)
         res = pk.sweep("rho", grid, m, jumps, fric, pk.Utility(2.0))
-        ks = np.array([p.kappa for p in res.points])
+        ks = np.array([p.report.policy.kappa for p in res])
         # U-shape as a local property: nonincreasing then nondecreasing
         dn = np.diff(ks) <= 1e-9
         up = np.diff(ks) >= -1e-9
@@ -277,8 +280,8 @@ class TestSweep:
         # R sweep crossing below r: invalid points carry error strings
         grid = np.linspace(0.01, 0.05, 5)
         res = pk.sweep("R", grid, m, BETA128, fric, pk.Utility(4.0))
-        bad = [p for p in res.points if p.error]
-        good = [p for p in res.points if not p.error]
+        bad = [p for p in res if p.error]
+        good = [p for p in res if not p.error]
         assert bad and good
 
     def test_strictly_increasing_grid_required(self):
@@ -286,6 +289,14 @@ class TestSweep:
         fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.2))
         with pytest.raises(ValueError):
             pk.sweep("eta", [1.0, 1.0, 2.0], m, BETA128, fric, pk.Utility(4.0))
+
+    @pytest.mark.parametrize("grid", [[np.nan, 1.0], [1.0, 2.0, np.nan],
+                                      [1.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_grid_rejected(self, grid):
+        m = c2_model()
+        fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.2))
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            pk.sweep("eta", grid, m, BETA128, fric, pk.Utility(4.0))
 
     def test_unknown_parameter_rejected_before_solving(self):
         m = c2_model()
@@ -297,14 +308,14 @@ class TestSweep:
         m = c2_model()
         fric = pk.DifferentialRates(premium=pk.PowerPremium(q=0.2, delta=2.0))
         res = pk.sweep("b", [0.2, 0.5], m, BETA128, fric, pk.Utility(4.0))
-        assert not any(p.error for p in res.points)
+        assert not any(p.error for p in res)
         res_q = pk.sweep("q", [0.1, 0.3], m, BETA128, fric, pk.Utility(4.0))
-        assert not any(p.error for p in res_q.points)
+        assert not any(p.error for p in res_q)
         direct = pk.solve(m.replace(b=0.5), BETA128, fric, pk.Utility(4.0))
-        assert res.points[1].kappa == direct.policy.kappa
+        assert res[1].report.policy.kappa == direct.policy.kappa
         direct = pk.solve(m, BETA128, pk.DifferentialRates(
             premium=pk.PowerPremium(q=0.3, delta=2.0)), pk.Utility(4.0))
-        assert res_q.points[1].kappa == direct.policy.kappa
+        assert res_q[1].report.policy.kappa == direct.policy.kappa
 
     def test_csv_schema(self):
         m = c2_model()
@@ -317,17 +328,73 @@ class TestSweep:
         assert len(text.splitlines()) == 3
 
 
+def _leaves(obj, path: str) -> dict:
+    """Every number and label of a frozen input keyed by its attribute
+    path, one entry per array element."""
+    if dataclasses.is_dataclass(obj):
+        out = {}
+        for f in dataclasses.fields(obj):
+            out.update(_leaves(getattr(obj, f.name), f"{path}.{f.name}"))
+        return out
+    if isinstance(obj, np.ndarray):
+        return {f"{path}[{i}]": x for i, x in enumerate(obj.ravel().tolist())}
+    return {path: obj}
+
+
+# the leaf each sweep parameter sets; rho at d = 2 is rescaled instead
+_SWEPT_LEAF = {"eta": "utility.eta", "rho": "model.rho[0]", "R": "model.R",
+               "r": "model.r", "lambda": "jumps.lam",
+               "q": "friction.premium.q", "b": "model.b",
+               "mu": "model.mu[0]", "mu1": "model.mu[0]",
+               "mu2": "model.mu[1]"}
+
+
+@pytest.mark.parametrize("config", ["b1", "a2"])
+@pytest.mark.parametrize("name", oracle.SWEEP_PARAMS)
+def test_apply_param_sets_only_the_field_it_names(name, config):
+    inp = pk.load_model_file(resolve_model_path(config))
+    parts = (inp.model, inp.jumps, inp.friction, inp.utility)
+    d = inp.model.d
+    if (name == "mu" and d != 1) or (name == "mu2" and d != 2):
+        pytest.skip(f"{name} does not apply at d = {d}")
+    v = 0.37
+
+    def leaves(inputs):
+        out = {}
+        for part, obj in zip(("model", "jumps", "friction", "utility"),
+                             inputs):
+            out.update(_leaves(obj, part))
+        return out
+
+    before = leaves(parts)
+    want = dict(before)
+    if name == "rho" and d == 2:
+        rho = inp.model.rho * (v / np.linalg.norm(inp.model.rho))
+        want.update({f"model.rho[{i}]": x for i, x in enumerate(rho.tolist())})
+        assert np.linalg.norm(rho) == pytest.approx(v, rel=1e-15)
+    else:
+        want[_SWEPT_LEAF[name]] = v
+    assert want != before
+    assert leaves(oracle._apply_param(name, v, *parts)) == want
+
+
+def test_apply_param_mu2_on_one_asset_is_a_value_error():
+    inp = pk.load_model_file(resolve_model_path("b1"))
+    with pytest.raises(ValueError, match="mu2 needs a two-asset model"):
+        oracle._apply_param("mu2", 0.1, inp.model, inp.jumps, inp.friction,
+                            inp.utility)
+
+
 class TestCertificateSoundness:
     def test_certified_value_is_grid_unbeatable(self):
-        # a certificate passing at 1e-9 caps the brute-force value up to the
-        # oracle resolution bound
+        # a certificate with residual at most 1e-9 caps the brute-force
+        # value up to the oracle resolution bound
         m = pk.MarketModel(mu=[0.16], sigma=[[0.26]], r=0.03, R=0.09,
                            rho=[0.35], b=0.4)
         jumps = pk.JumpLaw(lam=0.1, law=pk.BetaJumps(2.0, 8.0))
         prem = pk.LinearPremium(q=0.3)
         util = pk.Utility(2.0)
-        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util,
-                       cert_tol=1e-9)
+        rep = pk.solve(m, jumps, pk.DifferentialRates(prem), util)
         assert rep.certificate.passes and abs(rep.certificate.residual) <= 1e-9
         fric = pk.DifferentialRates(premium=prem)
         _, val, bound = pk.grid_maximize(m, jumps, fric, util)
