@@ -21,6 +21,7 @@ from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
 LOG_FLOOR = math.log(WEALTH_FLOOR)
+BLOCK = 32_768          # paths per step of the utility kernel: 256 KiB a row
 
 
 @dataclass(frozen=True)
@@ -147,36 +148,54 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
     V_T when wealth is set (else None).
 
     z holds the paths' standard normals, shape (..., n); y the pooled jump
-    sizes and owner the path of each, so every row of z shares the jumps.
-    A sampled jump that would take all the wealth is refused.
+    sizes and owner the path of each, sorted, so every row of z shares the
+    jumps. A sampled jump that would take all the wealth is refused.
 
-    The work stays in log space, in one n-float buffer: log wealth
-    w = ((log x0 + drift T) + sd z) + jump log, floored at LOG_FLOOR, then
-    mapped in place to exp((1 - eta) w) / (1 - eta); at eta = 1 the floored
-    w is the utility. That is one exp a path, within 4 eps (1 + |(1 - eta) w|)
-    relative of max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta).
-    V_T = exp(w) is formed only when wealth asks for it.
+    The work stays in log space, in one n-float output, BLOCK paths at a
+    time so that each block's steps run on a slice that stays in cache: log
+    wealth w = ((log x0 + drift T) + sd z) + jump log, the block's jump log
+    one bincount over its own run of the sorted owners; w floored at
+    LOG_FLOOR, then mapped in place to exp((1 - eta) w) / (1 - eta); at
+    eta = 1 the floored w is the utility. That is one exp a path, within
+    4 eps (1 + |(1 - eta) w|) relative of
+    max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta). Each path gets the
+    same operations in the same order as in one pass over all n, so the
+    blocks do not move a bit. V_T = exp(w) is formed only when wealth asks
+    for it. Beyond the output (and V_T), the temporaries are O(BLOCK).
     """
-    T = config.horizon
     drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
-    ky = policy.kappa * y
-    if np.any(ky >= 1.0):
-        raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
-    np.negative(ky, out=ky)
-    np.log1p(ky, out=ky)
-    jl = np.bincount(owner, weights=ky, minlength=z.shape[-1])
-    w = np.multiply(z, np.sqrt(var_rate * T))
-    w += np.log(config.x0) + drift * T
-    w += jl
-    floored = int(np.count_nonzero(w < LOG_FLOOR))
-    np.maximum(w, LOG_FLOOR, out=w)
-    v = np.exp(w) if wealth else None
-    eta = utility.eta
-    if eta != 1.0:
-        w *= 1.0 - eta
-        np.exp(w, out=w)
-        w /= 1.0 - eta
-    return w, floored, v
+    sd = np.sqrt(var_rate * config.horizon)
+    c = np.log(config.x0) + drift * config.horizon
+    kappa, eta = policy.kappa, utility.eta
+    n = z.shape[-1]
+    u = np.empty(z.shape)
+    v = np.empty(z.shape) if wealth else None
+    # cuts[i]:cuts[i + 1] are the jumps of block i, owner being sorted
+    cuts = np.searchsorted(owner, range(0, n + BLOCK, BLOCK)).tolist()
+    floored = 0
+    for i, s in enumerate(range(0, n, BLOCK)):
+        e = min(s + BLOCK, n)
+        w = u[..., s:e]
+        np.multiply(z[..., s:e], sd, out=w)
+        w += c
+        ky = kappa * y[cuts[i]:cuts[i + 1]]
+        if np.any(ky >= 1.0):
+            raise DomainError("sampled 1 - kappa Y <= 0; "
+                              "jump law violates Y < 1")
+        np.negative(ky, out=ky)
+        np.log1p(ky, out=ky)
+        w += np.bincount(owner[cuts[i]:cuts[i + 1]] - s, weights=ky,
+                         minlength=e - s)
+        if w.min() < LOG_FLOOR:
+            floored += int(np.count_nonzero(w < LOG_FLOOR))
+            np.maximum(w, LOG_FLOOR, out=w)
+        if wealth:
+            np.exp(w, out=v[..., s:e])
+        if eta != 1.0:
+            w *= 1.0 - eta
+            np.exp(w, out=w)
+            w /= 1.0 - eta
+    return u, floored, v
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:

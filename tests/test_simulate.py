@@ -6,14 +6,18 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import pikappa as pk
+from mc_reference import terminal_utilities as unblocked_utilities
 from pikappa import simulate
 
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
@@ -427,6 +431,92 @@ def test_standard_error_of_a_sample_near_double_range_is_finite():
                                / math.sqrt(5), rel=1e-15)
     with pytest.raises(pk.DomainError, match="mean"):
         simulate._mean_se(np.array([1.0, 2.0, np.inf]))
+
+
+BLOCK = simulate.BLOCK
+# path counts below one block, at whole blocks and with a ragged last block
+PATH_COUNTS = st.one_of(
+    st.integers(2, BLOCK - 1),
+    st.integers(1, 3).map(lambda k: k * BLOCK),
+    st.tuples(st.integers(1, 3), st.integers(1, BLOCK - 1)).map(
+        lambda kr: kr[0] * BLOCK + kr[1]))
+
+
+def _kernel_inputs(seed, n, rows, jumps_on, lam_t):
+    """Normals of shape (rows, n), or (n,) for one row, and sorted owners
+    with Beta(2, 8) sizes: Poisson(lam_t n) jumps spread uniformly over the
+    paths, none, or 1 to 30 jumps all on the first or the last path."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, n) if rows > 1 else n)
+    if jumps_on == "spread":
+        owner = np.sort(rng.integers(0, n, size=rng.poisson(lam_t * n)))
+    else:
+        total = 0 if jumps_on == "none" else int(rng.integers(1, 31))
+        owner = np.full(total, 0 if jumps_on == "first" else n - 1,
+                        dtype=np.int64)
+    total = owner.size
+    return z, rng.beta(2.0, 8.0, size=total), owner
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=PATH_COUNTS, rows=st.sampled_from([1, 2]),
+       jumps_on=st.sampled_from(["spread", "none", "first", "last"]),
+       lam_t=st.sampled_from([0.05, 0.5, 2.0]),
+       pi=st.sampled_from([0.0, 0.8, -3.0, 128.0]),
+       kappa=st.sampled_from([0.0, 0.4, 1.0]),
+       eta=st.sampled_from([0.5, 1.0, 3.0, 30.0]),
+       x0=st.sampled_from([1.0, 2.5]), horizon=st.sampled_from([1.0, 0.25]),
+       wealth=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2 * BLOCK, rows=2, jumps_on="last", lam_t=0.5, pi=128.0,
+         kappa=1.0, eta=1.0, x0=1.0, horizon=1.0, wealth=True, seed=1)
+@example(n=BLOCK + 7, rows=1, jumps_on="first", lam_t=0.5, pi=0.8,
+         kappa=0.4, eta=0.5, x0=2.5, horizon=1.0, wealth=True, seed=2)
+@example(n=100, rows=2, jumps_on="none", lam_t=0.5, pi=-3.0, kappa=0.0,
+         eta=3.0, x0=1.0, horizon=0.25, wealth=False, seed=3)
+def test_blocked_kernel_is_the_unblocked_kernel_bit_for_bit(
+        n, rows, jumps_on, lam_t, pi, kappa, eta, x0, horizon, wealth, seed):
+    # pi = 128 floors most paths, whose utility overflows beyond eta = 2;
+    # rows = 2 is the antithetic [z, -z] shape
+    assume(pi != 128.0 or eta <= 1.0)
+    z, y, owner = _kernel_inputs(seed, n, rows, jumps_on, lam_t)
+    args = (pk.Policy(pi=[pi], kappa=kappa), z, y, owner, c2_model(), BETA128,
+            pk.DifferentialRates(premium=PREM02), pk.Utility(eta),
+            pk.SimConfig(horizon=horizon, x0=x0))
+    u, floored, v = simulate._terminal_utilities(*args, wealth=wealth)
+    ref_u, ref_floored, ref_v = unblocked_utilities(*args, wealth=wealth)
+    assert u.shape == ref_u.shape and u.tobytes() == ref_u.tobytes()
+    assert floored == ref_floored
+    if wealth:
+        assert v.shape == ref_v.shape and v.tobytes() == ref_v.tobytes()
+    else:
+        assert v is None and ref_v is None
+
+
+def test_blocked_kernel_refuses_a_full_loss_in_the_last_block():
+    z, y, owner = _kernel_inputs(4, 2 * BLOCK + 5, 1, "spread", 0.5)
+    y[-1] = 1.0
+    with pytest.raises(pk.DomainError, match="sampled 1 - kappa Y <= 0"):
+        simulate._terminal_utilities(
+            pk.Policy(pi=[0.6], kappa=1.0), z, y, owner, c2_model(), BETA128,
+            pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
+            pk.SimConfig())
+
+
+def test_kernel_memory_is_the_output_and_a_few_blocks():
+    # one n-float output; the jump logs and masks are per block, so the
+    # peak stays below 8 (n + N) bytes and 1 MiB
+    n = 1_000_000
+    z, y, owner = _kernel_inputs(5, n, 1, "spread", 0.5)
+    args = (pk.Policy(pi=[0.8], kappa=0.5), z, y, owner, c2_model(), BETA128,
+            pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
+            pk.SimConfig())
+    tracemalloc.start()
+    try:
+        simulate._terminal_utilities(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + y.size) + 2 ** 20, peak / 2 ** 20
 
 
 def _run(jumps, cfg):
