@@ -549,16 +549,25 @@ def fosd_compare(law_a: JumpLaw, law_b: JumpLaw) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The random stream of seed: the one source of every Monte Carlo draw
+    (sample_jumps and simulate's paths)."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _draw_y(rng, law, n: int) -> np.ndarray:
     """n i.i.d. draws of Y from rng: the one sampler of the jump size.
 
     Beta sampling goes through the two-Gamma-draw ratio so the draw count
-    per variate is fixed.
+    per variate is fixed; the ratio g1 / (g2 + g1) is formed in the draws'
+    own buffers.
     """
     if isinstance(law, BetaJumps):
         g1 = rng.standard_gamma(law.alpha, size=n)
         g2 = rng.standard_gamma(law.beta, size=n)
-        return g1 / (g1 + g2)
+        g2 += g1
+        g1 /= g2
+        return g1
     idx = rng.choice(law.points.shape[0], size=n, p=law.weights)
     return law.points[idx]
 
@@ -567,7 +576,7 @@ def sample_jumps(jumps: JumpLaw, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of Y, deterministic given seed."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _draw_y(np.random.Generator(np.random.Philox(seed)), jumps.law, n)
+    return _draw_y(_generator(seed), jumps.law, n)
 
 
 @dataclass

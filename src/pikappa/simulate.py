@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import friction_term
-from .jumps import _draw_y
+from .jumps import _draw_y, _generator
 from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
@@ -105,7 +105,7 @@ def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     if last and last[0] == key and last[1] is jumps:
         return last[2:]
     _last_draw = ()
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    rng = _generator(config.seed)
     z = rng.standard_normal(n)
     total = int(rng.poisson(jumps.lam * config.horizon * n)) \
         if jumps.lam > 0.0 else 0

@@ -19,6 +19,7 @@ from scipy import stats
 import pikappa as pk
 from mc_reference import terminal_utilities as unblocked_utilities
 from pikappa import simulate
+from pikappa.jumps import _generator
 
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
 NOJUMPS = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -94,7 +95,7 @@ class TestSimulateTerminalUtility:
         cfg = pk.SimConfig(n_paths=1_000_000, seed=12)
         drift = 0.03 + 1.3 * 0.13
         var = (0.3 * 1.3) ** 2
-        rng = np.random.Generator(np.random.Philox(12))
+        rng = _generator(12)
         z = rng.standard_normal(cfg.n_paths)
         v = np.exp(drift - 0.5 * var + np.sqrt(var) * z)
         se = v.std(ddof=1) / np.sqrt(cfg.n_paths)
@@ -612,7 +613,7 @@ class TestCommonDraws:
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
         cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
         n = 200 if antithetic else 400
-        rng = np.random.Generator(np.random.Philox(11))
+        rng = _generator(11)
         rng.standard_normal(n)
         total = rng.poisson(2.0 * n)
         counts = np.bincount(rng.integers(0, n, size=total), minlength=n)
