@@ -84,7 +84,8 @@ _last_draw = ()
 
 def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     """The n paths' standard normals z, then the pooled jump sizes y and the
-    path each belongs to (sorted), from the Philox stream of config.seed.
+    path each belongs to (sorted), from the stream of config.seed
+    (jumps._generator: numpy's Generator on SFC64).
 
     The stream is drawn in this order: z = standard_normal(n); one total
     jump count N ~ Poisson(n lam T), or 0 when lam = 0; the N owners,
@@ -92,7 +93,7 @@ def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     n independent Poisson(lam T) counts have the law of one Poisson(n lam T)
     total whose points fall on paths chosen uniformly and independently
     (superposition and conditional uniformity of a Poisson process). Sorted
-    owners make the per-path sums in _terminal_utilities faster.
+    owners give each block of _terminal_utilities its jumps as one run.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the law,
@@ -227,20 +228,22 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
                               dump_csv=None) -> SimEstimate:
     """Sample mean and standard error of U_eta(V_T) under the policy.
 
-    Deterministic given the seed (counter-based Philox stream, fixed
-    reduction order). The stream holds n normals, one Poisson(n lam T)
-    total jump count, the jumps' owners drawn uniformly on the paths, and
-    the jump sizes; by Poisson superposition this is the exact law of n
-    independent compound Poisson paths. Earlier releases drew one Poisson
-    count per path, so a seed now gives other bits than it gave there.
+    Deterministic given the seed (numpy's Generator on the SFC64 bit
+    generator, fixed reduction order). The stream holds n normals, one
+    Poisson(n lam T) total jump count, the jumps' owners drawn uniformly on
+    the paths, and the jump sizes; by Poisson superposition this is the
+    exact law of n independent compound Poisson paths. Earlier releases
+    drew one Poisson count per path, and then drew from Philox, so a seed
+    now gives other bits than it gave there; the law is the same.
     One sampler serves this and compare_policies, so on the same config,
     plain or antithetic, the mean here equals compare_policies' mean_a bit
     for bit. One config and law are drawn once and shared: the normals and
     jumps of the last draw stay in memory until the next draw, about
     8 n (1 + 2 lam T) bytes for n paths (16 MB at 1e6 paths and
-    lam T = 0.5), as with per-path counts. The utilities take one more
-    n-float buffer, worked in log space (see _terminal_utilities), and the
-    standard error is a centred dot product in that buffer (see _mean_se).
+    lam T = 0.5), as with per-path counts. The utilities take one n-float
+    output plus O(BLOCK) temporaries, worked in log space a block of paths
+    at a time (see _terminal_utilities), and the standard error is a
+    centred dot product in that output (see _mean_se).
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
