@@ -287,10 +287,12 @@ def sweep(parameter: str, grid, base_model: MarketModel, jumps: JumpLaw,
           friction: FrictionSpec, utility: Utility) -> tuple[SweepPoint, ...]:
     """Solve once per grid point of the swept parameter.
 
-    An unknown parameter or a grid that is not a nonempty, finite, strictly
-    increasing vector raises ValueError; per-point failures are recorded as
-    error strings without aborting the sweep. Output is a pure function of
-    the inputs.
+    An unknown parameter, one that cannot apply to the model (mu at d = 2,
+    mu2 at d = 1, rho on a zero rho vector, q on a premium without q) or a
+    grid that is not a nonempty, finite, strictly increasing vector raises
+    ValueError before any solve; per-point failures are recorded as error
+    strings without aborting the sweep. Output is a pure function of the
+    inputs.
     """
     if parameter not in SWEEP_PARAMS:
         raise ValueError(f"unknown parameter {parameter!r}; one of "
@@ -300,6 +302,9 @@ def sweep(parameter: str, grid, base_model: MarketModel, jumps: JumpLaw,
             or not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweep grid must be a nonempty, finite, strictly "
                          "increasing vector")
+    # whether the parameter applies does not hang on its value
+    _apply_param(parameter, float(grid[0]), base_model, jumps, friction,
+                 utility)
     points = []
     for v in map(float, grid):
         try:

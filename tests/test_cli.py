@@ -244,6 +244,28 @@ class TestSweep:
                        f"{param}: the sweep sets that field\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,param,message", [
+        ("a2", "mu", "mu needs a single-asset model; use mu1 or mu2"),
+        ("b1", "mu2", "mu2 needs a two-asset model; use mu or mu1"),
+        ("a2-zero-rho", "rho", "cannot scale a zero rho vector"),
+        ("section5-example", "q",
+         "q needs a linear or power premium schedule")])
+    def test_parameter_that_cannot_apply_exit_1(self, config, param, message,
+                                                tmp_path, capsys):
+        # refused before the loop, as an unknown parameter is
+        if config == "a2-zero-rho":
+            doc = json.loads(open(cli.resolve_model_path("a2")).read())
+            doc["rho"] = [0.0, 0.0]
+            config = str(tmp_path / "a2-zero-rho.json")
+            Path(config).write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        code, _, err = run(["sweep", "--model", config, "--param", param,
+                            "--from", "0.1", "--to", "0.2", "--steps", "1",
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"input error: {message}\n"
+        assert not out.exists()
+
 
 # one value per override flag at which b1 and a2 both certify
 _OVERRIDE_VALUES = {"eta": 2.5, "rho": 0.3, "r": 0.025, "R": 0.07, "q": 0.25,
