@@ -550,10 +550,9 @@ def fosd_compare(law_a: JumpLaw, law_b: JumpLaw) -> Ordering:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The random stream of seed: the one source of every Monte Carlo draw
-    (sample_jumps and simulate's paths), numpy's Generator on the SFC64 bit
-    generator, whose normals and gammas come faster than Philox's. Earlier
-    releases drew from Philox, so a seed now gives other bits."""
+    """The random stream of seed, the one source of every Monte Carlo draw
+    (sample_jumps and simulate's paths): numpy's Generator on the SFC64 bit
+    generator, whose normals and gammas come faster than Philox's."""
     return np.random.Generator(np.random.SFC64(seed))
 
 

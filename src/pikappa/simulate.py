@@ -171,22 +171,21 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
     n = z.shape[-1]
     u = np.empty(z.shape)
     v = np.empty(z.shape) if wealth else None
-    # cuts[i]:cuts[i + 1] are the jumps of block i, owner being sorted
+    # the jumps of the block from path s are lo:hi, owner being sorted
     cuts = np.searchsorted(owner, range(0, n + BLOCK, BLOCK)).tolist()
     floored = 0
-    for i, s in enumerate(range(0, n, BLOCK)):
+    for s, lo, hi in zip(range(0, n, BLOCK), cuts, cuts[1:]):
         e = min(s + BLOCK, n)
         w = u[..., s:e]
         np.multiply(z[..., s:e], sd, out=w)
         w += c
-        ky = kappa * y[cuts[i]:cuts[i + 1]]
+        ky = kappa * y[lo:hi]
         if np.any(ky >= 1.0):
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
         np.negative(ky, out=ky)
         np.log1p(ky, out=ky)
-        w += np.bincount(owner[cuts[i]:cuts[i + 1]] - s, weights=ky,
-                         minlength=e - s)
+        w += np.bincount(owner[lo:hi] - s, weights=ky, minlength=e - s)
         if w.min() < LOG_FLOOR:
             floored += int(np.count_nonzero(w < LOG_FLOOR))
             np.maximum(w, LOG_FLOOR, out=w)
