@@ -444,19 +444,21 @@ PATH_COUNTS = st.one_of(
 
 
 def _kernel_inputs(seed, n, rows, jumps_on, lam_t):
-    """Normals of shape (rows, n), or (n,) for one row, and sorted owners
-    with Beta(2, 8) sizes: Poisson(lam_t n) jumps spread uniformly over the
-    paths, none, or 1 to 30 jumps all on the first or the last path."""
+    """n normals z, or the antithetic rows [z, -z] when rows = 2, and sorted
+    owners with Beta(2, 8) sizes: Poisson(lam_t n) jumps spread uniformly
+    over the paths, none, or 1 to 30 jumps all on the first or the last
+    path."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((rows, n) if rows > 1 else n)
+    z = rng.standard_normal(n)
+    if rows == 2:
+        z = np.stack([z, -z])
     if jumps_on == "spread":
         owner = np.sort(rng.integers(0, n, size=rng.poisson(lam_t * n)))
     else:
         total = 0 if jumps_on == "none" else int(rng.integers(1, 31))
         owner = np.full(total, 0 if jumps_on == "first" else n - 1,
                         dtype=np.int64)
-    total = owner.size
-    return z, rng.beta(2.0, 8.0, size=total), owner
+    return z, rng.beta(2.0, 8.0, size=owner.size), owner
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -476,8 +478,8 @@ def _kernel_inputs(seed, n, rows, jumps_on, lam_t):
          eta=3.0, x0=1.0, horizon=0.25, wealth=False, seed=3)
 def test_blocked_kernel_is_the_unblocked_kernel_bit_for_bit(
         n, rows, jumps_on, lam_t, pi, kappa, eta, x0, horizon, wealth, seed):
-    # pi = 128 floors most paths, whose utility overflows beyond eta = 2;
-    # rows = 2 is the antithetic [z, -z] shape
+    # pi = 128 floors most paths, whose utility leaves double range beyond
+    # eta of about 2.03
     assume(pi != 128.0 or eta <= 1.0)
     z, y, owner = _kernel_inputs(seed, n, rows, jumps_on, lam_t)
     args = (pk.Policy(pi=[pi], kappa=kappa), z, y, owner, c2_model(), BETA128,
@@ -491,6 +493,23 @@ def test_blocked_kernel_is_the_unblocked_kernel_bit_for_bit(
         assert v.shape == ref_v.shape and v.tobytes() == ref_v.tobytes()
     else:
         assert v is None and ref_v is None
+
+
+def test_a_path_just_below_the_floor_is_floored_in_its_block():
+    # one path of the second block sits half a unit below LOG_FLOOR, so the
+    # block's minimum, not a far tail, decides whether it is floored
+    pol = pk.Policy(pi=[1.0], kappa=0.0)
+    m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
+    drift, var = simulate._policy_coefficients(pol, m, NOJUMPS, fric)
+    z = np.zeros(BLOCK + 3)
+    z[BLOCK + 1] = (simulate.LOG_FLOOR - 0.5 - drift) / math.sqrt(var)
+    args = (pol, z, np.empty(0), np.empty(0, dtype=np.int64), m, NOJUMPS,
+            fric, pk.Utility(0.5), pk.SimConfig())
+    u, floored, v = simulate._terminal_utilities(*args, wealth=True)
+    ref_u, ref_floored, ref_v = unblocked_utilities(*args, wealth=True)
+    assert floored == ref_floored == 1
+    assert v[BLOCK + 1] == math.exp(simulate.LOG_FLOOR)
+    assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
 def test_blocked_kernel_refuses_a_full_loss_in_the_last_block():
