@@ -5,7 +5,7 @@ do not catch: main() alone maps what they raise to an exit code and one
 stderr line,
 
     exit 1  "input error: <msg>"
-            FileNotFoundError, ValueError, ModelValidationError
+            OSError, ValueError, ModelValidationError
     exit 2  "certification failed: <msg>"
             NoSolution
     exit 2  "<command> failed: <Type>: <msg>"
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from importlib import resources
@@ -47,19 +48,15 @@ MUTUAL_FUND_TOL = 1e-5
 OVERRIDES = ("eta", "rho", "r", "R", "q", "lambda", "b", "mu")
 
 
-def _bundled_configs():
-    return resources.files("pikappa").joinpath("configs")
-
-
 def resolve_model_path(name: str) -> str:
-    """A filesystem path, or the name of a bundled reproduction config."""
-    if os.path.exists(name):
+    """A file's path (not a directory's) or a bundled config's name."""
+    if os.path.isfile(name):
         return name
     base = name if name.endswith(".json") else name + ".json"
-    cand = _bundled_configs().joinpath(base)
+    cand = resources.files("pikappa").joinpath("configs").joinpath(base)
     if cand.is_file():
         return str(cand)
-    raise FileNotFoundError(f"model file {name!r} not found (not a path or "
+    raise FileNotFoundError(f"model file {name!r} not found (not a file or "
                             f"bundled config)")
 
 
@@ -82,6 +79,8 @@ def _file_sha256(path: str) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     import tempfile                # only --out writes files
+    if os.path.isdir(path):        # else os.replace names the temp file
+        raise IsADirectoryError(f"{path!r} is a directory")
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -256,7 +255,7 @@ def cmd_simulate(args) -> None:
              f"mc_mean = {est.mean:.10g}",
              f"mc_se = {est.std_error:.4g}",
              f"closed_form = {closed:.10g}",
-             f"z = {z:.3f}",
+             f"z = {z:#.4g}",
              f"floor_fraction = {est.floor_fraction:.3g}"]
     _emit(args, "\n".join(lines), t0)
 
@@ -351,6 +350,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: exit 1, where argparse exits 2."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts -<digit> or -.<digit> is a value, as no
+        # flag does; argparse alone reads -0.5,0.3 and -1e-1 as flags
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
@@ -432,7 +437,7 @@ def main(argv=None) -> int:
         # at interpreter shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
-    except (FileNotFoundError, ValueError, ModelValidationError) as exc:
+    except (OSError, ValueError, ModelValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

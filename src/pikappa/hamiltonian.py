@@ -80,8 +80,6 @@ def friction_term(friction: FrictionSpec, model: MarketModel, jumps: JumpLaw,
 def eval_objective(policy: Policy, model: MarketModel, jumps: JumpLaw,
                    friction: FrictionSpec, utility: Utility) -> ObjectiveEval:
     """Evaluate f + H, the gradient of H in pi and its kappa derivative."""
-    if not (0.0 <= policy.kappa <= 1.0):
-        raise DomainError(f"kappa={policy.kappa} outside [0, 1]")
     eta = utility.eta
     pi = policy.pi
     kappa = policy.kappa
@@ -172,7 +170,6 @@ class Certificate:
     residual: float
     in_domain: bool
     passes: bool
-    tol: float
     mode: str = "conjugate"
 
 
@@ -209,8 +206,7 @@ def _certify_foc(policy: Policy, model: MarketModel, jumps: JumpLaw,
     in_domain = soc_lhs < soc_rhs
     return Certificate(conjugate_value=math.nan, direct_value=math.nan,
                        residual=residual, in_domain=in_domain,
-                       passes=in_domain and residual <= tol, tol=tol,
-                       mode="foc")
+                       passes=in_domain and residual <= tol, mode="foc")
 
 
 def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
@@ -243,8 +239,7 @@ def certify(policy: Policy, model: MarketModel, jumps: JumpLaw,
                 abs(kappa_gamma))
     return Certificate(conjugate_value=conj, direct_value=direct,
                        residual=residual, in_domain=in_dom,
-                       passes=in_dom and abs(residual) <= tol * scale,
-                       tol=tol)
+                       passes=in_dom and abs(residual) <= tol * scale)
 
 
 # ---------------------------------------------------------------------------

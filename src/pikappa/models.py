@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class MarketModel:
         if self.d != 1:
             raise ValueError("single-asset view requested for d > 1 model")
         return float(self.mu[0]), float(self.sigma[0, 0]), float(self.rho[0])
-
-    def replace(self, **kw) -> "MarketModel":
-        base = dict(mu=self.mu, sigma=self.sigma, r=self.r, R=self.R,
-                    rho=self.rho, b=self.b)
-        base.update(kw)
-        return MarketModel(**base)
 
 
 @dataclass(frozen=True)
@@ -218,39 +212,46 @@ class Policy:
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
-    passed: bool
     detail: str = ""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+    """The failed checks in check order; none when the inputs are valid."""
+    failed: tuple[ValidationCheck, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failed
 
     def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed]
+        return list(self.failed)
 
 
-def _premium_checks(premium: PowerPremium, out: list[ValidationCheck]) -> None:
-    out.append(ValidationCheck("premium.q >= 0", premium.q >= 0.0,
-                               f"q={premium.q}"))
-    out.append(ValidationCheck("premium.delta >= 1", premium.delta >= 1.0,
-                               f"delta={premium.delta}"))
+def _premium_checks(premium: PowerPremium) -> list[ValidationCheck]:
+    failed = []
+    if not (premium.q >= 0.0):
+        failed.append(ValidationCheck("premium.q >= 0", f"q={premium.q}"))
+    if not (premium.delta >= 1.0):
+        failed.append(ValidationCheck("premium.delta >= 1",
+                                      f"delta={premium.delta}"))
+    return failed
 
 
 def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                    utility: Utility) -> ValidationReport:
     """Deterministic, side-effect-free invariant checks.
 
-    Returns a pass/fail report per invariant; solvers refuse inputs whose
-    report is not ok.
+    Returns the failed invariants, each detail formatted only on failure;
+    solvers refuse inputs whose report is not ok. A check reads
+    `if not (holds)`, so that a NaN fails it.
     """
-    checks: list[ValidationCheck] = []
-    d = model.d
+    failed: list[ValidationCheck] = []
 
+    def fail(name: str, detail: str = "") -> None:
+        failed.append(ValidationCheck(name, detail))
+
+    d = model.d
     law = jumps.law
     premium = getattr(friction, "premium", None)
     numbers = [model.mu, model.sigma, model.r, model.R, model.rho, model.b,
@@ -263,83 +264,83 @@ def validate_model(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
                                                "A") if hasattr(friction, k)]
     # one reduction per array field; math.isfinite refuses arrays, even of
     # one entry, so dispatch on the type
-    checks.append(ValidationCheck(
-        "numeric fields finite",
-        all(bool(np.isfinite(v).all()) if isinstance(v, np.ndarray)
-            else math.isfinite(v) for v in numbers)))
+    if not all(bool(np.isfinite(v).all()) if isinstance(v, np.ndarray)
+               else math.isfinite(v) for v in numbers):
+        fail("numeric fields finite")
 
-    checks.append(ValidationCheck("sigma.shape", model.sigma.shape == (d, d),
-                                  f"expected {(d, d)}, got {model.sigma.shape}"))
     cond = np.inf
-    if model.sigma.shape == (d, d):
+    if model.sigma.shape != (d, d):
+        fail("sigma.shape", f"expected {(d, d)}, got {model.sigma.shape}")
+    else:
         try:
             cond = float(np.linalg.cond(model.sigma))
         except np.linalg.LinAlgError:
-            cond = np.inf
-    checks.append(ValidationCheck(
-        "sigma invertible", np.isfinite(cond) and cond <= SIGMA_COND_BOUND,
-        f"cond={cond:.3g} bound={SIGMA_COND_BOUND:.3g}"))
-    checks.append(ValidationCheck("R >= r", model.R >= model.r,
-                                  f"r={model.r} R={model.R}"))
-    checks.append(ValidationCheck("rho components in [-1,1]",
-                                  bool(np.all(np.abs(model.rho) <= 1.0 + 1e-15)),
-                                  f"rho={model.rho.tolist()}"))
+            pass
+    if not (cond <= SIGMA_COND_BOUND):
+        fail("sigma invertible",
+             f"cond={cond:.3g} bound={SIGMA_COND_BOUND:.3g}")
+    if not (model.R >= model.r):
+        fail("R >= r", f"r={model.r} R={model.R}")
+    if not np.all(np.abs(model.rho) <= 1.0 + 1e-15):
+        fail("rho components in [-1,1]", f"rho={model.rho.tolist()}")
     rho_norm = float(np.linalg.norm(model.rho))
-    checks.append(ValidationCheck("|rho|_2 <= 1", rho_norm <= 1.0 + 1e-12,
-                                  f"|rho|={rho_norm:.6g}"))
-    checks.append(ValidationCheck("rho length", model.rho.shape == (d,),
-                                  f"got {model.rho.shape}"))
-    checks.append(ValidationCheck("b >= 0", model.b >= 0.0, f"b={model.b}"))
+    if not (rho_norm <= 1.0 + 1e-12):
+        fail("|rho|_2 <= 1", f"|rho|={rho_norm:.6g}")
+    if model.rho.shape != (d,):
+        fail("rho length", f"got {model.rho.shape}")
+    if not (model.b >= 0.0):
+        fail("b >= 0", f"b={model.b}")
 
-    checks.append(ValidationCheck("lambda >= 0", jumps.lam >= 0.0,
-                                  f"lambda={jumps.lam}"))
+    if not (jumps.lam >= 0.0):
+        fail("lambda >= 0", f"lambda={jumps.lam}")
     if isinstance(law, BetaJumps):
-        checks.append(ValidationCheck("Beta(alpha,beta) parameters positive",
-                                      law.alpha > 0 and law.beta > 0,
-                                      f"alpha={law.alpha} beta={law.beta}"))
+        if not (law.alpha > 0 and law.beta > 0):
+            fail("Beta(alpha,beta) parameters positive",
+                 f"alpha={law.alpha} beta={law.beta}")
     else:
         pts, w = law.points, law.weights
-        checks.append(ValidationCheck("discrete support inside (0,1)",
-                                      bool(np.all((pts > 0) & (pts < 1))),
-                                      f"points={pts.tolist()}"))
-        checks.append(ValidationCheck("discrete weights >= 0",
-                                      bool(np.all(w >= 0)), f"weights={w.tolist()}"))
-        checks.append(ValidationCheck("discrete weights sum to 1",
-                                      abs(float(w.sum()) - 1.0) <= 1e-12,
-                                      f"sum={float(w.sum())!r}"))
+        if not np.all((pts > 0) & (pts < 1)):
+            fail("discrete support inside (0,1)", f"points={pts.tolist()}")
+        if not np.all(w >= 0):
+            fail("discrete weights >= 0", f"weights={w.tolist()}")
+        total = float(w.sum())
+        if not (abs(total - 1.0) <= 1e-12):
+            fail("discrete weights sum to 1", f"sum={total!r}")
 
-    checks.append(ValidationCheck("eta > 0", utility.eta > 0.0,
-                                  f"eta={utility.eta}"))
+    if not (utility.eta > 0.0):
+        fail("eta > 0", f"eta={utility.eta}")
 
     if isinstance(friction, (Frictionless, SmoothG, DifferentialRates, LargeInvestor)):
         if friction.premium is None:
-            checks.append(ValidationCheck(
-                "premium schedule given", False,
-                f"{type(friction).__name__} needs one"))
+            fail("premium schedule given",
+                 f"{type(friction).__name__} needs one")
         else:
-            _premium_checks(friction.premium, checks)
+            failed += _premium_checks(friction.premium)
     if isinstance(friction, SmoothG):
-        checks.append(ValidationCheck("smooth-g requires d=1", d == 1))
-        checks.append(ValidationCheck("smooth-g c > 0", friction.c > 0.0,
-                                      f"c={friction.c}"))
+        if d != 1:
+            fail("smooth-g requires d=1")
+        if not (friction.c > 0.0):
+            fail("smooth-g c > 0", f"c={friction.c}")
     if isinstance(friction, LargeInvestor):
-        checks.append(ValidationCheck("large-investor requires d=1", d == 1))
-        checks.append(ValidationCheck("m_plus <= m_minus",
-                                      friction.m_plus <= friction.m_minus,
-                                      f"m+={friction.m_plus} m-={friction.m_minus}"))
+        if d != 1:
+            fail("large-investor requires d=1")
+        if not (friction.m_plus <= friction.m_minus):
+            fail("m_plus <= m_minus",
+                 f"m+={friction.m_plus} m-={friction.m_minus}")
     if isinstance(friction, PortfolioPremium):
-        checks.append(ValidationCheck("portfolio-premium requires d=1", d == 1))
-        checks.append(ValidationCheck("portfolio-premium C >= 0",
-                                      friction.C >= 0.0, f"C={friction.C}"))
-        checks.append(ValidationCheck("portfolio-premium A > 0",
-                                      friction.A > 0.0, f"A={friction.A}"))
+        if d != 1:
+            fail("portfolio-premium requires d=1")
+        if not (friction.C >= 0.0):
+            fail("portfolio-premium C >= 0", f"C={friction.C}")
+        if not (friction.A > 0.0):
+            fail("portfolio-premium A > 0", f"A={friction.A}")
         # with C >= 0 and A > 0, q(pi) >= q(0) = lambda E[Y]: q > 0 on every
         # pi exactly when the fair part is
         fair = jumps.lam * law_mean(law)
-        checks.append(ValidationCheck("portfolio-premium lambda E[Y] > 0",
-                                      fair > 0.0, f"lambda E[Y]={fair!r}"))
+        if not (fair > 0.0):
+            fail("portfolio-premium lambda E[Y] > 0", f"lambda E[Y]={fair!r}")
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(failed))
 
 
 def require_valid(model: MarketModel, jumps: JumpLaw, friction: FrictionSpec,
@@ -431,7 +432,6 @@ class ModelInputs:
     jumps: JumpLaw
     friction: FrictionSpec
     utility: Utility
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _reject_non_finite(node, where: str) -> None:
@@ -472,13 +472,11 @@ def parse_model_dict(doc: dict) -> ModelInputs:
     if isinstance(friction, PortfolioPremium):
         # the friction has no use for the file's premium, which must still
         # lie in the documented domain
-        checks: list[ValidationCheck] = []
-        _premium_checks(premium, checks)
-        report = ValidationReport(tuple(checks))
-        if not report.ok:
-            raise ModelValidationError(report)
+        failed = _premium_checks(premium)
+        if failed:
+            raise ModelValidationError(ValidationReport(tuple(failed)))
     return ModelInputs(model=model, jumps=jumps, friction=friction,
-                       utility=utility, raw=doc)
+                       utility=utility)
 
 
 def load_model_file(path) -> ModelInputs:

@@ -260,9 +260,9 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
             if norm == 0.0:
                 raise ValueError("cannot scale a zero rho vector")
             rho = base * (float(v) / norm)
-        return model.replace(rho=rho), jumps, friction, utility
+        return dc_replace(model, rho=rho), jumps, friction, utility
     if parameter in ("R", "r", "b"):
-        return model.replace(**{parameter: float(v)}), jumps, friction, utility
+        return dc_replace(model, **{parameter: float(v)}), jumps, friction, utility
     if parameter == "lambda":
         return model, JumpLaw(lam=float(v), law=jumps.law), friction, utility
     if parameter == "q":
@@ -279,7 +279,7 @@ def _apply_param(parameter: str, v: float, model: MarketModel, jumps: JumpLaw,
             raise ValueError("mu2 needs a two-asset model; use mu or mu1")
         mu = np.array(model.mu, copy=True)
         mu[idx] = float(v)
-        return model.replace(mu=mu), jumps, friction, utility
+        return dc_replace(model, mu=mu), jumps, friction, utility
     raise ValueError(f"unknown parameter {parameter!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def _eta_threshold_table(config: str) -> str:
     buf = io.StringIO()
     buf.write("R,eta_R\n")
     for R in (0.10, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.035, 0.031):
-        eta_R, _ = solvers.threshold_etas(inputs.model.replace(R=R),
+        eta_R, _ = solvers.threshold_etas(replace(inputs.model, R=R),
                                           inputs.jumps, prem)
         buf.write(f"{R:.12g},{eta_R:.12g}\n")
     return buf.getvalue()

@@ -59,7 +59,6 @@ class SimConfig:
 class SimEstimate:
     mean: float
     std_error: float
-    n_paths: int
     floor_fraction: float
 
 
@@ -193,9 +192,22 @@ def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
             np.exp(w, out=v[..., s:e])
         if eta != 1.0:
             w *= 1.0 - eta
-            np.exp(w, out=w)
+            # a floored path at eta above about 2.03 overflows to -inf
+            # utility, which _finite_mean refuses
+            with np.errstate(over="ignore"):
+                np.exp(w, out=w)
             w /= 1.0 - eta
     return u, floored, v
+
+
+def _finite_mean(x: np.ndarray) -> float:
+    """The mean of x; a non-finite one (or a sum that overflows) raises."""
+    with np.errstate(over="ignore"):
+        mean = float(x.mean())
+    if not math.isfinite(mean):
+        raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is {mean}: "
+                          f"the utilities leave double range")
+    return mean
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -205,11 +217,8 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     squares is one dot product. Where that overflows though every sample
     is finite, the centred sample is scaled by its largest magnitude and
     the sum taken again, so a finite sample gives a finite standard error.
-    A non-finite mean is a DomainError."""
-    mean = float(x.mean())
-    if not math.isfinite(mean):
-        raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is {mean}: "
-                          f"the utilities leave double range")
+    A non-finite mean is a DomainError (_finite_mean)."""
+    mean = _finite_mean(x)
     x -= mean
     scale = 1.0
     with np.errstate(over="ignore"):     # an overflow is rescaled below
@@ -231,18 +240,16 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     generator, fixed reduction order). The stream holds n normals, one
     Poisson(n lam T) total jump count, the jumps' owners drawn uniformly on
     the paths, and the jump sizes; by Poisson superposition this is the
-    exact law of n independent compound Poisson paths. Earlier releases
-    drew one Poisson count per path, and then drew from Philox, so a seed
-    now gives other bits than it gave there; the law is the same.
-    One sampler serves this and compare_policies, so on the same config,
-    plain or antithetic, the mean here equals compare_policies' mean_a bit
-    for bit. One config and law are drawn once and shared: the normals and
-    jumps of the last draw stay in memory until the next draw, about
-    8 n (1 + 2 lam T) bytes for n paths (16 MB at 1e6 paths and
-    lam T = 0.5), as with per-path counts. The utilities take one n-float
-    output plus O(BLOCK) temporaries, worked in log space a block of paths
-    at a time (see _terminal_utilities), and the standard error is a
-    centred dot product in that output (see _mean_se).
+    exact law of n independent compound Poisson paths. One sampler serves
+    this and compare_policies, so on the same config, plain or antithetic,
+    the mean here equals compare_policies' mean_a bit for bit. One config
+    and law are drawn once and shared: the normals and jumps of the last
+    draw stay in memory until the next draw, about 8 n (1 + 2 lam T) bytes
+    for n paths (16 MB at 1e6 paths and lam T = 0.5). The utilities take
+    one n-float output plus O(BLOCK) temporaries, worked in log space a
+    block of paths at a time (see _terminal_utilities), and the standard
+    error is a centred dot product in that output (see _mean_se); a mean
+    out of double range is a DomainError.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
@@ -266,8 +273,7 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
                          f"{ui:.12g}\n")
 
     mean, se = _mean_se(_samples(u, config))
-    return SimEstimate(mean=mean, std_error=se, n_paths=config.n_paths,
-                       floor_fraction=floored / config.n_paths)
+    return SimEstimate(mean, se, floored / config.n_paths)
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,9 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     ua, ub = (_samples(_terminal_utilities(p, z, y, owner, model, jumps,
                                            friction, utility, config)[0],
                        config) for p in (policy_a, policy_b))
-    mean_a, mean_b = float(ua.mean()), float(ub.mean())
+    # refuse a non-finite mean before the difference, which could be
+    # inf - inf
+    mean_a, mean_b = _finite_mean(ua), _finite_mean(ub)
     ua -= ub
     dm, dse = _mean_se(ua)
     if dm > 3.0 * dse:

@@ -13,10 +13,10 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -32,7 +32,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 
 def line_chart(x: list[float], series: dict[str, list[float]],
-               x_label: str = "", title: str = "") -> str:
+               x_label: str = "") -> str:
     """SVG polyline chart of one or more y-series against x.
 
     None/NaN entries break the polyline.
@@ -58,8 +58,6 @@ def line_chart(x: list[float], series: dict[str, list[float]],
              f'height="{_H}" font-family="sans-serif" font-size="12">',
              f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
              f'fill="none" stroke="#333"/>']
-    if title:
-        parts.append(f'<text x="{_ML}" y="15" font-size="14">{title}</text>')
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
         parts.append(f'<line x1="{px:.2f}" y1="{_MT + ph}" x2="{px:.2f}" '

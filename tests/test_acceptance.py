@@ -12,6 +12,7 @@ decisions ledger and the failing asserts are kept as stated:
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_c03_eta_R_borrowing_rate_table():
     targets = [0.71, 0.95, 1.18, 1.42, 1.65, 1.89, 2.12, 2.24, 2.33]
     got = []
     for R in Rs:
-        eta_R, _ = pk.threshold_etas(A2.replace(R=R), J_A, Q_A2)
+        eta_R, _ = pk.threshold_etas(replace(A2, R=R), J_A, Q_A2)
         got.append(eta_R)
     dt = time.time() - t0
     errs = [abs(g - t) for g, t in zip(got, targets)]

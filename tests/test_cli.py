@@ -158,6 +158,60 @@ class TestSolve:
         assert capsys.readouterr().out.startswith("usage: pikappa solve")
 
 
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--model", "a1", "--pi", "-0.5,0.3", "--paths", "1000"],
+     "--pi"),
+    (["sweep", "--model", "b1", "--param", "rho", "--from", "-1e-1", "--to",
+      "0.5", "--steps", "2"], "--from"),
+    (["solve", "--model", "b1", "--r", "-1e300"], "--r"),
+], ids=["simulate", "sweep", "solve"])
+def test_negative_value_after_a_space_reads_as_with_equals(argv, flag,
+                                                           tmp_path, capsys):
+    # argparse alone takes only -1 and -0.5 for values, and would read
+    # -0.5,0.3, -1e-1 and -1e300 as flags
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    results = []
+    for k, args in enumerate((argv, joined)):
+        out = tmp_path / f"{k}.csv"
+        extra = ["--out", str(out)] if args[0] == "sweep" else []
+        code, text, err = run(args + extra, capsys)
+        assert (code, err) == (0, "")
+        results.append(out.read_text() if extra else text)
+    assert results[0] == results[1]
+
+
+class TestBadPath:
+    def test_directory_as_model_is_an_input_error(self, tmp_path, capsys):
+        code, out, err = run(["solve", "--model", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"input error: model file {str(tmp_path)!r} not found "
+                       f"(not a file or bundled config)\n")
+
+    def test_directory_named_like_a_config_does_not_shadow_it(
+            self, tmp_path, monkeypatch, capsys):
+        bundled = run(["solve", "--model", "b1"], capsys)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b1").mkdir()
+        assert run(["solve", "--model", "b1"], capsys) == bundled
+        assert bundled[0] == 0
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "rho", "--from", "0", "--to", "0.5", "--steps",
+         "2"],
+        ["solve"]])
+    def test_directory_as_out_is_an_input_error(self, command, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        code, out, err = run([*command, "--model", "b1", "--out", "outdir"],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == "input error: 'outdir' is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+        assert not any((tmp_path / "outdir").iterdir())
+
 class TestSweep:
     def test_zero_steps_exit_1(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--model", "c1", "--param", "rho",
@@ -320,7 +374,7 @@ class TestMonteCarloVsClosedForm:
     def test_verify_fails_a_zero_se_mismatch(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.simulate, "simulate_terminal_utility",
                             lambda *args, **kwargs: cli.simulate.SimEstimate(
-                                mean=-0.4, std_error=0.0, n_paths=2,
+                                mean=-0.4, std_error=0.0,
                                 floor_fraction=0.0))
         code, out, err = run(["verify", "--model", "c2", "--mc-paths", "2"],
                              capsys)
@@ -548,6 +602,15 @@ class TestSimulateCmd:
         assert code == 0
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         assert abs(float(fields["z"])) <= 3.5
+
+    def test_z_far_off_the_closed_form_stays_short(self, capsys):
+        # mc_mean -1.1e88 against closed_form -9.5e184 at SE 1.1e88: z is
+        # about 9.1e96, printed in four significant digits
+        code, out, _ = run(["simulate", "--model", "c2", "--pi", "40",
+                            "--paths", "2000", "--eta", "3"], capsys)
+        assert code == 0
+        fields = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert fields["z"] == "9.051e+96"
 
 
 class TestPortfolioPremiumLambda:

@@ -5,6 +5,8 @@ deviation by the step tolerance of the root that produced the numbers
 premium's pi), carried to pi and the shadow value through their slopes in
 kappa, and checks the case labels that the identity maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,7 +94,7 @@ def _assert_same_solve(rep, ref, dpi, order=slice(None)):
 @given(inputs=d1_inputs(), premium=premia, eta=etas)
 def test_diff_rates_at_equal_rates_is_frictionless(inputs, premium, eta):
     model, jumps = inputs
-    model = model.replace(R=model.r)
+    model = replace(model, R=model.r)
     util = pk.Utility(eta)
     rates = pk.solve(model, jumps, pk.DifferentialRates(premium), util)
     ref = pk.solve(model, jumps, pk.Frictionless(premium), util)
@@ -139,8 +141,8 @@ def test_diff_rates_is_unchanged_by_a_common_rate_shift(inputs, premium, eta,
     model, jumps = inputs
     util, friction = pk.Utility(eta), pk.DifferentialRates(premium)
     ref = pk.solve(model, jumps, friction, util)
-    moved = model.replace(mu=model.mu + shift, r=model.r + shift,
-                          R=model.R + shift)
+    moved = replace(model, mu=model.mu + shift, r=model.r + shift,
+                    R=model.R + shift)
     rep = pk.solve(moved, jumps, friction, util)
     assert rep.case_label == ref.case_label
     dpi, dxi = _kappa_slopes(model, jumps, premium, eta)
@@ -157,7 +159,7 @@ def test_swapping_two_assets_permutes_pi(inputs, premium, eta):
     model, jumps = inputs
     util, friction = pk.Utility(eta), pk.DifferentialRates(premium)
     ref = pk.solve(model, jumps, friction, util)
-    swapped = model.replace(mu=model.mu[::-1], sigma=model.sigma[::-1])
+    swapped = replace(model, mu=model.mu[::-1], sigma=model.sigma[::-1])
     rep = pk.solve(swapped, jumps, friction, util)
     assert rep.case_label == ref.case_label
     dpi, dxi = _kappa_slopes(model, jumps, premium, eta)

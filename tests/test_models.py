@@ -12,7 +12,7 @@ CONFIG_DIR = Path(pk.__file__).parent / "configs"
 CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 
-def base_inputs(**overrides):
+def base_doc(**overrides):
     doc = {
         "d": 2,
         "mu": [0.08, 0.10],
@@ -26,7 +26,11 @@ def base_inputs(**overrides):
         "eta": 3.0,
     }
     doc.update(overrides)
-    return pk.parse_model_dict(doc)
+    return doc
+
+
+def base_inputs(**overrides):
+    return pk.parse_model_dict(base_doc(**overrides))
 
 
 NUMERIC_FIELDS = ("mu", "sigma", "r", "R", "rho", "b", "lam", "eta", "alpha",
@@ -194,7 +198,7 @@ class TestValidation:
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
-        doc = base_inputs().raw
+        doc = base_doc()
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         inp = pk.load_model_file(path)

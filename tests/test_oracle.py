@@ -311,7 +311,8 @@ class TestSweep:
         assert not any(p.error for p in res)
         res_q = pk.sweep("q", [0.1, 0.3], m, BETA128, fric, pk.Utility(4.0))
         assert not any(p.error for p in res_q)
-        direct = pk.solve(m.replace(b=0.5), BETA128, fric, pk.Utility(4.0))
+        direct = pk.solve(dataclasses.replace(m, b=0.5), BETA128, fric,
+                          pk.Utility(4.0))
         assert res[1].report.policy.kappa == direct.policy.kappa
         direct = pk.solve(m, BETA128, pk.DifferentialRates(
             premium=pk.PowerPremium(q=0.3, delta=2.0)), pk.Utility(4.0))

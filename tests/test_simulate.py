@@ -313,6 +313,29 @@ def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
             pk.compare_policies(first, second, m, jumps, fric, u, cfg)
 
 
+
+@pytest.mark.parametrize("eta", [3.0, 2.02])
+def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
+        eta):
+    # at pi = 128 most of the 2,000 paths floor at WEALTH_FLOOR: at eta = 3
+    # each floored utility overflows to -inf, at eta = 2.02 each is finite
+    # and their sum overflows. Both estimators raise a DomainError, not
+    # numpy's overflow warning, and the comparison refuses a mean before it
+    # forms the difference (inf - inf where both policies floor).
+    m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
+    u = pk.Utility(eta)
+    floored = pk.Policy(pi=[128.0], kappa=0.0)
+    msg = "the Monte Carlo mean of U_eta"
+    for cfg in (pk.SimConfig(n_paths=2_000, seed=1),
+                pk.SimConfig(n_paths=2_000, seed=1, antithetic=True)):
+        with pytest.raises(pk.DomainError, match=msg):
+            pk.simulate_terminal_utility(floored, m, BETA128, fric, u, cfg)
+        for other in (pk.Policy(pi=[120.0], kappa=0.0),
+                      pk.Policy(pi=[1.0], kappa=0.0)):
+            for a, b in ((floored, other), (other, floored)):
+                with pytest.raises(pk.DomainError, match=msg):
+                    pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
+
 def test_sample_jumps_stream_bit_identical():
     assert pk.sample_jumps(PIN_LAWS["beta"], 5, seed=3).tolist() == [
         0.21773038416564333, 0.1363117239915391, 0.07318866474572293,

@@ -1,6 +1,8 @@
 """Regime-solver tests: paper parameter sets, hand-solved degenerate cases,
 corner detection, comparative statics and the mutual-fund combination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,7 +151,7 @@ class TestThresholds:
         assert eta_R < eta_r
         prev = eta_R
         for R in (0.08, 0.06, 0.04):
-            e_R, e_r = pk.threshold_etas(m.replace(R=R), BETA28_025, Q08)
+            e_R, e_r = pk.threshold_etas(replace(m, R=R), BETA28_025, Q08)
             assert e_R > prev
             assert e_R < e_r
             prev = e_R
@@ -172,7 +174,7 @@ class TestThresholds:
 
         monkeypatch.setattr(solvers, "bisect", counting_bisect)
         inputs = load_model_file(resolve_model_path("table-etaR"))
-        pk.threshold_etas(inputs.model.replace(R=0.06), inputs.jumps,
+        pk.threshold_etas(replace(inputs.model, R=0.06), inputs.jumps,
                           inputs.friction.premium)
         assert len(calls) == 2
 
@@ -465,7 +467,7 @@ def test_solve_refuses_a_non_friction():
 def test_frictionless_model_validated_as_given():
     # R < r fails validation whatever the friction; the frictionless
     # market has no use for R, but the model it is given must be valid
-    bad = c_model(0.16, 0.4, 0.3).replace(R=0.01)
+    bad = replace(c_model(0.16, 0.4, 0.3), R=0.01)
     with pytest.raises(pk.ModelValidationError, match="R >= r"):
         pk.solve(bad, BETA128_015, pk.Frictionless(Q02), pk.Utility(4.0))
 
