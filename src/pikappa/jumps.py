@@ -393,8 +393,10 @@ def _power_moment(law, m: int, eta: float, shift: float, kappa: float,
     is a float, or for a discrete law a float or an array."""
     s = eta + shift
     if isinstance(law, DiscreteJumps):
-        return _discrete_sum(law, kappa,
-                             lambda w, y, z: w * y ** m / z ** s) / div
+        # a term beyond double range (z ** s underflows at large s) is +inf
+        with np.errstate(divide="ignore", over="ignore"):
+            return _discrete_sum(law, kappa,
+                                 lambda w, y, z: w * y ** m / z ** s) / div
     a, b = law.alpha, law.beta
     if kappa == 1.0:
         if s >= b:

@@ -8,6 +8,7 @@ closed-form-vs-MC comparison is a sharp test.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
 LOG_FLOOR = math.log(WEALTH_FLOOR)
-BLOCK = 32_768          # paths per step of the utility kernel: 256 KiB a row
+BLOCK = 32_768          # paths per block of the draw and of every estimate
 
 
 @dataclass(frozen=True)
@@ -74,25 +75,32 @@ def _policy_coefficients(policy: Policy, model: MarketModel, jumps: JumpLaw,
     return drift, max(var_rate, 0.0)
 
 
-# The last draw, (key, jumps, z, y, owner), kept so that calls on the same
-# config and law share one set of random numbers; () before the first. Not
-# None: perfbench's Tracer.unwrapped() takes every module-level None for an
+# The last draw, (key, jumps, draw), kept so that calls on the same config
+# and law share one set of random numbers; () before the first. Not None:
+# perfbench's Tracer.unwrapped() takes every module-level None for an
 # unwrapped layer function.
 _last_draw = ()
 
 
-def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
-    """The n paths' standard normals z, then the pooled jump sizes y and the
-    path each belongs to (sorted), from the stream of config.seed
-    (jumps._generator: numpy's Generator on SFC64).
+def _common_draws(jumps: JumpLaw, config: SimConfig):
+    """The draw (z, y, owner, cuts) of config's paths: n = n_paths paths, or
+    in antithetic mode n = n_paths / 2, whose normals z run as z and -z over
+    the same jumps. Block b holds the paths from b BLOCK to
+    min((b + 1) BLOCK, n); its jump sizes are y[cuts[b]:cuts[b + 1]], and
+    owner[cuts[b]:cuts[b + 1]] gives the path of each as an offset in the
+    block, in no order.
 
-    The stream is drawn in this order: z = standard_normal(n); one total
-    jump count N ~ Poisson(n lam T), or 0 when lam = 0; the N owners,
-    uniform on the n paths, then sorted; the N jump sizes. This is exact:
-    n independent Poisson(lam T) counts have the law of one Poisson(n lam T)
-    total whose points fall on paths chosen uniformly and independently
-    (superposition and conditional uniformity of a Poisson process). Sorted
-    owners give each block of _terminal_utilities its jumps as one run.
+    The stream of config.seed (jumps._generator: numpy's Generator on
+    SFC64) is drawn in this order: z = standard_normal(n); one
+    Poisson(lam T m_b) count for each block of m_b paths, in one call; the
+    owners of the whole blocks, uniform on [0, BLOCK) in one call, then
+    those of a ragged last block, uniform on its paths; the jump sizes,
+    block after block. This is exact: a block's m_b independent
+    Poisson(lam T) counts have the law of one Poisson(lam T m_b) total
+    whose points fall on its paths uniformly and independently
+    (superposition and conditional uniformity of a Poisson process). BLOCK
+    is part of the stream's definition: another block size gives other
+    bits from the same seed.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the law,
@@ -100,134 +108,165 @@ def _common_draws(jumps: JumpLaw, n: int, config: SimConfig):
     and replaced in one assignment, so concurrent callers stay correct.
     """
     global _last_draw
+    n = config.n_paths // 2 if config.antithetic else config.n_paths
     key = (config.seed, n, config.horizon)
     last = _last_draw
     if last and last[0] == key and last[1] is jumps:
-        return last[2:]
+        return last[2]
     _last_draw = ()
     rng = _generator(config.seed)
     z = rng.standard_normal(n)
-    total = int(rng.poisson(jumps.lam * config.horizon * n)) \
-        if jumps.lam > 0.0 else 0
-    owner = rng.integers(0, n, size=total)
-    owner.sort()
-    y = _draw_y(rng, jumps.law, total)
-    for a in (z, y, owner):
+    whole, rest = divmod(n, BLOCK)
+    sizes = np.array([BLOCK] * whole + [rest] * (rest > 0), dtype=float)
+    cuts = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(rng.poisson(jumps.lam * config.horizon * sizes), out=cuts[1:])
+    owner = rng.integers(0, BLOCK, size=cuts[whole], dtype=np.int32)
+    if rest:
+        owner = np.concatenate([owner, rng.integers(
+            0, rest, size=cuts[-1] - cuts[whole], dtype=np.int32)])
+    y = _draw_y(rng, jumps.law, int(cuts[-1]))
+    draw = (z, y, owner, cuts)
+    for a in draw:
         a.setflags(write=False)
-    _last_draw = (key, jumps, z, y, owner)
-    return z, y, owner
+    _last_draw = (key, jumps, draw)
+    return draw
 
 
-def _paths(jumps: JumpLaw, config: SimConfig):
-    """(z, y, owner) of config's paths: _common_draws for n_paths paths, or
-    in antithetic mode for n_paths / 2 paths, whose normals z become the
-    two rows [z, -z] over the same jumps."""
-    n = config.n_paths // 2 if config.antithetic else config.n_paths
-    z, y, owner = _common_draws(jumps, n, config)
-    return (np.stack([z, -z]) if config.antithetic else z), y, owner
+def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
+                        jumps: JumpLaw, friction: FrictionSpec,
+                        utility: Utility, config: SimConfig,
+                        wealth: bool = False):
+    """U_eta(V_T) on the paths of draw (_common_draws), a block at a time:
+    yields each block's utilities, the number of its floored paths, and its
+    floored V_T when wealth is set (else None). Both arrays are (rows, m)
+    views of buffers that the next block overwrites; rows is 2 in
+    antithetic mode (the paths z, then -z) and 1 else. A sampled jump that
+    would take all the wealth is refused.
 
-
-def _samples(x: np.ndarray, config: SimConfig) -> np.ndarray:
-    """The independent samples of a per-path quantity on _paths' draw: the
-    pair means of the rows [z, -z] in antithetic mode, else x itself.
-
-    The pair means are formed in x's own buffer, as 0.5 x[0] + 0.5 x[1]:
-    halving is exact, so these are the bits of 0.5 (x[0] + x[1]), and a
-    pair of finite values never overflows to inf."""
-    if not config.antithetic:
-        return x
-    x *= 0.5
-    return np.add(x[0], x[1], out=x[0])
-
-
-def _terminal_utilities(policy: Policy, z: np.ndarray, y: np.ndarray,
-                        owner: np.ndarray, model: MarketModel, jumps: JumpLaw,
-                        friction: FrictionSpec, utility: Utility,
-                        config: SimConfig, wealth: bool = False):
-    """U_eta(V_T) on each path, the number of floored paths, and the floored
-    V_T when wealth is set (else None).
-
-    z holds the paths' standard normals, shape (..., n); y the pooled jump
-    sizes and owner the path of each, sorted, so every row of z shares the
-    jumps. A sampled jump that would take all the wealth is refused.
-
-    The work stays in log space, in one n-float output, BLOCK paths at a
-    time so that each block's steps run on a slice that stays in cache: log
-    wealth w = ((log x0 + drift T) + sd z) + jump log, the block's jump log
-    one bincount over its own run of the sorted owners; w floored at
-    LOG_FLOOR, then mapped in place to exp((1 - eta) w) / (1 - eta); at
-    eta = 1 the floored w is the utility. That is one exp a path, within
-    4 eps (1 + |(1 - eta) w|) relative of
+    The work stays in log space: log wealth w = ((log x0 + drift T) +
+    sd z) + jump log, the block's jump log one bincount over its owners; w
+    floored at LOG_FLOOR, then mapped in place to exp((1 - eta) w) /
+    (1 - eta); at eta = 1 the floored w is the utility. That is one exp a
+    path, within 4 eps (1 + |(1 - eta) w|) relative of
     max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta). Each path gets the
     same operations in the same order as in one pass over all n, so the
     blocks do not move a bit. V_T = exp(w) is formed only when wealth asks
-    for it. Beyond the output (and V_T), the temporaries are O(BLOCK).
+    for it. Memory is O(BLOCK).
     """
+    z, y, owner, cuts = draw
     drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
     sd = np.sqrt(var_rate * config.horizon)
     c = np.log(config.x0) + drift * config.horizon
     kappa, eta = policy.kappa, utility.eta
-    n = z.shape[-1]
-    u = np.empty(z.shape)
-    v = np.empty(z.shape) if wealth else None
-    # the jumps of the block from path s are lo:hi, owner being sorted
-    cuts = np.searchsorted(owner, range(0, n + BLOCK, BLOCK)).tolist()
-    floored = 0
+    n = z.size
+    u = np.empty((2 if config.antithetic else 1, min(n, BLOCK)))
+    v = np.empty_like(u) if wealth else None
+    cuts = cuts.tolist()
     for s, lo, hi in zip(range(0, n, BLOCK), cuts, cuts[1:]):
-        e = min(s + BLOCK, n)
-        w = u[..., s:e]
-        np.multiply(z[..., s:e], sd, out=w)
+        m = min(BLOCK, n - s)
+        w = u[:, :m]
+        np.multiply(z[s:s + m], sd, out=w[0])
+        if config.antithetic:
+            np.negative(w[0], out=w[1])
         w += c
         ky = kappa * y[lo:hi]
         if np.any(ky >= 1.0):
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
         np.negative(ky, out=ky)
-        np.log1p(ky, out=ky)
-        w += np.bincount(owner[lo:hi] - s, weights=ky, minlength=e - s)
+        w += np.bincount(owner[lo:hi], weights=np.log1p(ky, out=ky),
+                         minlength=m)
+        del ky              # not held while another kernel runs its block
+        floored = 0
         if w.min() < LOG_FLOOR:
-            floored += int(np.count_nonzero(w < LOG_FLOOR))
+            floored = int(np.count_nonzero(w < LOG_FLOOR))
             np.maximum(w, LOG_FLOOR, out=w)
         if wealth:
-            np.exp(w, out=v[..., s:e])
+            np.exp(w, out=v[:, :m])
         if eta != 1.0:
             w *= 1.0 - eta
             # a floored path at eta above about 2.03 overflows to -inf
-            # utility, which _finite_mean refuses
+            # utility, which _block_mean refuses
             with np.errstate(over="ignore"):
                 np.exp(w, out=w)
             w /= 1.0 - eta
-    return u, floored, v
+        yield w, floored, v[:, :m] if wealth else None
 
 
-def _finite_mean(x: np.ndarray) -> float:
-    """The mean of x; a non-finite one (or a sum that overflows) raises."""
+def _pair_means(u: np.ndarray) -> np.ndarray:
+    """The independent samples of a block of _terminal_utilities: its one
+    row, or in antithetic mode the pair means 0.5 u[0] + 0.5 u[1], formed
+    in u[0]. Halving is exact, so these are the bits of 0.5 (u[0] + u[1]),
+    and a pair of finite values never overflows to inf."""
+    if u.shape[0] == 2:
+        u *= 0.5
+        np.add(u[0], u[1], out=u[0])
+    return u[0]
+
+
+def _block_mean(x: np.ndarray) -> float:
+    """The mean of x. Where the plain sum overflows though every value is
+    finite, it is (x / s).mean() s, s the largest magnitude; a mean that is
+    not finite is a DomainError."""
     with np.errstate(over="ignore"):
         mean = float(x.mean())
     if not math.isfinite(mean):
-        raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is {mean}: "
-                          f"the utilities leave double range")
+        scale = max(float(x.max()), -float(x.min()))
+        if not math.isfinite(scale):
+            raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is "
+                              f"{mean}: the utilities leave double range")
+        mean = float((x / scale).mean()) * scale
     return mean
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (SimConfig ensures 2+ samples).
+class _Moments:
+    """The count, mean and root mean square deviation of a sample fed a
+    block at a time, merged by the pairwise update of Chan, Golub and
+    LeVeque (Amer. Statist. 37(3), 1983). No term exceeds the sample's
+    largest magnitude, so a finite sample keeps a finite standard error."""
 
-    x is a buffer the caller owns and is centred in place; the sum of
-    squares is one dot product. Where that overflows though every sample
-    is finite, the centred sample is scaled by its largest magnitude and
-    the sum taken again, so a finite sample gives a finite standard error.
-    A non-finite mean is a DomainError (_finite_mean)."""
-    mean = _finite_mean(x)
-    x -= mean
-    scale = 1.0
-    with np.errstate(over="ignore"):     # an overflow is rescaled below
-        ss = float(np.dot(x, x))
-    if not math.isfinite(ss):
-        scale = max(float(x.max()), -float(x.min()))
-        x /= scale
-        ss = float(np.dot(x, x))
-    return mean, scale * math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size)
+    def __init__(self):
+        self.n, self.mean, self.rms = 0, 0.0, 0.0
+
+    def add(self, x: np.ndarray, spread: bool = True) -> None:
+        """Fold in the block x; with spread, also its deviations, for which
+        x is centred in place. The mean does not depend on spread."""
+        m, mean = x.size, _block_mean(x)
+        n = self.n + m
+        delta = mean - self.mean
+        if spread:
+            x -= mean
+            scale = 1.0
+            with np.errstate(over="ignore"):     # rescaled below
+                ss = float(np.dot(x, x))
+            if not math.isfinite(ss):   # every x finite, their squares not
+                scale = max(float(x.max()), -float(x.min()))
+                x /= scale
+                ss = float(np.dot(x, x))
+            self.rms = math.hypot(self.rms * math.sqrt(self.n / n),
+                                  scale * math.sqrt(ss / n),
+                                  delta * (math.sqrt(self.n * m) / n))
+        self.mean += delta * (m / n)
+        self.n = n
+
+    @property
+    def std_error(self) -> float:
+        return self.rms / math.sqrt(self.n - 1)
+
+
+def _dump_rows(fh, b: int, u: np.ndarray, v: np.ndarray, draw: tuple,
+               sd: float) -> None:
+    """Write block b's rows (path_id, N_T, G, V_T, utility); the mirror of
+    path i in antithetic mode is path n + i."""
+    z, _, owner, cuts = draw
+    s, m = b * BLOCK, u.shape[1]
+    counts = np.bincount(owner[cuts[b]:cuts[b + 1]], minlength=m).tolist()
+    g = sd * z[s:s + m]
+    for r, gr in enumerate((g, -g)[:u.shape[0]]):
+        for i, row in enumerate(zip(counts, gr.tolist(), v[r].tolist(),
+                                    u[r].tolist())):
+            fh.write("{},{},{:.12g},{:.12g},{:.12g}\n".format(
+                r * z.size + s + i, *row))
 
 
 def simulate_terminal_utility(policy: Policy, model: MarketModel,
@@ -238,42 +277,41 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
 
     Deterministic given the seed (numpy's Generator on the SFC64 bit
     generator, fixed reduction order). The stream holds n normals, one
-    Poisson(n lam T) total jump count, the jumps' owners drawn uniformly on
-    the paths, and the jump sizes; by Poisson superposition this is the
-    exact law of n independent compound Poisson paths. One sampler serves
-    this and compare_policies, so on the same config, plain or antithetic,
-    the mean here equals compare_policies' mean_a bit for bit. One config
-    and law are drawn once and shared: the normals and jumps of the last
-    draw stay in memory until the next draw, about 8 n (1 + 2 lam T) bytes
-    for n paths (16 MB at 1e6 paths and lam T = 0.5). The utilities take
-    one n-float output plus O(BLOCK) temporaries, worked in log space a
-    block of paths at a time (see _terminal_utilities), and the standard
-    error is a centred dot product in that output (see _mean_se); a mean
-    out of double range is a DomainError.
+    Poisson count per BLOCK of paths, each block's jump owners drawn
+    uniformly on its paths, and the jump sizes; by Poisson superposition
+    this is the exact law of n independent compound Poisson paths (see
+    _common_draws). One config and law are drawn once and shared: the
+    normals and jumps of the last draw stay in memory until the next draw,
+    about 8 n (1 + 1.5 lam T) bytes for n paths (14 MB at 1e6 paths and
+    lam T = 0.5). Beyond the draw, the estimate takes O(BLOCK) memory: each
+    block of utilities (see _terminal_utilities) is folded into a running
+    mean and deviation and then overwritten (see _Moments). One sampler
+    serves this and compare_policies, so on the same config, plain or
+    antithetic, the mean here equals compare_policies' mean_a bit for bit.
+    A mean out of double range is a DomainError.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
-    (path_id, N_T, G, V_T, utility), the antithetic mirror paths last.
+    (path_id, N_T, G, V_T, utility) a block at a time, each block's
+    antithetic mirror paths after it.
     """
-    z, y, owner = _paths(jumps, config)
-    u, floored, v = _terminal_utilities(policy, z, y, owner, model, jumps,
-                                        friction, utility, config,
-                                        wealth=dump_csv is not None)
-
-    if dump_csv is not None:
-        sd = np.sqrt(_policy_coefficients(policy, model, jumps, friction)[1]
-                     * config.horizon)
-        n = z.shape[-1]
-        counts = np.bincount(owner, minlength=n)
-        with open(dump_csv, "w", encoding="utf-8") as fh:
+    draw = _common_draws(jumps, config)
+    blocks = _terminal_utilities(policy, draw, model, jumps, friction,
+                                 utility, config, wealth=dump_csv is not None)
+    moments, floored = _Moments(), 0
+    with (open(dump_csv, "w", encoding="utf-8") if dump_csv is not None
+          else contextlib.nullcontext()) as fh:
+        if fh is not None:
             fh.write("path_id,N_T,G,V_T,utility\n")
-            for i, (zi, vi, ui) in enumerate(zip(z.ravel(), v.ravel(),
-                                                 u.ravel())):
-                fh.write(f"{i},{counts[i % n]},{sd * zi:.12g},{vi:.12g},"
-                         f"{ui:.12g}\n")
-
-    mean, se = _mean_se(_samples(u, config))
-    return SimEstimate(mean, se, floored / config.n_paths)
+            sd = math.sqrt(_policy_coefficients(policy, model, jumps,
+                                                friction)[1] * config.horizon)
+        for b, (u, block_floored, v) in enumerate(blocks):
+            if fh is not None:
+                _dump_rows(fh, b, u, v, draw, sd)
+            floored += block_floored
+            moments.add(_pair_means(u))
+    return SimEstimate(moments.mean, moments.std_error,
+                       floored / config.n_paths)
 
 
 @dataclass(frozen=True)
@@ -291,17 +329,24 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     """Paired estimate of E[U(V_T^A)] - E[U(V_T^B)] under common random
     numbers, judged at three standard errors. The draw is the one
     simulate_terminal_utility makes on the same config and law, and is
-    shared with it; in antithetic mode the standard error comes from the
-    pair means, as there."""
-    z, y, owner = _paths(jumps, config)
-    ua, ub = (_samples(_terminal_utilities(p, z, y, owner, model, jumps,
-                                           friction, utility, config)[0],
-                       config) for p in (policy_a, policy_b))
-    # refuse a non-finite mean before the difference, which could be
-    # inf - inf
-    mean_a, mean_b = _finite_mean(ua), _finite_mean(ub)
-    ua -= ub
-    dm, dse = _mean_se(ua)
+    shared with it. Both policies run over it a block at a time, and each
+    block folds into the running means of A and B and the running mean and
+    deviation of A - B, so the memory beyond the draw is O(BLOCK); in
+    antithetic mode the standard error comes from the pair means, as
+    there."""
+    draw = _common_draws(jumps, config)
+    a, b, diff = _Moments(), _Moments(), _Moments()
+    runs = [_terminal_utilities(p, draw, model, jumps, friction, utility,
+                                config) for p in (policy_a, policy_b)]
+    for (ua, _, _), (ub, _, _) in zip(*runs):
+        xa, xb = _pair_means(ua), _pair_means(ub)
+        # refuse a non-finite mean before the difference, which could be
+        # inf - inf
+        a.add(xa, spread=False)
+        b.add(xb, spread=False)
+        xa -= xb
+        diff.add(xa)
+    dm, dse = diff.mean, diff.std_error
     if dm > 3.0 * dse:
         verdict = "A-better"
     elif dm < -3.0 * dse:
@@ -309,4 +354,4 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     else:
         verdict = "indistinguishable"
     return ComparisonVerdict(verdict=verdict, diff_mean=dm, diff_se=dse,
-                             mean_a=mean_a, mean_b=mean_b)
+                             mean_a=a.mean, mean_b=b.mean)

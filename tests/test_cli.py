@@ -595,6 +595,23 @@ class TestJumpMomentEdge:
         assert "Traceback" not in err
 
 
+class TestDiscreteLawAtLargeEta:
+    # a discrete law's moments leave double range from eta of about 400
+    # ((1 - kappa y) ** eta underflows); solve and the oracle still exit 0
+    # with nothing on stderr
+    @pytest.mark.parametrize("command", [["solve", "--eta", "5e4"],
+                                         ["oracle", "--eta", "2000"]])
+    def test_exit_0_with_empty_stderr(self, command, tmp_path, capsys):
+        doc = json.loads(open(cli.resolve_model_path("b1")).read())
+        doc["jump_law"] = {"type": "discrete", "points": [0.1, 0.4, 0.8],
+                           "weights": [0.5, 0.3, 0.2]}
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(command + ["--model", str(path)], capsys)
+        assert code == 0 and err == ""
+        assert out
+
+
 class TestSimulateCmd:
     def test_c2_z_small(self, capsys):
         code, out, _ = run(["simulate", "--model", "c2", "--paths", "200000",

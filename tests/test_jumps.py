@@ -408,6 +408,36 @@ class TestBeyondDoubleRange:
         assert val == pytest.approx(1.4628510949e281, rel=1e-10, abs=0.0)
 
 
+class TestDiscreteBeyondDoubleRange:
+    # At large eta a discrete law's (1 - kappa y) ** s underflows: to 0 at
+    # eta = 5e4, to a subnormal at eta = 560, whose quotient overflows.
+    # Either way the moment is beyond double range: psi and psi_dkappa are
+    # +inf and the utility term -inf, with no numpy warning (the suite makes
+    # a RuntimeWarning an error)
+    LAW = pk.JumpLaw(lam=0.1, law=pk.DiscreteJumps(
+        points=[0.1, 0.4, 0.8], weights=[0.5, 0.3, 0.2]))
+
+    @pytest.mark.parametrize("eta", [560.0, 5e4])
+    def test_moment_beyond_double_range_is_inf(self, eta):
+        assert pk.psi(self.LAW, 0.9, eta) == math.inf
+        assert pk.psi_dkappa(self.LAW, 0.9, eta) == math.inf
+        assert pk.utility_jump_term(self.LAW, 0.9, eta) == -math.inf
+        curve = utility_jump_curve(self.LAW, np.array([0.0, 1e-4, 0.9]), eta)
+        assert curve[0] == 1.0 / (1.0 - eta) and np.isfinite(curve[1])
+        assert curve[2] == -math.inf
+
+    def test_solve_and_grid_oracle_at_large_eta(self):
+        model = pk.MarketModel(mu=[0.16], sigma=[[0.26]], r=0.03, R=0.09,
+                               rho=[0.0], b=0.4)
+        fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.3))
+        rep = pk.solve(model, self.LAW, fric, pk.Utility(5e4))
+        assert rep.case_label == "DiffRates-i"
+        _, value, bound = pk.grid_maximize(model, self.LAW, fric,
+                                           pk.Utility(2000.0))
+        rep = pk.solve(model, self.LAW, fric, pk.Utility(2000.0))
+        assert value - rep.objective.value <= bound + 1e-12
+
+
 class TestUtilityJumpTerm:
     def test_kappa_zero(self):
         # U_eta(1) = 1/(1-eta)

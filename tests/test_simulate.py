@@ -227,14 +227,14 @@ PIN_LAWS = {
 PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
              "comparison diff mean", "diff SE", "mean A", "mean B")
 MC_PINS = {
-    "beta": (-0.5709634040364383, 0.00128485465454747,
-             -0.5709372189111626, 0.0012619189423128158,
-             0.059049937875939824, 0.0008823122483397453,
-             -0.5709634040364383, -0.6300133419123782),
-    "discrete": (-0.6754688077534452, 0.002893999754026511,
-                 -0.6752513568391563, 0.0037287864290113997,
-                 0.26646731495415416, 0.00786394060109628,
-                 -0.6754688077534452, -0.9419361227075992),
+    "beta": (-0.5708526075150028, 0.0012801882950782815,
+             -0.570663356408755, 0.0012307127634341435,
+             0.058901625799918256, 0.0008804883054639624,
+             -0.5708526075150028, -0.629754233314921),
+    "discrete": (-0.6755000617133555, 0.002916577421040788,
+                 -0.6764348152695401, 0.003858214714440669,
+                 0.269264334750741, 0.008931411823702468,
+                 -0.6755000617133555, -0.9447643964640967),
 }
 
 
@@ -314,14 +314,14 @@ def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
 
 
 
-@pytest.mark.parametrize("eta", [3.0, 2.02])
+@pytest.mark.parametrize("eta", [3.0])
 def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
         eta):
-    # at pi = 128 most of the 2,000 paths floor at WEALTH_FLOOR: at eta = 3
-    # each floored utility overflows to -inf, at eta = 2.02 each is finite
-    # and their sum overflows. Both estimators raise a DomainError, not
-    # numpy's overflow warning, and the comparison refuses a mean before it
-    # forms the difference (inf - inf where both policies floor).
+    # at pi = 128 most of the 2,000 paths floor at WEALTH_FLOOR, and at
+    # eta = 3 each floored utility overflows to -inf. Both estimators raise
+    # a DomainError, not numpy's overflow warning, and the comparison
+    # refuses a mean before it forms the difference (inf - inf where both
+    # policies floor).
     m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
     u = pk.Utility(eta)
     floored = pk.Policy(pi=[128.0], kappa=0.0)
@@ -335,6 +335,31 @@ def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
             for a, b in ((floored, other), (other, floored)):
                 with pytest.raises(pk.DomainError, match=msg):
                     pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_finite_utilities_whose_sum_overflows_give_their_mean(antithetic):
+    # at eta = 2.02 each floored utility is finite, about -9.8e305, and
+    # their plain sum overflows: the block's mean is taken from x / max|x|
+    # and scaled back, so both estimators return the finite mean
+    m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
+    u = pk.Utility(2.02)
+    floored = pk.Policy(pi=[128.0], kappa=0.0)
+    cfg = pk.SimConfig(n_paths=2_000, seed=1, antithetic=antithetic)
+    est = pk.simulate_terminal_utility(floored, m, BETA128, fric, u, cfg)
+    assert 0.8 < est.floor_fraction < 0.9
+    x = _samples(floored, m, BETA128, fric, u, cfg)
+    scale = float(np.abs(x).max())
+    assert est.mean == pytest.approx(
+        math.fsum(x / scale) / x.size * scale, rel=1e-13)
+    assert -9e305 < est.mean < -7e305
+    assert math.isfinite(est.std_error) and est.std_error > 0.0
+    for other in (pk.Policy(pi=[120.0], kappa=0.0),
+                  pk.Policy(pi=[1.0], kappa=0.0)):
+        cmp = pk.compare_policies(floored, other, m, BETA128, fric, u, cfg)
+        assert cmp.mean_a == est.mean and cmp.verdict == "B-better"
+        assert math.isfinite(cmp.diff_mean) and math.isfinite(cmp.diff_se)
+
 
 def test_sample_jumps_stream_bit_identical():
     assert pk.sample_jumps(PIN_LAWS["beta"], 5, seed=3).tolist() == [
@@ -364,12 +389,47 @@ class TestPathDump:
         assert all(v > 0 for v in vs)
 
 
+def _global_owner(draw):
+    """The path of each jump of a draw, its block-local owner mapped to the
+    index of its path among all n."""
+    z, _, owner, cuts = draw
+    starts = np.arange(0, z.size, simulate.BLOCK)
+    return owner + np.repeat(starts, np.diff(cuts))
+
+
+def _streamed(policy, draw, model, jumps, fric, utility, cfg, wealth=False):
+    """The kernel's blocks joined as one pass over all paths would give
+    them: utilities and V_T shaped as the normals, (n,) or the antithetic
+    (2, n), and the floored count."""
+    blocks = [(u.copy(), floored, None if v is None else v.copy())
+              for u, floored, v in simulate._terminal_utilities(
+                  policy, draw, model, jumps, fric, utility, cfg, wealth)]
+    shape = (2, -1) if cfg.antithetic else (-1,)
+    u = np.concatenate([b[0] for b in blocks], axis=1).reshape(shape)
+    v = np.concatenate([b[2] for b in blocks], axis=1).reshape(shape) \
+        if wealth else None
+    return u, sum(b[1] for b in blocks), v
+
+
+def _samples(policy, model, jumps, fric, utility, cfg):
+    """The estimator's independent samples on cfg's draw, every path's
+    utility or pair mean, joined over the blocks."""
+    draw = simulate._common_draws(jumps, cfg)
+    return np.concatenate([
+        simulate._pair_means(u).copy() for u, _, _ in
+        simulate._terminal_utilities(policy, draw, model, jumps, fric,
+                                     utility, cfg)])
+
+
 def _log_wealth(policy, model, jumps, fric, cfg):
     """Unfloored log V_T on the paths of cfg, built apart from the kernel."""
-    z, y, owner = simulate._paths(jumps, cfg)
+    draw = simulate._common_draws(jumps, cfg)
+    z, y = draw[0], draw[1]
+    if cfg.antithetic:
+        z = np.stack([z, -z])
     drift, var = simulate._policy_coefficients(policy, model, jumps, fric)
     jump_log = np.zeros(z.shape[-1])
-    np.add.at(jump_log, owner, np.log1p(-policy.kappa * y))
+    np.add.at(jump_log, _global_owner(draw), np.log1p(-policy.kappa * y))
     return (math.log(cfg.x0) + drift * cfg.horizon) \
         + math.sqrt(var * cfg.horizon) * z + jump_log
 
@@ -394,10 +454,11 @@ def test_log_space_utilities_match_the_direct_form(eta, antithetic):
     m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
     pol = pk.Policy(pi=[2.5], kappa=0.5)
     cfg = pk.SimConfig(n_paths=2_000, seed=5, antithetic=antithetic)
-    z, y, owner = simulate._paths(BETA128, cfg)
-    u, floored, v = simulate._terminal_utilities(
-        pol, z, y, owner, m, BETA128, fric, pk.Utility(eta), cfg)
-    assert u.shape == z.shape and floored == 0 and v is None
+    draw = simulate._common_draws(BETA128, cfg)
+    u, floored, v = _streamed(pol, draw, m, BETA128, fric, pk.Utility(eta),
+                              cfg)
+    assert u.shape == ((2, 1_000) if antithetic else (2_000,))
+    assert floored == 0 and v is None
     w = _log_wealth(pol, m, BETA128, fric, cfg).ravel()
     with mpmath.workdps(30):
         floor = mpmath.mpf(simulate.WEALTH_FLOOR)
@@ -449,12 +510,14 @@ def test_standard_error_of_a_sample_near_double_range_is_finite():
     # the centred squares overflow; the rescaled sum gives the SE of x / s
     # times s
     x = np.array([1e300, 3e300, -2e300, 5e300, 4e300])
-    mean, se = simulate._mean_se(x.copy())
-    assert mean == x.mean()
-    assert se == pytest.approx(np.std(x / 1e300, ddof=1) * 1e300
-                               / math.sqrt(5), rel=1e-15)
+    moments = simulate._Moments()
+    moments.add(x.copy())
+    assert moments.mean == x.mean()
+    assert moments.std_error == pytest.approx(np.std(x / 1e300, ddof=1)
+                                              * 1e300 / math.sqrt(5),
+                                              rel=1e-15)
     with pytest.raises(pk.DomainError, match="mean"):
-        simulate._mean_se(np.array([1.0, 2.0, np.inf]))
+        simulate._Moments().add(np.array([1.0, 2.0, np.inf]))
 
 
 BLOCK = simulate.BLOCK
@@ -466,22 +529,33 @@ PATH_COUNTS = st.one_of(
         lambda kr: kr[0] * BLOCK + kr[1]))
 
 
-def _kernel_inputs(seed, n, rows, jumps_on, lam_t):
-    """n normals z, or the antithetic rows [z, -z] when rows = 2, and sorted
-    owners with Beta(2, 8) sizes: Poisson(lam_t n) jumps spread uniformly
-    over the paths, none, or 1 to 30 jumps all on the first or the last
-    path."""
+def _kernel_inputs(seed, n, jumps_on, lam_t):
+    """A draw (z, y, owner, cuts) of n paths laid out as _common_draws lays
+    it, with Beta(2, 8) sizes: Poisson(lam_t m) jumps on each block of m
+    paths at uniform block-local owners, none, or 1 to 30 jumps all on the
+    first or the last path."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
-    if rows == 2:
-        z = np.stack([z, -z])
+    sizes = np.diff(np.append(np.arange(0, n, BLOCK), n))
     if jumps_on == "spread":
-        owner = np.sort(rng.integers(0, n, size=rng.poisson(lam_t * n)))
+        counts = rng.poisson(lam_t * sizes)
+        owner = np.concatenate([rng.integers(0, m, size=k)
+                                for m, k in zip(sizes, counts)])
     else:
         total = 0 if jumps_on == "none" else int(rng.integers(1, 31))
-        owner = np.full(total, 0 if jumps_on == "first" else n - 1,
+        counts = np.zeros(sizes.size, dtype=np.int64)
+        counts[0 if jumps_on == "first" else -1] = total
+        owner = np.full(total, 0 if jumps_on == "first" else sizes[-1] - 1,
                         dtype=np.int64)
-    return z, rng.beta(2.0, 8.0, size=owner.size), owner
+    cuts = np.concatenate([[0], np.cumsum(counts)])
+    return z, rng.beta(2.0, 8.0, size=owner.size), owner, cuts
+
+
+def _reference_args(draw, rows):
+    """The unblocked reference's z, y and owner for a draw: the rows
+    [z, -z] when rows = 2, and each jump's owner as its path among all n."""
+    z, y = draw[0], draw[1]
+    return (np.stack([z, -z]) if rows == 2 else z), y, _global_owner(draw)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -504,12 +578,15 @@ def test_blocked_kernel_is_the_unblocked_kernel_bit_for_bit(
     # pi = 128 floors most paths, whose utility leaves double range beyond
     # eta of about 2.03
     assume(pi != 128.0 or eta <= 1.0)
-    z, y, owner = _kernel_inputs(seed, n, rows, jumps_on, lam_t)
-    args = (pk.Policy(pi=[pi], kappa=kappa), z, y, owner, c2_model(), BETA128,
-            pk.DifferentialRates(premium=PREM02), pk.Utility(eta),
-            pk.SimConfig(horizon=horizon, x0=x0))
-    u, floored, v = simulate._terminal_utilities(*args, wealth=wealth)
-    ref_u, ref_floored, ref_v = unblocked_utilities(*args, wealth=wealth)
+    draw = _kernel_inputs(seed, n, jumps_on, lam_t)
+    policy, fric = pk.Policy(pi=[pi], kappa=kappa), \
+        pk.DifferentialRates(premium=PREM02)
+    cfg = pk.SimConfig(horizon=horizon, x0=x0, antithetic=rows == 2)
+    u, floored, v = _streamed(policy, draw, c2_model(), BETA128, fric,
+                              pk.Utility(eta), cfg, wealth)
+    ref_u, ref_floored, ref_v = unblocked_utilities(
+        policy, *_reference_args(draw, rows), c2_model(), BETA128, fric,
+        pk.Utility(eta), cfg, wealth=wealth)
     assert u.shape == ref_u.shape and u.tobytes() == ref_u.tobytes()
     assert floored == ref_floored
     if wealth:
@@ -526,40 +603,46 @@ def test_a_path_just_below_the_floor_is_floored_in_its_block():
     drift, var = simulate._policy_coefficients(pol, m, NOJUMPS, fric)
     z = np.zeros(BLOCK + 3)
     z[BLOCK + 1] = (simulate.LOG_FLOOR - 0.5 - drift) / math.sqrt(var)
-    args = (pol, z, np.empty(0), np.empty(0, dtype=np.int64), m, NOJUMPS,
-            fric, pk.Utility(0.5), pk.SimConfig())
-    u, floored, v = simulate._terminal_utilities(*args, wealth=True)
-    ref_u, ref_floored, ref_v = unblocked_utilities(*args, wealth=True)
+    draw = (z, np.empty(0), np.empty(0, dtype=np.int64),
+            np.zeros(3, dtype=np.int64))
+    args = (m, NOJUMPS, fric, pk.Utility(0.5), pk.SimConfig())
+    u, floored, v = _streamed(pol, draw, *args, wealth=True)
+    ref_u, ref_floored, ref_v = unblocked_utilities(
+        pol, *_reference_args(draw, 1), *args, wealth=True)
     assert floored == ref_floored == 1
     assert v[BLOCK + 1] == math.exp(simulate.LOG_FLOOR)
     assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
 def test_blocked_kernel_refuses_a_full_loss_in_the_last_block():
-    z, y, owner = _kernel_inputs(4, 2 * BLOCK + 5, 1, "spread", 0.5)
+    z, y, owner, cuts = _kernel_inputs(4, 2 * BLOCK + 5, "spread", 0.5)
+    assert cuts[-1] > cuts[-2]        # the last block has a jump
     y[-1] = 1.0
+    blocks = simulate._terminal_utilities(
+        pk.Policy(pi=[0.6], kappa=1.0), (z, y, owner, cuts), c2_model(),
+        BETA128, pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
+        pk.SimConfig())
+    for _ in range(2):
+        next(blocks)
     with pytest.raises(pk.DomainError, match="sampled 1 - kappa Y <= 0"):
-        simulate._terminal_utilities(
-            pk.Policy(pi=[0.6], kappa=1.0), z, y, owner, c2_model(), BETA128,
-            pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
-            pk.SimConfig())
+        next(blocks)
 
 
 def test_kernel_memory_is_the_output_and_a_few_blocks():
-    # one n-float output; the jump logs and masks are per block, so the
-    # peak stays below 8 (n + N) bytes and 1 MiB
-    n = 1_000_000
-    z, y, owner = _kernel_inputs(5, n, 1, "spread", 0.5)
-    args = (pk.Policy(pi=[0.8], kappa=0.5), z, y, owner, c2_model(), BETA128,
-            pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
-            pk.SimConfig())
+    # beyond the kept draw, an estimate and a paired comparison at 1e6 paths
+    # hold a few blocks at a time: no n-path buffer, a peak below 1 MiB
+    args = (c2_model(), BETA128, pk.DifferentialRates(premium=PREM02),
+            pk.Utility(3.0), pk.SimConfig(n_paths=1_000_000, seed=5))
+    a, b = pk.Policy(pi=[0.8], kappa=0.5), pk.Policy(pi=[0.6], kappa=0.3)
+    pk.simulate_terminal_utility(a, *args)          # the draw is kept
     tracemalloc.start()
     try:
-        simulate._terminal_utilities(*args)
+        pk.simulate_terminal_utility(a, *args)
+        pk.compare_policies(a, b, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n + y.size) + 2 ** 20, peak / 2 ** 20
+    assert peak <= 2 ** 20, peak / 2 ** 20
 
 
 def _run(jumps, cfg):
@@ -614,8 +697,8 @@ class TestCommonDraws:
 
     def test_kept_draw_is_read_only_and_reused(self):
         cfg = pk.SimConfig(n_paths=1_000, seed=3)
-        first = simulate._common_draws(BETA128, 1_000, cfg)
-        again = simulate._common_draws(BETA128, 1_000, cfg)
+        first = simulate._common_draws(BETA128, cfg)
+        again = simulate._common_draws(BETA128, cfg)
         assert all(a is b for a, b in zip(first, again))
         for a in first:
             assert not a.flags.writeable
@@ -650,8 +733,9 @@ class TestCommonDraws:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
-        # the stream's order: n normals, one Poisson(n lam T) total count,
-        # then that many owners, uniform on the n paths
+        # the stream's order: n normals, one Poisson(lam T m) count per
+        # block of m paths (one block here, n < BLOCK), then that many
+        # owners, uniform on the block's paths
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
         cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
         n = 200 if antithetic else 400
@@ -699,10 +783,75 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
     n_t = np.array([int(line.split(",")[1])
                     for line in out.read_text().splitlines()[1:]])
     assert n_t.size == cfg.n_paths
-    _, y, _ = simulate._common_draws(jumps, cfg.n_paths, cfg)
+    y = simulate._common_draws(jumps, cfg)[1]
     assert n_t.sum() == y.size
     stat, p = _poisson_chi2(n_t, lam_t)
     assert p > 1e-3, (stat, p)
+
+
+def test_draw_is_blocked_and_each_path_count_is_poisson():
+    # 200,000 paths: six whole blocks and a ragged last one of 3,392. Each
+    # block's owners are offsets in it, and the per-path counts of the whole
+    # draw follow Poisson(lam T)
+    jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
+    cfg = pk.SimConfig(n_paths=200_000, seed=41)
+    draw = simulate._common_draws(jumps, cfg)
+    _, y, owner, cuts = draw
+    sizes = [BLOCK] * 6 + [200_000 - 6 * BLOCK]
+    assert cuts.size == len(sizes) + 1 and cuts[0] == 0
+    assert cuts[-1] == y.size == owner.size
+    for b, size in enumerate(sizes):
+        block = owner[cuts[b]:cuts[b + 1]]
+        assert block.size > 0 and 0 <= block.min() and block.max() < size
+    counts = np.bincount(_global_owner(draw), minlength=cfg.n_paths)
+    stat, p = _poisson_chi2(counts, 0.5)
+    assert p > 1e-3, (stat, p)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_streamed_moments_match_a_two_pass_fsum(antithetic):
+    # the running mean and deviation merged over four blocks (one ragged)
+    # agree with an exactly rounded two-pass reference on the same samples,
+    # for the estimate and the paired difference
+    m, fric, u = c2_model(), pk.DifferentialRates(premium=PREM02), \
+        pk.Utility(3.0)
+    a, b = pk.Policy(pi=[0.8], kappa=0.5), pk.Policy(pi=[0.5], kappa=0.7)
+    cfg = pk.SimConfig(n_paths=2 * (3 * BLOCK + 123) if antithetic
+                       else 3 * BLOCK + 123, seed=17, antithetic=antithetic)
+
+    def two_pass(x):
+        mean = math.fsum(x) / x.size
+        ss = math.fsum((x - mean) ** 2)
+        return mean, math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size)
+
+    xa = _samples(a, m, BETA128, fric, u, cfg)
+    xb = _samples(b, m, BETA128, fric, u, cfg)
+    est = pk.simulate_terminal_utility(a, m, BETA128, fric, u, cfg)
+    cmp = pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
+    for got, x in (((est.mean, est.std_error), xa),
+                   ((cmp.diff_mean, cmp.diff_se), xa - xb)):
+        assert got == pytest.approx(two_pass(x), rel=1e-13, abs=0.0)
+    assert cmp.mean_a == est.mean
+    assert cmp.mean_b == pytest.approx(two_pass(xb)[0], rel=1e-13, abs=0.0)
+
+
+def test_antithetic_dump_writes_each_block_then_its_mirrors(tmp_path):
+    # rows go out a block at a time: the block's paths, then their mirrors
+    # n + i, whose G is the path's G negated
+    n = BLOCK + 5
+    cfg = pk.SimConfig(n_paths=2 * n, seed=2, antithetic=True)
+    out = tmp_path / "paths.csv"
+    pk.simulate_terminal_utility(pk.Policy(pi=[0.8], kappa=0.5), c2_model(),
+                                 BETA128, pk.DifferentialRates(premium=PREM02),
+                                 pk.Utility(3.0), cfg, dump_csv=str(out))
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    ids = rows[:, 0].astype(int)
+    first, last = np.arange(BLOCK), np.arange(BLOCK, n)
+    assert ids.tolist() == np.concatenate(
+        [first, n + first, last, n + last]).tolist()
+    by_id = rows[np.argsort(ids)]
+    assert (by_id[n:, 1] == by_id[:n, 1]).all()
+    assert (by_id[n:, 2] == -by_id[:n, 2]).all()
 
 
 NONE_GLOBALS = """
