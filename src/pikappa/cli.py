@@ -16,7 +16,9 @@ them to --out), then raise CrossCheckFailed when one fails. A usage error
 exits 1 with argparse's message. A stdout closed by its reader (as by
 `| head -1`) exits 1 with nothing on stderr. Output files are written
 atomically (temp file + rename) with a JSON run manifest alongside; outputs
-are a pure function of (input file, flags, seed).
+are a pure function of (input file, flags, seed). They do not depend on the
+core count: Monte Carlo draws its blocks on every usable core, each block
+from its own substream of the seed.
 """
 
 from __future__ import annotations

@@ -551,35 +551,37 @@ def fosd_compare(law_a: JumpLaw, law_b: JumpLaw) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-def _generator(seed: int) -> np.random.Generator:
-    """The random stream of seed, the one source of every Monte Carlo draw
-    (sample_jumps and simulate's paths): numpy's Generator on the SFC64 bit
-    generator, whose normals and gammas come faster than Philox's."""
+def _generator(seed) -> np.random.Generator:
+    """The random stream of seed, an int or a np.random.SeedSequence, the
+    one source of every Monte Carlo draw (sample_jumps, and each block of
+    simulate's paths): numpy's Generator on the SFC64 bit generator, whose
+    normals and gammas come faster than Philox's."""
     return np.random.Generator(np.random.SFC64(seed))
 
 
-def _draw_y(rng, law, n: int) -> np.ndarray:
-    """n i.i.d. draws of Y from rng: the one sampler of the jump size.
+def _draw_y(rng, law, out: np.ndarray) -> np.ndarray:
+    """Fill out with i.i.d. draws of Y from rng and return it: the one
+    sampler of the jump size.
 
     Beta sampling goes through the two-Gamma-draw ratio so the draw count
-    per variate is fixed; the ratio g1 / (g2 + g1) is formed in the draws'
-    own buffers.
+    per variate is fixed; the ratio g1 / (g2 + g1) is formed in out, which
+    holds g1.
     """
     if isinstance(law, BetaJumps):
-        g1 = rng.standard_gamma(law.alpha, size=n)
-        g2 = rng.standard_gamma(law.beta, size=n)
-        g2 += g1
-        g1 /= g2
-        return g1
-    idx = rng.choice(law.points.shape[0], size=n, p=law.weights)
-    return law.points[idx]
+        rng.standard_gamma(law.alpha, out=out)
+        g2 = rng.standard_gamma(law.beta, size=out.size)
+        g2 += out
+        out /= g2
+        return out
+    idx = rng.choice(law.points.shape[0], size=out.size, p=law.weights)
+    return np.take(law.points, idx, out=out)
 
 
 def sample_jumps(jumps: JumpLaw, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of Y, deterministic given seed."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _draw_y(_generator(seed), jumps.law, n)
+    return _draw_y(_generator(seed), jumps.law, np.empty(n))
 
 
 @dataclass

@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,46 @@ def _policy_coefficients(policy: Policy, model: MarketModel, jumps: JumpLaw,
     return drift, max(var_rate, 0.0)
 
 
+def _workers() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS
+    has one), and so the most threads that fill a draw."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_blocks(fill, count: int) -> None:
+    """fill(0), ..., fill(count - 1) on min(_workers(), count) threads, the
+    caller one of them; thread t takes the indices t, t + k, t + 2k, ...
+    The first exception a thread raises stops the others at their next
+    index and is raised in the caller once every helper has joined. One
+    index starts no thread."""
+    k = min(_workers(), count)
+    errors = []
+
+    def run(t):
+        try:
+            for b in range(t, count, k):
+                if errors:
+                    return
+                fill(b)
+        except BaseException as exc:    # raised again in the caller
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for t in range(1, k):
+            helper = threading.Thread(target=run, args=(t,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 # The last draw, (key, jumps, draw), kept so that calls on the same config
 # and law share one set of random numbers; () before the first. Not None:
 # perfbench's Tracer.unwrapped() takes every module-level None for an
@@ -85,27 +127,31 @@ _last_draw = ()
 def _common_draws(jumps: JumpLaw, config: SimConfig):
     """The draw (z, y, owner, cuts) of config's paths: n = n_paths paths, or
     in antithetic mode n = n_paths / 2, whose normals z run as z and -z over
-    the same jumps. Block b holds the paths from b BLOCK to
+    the same jumps. Block b holds the m_b paths from b BLOCK to
     min((b + 1) BLOCK, n); its jump sizes are y[cuts[b]:cuts[b + 1]], and
     owner[cuts[b]:cuts[b + 1]] gives the path of each as an offset in the
     block, in no order.
 
-    The stream of config.seed (jumps._generator: numpy's Generator on
-    SFC64) is drawn in this order: z = standard_normal(n); one
-    Poisson(lam T m_b) count for each block of m_b paths, in one call; the
-    owners of the whole blocks, uniform on [0, BLOCK) in one call, then
-    those of a ragged last block, uniform on its paths; the jump sizes,
-    block after block. This is exact: a block's m_b independent
-    Poisson(lam T) counts have the law of one Poisson(lam T m_b) total
-    whose points fall on its paths uniformly and independently
-    (superposition and conditional uniformity of a Poisson process). BLOCK
-    is part of the stream's definition: another block size gives other
-    bits from the same seed.
+    Block b draws from its own substream: child b of
+    np.random.SeedSequence(config.seed), through jumps._generator (numpy's
+    Generator on SFC64). It holds, in order: one Poisson(lam T m_b) count;
+    the block's m_b normals; the count's owners, uniform on [0, m_b); their
+    jump sizes. This is exact: a block's m_b independent Poisson(lam T)
+    counts have the law of one Poisson(lam T m_b) total whose points fall
+    on its paths uniformly and independently (superposition and conditional
+    uniformity of a Poisson process). BLOCK is part of the stream's
+    definition: another block size gives other bits from the same seed.
+
+    The counts are drawn first, block after block; the blocks are then
+    filled in place on the threads of _fill_blocks. A block's bits depend
+    only on its substream and its place, so they do not depend on the
+    number of threads or the order in which the blocks are filled.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the law,
     so its id is not reused, and laws are immutable. The global is read once
-    and replaced in one assignment, so concurrent callers stay correct.
+    and replaced in one assignment, after every thread has joined, so
+    concurrent callers stay correct.
     """
     global _last_draw
     n = config.n_paths // 2 if config.antithetic else config.n_paths
@@ -114,17 +160,26 @@ def _common_draws(jumps: JumpLaw, config: SimConfig):
     if last and last[0] == key and last[1] is jumps:
         return last[2]
     _last_draw = ()
-    rng = _generator(config.seed)
-    z = rng.standard_normal(n)
-    whole, rest = divmod(n, BLOCK)
-    sizes = np.array([BLOCK] * whole + [rest] * (rest > 0), dtype=float)
-    cuts = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(rng.poisson(jumps.lam * config.horizon * sizes), out=cuts[1:])
-    owner = rng.integers(0, BLOCK, size=cuts[whole], dtype=np.int32)
-    if rest:
-        owner = np.concatenate([owner, rng.integers(
-            0, rest, size=cuts[-1] - cuts[whole], dtype=np.int32)])
-    y = _draw_y(rng, jumps.law, int(cuts[-1]))
+    z = np.empty(n)         # first: a path count beyond memory fails here
+    starts = range(0, n, BLOCK)
+    rngs = [_generator(s) for s in
+            np.random.SeedSequence(config.seed).spawn(len(starts))]
+    lam_t = jumps.lam * config.horizon
+    cuts = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum([rng.poisson(lam_t * min(BLOCK, n - s))
+               for rng, s in zip(rngs, starts)], out=cuts[1:])
+    y = np.empty(cuts[-1])
+    owner = np.empty(cuts[-1], dtype=np.int32)
+    bounds = cuts.tolist()
+
+    def fill(b):
+        rng, s, lo, hi = rngs[b], starts[b], bounds[b], bounds[b + 1]
+        m = min(BLOCK, n - s)
+        rng.standard_normal(out=z[s:s + m])
+        owner[lo:hi] = rng.integers(0, m, size=hi - lo, dtype=np.int32)
+        _draw_y(rng, jumps.law, y[lo:hi])
+
+    _fill_blocks(fill, len(starts))
     draw = (z, y, owner, cuts)
     for a in draw:
         a.setflags(write=False)
@@ -276,11 +331,13 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     """Sample mean and standard error of U_eta(V_T) under the policy.
 
     Deterministic given the seed (numpy's Generator on the SFC64 bit
-    generator, fixed reduction order). The stream holds n normals, one
-    Poisson count per BLOCK of paths, each block's jump owners drawn
-    uniformly on its paths, and the jump sizes; by Poisson superposition
-    this is the exact law of n independent compound Poisson paths (see
-    _common_draws). One config and law are drawn once and shared: the
+    generator, fixed reduction order). Each BLOCK of paths draws from its
+    own substream of the seed, in order: its Poisson count, its normals,
+    its jump owners drawn uniformly on its paths, and their jump sizes; by
+    Poisson superposition this is the exact law of n independent compound
+    Poisson paths (see _common_draws). The blocks are filled on every
+    usable CPU, and no bit depends on how many there are. One config and
+    law are drawn once and shared: the
     normals and jumps of the last draw stay in memory until the next draw,
     about 8 n (1 + 1.5 lam T) bytes for n paths (14 MB at 1e6 paths and
     lam T = 0.5). Beyond the draw, the estimate takes O(BLOCK) memory: each

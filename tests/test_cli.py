@@ -621,13 +621,13 @@ class TestSimulateCmd:
         assert abs(float(fields["z"])) <= 3.5
 
     def test_z_far_off_the_closed_form_stays_short(self, capsys):
-        # mc_mean -1.1e88 against closed_form -9.5e184 at SE 1.1e88: z is
-        # about 9.1e96, printed in four significant digits
+        # mc_mean -7.7e98 against closed_form -9.5e184 at SE 7.7e98: z is
+        # about 1.2e86, printed in four significant digits
         code, out, _ = run(["simulate", "--model", "c2", "--pi", "40",
                             "--paths", "2000", "--eta", "3"], capsys)
         assert code == 0
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
-        assert fields["z"] == "9.051e+96"
+        assert fields["z"] == "1.231e+86"
 
 
 class TestPortfolioPremiumLambda:

@@ -227,14 +227,14 @@ PIN_LAWS = {
 PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
              "comparison diff mean", "diff SE", "mean A", "mean B")
 MC_PINS = {
-    "beta": (-0.5708526075150028, 0.0012801882950782815,
-             -0.570663356408755, 0.0012307127634341435,
-             0.058901625799918256, 0.0008804883054639624,
-             -0.5708526075150028, -0.629754233314921),
-    "discrete": (-0.6755000617133555, 0.002916577421040788,
-                 -0.6764348152695401, 0.003858214714440669,
-                 0.269264334750741, 0.008931411823702468,
-                 -0.6755000617133555, -0.9447643964640967),
+    "beta": (-0.5702889390617758, 0.0012939836446819882,
+             -0.5695070398460897, 0.0012166501480746705,
+             0.058906015063885944, 0.0008975259204055179,
+             -0.5702889390617758, -0.6291949541256618),
+    "discrete": (-0.6731615179046229, 0.0029868571398611495,
+                 -0.6783689641385118, 0.004166000938632343,
+                 0.2726811738385612, 0.012746751897935055,
+                 -0.6731615179046229, -0.9458426917431841),
 }
 
 
@@ -387,6 +387,11 @@ class TestPathDump:
         assert np.mean(us) == pytest.approx(est.mean, rel=1e-9)
         vs = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(v > 0 for v in vs)
+
+
+def _block_stream(seed, b):
+    """Block b's substream of a draw on seed: child b of its SeedSequence."""
+    return _generator(np.random.SeedSequence(seed).spawn(b + 1)[b])
 
 
 def _global_owner(draw):
@@ -733,15 +738,15 @@ class TestCommonDraws:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
-        # the stream's order: n normals, one Poisson(lam T m) count per
-        # block of m paths (one block here, n < BLOCK), then that many
-        # owners, uniform on the block's paths
+        # a block's substream holds, in order: one Poisson(lam T m) count
+        # for its m paths, their m normals, then that many owners, uniform
+        # on the block's paths (one block here, n < BLOCK)
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
         cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
         n = 200 if antithetic else 400
-        rng = _generator(11)
-        rng.standard_normal(n)
+        rng = _block_stream(11, 0)
         total = rng.poisson(2.0 * n)
+        rng.standard_normal(n)
         counts = np.bincount(rng.integers(0, n, size=total), minlength=n)
         _run(jumps, cfg)              # the dump below reuses this draw
         out = tmp_path / "paths.csv"
@@ -753,6 +758,117 @@ class TestCommonDraws:
                for line in out.read_text().splitlines()[1:]]
         assert n_t == counts.tolist() * (2 if antithetic else 1)
         assert counts.sum() > 0
+
+
+class _CountedThread(threading.Thread):
+    """threading.Thread that counts the threads started through it."""
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestParallelDraw:
+    """The blocks of a draw are filled on threads; their bits depend on the
+    seed, n, T and the law, not on the number of threads."""
+
+    def _outputs(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        monkeypatch.setattr(_CountedThread, "started", 0)
+        monkeypatch.setattr(simulate.threading, "Thread", _CountedThread)
+        jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
+        m, fric, u = c2_model(), pk.DifferentialRates(premium=PREM02), \
+            pk.Utility(3.0)
+        a, b = pk.Policy(pi=[0.6], kappa=0.4), pk.Policy(pi=[0.5], kappa=0.6)
+        out = {}
+        for antithetic in (False, True):
+            # 200,000 paths: six whole blocks and a ragged one of 3,392
+            cfg = pk.SimConfig(n_paths=200_000 * (1 + antithetic), seed=5,
+                               antithetic=antithetic)
+            simulate._last_draw = ()
+            out["draw", antithetic] = [
+                x.tobytes() for x in simulate._common_draws(jumps, cfg)]
+            dump = None if antithetic else tmp_path / f"{workers}.csv"
+            out["estimate", antithetic] = pk.simulate_terminal_utility(
+                a, m, jumps, fric, u, cfg, dump_csv=dump and str(dump))
+            out["comparison", antithetic] = pk.compare_policies(
+                a, b, m, jumps, fric, u, cfg)
+        out["dump"] = (tmp_path / f"{workers}.csv").read_bytes()
+        return out, _CountedThread.started
+
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                    tmp_path):
+        serial, started = self._outputs(monkeypatch, tmp_path, 1)
+        assert started == 0
+        for workers in (2, 3):
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)   # interleave the fills finely
+            try:
+                got, started = self._outputs(monkeypatch, tmp_path, workers)
+            finally:
+                sys.setswitchinterval(old)
+            # two draws of seven blocks, workers - 1 helpers each
+            assert started == 2 * (workers - 1)
+            assert got.keys() == serial.keys()
+            for key in serial:
+                assert got[key] == serial[key], (workers, key)
+
+    def test_a_one_block_draw_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block draw started a thread")
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 4)
+        monkeypatch.setattr(simulate.threading, "Thread", refuse)
+        simulate._last_draw = ()
+        _run(BETA128, pk.SimConfig(n_paths=BLOCK, seed=6))
+
+    @staticmethod
+    def _fault_in(monkeypatch, where):
+        """Make _draw_y raise DomainError on a later block: on the helper
+        thread's first block, or on the caller's second."""
+        caller, calls, draw_y = threading.current_thread(), [], simulate._draw_y
+
+        def faulty(rng, law, out):
+            here = threading.current_thread()
+            if here is caller:
+                calls.append(here)
+            if (here is not caller) if where == "helper" else len(calls) == 2:
+                raise pk.DomainError(f"injected fault on the {where}")
+            return draw_y(rng, law, out)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 2)
+        monkeypatch.setattr(simulate, "_draw_y", faulty)
+        simulate._last_draw = ()
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_fault_in_a_block_reaches_the_caller(self, monkeypatch, where):
+        self._fault_in(monkeypatch, where)
+        before = threading.active_count()
+        with pytest.raises(pk.DomainError, match=f"injected fault on the "
+                                                 f"{where}"):
+            simulate._common_draws(BETA128,
+                                   pk.SimConfig(n_paths=200_000, seed=5))
+        assert simulate._last_draw == ()        # nothing published
+        assert threading.active_count() == before
+
+    def test_a_fault_in_a_helper_is_one_cli_line(self, monkeypatch, capsys):
+        from pikappa import cli
+        self._fault_in(monkeypatch, "helper")
+        code = cli.main(["simulate", "--model", "c2", "--paths", "200000"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("simulate failed: DomainError: injected fault on the "
+                       "helper\n")
+
+    def test_a_path_count_beyond_memory_fails_before_any_substream(
+            self, monkeypatch):
+        made = []
+        monkeypatch.setattr(simulate, "_generator", made.append)
+        simulate._last_draw = ()
+        with pytest.raises(MemoryError):
+            simulate._common_draws(BETA128, pk.SimConfig(n_paths=10 ** 15))
+        assert made == []
 
 
 def _poisson_chi2(counts, mean):
@@ -790,19 +906,29 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
 
 
 def test_draw_is_blocked_and_each_path_count_is_poisson():
-    # 200,000 paths: six whole blocks and a ragged last one of 3,392. Each
-    # block's owners are offsets in it, and the per-path counts of the whole
-    # draw follow Poisson(lam T)
+    # 200,000 paths: six whole blocks and a ragged last one of 3,392. Block
+    # b is child b of the seed's SeedSequence: its count, normals, owners
+    # (offsets in the block) and jump sizes replay from that substream
+    # alone, and the per-path counts of the whole draw follow Poisson(lam T)
     jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
     cfg = pk.SimConfig(n_paths=200_000, seed=41)
     draw = simulate._common_draws(jumps, cfg)
-    _, y, owner, cuts = draw
+    z, y, owner, cuts = draw
     sizes = [BLOCK] * 6 + [200_000 - 6 * BLOCK]
     assert cuts.size == len(sizes) + 1 and cuts[0] == 0
     assert cuts[-1] == y.size == owner.size
     for b, size in enumerate(sizes):
-        block = owner[cuts[b]:cuts[b + 1]]
-        assert block.size > 0 and 0 <= block.min() and block.max() < size
+        rng = _block_stream(41, b)
+        lo, hi, s = cuts[b], cuts[b + 1], b * BLOCK
+        assert hi - lo == rng.poisson(0.5 * size) > 0
+        assert z[s:s + size].tobytes() == rng.standard_normal(size).tobytes()
+        block = owner[lo:hi]
+        assert block.tolist() == rng.integers(
+            0, size, size=hi - lo, dtype=np.int32).tolist()
+        assert 0 <= block.min() and block.max() < size
+        g1 = rng.standard_gamma(2.0, size=hi - lo)
+        g2 = rng.standard_gamma(8.0, size=hi - lo)
+        assert y[lo:hi].tobytes() == (g1 / (g2 + g1)).tobytes()
     counts = np.bincount(_global_owner(draw), minlength=cfg.n_paths)
     stat, p = _poisson_chi2(counts, 0.5)
     assert p > 1e-3, (stat, p)
