@@ -65,6 +65,8 @@ EULER_GAMMA = 0.5772156649015329
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
              1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0)
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
+# how far discrete weights may sum from 1 in a draw, Generator.choice's bound
+_WEIGHT_SUM_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def _sums(p, q, r, s, z, g=None, eps=0.0):
@@ -566,6 +568,13 @@ def _draw_y(rng, law, out: np.ndarray) -> np.ndarray:
     Beta sampling goes through the two-Gamma-draw ratio so the draw count
     per variate is fixed; the ratio g1 / (g2 + g1) is formed in out, which
     holds g1.
+
+    A discrete law takes numpy's own Generator.choice recipe, so the stream
+    and the bits are choice's: one uniform u a draw, against
+    cdf = weights.cumsum() / its last entry. The atom's index, choice's
+    searchsorted of u, is here the count of cdf[:-1] <= u, one pass an
+    atom, which at a few atoms is faster. Weights that choice would refuse
+    (a negative one, or a sum off 1 by more than sqrt(eps)) are refused.
     """
     if isinstance(law, BetaJumps):
         rng.standard_gamma(law.alpha, out=out)
@@ -573,7 +582,16 @@ def _draw_y(rng, law, out: np.ndarray) -> np.ndarray:
         g2 += out
         out /= g2
         return out
-    idx = rng.choice(law.points.shape[0], size=out.size, p=law.weights)
+    w = law.weights
+    cdf = w.cumsum()
+    if not (np.all(w >= 0.0) and abs(cdf[-1] - 1.0) <= _WEIGHT_SUM_TOL):
+        raise ValueError(f"jump weights must be non-negative and sum to 1, "
+                         f"got {w.tolist()}")
+    cdf /= cdf[-1]
+    u = rng.random(out.size)
+    idx = np.zeros(out.size, dtype=np.intp)
+    for c in cdf[:-1]:
+        idx += u >= c
     return np.take(law.points, idx, out=out)
 
 

@@ -191,18 +191,22 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
                         jumps: JumpLaw, friction: FrictionSpec,
                         utility: Utility, config: SimConfig,
                         wealth: bool = False):
-    """U_eta(V_T) on the paths of draw (_common_draws), a block at a time:
-    yields each block's utilities, the number of its floored paths, and its
-    floored V_T when wealth is set (else None). Both arrays are (rows, m)
-    views of buffers that the next block overwrites; rows is 2 in
-    antithetic mode (the paths z, then -z) and 1 else. A sampled jump that
-    would take all the wealth is refused.
+    """U_eta(V_T) times _divisor(utility) on the paths of draw
+    (_common_draws), a block at a time: yields each block's values, the
+    number of its floored paths, and its floored V_T when wealth is set
+    (else None). Both arrays are (rows, m) views of buffers that the next
+    block overwrites; rows is 2 in antithetic mode (the paths z, then -z)
+    and 1 else. A sampled jump that would take all the wealth is refused.
+    The values are exp((1 - eta) w), w the floored log wealth, and w itself
+    at eta = 1: the estimators divide their means and standard errors by
+    _divisor(utility) once, not every path.
 
     The work stays in log space: log wealth w = ((log x0 + drift T) +
-    sd z) + jump log, the block's jump log one bincount over its owners; w
-    floored at LOG_FLOOR, then mapped in place to exp((1 - eta) w) /
-    (1 - eta); at eta = 1 the floored w is the utility. That is one exp a
-    path, within 4 eps (1 + |(1 - eta) w|) relative of
+    sd z) + each jump log of the path, added into w in the order of the
+    draw (np.add.at over the block's owners); the refusal test is one
+    reduction, min(-kappa y) <= -1. w is floored at LOG_FLOOR, then mapped
+    in place to exp((1 - eta) w). That is one exp a path; divided by
+    1 - eta it is within 4 eps (1 + |(1 - eta) w|) relative of
     max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta). Each path gets the
     same operations in the same order as in one pass over all n, so the
     blocks do not move a bit. V_T = exp(w) is formed only when wealth asks
@@ -224,13 +228,13 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
         if config.antithetic:
             np.negative(w[0], out=w[1])
         w += c
-        ky = kappa * y[lo:hi]
-        if np.any(ky >= 1.0):
+        ky = (-kappa) * y[lo:hi]
+        if hi > lo and ky.min() <= -1.0:
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
-        np.negative(ky, out=ky)
-        w += np.bincount(owner[lo:hi], weights=np.log1p(ky, out=ky),
-                         minlength=m)
+        np.log1p(ky, out=ky)
+        for row in w:
+            np.add.at(row, owner[lo:hi], ky)
         del ky              # not held while another kernel runs its block
         floored = 0
         if w.min() < LOG_FLOOR:
@@ -240,12 +244,17 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
             np.exp(w, out=v[:, :m])
         if eta != 1.0:
             w *= 1.0 - eta
-            # a floored path at eta above about 2.03 overflows to -inf
-            # utility, which _block_mean refuses
+            # a floored path at eta above about 2.03 overflows to inf, whose
+            # mean _block_mean refuses
             with np.errstate(over="ignore"):
                 np.exp(w, out=w)
-            w /= 1.0 - eta
         yield w, floored, v[:, :m] if wealth else None
+
+
+def _divisor(utility: Utility) -> float:
+    """What _terminal_utilities' values are divided by to give U_eta(V_T):
+    1 - eta, or 1 at eta = 1, where they are log V_T."""
+    return 1.0 - utility.eta if utility.eta != 1.0 else 1.0
 
 
 def _pair_means(u: np.ndarray) -> np.ndarray:
@@ -259,36 +268,43 @@ def _pair_means(u: np.ndarray) -> np.ndarray:
     return u[0]
 
 
-def _block_mean(x: np.ndarray) -> float:
+def _block_mean(x: np.ndarray, divisor: float) -> float:
     """The mean of x. Where the plain sum overflows though every value is
-    finite, it is (x / s).mean() s, s the largest magnitude; a mean that is
-    not finite is a DomainError."""
+    finite, it is (x / s).mean() s, s the largest magnitude. A mean that
+    is not finite once divided by divisor is a DomainError naming that
+    quotient, the mean of U_eta(V_T) when x holds _terminal_utilities'
+    values."""
     with np.errstate(over="ignore"):
-        mean = float(x.mean())
+        mean = float(np.add.reduce(x)) / x.size
     if not math.isfinite(mean):
         scale = max(float(x.max()), -float(x.min()))
-        if not math.isfinite(scale):
-            raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is "
-                              f"{mean}: the utilities leave double range")
-        mean = float((x / scale).mean()) * scale
+        if math.isfinite(scale):
+            mean = float((x / scale).mean()) * scale
+    if not math.isfinite(mean / divisor):
+        raise DomainError(f"the Monte Carlo mean of U_eta(V_T) is "
+                          f"{mean / divisor}: the utilities leave double "
+                          f"range")
     return mean
 
 
 class _Moments:
     """The count, mean and root mean square deviation of a sample fed a
     block at a time, merged by the pairwise update of Chan, Golub and
-    LeVeque (Amer. Statist. 37(3), 1983). No term exceeds the sample's
-    largest magnitude, so a finite sample keeps a finite standard error."""
+    LeVeque (Amer. Statist. 37(3), 1983). Each block holds the sample's
+    values times divisor, which mean and std_error divide out once. No term
+    exceeds the sample's largest magnitude, so a finite sample keeps a
+    finite standard error."""
 
-    def __init__(self):
-        self.n, self.mean, self.rms = 0, 0.0, 0.0
+    def __init__(self, divisor: float):
+        self.divisor = divisor
+        self.n, self.raw_mean, self.rms = 0, 0.0, 0.0
 
     def add(self, x: np.ndarray, spread: bool = True) -> None:
         """Fold in the block x; with spread, also its deviations, for which
         x is centred in place. The mean does not depend on spread."""
-        m, mean = x.size, _block_mean(x)
+        m, mean = x.size, _block_mean(x, self.divisor)
         n = self.n + m
-        delta = mean - self.mean
+        delta = mean - self.raw_mean
         if spread:
             x -= mean
             scale = 1.0
@@ -301,25 +317,30 @@ class _Moments:
             self.rms = math.hypot(self.rms * math.sqrt(self.n / n),
                                   scale * math.sqrt(ss / n),
                                   delta * (math.sqrt(self.n * m) / n))
-        self.mean += delta * (m / n)
+        self.raw_mean += delta * (m / n)
         self.n = n
 
     @property
+    def mean(self) -> float:
+        return self.raw_mean / self.divisor
+
+    @property
     def std_error(self) -> float:
-        return self.rms / math.sqrt(self.n - 1)
+        return self.rms / math.sqrt(self.n - 1) / abs(self.divisor)
 
 
 def _dump_rows(fh, b: int, u: np.ndarray, v: np.ndarray, draw: tuple,
-               sd: float) -> None:
-    """Write block b's rows (path_id, N_T, G, V_T, utility); the mirror of
-    path i in antithetic mode is path n + i."""
+               sd: float, divisor: float) -> None:
+    """Write block b's rows (path_id, N_T, G, V_T, utility), the utility
+    being u / divisor; the mirror of path i in antithetic mode is path
+    n + i."""
     z, _, owner, cuts = draw
     s, m = b * BLOCK, u.shape[1]
     counts = np.bincount(owner[cuts[b]:cuts[b + 1]], minlength=m).tolist()
     g = sd * z[s:s + m]
     for r, gr in enumerate((g, -g)[:u.shape[0]]):
         for i, row in enumerate(zip(counts, gr.tolist(), v[r].tolist(),
-                                    u[r].tolist())):
+                                    (u[r] / divisor).tolist())):
             fh.write("{},{},{:.12g},{:.12g},{:.12g}\n".format(
                 r * z.size + s + i, *row))
 
@@ -341,21 +362,25 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     normals and jumps of the last draw stay in memory until the next draw,
     about 8 n (1 + 1.5 lam T) bytes for n paths (14 MB at 1e6 paths and
     lam T = 0.5). Beyond the draw, the estimate takes O(BLOCK) memory: each
-    block of utilities (see _terminal_utilities) is folded into a running
-    mean and deviation and then overwritten (see _Moments). One sampler
+    block of the kernel's values exp((1 - eta) log V_T) (see
+    _terminal_utilities) is folded into a running mean and deviation and
+    then overwritten (see _Moments), and the mean and standard error are
+    divided by 1 - eta once, at the end, not every path. One sampler
     serves this and compare_policies, so on the same config, plain or
     antithetic, the mean here equals compare_policies' mean_a bit for bit.
-    A mean out of double range is a DomainError.
+    A mean out of double range, before or after that division, is a
+    DomainError.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
     (path_id, N_T, G, V_T, utility) a block at a time, each block's
-    antithetic mirror paths after it.
+    antithetic mirror paths after it; it divides its utility column path
+    by path.
     """
     draw = _common_draws(jumps, config)
     blocks = _terminal_utilities(policy, draw, model, jumps, friction,
                                  utility, config, wealth=dump_csv is not None)
-    moments, floored = _Moments(), 0
+    moments, floored = _Moments(_divisor(utility)), 0
     with (open(dump_csv, "w", encoding="utf-8") if dump_csv is not None
           else contextlib.nullcontext()) as fh:
         if fh is not None:
@@ -364,7 +389,7 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
                                                 friction)[1] * config.horizon)
         for b, (u, block_floored, v) in enumerate(blocks):
             if fh is not None:
-                _dump_rows(fh, b, u, v, draw, sd)
+                _dump_rows(fh, b, u, v, draw, sd, moments.divisor)
             floored += block_floored
             moments.add(_pair_means(u))
     return SimEstimate(moments.mean, moments.std_error,
@@ -390,9 +415,11 @@ def compare_policies(policy_a: Policy, policy_b: Policy, model: MarketModel,
     block folds into the running means of A and B and the running mean and
     deviation of A - B, so the memory beyond the draw is O(BLOCK); in
     antithetic mode the standard error comes from the pair means, as
-    there."""
+    there. The means, the difference and its standard error are divided by
+    1 - eta once, as there, and the verdict is judged on the quotients, so
+    its sign holds at eta > 1."""
     draw = _common_draws(jumps, config)
-    a, b, diff = _Moments(), _Moments(), _Moments()
+    a, b, diff = (_Moments(_divisor(utility)) for _ in range(3))
     runs = [_terminal_utilities(p, draw, model, jumps, friction, utility,
                                 config) for p in (policy_a, policy_b)]
     for (ua, _, _), (ub, _, _) in zip(*runs):

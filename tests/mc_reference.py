@@ -1,8 +1,9 @@
-"""The unblocked terminal-utility kernel, kept as a test reference: it forms
-every path's jump log with one n-length bincount and works the whole
-n-float buffer a step at a time. simulate._terminal_utilities walks the
-paths in blocks instead, and the tests check it against this one bit for
-bit."""
+"""The unblocked terminal-utility kernel, kept as a test reference: it adds
+every jump log into its path with one np.add.at over all n paths, works
+the whole n-float buffer a step at a time and divides each path by
+1 - eta. simulate._terminal_utilities walks the paths in blocks and leaves
+the division to the estimators instead; the tests divide its values and
+check them against this one bit for bit."""
 
 import numpy as np
 
@@ -21,10 +22,10 @@ def terminal_utilities(policy, z, y, owner, model, jumps, friction, utility,
         raise DomainError("sampled 1 - kappa Y <= 0; jump law violates Y < 1")
     np.negative(ky, out=ky)
     np.log1p(ky, out=ky)
-    jl = np.bincount(owner, weights=ky, minlength=z.shape[-1])
     w = np.multiply(z, np.sqrt(var_rate * T))
     w += np.log(config.x0) + drift * T
-    w += jl
+    for row in np.atleast_2d(w):
+        np.add.at(row, owner, ky)       # each path's jumps in draw order
     floored = int(np.count_nonzero(w < LOG_FLOOR))
     np.maximum(w, LOG_FLOOR, out=w)
     v = np.exp(w) if wealth else None

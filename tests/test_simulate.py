@@ -229,11 +229,11 @@ PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
 MC_PINS = {
     "beta": (-0.5702889390617758, 0.0012939836446819882,
              -0.5695070398460897, 0.0012166501480746705,
-             0.058906015063885944, 0.0008975259204055179,
+             0.058906015063885944, 0.0008975259204055177,
              -0.5702889390617758, -0.6291949541256618),
     "discrete": (-0.6731615179046229, 0.0029868571398611495,
                  -0.6783689641385118, 0.004166000938632343,
-                 0.2726811738385612, 0.012746751897935055,
+                 0.2726811738385612, 0.012746751897935057,
                  -0.6731615179046229, -0.9458426917431841),
 }
 
@@ -325,7 +325,9 @@ def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
     m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
     u = pk.Utility(eta)
     floored = pk.Policy(pi=[128.0], kappa=0.0)
-    msg = "the Monte Carlo mean of U_eta"
+    # the message names the utility's mean, -inf, not the +inf mean of the
+    # kernel's exp((1 - eta) log V_T) before its division by 1 - eta
+    msg = r"the Monte Carlo mean of U_eta\(V_T\) is -inf"
     for cfg in (pk.SimConfig(n_paths=2_000, seed=1),
                 pk.SimConfig(n_paths=2_000, seed=1, antithetic=True)):
         with pytest.raises(pk.DomainError, match=msg):
@@ -369,6 +371,28 @@ def test_sample_jumps_stream_bit_identical():
         0.4, 0.8, 0.4, 0.8, 0.4]
 
 
+@pytest.mark.parametrize("weights", [
+    [0.7, 0.3], [0.5, 0.3, 0.2], [0.1, 0.2, 0.3, 0.4],
+    [0.05, 0.25, 0.0, 0.4, 0.3]])
+def test_discrete_draw_is_generator_choice_bit_for_bit(weights):
+    # the count of cdf[:-1] <= u takes the uniforms and the atoms that
+    # Generator.choice(p=weights) takes, a zero-weight atom included
+    points = np.linspace(0.1, 0.9, len(weights))
+    jumps = pk.JumpLaw(lam=1.0, law=pk.DiscreteJumps(points=points,
+                                                     weights=weights))
+    idx = _generator(5).choice(len(weights), size=10_000, p=weights)
+    assert pk.sample_jumps(jumps, 10_000, seed=5).tobytes() == \
+        points[idx].tobytes()
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6], [1.2, -0.2], [0.5, np.nan]])
+def test_discrete_draw_refuses_weights_that_choice_refuses(weights):
+    jumps = pk.JumpLaw(lam=1.0, law=pk.DiscreteJumps(points=[0.2, 0.6],
+                                                     weights=weights))
+    with pytest.raises(ValueError, match="jump weights"):
+        pk.sample_jumps(jumps, 10, seed=1)
+
+
 class TestPathDump:
     def test_per_path_csv(self, tmp_path):
         m = c2_model()
@@ -404,9 +428,10 @@ def _global_owner(draw):
 
 def _streamed(policy, draw, model, jumps, fric, utility, cfg, wealth=False):
     """The kernel's blocks joined as one pass over all paths would give
-    them: utilities and V_T shaped as the normals, (n,) or the antithetic
-    (2, n), and the floored count."""
-    blocks = [(u.copy(), floored, None if v is None else v.copy())
+    them: utilities (its values divided by 1 - eta) and V_T shaped as the
+    normals, (n,) or the antithetic (2, n), and the floored count."""
+    divisor = simulate._divisor(utility)
+    blocks = [(u / divisor, floored, None if v is None else v.copy())
               for u, floored, v in simulate._terminal_utilities(
                   policy, draw, model, jumps, fric, utility, cfg, wealth)]
     shape = (2, -1) if cfg.antithetic else (-1,)
@@ -418,25 +443,30 @@ def _streamed(policy, draw, model, jumps, fric, utility, cfg, wealth=False):
 
 def _samples(policy, model, jumps, fric, utility, cfg):
     """The estimator's independent samples on cfg's draw, every path's
-    utility or pair mean, joined over the blocks."""
+    utility or pair mean, joined over the blocks: the kernel's values or
+    their pair means, divided by 1 - eta."""
     draw = simulate._common_draws(jumps, cfg)
+    divisor = simulate._divisor(utility)
     return np.concatenate([
-        simulate._pair_means(u).copy() for u, _, _ in
+        simulate._pair_means(u) / divisor for u, _, _ in
         simulate._terminal_utilities(policy, draw, model, jumps, fric,
                                      utility, cfg)])
 
 
 def _log_wealth(policy, model, jumps, fric, cfg):
-    """Unfloored log V_T on the paths of cfg, built apart from the kernel."""
+    """Unfloored log V_T on the paths of cfg, built apart from the kernel
+    and rounded as it rounds: (log x0 + drift T) + sd z, then each jump log
+    of a path added into it in the order of the draw."""
     draw = simulate._common_draws(jumps, cfg)
     z, y = draw[0], draw[1]
     if cfg.antithetic:
         z = np.stack([z, -z])
     drift, var = simulate._policy_coefficients(policy, model, jumps, fric)
-    jump_log = np.zeros(z.shape[-1])
-    np.add.at(jump_log, _global_owner(draw), np.log1p(-policy.kappa * y))
-    return (math.log(cfg.x0) + drift * cfg.horizon) \
-        + math.sqrt(var * cfg.horizon) * z + jump_log
+    w = (math.log(cfg.x0) + drift * cfg.horizon) \
+        + math.sqrt(var * cfg.horizon) * z
+    for row in np.atleast_2d(w):
+        np.add.at(row, _global_owner(draw), np.log1p(-policy.kappa * y))
+    return w
 
 
 def _parent_utility(w, eta):
@@ -515,14 +545,14 @@ def test_standard_error_of_a_sample_near_double_range_is_finite():
     # the centred squares overflow; the rescaled sum gives the SE of x / s
     # times s
     x = np.array([1e300, 3e300, -2e300, 5e300, 4e300])
-    moments = simulate._Moments()
+    moments = simulate._Moments(1.0)
     moments.add(x.copy())
     assert moments.mean == x.mean()
     assert moments.std_error == pytest.approx(np.std(x / 1e300, ddof=1)
                                               * 1e300 / math.sqrt(5),
                                               rel=1e-15)
     with pytest.raises(pk.DomainError, match="mean"):
-        simulate._Moments().add(np.array([1.0, 2.0, np.inf]))
+        simulate._Moments(1.0).add(np.array([1.0, 2.0, np.inf]))
 
 
 BLOCK = simulate.BLOCK
@@ -935,12 +965,15 @@ def test_draw_is_blocked_and_each_path_count_is_poisson():
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-def test_streamed_moments_match_a_two_pass_fsum(antithetic):
+@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
+def test_streamed_moments_match_a_two_pass_fsum(eta, antithetic):
     # the running mean and deviation merged over four blocks (one ragged)
     # agree with an exactly rounded two-pass reference on the same samples,
-    # for the estimate and the paired difference
+    # for the estimate and the paired difference; the estimators divide by
+    # 1 - eta once, a positive divisor at eta = 0.5, none at 1 and a
+    # negative one at 3
     m, fric, u = c2_model(), pk.DifferentialRates(premium=PREM02), \
-        pk.Utility(3.0)
+        pk.Utility(eta)
     a, b = pk.Policy(pi=[0.8], kappa=0.5), pk.Policy(pi=[0.5], kappa=0.7)
     cfg = pk.SimConfig(n_paths=2 * (3 * BLOCK + 123) if antithetic
                        else 3 * BLOCK + 123, seed=17, antithetic=antithetic)
