@@ -210,7 +210,9 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta). Each path gets the
     same operations in the same order as in one pass over all n, so the
     blocks do not move a bit. V_T = exp(w) is formed only when wealth asks
-    for it. Memory is O(BLOCK).
+    for it. Memory is O(BLOCK): the block buffers and one buffer for the
+    jump logs of the block with the most jumps, each allocated once a call,
+    not once a block.
     """
     z, y, owner, cuts = draw
     drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
@@ -220,6 +222,7 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     n = z.size
     u = np.empty((2 if config.antithetic else 1, min(n, BLOCK)))
     v = np.empty_like(u) if wealth else None
+    jl = np.empty(int(np.diff(cuts).max()))     # a block's jump logs
     cuts = cuts.tolist()
     for s, lo, hi in zip(range(0, n, BLOCK), cuts, cuts[1:]):
         m = min(BLOCK, n - s)
@@ -228,14 +231,13 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
         if config.antithetic:
             np.negative(w[0], out=w[1])
         w += c
-        ky = (-kappa) * y[lo:hi]
+        ky = np.multiply(y[lo:hi], -kappa, out=jl[:hi - lo])
         if hi > lo and ky.min() <= -1.0:
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
         np.log1p(ky, out=ky)
         for row in w:
             np.add.at(row, owner[lo:hi], ky)
-        del ky              # not held while another kernel runs its block
         floored = 0
         if w.min() < LOG_FLOOR:
             floored = int(np.count_nonzero(w < LOG_FLOOR))

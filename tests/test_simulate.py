@@ -339,6 +339,32 @@ def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
                     pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
 
 
+def test_a_finite_mean_out_of_double_range_once_divided_is_refused():
+    # eta = 1e-6 on a riskless path whose exp((1 - eta) log V_T) lies just
+    # below the largest double: each kernel value and their mean are
+    # finite, but the mean over 1 - eta = 0.999999, the utility's, is not
+    m = pk.MarketModel(mu=[0.16], sigma=[[0.30]], r=0.05, R=0.05,
+                       rho=[0.0], b=0.0)
+    fric = pk.Frictionless(premium=pk.LinearPremium(q=0.0))
+    pol, u = pk.Policy(pi=[0.0], kappa=0.0), pk.Utility(1e-6)
+    horizon = 1000.0
+    drift = simulate._policy_coefficients(pol, m, NOJUMPS, fric)[0]
+    top = math.log(np.finfo(float).max)
+    log_wealth = (top - 5e-7) / (1.0 - u.eta)
+    cfg = pk.SimConfig(horizon=horizon, n_paths=1_000, seed=1,
+                       x0=math.exp(log_wealth - drift * horizon))
+    x = np.concatenate([b.copy() for b, _, _ in simulate._terminal_utilities(
+        pol, simulate._common_draws(NOJUMPS, cfg), m, NOJUMPS, fric, u,
+        cfg)])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(x).all() and np.isinf(x / (1.0 - u.eta)).all()
+    msg = r"the Monte Carlo mean of U_eta\(V_T\) is inf"
+    with pytest.raises(pk.DomainError, match=msg):
+        pk.simulate_terminal_utility(pol, m, NOJUMPS, fric, u, cfg)
+    with pytest.raises(pk.DomainError, match=msg):
+        pk.compare_policies(pol, pol, m, NOJUMPS, fric, u, cfg)
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_finite_utilities_whose_sum_overflows_give_their_mean(antithetic):
     # at eta = 2.02 each floored utility is finite, about -9.8e305, and
