@@ -490,8 +490,9 @@ def _log_wealth(policy, model, jumps, fric, cfg):
     drift, var = simulate._policy_coefficients(policy, model, jumps, fric)
     w = (math.log(cfg.x0) + drift * cfg.horizon) \
         + math.sqrt(var * cfg.horizon) * z
+    jump_log = np.log1p(-policy.kappa * y)
     for row in np.atleast_2d(w):
-        np.add.at(row, _global_owner(draw), np.log1p(-policy.kappa * y))
+        np.add.at(row, _global_owner(draw), jump_log)
     return w
 
 
