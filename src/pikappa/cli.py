@@ -29,7 +29,6 @@ import os
 import re
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (CrossCheckFailed, ModelValidationError, NoSolution,
                      PikappaError)
 from .hamiltonian import eval_objective, value_function
 from .models import (DifferentialRates, Policy, Utility, load_model_file,
-                     require_valid)
+                     require_valid, resolve_model_path)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -48,18 +47,6 @@ MUTUAL_FUND_TOL = 1e-5
 # override flags: each sets the parsed model through oracle._apply_param,
 # as a sweep of the same --param does
 OVERRIDES = ("eta", "rho", "r", "R", "q", "lambda", "b", "mu")
-
-
-def resolve_model_path(name: str) -> str:
-    """A file's path (not a directory's) or a bundled config's name."""
-    if os.path.isfile(name):
-        return name
-    base = name if name.endswith(".json") else name + ".json"
-    cand = resources.files("pikappa").joinpath("configs").joinpath(base)
-    if cand.is_file():
-        return str(cand)
-    raise FileNotFoundError(f"model file {name!r} not found (not a file or "
-                            f"bundled config)")
 
 
 def _load_inputs(args) -> tuple:

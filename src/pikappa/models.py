@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -477,6 +479,18 @@ def parse_model_dict(doc: dict) -> ModelInputs:
             raise ModelValidationError(ValidationReport(tuple(failed)))
     return ModelInputs(model=model, jumps=jumps, friction=friction,
                        utility=utility)
+
+
+def resolve_model_path(name: str) -> str:
+    """A file's path (not a directory's) or a bundled config's name."""
+    if os.path.isfile(name):
+        return name
+    base = name if name.endswith(".json") else name + ".json"
+    cand = resources.files("pikappa").joinpath("configs").joinpath(base)
+    if cand.is_file():
+        return str(cand)
+    raise FileNotFoundError(f"model file {name!r} not found (not a file or "
+                            f"bundled config)")
 
 
 def load_model_file(path) -> ModelInputs:

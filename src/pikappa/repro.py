@@ -17,17 +17,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle, solvers
-from .models import load_model_file
-
-
-def _bundled(name: str) -> str:
-    from .cli import resolve_model_path
-    return resolve_model_path(name)
+from .models import load_model_file, resolve_model_path
 
 
 def _sweep_csv(config: str, param: str, lo: float, hi: float,
                steps: int) -> str:
-    inputs = load_model_file(_bundled(config))
+    inputs = load_model_file(resolve_model_path(config))
     grid = np.linspace(lo, hi, steps + 1)
     points = oracle.sweep(param, grid, inputs.model, inputs.jumps,
                           inputs.friction, inputs.utility)
@@ -35,7 +30,7 @@ def _sweep_csv(config: str, param: str, lo: float, hi: float,
 
 
 def _eta_threshold_table(config: str) -> str:
-    inputs = load_model_file(_bundled(config))
+    inputs = load_model_file(resolve_model_path(config))
     prem = inputs.friction.premium
     buf = io.StringIO()
     buf.write("R,eta_R\n")

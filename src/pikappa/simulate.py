@@ -12,7 +12,6 @@ import contextlib
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,36 +84,30 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_blocks(fill, count: int) -> None:
-    """fill(0), ..., fill(count - 1) on min(_workers(), count) threads, the
-    caller one of them; thread t takes the indices t, t + k, t + 2k, ...
-    The first exception a thread raises stops the others at their next
-    index and is raised in the caller once every helper has joined. One
-    index starts no thread."""
+def _fill_blocks(fill, count: int) -> list:
+    """[fill(0), ..., fill(count - 1)], filled on min(_workers(), count)
+    threads, the caller one of them; thread t takes the indices t, t + k,
+    t + 2k, ... An exception in any thread is raised in the caller once
+    every thread is done. One index starts no thread."""
     k = min(_workers(), count)
-    errors = []
+    out = [None] * count
 
     def run(t):
-        try:
-            for b in range(t, count, k):
-                if errors:
-                    return
-                fill(b)
-        except BaseException as exc:    # raised again in the caller
-            errors.append(exc)
+        for b in range(t, count, k):
+            out[b] = fill(b)
 
-    helpers = []
-    try:
-        for t in range(1, k):
-            helper = threading.Thread(target=run, args=(t,))
-            helper.start()
-            helpers.append(helper)
+    if k == 1:
         run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+        return out
+    # imported here: concurrent.futures loads logging, about 5 ms of every
+    # cold start, which only a many-block draw should pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(k - 1) as pool:
+        helpers = [pool.submit(run, t) for t in range(1, k)]
+        run(0)
+    for helper in helpers:
+        helper.result()
+    return out
 
 
 # The last draw, (key, jumps, draw), kept so that calls on the same config
@@ -125,12 +118,11 @@ _last_draw = ()
 
 
 def _common_draws(jumps: JumpLaw, config: SimConfig):
-    """The draw (z, y, owner, cuts) of config's paths: n = n_paths paths, or
-    in antithetic mode n = n_paths / 2, whose normals z run as z and -z over
+    """The draw (z, blocks) of config's paths: n = n_paths paths, or in
+    antithetic mode n = n_paths / 2, whose normals z run as z and -z over
     the same jumps. Block b holds the m_b paths from b BLOCK to
-    min((b + 1) BLOCK, n); its jump sizes are y[cuts[b]:cuts[b + 1]], and
-    owner[cuts[b]:cuts[b + 1]] gives the path of each as an offset in the
-    block, in no order.
+    min((b + 1) BLOCK, n); blocks[b] is its (y, owner): the sizes of its
+    jumps, and the path of each as an offset in the block, in no order.
 
     Block b draws from its own substream: child b of
     np.random.SeedSequence(config.seed), through jumps._generator (numpy's
@@ -142,15 +134,14 @@ def _common_draws(jumps: JumpLaw, config: SimConfig):
     uniformity of a Poisson process). BLOCK is part of the stream's
     definition: another block size gives other bits from the same seed.
 
-    The counts are drawn first, block after block; the blocks are then
-    filled in place on the threads of _fill_blocks. A block's bits depend
-    only on its substream and its place, so they do not depend on the
-    number of threads or the order in which the blocks are filled.
+    Each block draws all four itself, on the threads of _fill_blocks. Its
+    bits depend only on its substream and its place, not on the number of
+    threads or the order in which the blocks are filled.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the law,
     so its id is not reused, and laws are immutable. The global is read once
-    and replaced in one assignment, after every thread has joined, so
+    and replaced in one assignment, after every block is filled, so
     concurrent callers stay correct.
     """
     global _last_draw
@@ -161,28 +152,23 @@ def _common_draws(jumps: JumpLaw, config: SimConfig):
         return last[2]
     _last_draw = ()
     z = np.empty(n)         # first: a path count beyond memory fails here
-    starts = range(0, n, BLOCK)
-    rngs = [_generator(s) for s in
-            np.random.SeedSequence(config.seed).spawn(len(starts))]
+    seeds = np.random.SeedSequence(config.seed).spawn(-(-n // BLOCK))
     lam_t = jumps.lam * config.horizon
-    cuts = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum([rng.poisson(lam_t * min(BLOCK, n - s))
-               for rng, s in zip(rngs, starts)], out=cuts[1:])
-    y = np.empty(cuts[-1])
-    owner = np.empty(cuts[-1], dtype=np.int32)
-    bounds = cuts.tolist()
 
     def fill(b):
-        rng, s, lo, hi = rngs[b], starts[b], bounds[b], bounds[b + 1]
+        rng, s = _generator(seeds[b]), b * BLOCK
         m = min(BLOCK, n - s)
+        count = rng.poisson(lam_t * m)
         rng.standard_normal(out=z[s:s + m])
-        owner[lo:hi] = rng.integers(0, m, size=hi - lo, dtype=np.int32)
-        _draw_y(rng, jumps.law, y[lo:hi])
+        owner = rng.integers(0, m, size=count, dtype=np.int32)
+        y = _draw_y(rng, jumps.law, np.empty(count))
+        for a in (y, owner):
+            a.setflags(write=False)
+        return y, owner
 
-    _fill_blocks(fill, len(starts))
-    draw = (z, y, owner, cuts)
-    for a in draw:
-        a.setflags(write=False)
+    blocks = tuple(_fill_blocks(fill, len(seeds)))
+    z.setflags(write=False)
+    draw = (z, blocks)
     _last_draw = (key, jumps, draw)
     return draw
 
@@ -191,15 +177,15 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
                         jumps: JumpLaw, friction: FrictionSpec,
                         utility: Utility, config: SimConfig,
                         wealth: bool = False):
-    """U_eta(V_T) times _divisor(utility) on the paths of draw
-    (_common_draws), a block at a time: yields each block's values, the
-    number of its floored paths, and its floored V_T when wealth is set
-    (else None). Both arrays are (rows, m) views of buffers that the next
-    block overwrites; rows is 2 in antithetic mode (the paths z, then -z)
-    and 1 else. A sampled jump that would take all the wealth is refused.
-    The values are exp((1 - eta) w), w the floored log wealth, and w itself
-    at eta = 1: the estimators divide their means and standard errors by
-    _divisor(utility) once, not every path.
+    """U_eta(V_T) times _divisor(utility) on the paths of the draw
+    (z, blocks) of _common_draws, a block at a time: yields each block's
+    values, the number of its floored paths, and its floored V_T when
+    wealth is set (else None). Both arrays are (rows, m) views of buffers
+    that the next block overwrites; rows is 2 in antithetic mode (the paths
+    z, then -z) and 1 else. A sampled jump that would take all the wealth
+    is refused. The values are exp((1 - eta) w), w the floored log wealth,
+    and w itself at eta = 1: the estimators divide their means and standard
+    errors by _divisor(utility) once, not every path.
 
     The work stays in log space: log wealth w = ((log x0 + drift T) +
     sd z) + each jump log of the path, added into w in the order of the
@@ -214,7 +200,7 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     jump logs of the block with the most jumps, each allocated once a call,
     not once a block.
     """
-    z, y, owner, cuts = draw
+    z, blocks = draw
     drift, var_rate = _policy_coefficients(policy, model, jumps, friction)
     sd = np.sqrt(var_rate * config.horizon)
     c = np.log(config.x0) + drift * config.horizon
@@ -222,22 +208,21 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     n = z.size
     u = np.empty((2 if config.antithetic else 1, min(n, BLOCK)))
     v = np.empty_like(u) if wealth else None
-    jl = np.empty(int(np.diff(cuts).max()))     # a block's jump logs
-    cuts = cuts.tolist()
-    for s, lo, hi in zip(range(0, n, BLOCK), cuts, cuts[1:]):
+    jl = np.empty(max(y.size for y, _ in blocks))     # a block's jump logs
+    for s, (y, owner) in zip(range(0, n, BLOCK), blocks):
         m = min(BLOCK, n - s)
         w = u[:, :m]
         np.multiply(z[s:s + m], sd, out=w[0])
         if config.antithetic:
             np.negative(w[0], out=w[1])
         w += c
-        ky = np.multiply(y[lo:hi], -kappa, out=jl[:hi - lo])
-        if hi > lo and ky.min() <= -1.0:
+        ky = np.multiply(y, -kappa, out=jl[:y.size])
+        if y.size and ky.min() <= -1.0:
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
         np.log1p(ky, out=ky)
         for row in w:
-            np.add.at(row, owner[lo:hi], ky)
+            np.add.at(row, owner, ky)
         floored = 0
         if w.min() < LOG_FLOOR:
             floored = int(np.count_nonzero(w < LOG_FLOOR))
@@ -333,12 +318,12 @@ class _Moments:
 
 def _dump_rows(fh, b: int, u: np.ndarray, v: np.ndarray, draw: tuple,
                sd: float, divisor: float) -> None:
-    """Write block b's rows (path_id, N_T, G, V_T, utility), the utility
-    being u / divisor; the mirror of path i in antithetic mode is path
-    n + i."""
-    z, _, owner, cuts = draw
+    """Write block b's rows (path_id, N_T, G, V_T, utility) of the draw
+    (z, blocks), the utility being u / divisor; the mirror of path i in
+    antithetic mode is path n + i."""
+    z, blocks = draw
     s, m = b * BLOCK, u.shape[1]
-    counts = np.bincount(owner[cuts[b]:cuts[b + 1]], minlength=m).tolist()
+    counts = np.bincount(blocks[b][1], minlength=m).tolist()
     g = sd * z[s:s + m]
     for r, gr in enumerate((g, -g)[:u.shape[0]]):
         for i, row in enumerate(zip(counts, gr.tolist(), v[r].tolist(),
@@ -354,24 +339,24 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     """Sample mean and standard error of U_eta(V_T) under the policy.
 
     Deterministic given the seed (numpy's Generator on the SFC64 bit
-    generator, fixed reduction order). Each BLOCK of paths draws from its
-    own substream of the seed, in order: its Poisson count, its normals,
-    its jump owners drawn uniformly on its paths, and their jump sizes; by
-    Poisson superposition this is the exact law of n independent compound
-    Poisson paths (see _common_draws). The blocks are filled on every
-    usable CPU, and no bit depends on how many there are. One config and
-    law are drawn once and shared: the
-    normals and jumps of the last draw stay in memory until the next draw,
-    about 8 n (1 + 1.5 lam T) bytes for n paths (14 MB at 1e6 paths and
-    lam T = 0.5). Beyond the draw, the estimate takes O(BLOCK) memory: each
-    block of the kernel's values exp((1 - eta) log V_T) (see
-    _terminal_utilities) is folded into a running mean and deviation and
-    then overwritten (see _Moments), and the mean and standard error are
-    divided by 1 - eta once, at the end, not every path. One sampler
-    serves this and compare_policies, so on the same config, plain or
-    antithetic, the mean here equals compare_policies' mean_a bit for bit.
-    A mean out of double range, before or after that division, is a
-    DomainError.
+    generator, fixed reduction order). Each BLOCK of paths draws itself
+    from its own substream of the seed, in order: its Poisson count, its
+    normals, its jump owners drawn uniformly on its paths, and their jump
+    sizes; by Poisson superposition this is the exact law of n independent
+    compound Poisson paths (see _common_draws). The blocks are filled on
+    every usable CPU, on the standard library's thread pool, and no bit
+    depends on how many there are. One config and law are drawn once and
+    shared: the normals and the per-block jumps (z, blocks) of the last
+    draw stay in memory until the next draw, about 8 n (1 + 1.5 lam T)
+    bytes for n paths (14 MB at 1e6 paths and lam T = 0.5). Beyond the
+    draw, the estimate takes O(BLOCK) memory: each block of the kernel's
+    values exp((1 - eta) log V_T) (see _terminal_utilities) is folded into
+    a running mean and deviation and then overwritten (see _Moments), and
+    the mean and standard error are divided by 1 - eta once, at the end,
+    not every path. One sampler serves this and compare_policies, so on the
+    same config, plain or antithetic, the mean here equals
+    compare_policies' mean_a bit for bit. A mean out of double range,
+    before or after that division, is a DomainError.
     Antithetic mode draws n_paths / 2 normals z and runs the paths [z, -z]
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows

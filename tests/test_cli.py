@@ -444,7 +444,9 @@ class TestVerify:
 class TestColdStart:
     # no runtime code imports scipy (about half a second of import), so it
     # stays unloaded through every bundled solve. hashlib (and with it
-    # OpenSSL) is imported only to hash the files --out writes.
+    # OpenSSL) is imported only to hash the files --out writes, and
+    # concurrent.futures (and with it logging) only to fill a Monte Carlo
+    # draw of more than one block.
     SCRIPT = textwrap.dedent("""
         import contextlib, io, sys
         import pikappa as pk
@@ -456,6 +458,7 @@ class TestColdStart:
             assert not loaded, (step, loaded[:3])
             hashing = sorted({"hashlib", "_hashlib"} & set(sys.modules))
             assert not hashing, (step, hashing)
+            assert "concurrent.futures" not in sys.modules, step
 
         check("import pikappa, pikappa.cli")
         argvs = [["solve", "--model", name] for name in CONFIGS]

@@ -5,9 +5,13 @@ qualitative features."""
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pikappa
 from pikappa.repro import RECIPES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -113,3 +117,18 @@ def test_section5_sweep_interior(artifacts):
     assert all(r["case_label"] == "PortfolioPremium-interior" for r in rows)
     kappas = [float(r["kappa"]) for r in rows]
     assert all(0.0 < k < 1.0 for k in kappas)
+
+
+def test_a_recipe_runs_without_the_cli():
+    # the recipes find the bundled configs through models, so a library
+    # module never imports the command-line front end
+    src = str(Path(pikappa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from pikappa.repro import RECIPES\n"
+              "RECIPES['table-etaR.csv']()\n"
+              "assert 'pikappa.cli' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
