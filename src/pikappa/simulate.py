@@ -110,6 +110,26 @@ def _fill_blocks(fill, count: int) -> list:
     return out
 
 
+def _rank_probabilities(lam_t: float) -> list:
+    """[q_1, ..., q_K, 0.0], q_k = P(N >= k | N >= k - 1) for N ~
+    Poisson(lam_t) truncated at K = ceil(lam_t + 40 sqrt(lam_t)) + 200,
+    where P(N > K) < 1e-300 (a Chernoff bound), far below the rounding of
+    any q_k; the closing 0.0 is q_{K + 1}.
+
+    No exp(-lam_t) is formed, which underflows beyond lam_t of about 745:
+    t_k = P(N >= k) / P(N = k - 1) follows the backward recursion
+    t_k = lam_t / k (1 + t_{k + 1}) from t_{K + 1} = 0, and
+    q_k = t_k / (1 + t_k), 1 where t_k overflows. An error in t_{k + 1}
+    reaches t_k scaled by q_{k + 1} < 1, so the recursion is stable.
+    """
+    size = math.ceil(lam_t + 40.0 * math.sqrt(lam_t)) + 200
+    q, t = [0.0] * (size + 1), 0.0
+    for k in range(size, 0, -1):
+        t = lam_t / k * (1.0 + t)
+        q[k - 1] = t / (1.0 + t) if t < math.inf else 1.0
+    return q
+
+
 # The last draw, (key, jumps, draw), kept so that calls on the same config
 # and law share one set of random numbers; () before the first. Not None:
 # perfbench's Tracer.unwrapped() takes every module-level None for an
@@ -121,20 +141,28 @@ def _common_draws(jumps: JumpLaw, config: SimConfig):
     """The draw (z, blocks) of config's paths: n = n_paths paths, or in
     antithetic mode n = n_paths / 2, whose normals z run as z and -z over
     the same jumps. Block b holds the m_b paths from b BLOCK to
-    min((b + 1) BLOCK, n); blocks[b] is its (y, owner): the sizes of its
-    jumps, and the path of each as an offset in the block, in no order.
+    min((b + 1) BLOCK, n); blocks[b] is its (y, ranks): the sizes of its
+    jumps, and rem_1, rem_2, ..., the number of its paths with at least
+    1, 2, ... jumps, ending at the first rem_k = 0. Paths [0, rem_k) of
+    the block take the next rem_k sizes of y as their k-th jumps, rank
+    after rank, so path i has N_T = #{k: rem_k > i} jumps, N_T descending
+    along the block.
 
     Block b draws from its own substream: child b of
     np.random.SeedSequence(config.seed), through jumps._generator (numpy's
-    Generator on SFC64). It holds, in order: one Poisson(lam T m_b) count;
-    the block's m_b normals; the count's owners, uniform on [0, m_b); their
-    jump sizes. This is exact: a block's m_b independent Poisson(lam T)
-    counts have the law of one Poisson(lam T m_b) total whose points fall
-    on its paths uniformly and independently (superposition and conditional
-    uniformity of a Poisson process). BLOCK is part of the stream's
-    definition: another block size gives other bits from the same seed.
+    Generator on SFC64). It holds, in order: the ranks, by sequential
+    conditional binomials rem_k ~ Binomial(rem_{k - 1}, q_k) from
+    rem_0 = m_b (q_k of _rank_probabilities, one table a draw; L. Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. XI); the block's m_b
+    normals; the sizes of its rem_1 + rem_2 + ... jumps. The ranks are
+    those of m_b independent Poisson(lam T) counts sorted in descending
+    order, and the normals and sizes are i.i.d. and independent of them, so
+    a block is a permutation of m_b independent compound Poisson paths;
+    every estimate is a symmetric function of its paths, so its law is
+    exact. BLOCK is part of the stream's definition: another block size
+    gives other bits from the same seed.
 
-    Each block draws all four itself, on the threads of _fill_blocks. Its
+    Each block draws all three itself, on the threads of _fill_blocks. Its
     bits depend only on its substream and its place, not on the number of
     threads or the order in which the blocks are filled.
 
@@ -152,19 +180,28 @@ def _common_draws(jumps: JumpLaw, config: SimConfig):
         return last[2]
     _last_draw = ()
     z = np.empty(n)         # first: a path count beyond memory fails here
-    seeds = np.random.SeedSequence(config.seed).spawn(-(-n // BLOCK))
     lam_t = jumps.lam * config.horizon
+    # and so do about n lam T jump sizes, before the rank table, which
+    # grows with lam T
+    np.empty(int(min(n * lam_t, 2.0 ** 62)))
+    seeds = np.random.SeedSequence(config.seed).spawn(-(-n // BLOCK))
+    q = _rank_probabilities(lam_t)
 
     def fill(b):
         rng, s = _generator(seeds[b]), b * BLOCK
         m = min(BLOCK, n - s)
-        count = rng.poisson(lam_t * m)
+        rem, ranks = m, []
+        for qk in q:                    # q ends at 0.0, and so does rem
+            rem = rng.binomial(rem, qk)
+            ranks.append(rem)
+            if not rem:
+                break
         rng.standard_normal(out=z[s:s + m])
-        owner = rng.integers(0, m, size=count, dtype=np.int32)
-        y = _draw_y(rng, jumps.law, np.empty(count))
-        for a in (y, owner):
+        y = _draw_y(rng, jumps.law, np.empty(sum(ranks)))
+        ranks = np.array(ranks, dtype=np.int64)
+        for a in (y, ranks):
             a.setflags(write=False)
-        return y, owner
+        return y, ranks
 
     blocks = tuple(_fill_blocks(fill, len(seeds)))
     z.setflags(write=False)
@@ -188,11 +225,12 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     errors by _divisor(utility) once, not every path.
 
     The work stays in log space: log wealth w = ((log x0 + drift T) +
-    sd z) + each jump log of the path, added into w in the order of the
-    draw (np.add.at over the block's owners); the refusal test is one
-    reduction, min(-kappa y) <= -1. w is floored at LOG_FLOOR, then mapped
-    in place to exp((1 - eta) w). That is one exp a path; divided by
-    1 - eta it is within 4 eps (1 + |(1 - eta) w|) relative of
+    sd z) + each jump log of the path, added into w rank by rank: the k-th
+    jump logs of paths [0, rem_k) are the next rem_k of the block's jump
+    logs, added as one slice, row[:rem_k] += ky[o:o + rem_k]. The refusal
+    test is one reduction, min(-kappa y) <= -1. w is floored at LOG_FLOOR,
+    then mapped in place to exp((1 - eta) w). That is one exp a path;
+    divided by 1 - eta it is within 4 eps (1 + |(1 - eta) w|) relative of
     max(exp(w), WEALTH_FLOOR) ** (1 - eta) / (1 - eta). Each path gets the
     same operations in the same order as in one pass over all n, so the
     blocks do not move a bit. V_T = exp(w) is formed only when wealth asks
@@ -209,7 +247,7 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
     u = np.empty((2 if config.antithetic else 1, min(n, BLOCK)))
     v = np.empty_like(u) if wealth else None
     jl = np.empty(max(y.size for y, _ in blocks))     # a block's jump logs
-    for s, (y, owner) in zip(range(0, n, BLOCK), blocks):
+    for s, (y, ranks) in zip(range(0, n, BLOCK), blocks):
         m = min(BLOCK, n - s)
         w = u[:, :m]
         np.multiply(z[s:s + m], sd, out=w[0])
@@ -221,8 +259,12 @@ def _terminal_utilities(policy: Policy, draw: tuple, model: MarketModel,
             raise DomainError("sampled 1 - kappa Y <= 0; "
                               "jump law violates Y < 1")
         np.log1p(ky, out=ky)
+        ranks = ranks.tolist()
         for row in w:
-            np.add.at(row, owner, ky)
+            o = 0
+            for r in ranks:
+                row[:r] += ky[o:o + r]
+                o += r
         floored = 0
         if w.min() < LOG_FLOOR:
             floored = int(np.count_nonzero(w < LOG_FLOOR))
@@ -320,10 +362,14 @@ def _dump_rows(fh, b: int, u: np.ndarray, v: np.ndarray, draw: tuple,
                sd: float, divisor: float) -> None:
     """Write block b's rows (path_id, N_T, G, V_T, utility) of the draw
     (z, blocks), the utility being u / divisor; the mirror of path i in
-    antithetic mode is path n + i."""
+    antithetic mode is path n + i. N_T = #{k: rem_k > i} for the block's
+    ranks rem_k, so it descends along the block."""
     z, blocks = draw
     s, m = b * BLOCK, u.shape[1]
-    counts = np.bincount(blocks[b][1], minlength=m).tolist()
+    counts = np.zeros(m, dtype=np.int64)
+    for r in blocks[b][1].tolist():
+        counts[:r] += 1
+    counts = counts.tolist()
     g = sd * z[s:s + m]
     for r, gr in enumerate((g, -g)[:u.shape[0]]):
         for i, row in enumerate(zip(counts, gr.tolist(), v[r].tolist(),
@@ -340,15 +386,16 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
 
     Deterministic given the seed (numpy's Generator on the SFC64 bit
     generator, fixed reduction order). Each BLOCK of paths draws itself
-    from its own substream of the seed, in order: its Poisson count, its
-    normals, its jump owners drawn uniformly on its paths, and their jump
-    sizes; by Poisson superposition this is the exact law of n independent
-    compound Poisson paths (see _common_draws). The blocks are filled on
-    every usable CPU, on the standard library's thread pool, and no bit
+    from its own substream of the seed, in order: how many of its paths
+    have at least k jumps, for k = 1, 2, ..., by sequential conditional
+    binomials, its normals, and the jump sizes; the block's paths are then
+    a permutation of independent compound Poisson paths, which leaves the
+    law of every estimate exact (see _common_draws). The blocks are filled
+    on every usable CPU, on the standard library's thread pool, and no bit
     depends on how many there are. One config and law are drawn once and
     shared: the normals and the per-block jumps (z, blocks) of the last
-    draw stay in memory until the next draw, about 8 n (1 + 1.5 lam T)
-    bytes for n paths (14 MB at 1e6 paths and lam T = 0.5). Beyond the
+    draw stay in memory until the next draw, about 8 n (1 + lam T) bytes
+    for n paths (12 MB at 1e6 paths and lam T = 0.5). Beyond the
     draw, the estimate takes O(BLOCK) memory: each block of the kernel's
     values exp((1 - eta) log V_T) (see _terminal_utilities) is folded into
     a running mean and deviation and then overwritten (see _Moments), and
@@ -361,8 +408,8 @@ def simulate_terminal_utility(policy: Policy, model: MarketModel,
     over the same jump draws; the standard error then comes from the pair
     means. dump_csv optionally writes per-path debug rows
     (path_id, N_T, G, V_T, utility) a block at a time, each block's
-    antithetic mirror paths after it; it divides its utility column path
-    by path.
+    antithetic mirror paths after it; within a block, N_T descends. It
+    divides its utility column path by path.
     """
     draw = _common_draws(jumps, config)
     blocks = _terminal_utilities(policy, draw, model, jumps, friction,

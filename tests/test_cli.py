@@ -750,6 +750,13 @@ class TestExitContract:
         ("verify --model c2 --mc-paths 1000000000000000", 1,
          "input error: not enough memory for 1000000000000000 Monte Carlo "
          "paths"),
+        # so do the jump sizes of a rate whose n lam T draws lie beyond
+        # memory, before the Monte Carlo's rank table, which grows with
+        # lam T; lam T = inf included
+        ("simulate --model c2 --lambda 1e9 --pi 0.5 --kappa 0 --paths 1000",
+         1, "input error: not enough memory for 1000 Monte Carlo paths"),
+        ("simulate --model c2 --lambda 1e300 --horizon 1e10 --pi 0.5 "
+         "--kappa 0 --paths 1000", 1, "input error:"),
         # the combination reads its risk aversions from its own three
         # flags, so a point --eta would be dropped without a word
         ("mutual-fund --model a2 --eta1 1 --eta2 2 --eta-bar 1.5 --eta 7", 1,

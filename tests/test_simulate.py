@@ -227,14 +227,14 @@ PIN_LAWS = {
 PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
              "comparison diff mean", "diff SE", "mean A", "mean B")
 MC_PINS = {
-    "beta": (-0.5702889390617758, 0.0012939836446819882,
-             -0.5695070398460897, 0.0012166501480746705,
-             0.058906015063885944, 0.0008975259204055177,
-             -0.5702889390617758, -0.6291949541256618),
-    "discrete": (-0.6731615179046229, 0.0029868571398611495,
-                 -0.6783689641385118, 0.004166000938632343,
-                 0.2726811738385612, 0.012746751897935057,
-                 -0.6731615179046229, -0.9458426917431841),
+    "beta": (-0.5692029124367406, 0.0012565450788702504,
+             -0.5704933118670417, 0.0012029143463891474,
+             0.057195009850464135, 0.0008362406771817711,
+             -0.5692029124367406, -0.6263979222872047),
+    "discrete": (-0.6730253061701347, 0.0027741760901408923,
+                 -0.6775431414525191, 0.00399569584799103,
+                 0.25861478621991973, 0.006820932945563865,
+                 -0.6730253061701347, -0.9316400923900546),
 }
 
 
@@ -444,13 +444,21 @@ def _block_stream(seed, b):
     return _generator(np.random.SeedSequence(seed).spawn(b + 1)[b])
 
 
+def _owners(ranks):
+    """The path of each jump of a block, as an offset in the block, built
+    rank by rank from its ranks rem_1, rem_2, ...: the k-th jumps of paths
+    [0, rem_k) take the next rem_k jump sizes."""
+    return np.concatenate([np.arange(r) for r in ranks]).astype(np.int64)
+
+
 def _joined(draw):
     """The jump sizes and owners of a draw's blocks joined in block order,
-    each block-local owner mapped to the index of its path among all n."""
+    the owners built from each block's ranks and mapped to the index of
+    their path among all n."""
     z, blocks = draw
     starts = range(0, z.size, simulate.BLOCK)
     return (np.concatenate([y for y, _ in blocks]),
-            np.concatenate([owner + s for s, (_, owner) in
+            np.concatenate([_owners(ranks) + s for s, (_, ranks) in
                             zip(starts, blocks)]))
 
 
@@ -593,25 +601,30 @@ PATH_COUNTS = st.one_of(
         lambda kr: kr[0] * BLOCK + kr[1]))
 
 
+def _ranks(counts):
+    """The ranks rem_1, rem_2, ..., 0 of a block whose paths have the given
+    jump counts, largest first: rem_k paths have at least k jumps."""
+    return np.array([np.count_nonzero(counts >= k)
+                     for k in range(1, counts.max(initial=0) + 2)],
+                    dtype=np.int64)
+
+
 def _kernel_inputs(seed, n, jumps_on, lam_t):
     """A draw (z, blocks) of n paths laid out as _common_draws lays it, with
-    Beta(2, 8) sizes: Poisson(lam_t m) jumps on each block of m paths at
-    uniform block-local owners, none, or 1 to 30 jumps all on the first or
-    the last path."""
+    Beta(2, 8) sizes: Poisson(lam_t) jumps on each path, none, or 1 to 30
+    jumps all on the first path of the first or the last block."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     sizes = np.diff(np.append(np.arange(0, n, BLOCK), n))
     if jumps_on == "spread":
-        counts = rng.poisson(lam_t * sizes)
-        owners = [rng.integers(0, m, size=k) for m, k in zip(sizes, counts)]
+        ranks = [_ranks(rng.poisson(lam_t, size=m)) for m in sizes]
     else:
         total = 0 if jumps_on == "none" else int(rng.integers(1, 31))
-        counts = np.zeros(sizes.size, dtype=np.int64)
-        counts[0 if jumps_on == "first" else -1] = total
-        owners = [np.full(k, 0 if jumps_on == "first" else m - 1,
-                          dtype=np.int64) for m, k in zip(sizes, counts)]
-    y = rng.beta(2.0, 8.0, size=counts.sum())
-    return z, tuple(zip(np.split(y, np.cumsum(counts)[:-1]), owners))
+        ranks = [np.zeros(1, dtype=np.int64) for _ in sizes]
+        ranks[0 if jumps_on == "first" else -1] = _ranks(np.array([total]))
+    counts = [int(r.sum()) for r in ranks]
+    y = rng.beta(2.0, 8.0, size=sum(counts))
+    return z, tuple(zip(np.split(y, np.cumsum(counts)[:-1]), ranks))
 
 
 def _reference_args(draw, rows):
@@ -666,7 +679,7 @@ def test_a_path_just_below_the_floor_is_floored_in_its_block():
     drift, var = simulate._policy_coefficients(pol, m, NOJUMPS, fric)
     z = np.zeros(BLOCK + 3)
     z[BLOCK + 1] = (simulate.LOG_FLOOR - 0.5 - drift) / math.sqrt(var)
-    draw = (z, ((np.empty(0), np.empty(0, dtype=np.int64)),) * 2)
+    draw = (z, ((np.empty(0), np.zeros(1, dtype=np.int64)),) * 2)
     args = (m, NOJUMPS, fric, pk.Utility(0.5), pk.SimConfig())
     u, floored, v = _streamed(pol, draw, *args, wealth=True)
     ref_u, ref_floored, ref_v = unblocked_utilities(
@@ -759,7 +772,7 @@ class TestCommonDraws:
             assert _run(*MEMO_CASES[name]) == fresh[name], name
 
     def test_kept_draw_is_read_only_and_reused(self):
-        # three blocks: the normals and every block's jump sizes and owners
+        # three blocks: the normals and every block's jump sizes and ranks
         cfg = pk.SimConfig(n_paths=2 * BLOCK + 1_000, seed=3)
         first, again = (_arrays(simulate._common_draws(BETA128, cfg))
                         for _ in range(2))
@@ -798,16 +811,20 @@ class TestCommonDraws:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
-        # a block's substream holds, in order: one Poisson(lam T m) count
-        # for its m paths, their m normals, then that many owners, uniform
-        # on the block's paths (one block here, n < BLOCK)
+        # a block's substream opens with its ranks: rem_k, the number of its
+        # m paths with at least k jumps, is Binomial(rem_{k - 1}, q_k) from
+        # rem_0 = m, until rem_k = 0; path i has #{k: rem_k > i} jumps (one
+        # block here, n < BLOCK)
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
         cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
         n = 200 if antithetic else 400
-        rng = _block_stream(11, 0)
-        total = rng.poisson(2.0 * n)
-        rng.standard_normal(n)
-        counts = np.bincount(rng.integers(0, n, size=total), minlength=n)
+        rng, rem = _block_stream(11, 0), n
+        counts = np.zeros(n, dtype=np.int64)
+        for q in simulate._rank_probabilities(2.0):
+            rem = rng.binomial(rem, q)
+            counts[:rem] += 1
+            if not rem:
+                break
         _run(jumps, cfg)              # the dump below reuses this draw
         out = tmp_path / "paths.csv"
         pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.4),
@@ -822,7 +839,7 @@ class TestCommonDraws:
 
 def _arrays(draw):
     """Every array of a draw (z, blocks): z, then each block's y and
-    owner."""
+    ranks."""
     z, blocks = draw
     return [z] + [a for block in blocks for a in block]
 
@@ -981,28 +998,90 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
 
 def test_draw_is_blocked_and_each_path_count_is_poisson():
     # 200,000 paths: six whole blocks and a ragged last one of 3,392. Block
-    # b is child b of the seed's SeedSequence: its count, normals, owners
-    # (offsets in the block) and jump sizes replay from that substream
-    # alone, and the per-path counts of the whole draw follow Poisson(lam T)
+    # b is child b of the seed's SeedSequence: its ranks (sequential
+    # binomials), normals and jump sizes replay from that substream alone,
+    # and the per-path counts of the whole draw follow Poisson(lam T)
     jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
     cfg = pk.SimConfig(n_paths=200_000, seed=41)
     draw = simulate._common_draws(jumps, cfg)
     z, blocks = draw
     sizes = [BLOCK] * 6 + [200_000 - 6 * BLOCK]
     assert len(blocks) == len(sizes)
-    for b, (size, (y, block)) in enumerate(zip(sizes, blocks)):
+    q = simulate._rank_probabilities(0.5)
+    for b, (size, (y, ranks)) in enumerate(zip(sizes, blocks)):
         rng = _block_stream(41, b)
         s = b * BLOCK
-        assert y.size == block.size == rng.poisson(0.5 * size) > 0
+        replayed = [rng.binomial(size, q[0])]
+        for qk in q[1:]:
+            if not replayed[-1]:
+                break
+            replayed.append(rng.binomial(replayed[-1], qk))
+        assert ranks.tolist() == replayed and replayed[-1] == 0
+        assert y.size == sum(replayed) > 0
         assert z[s:s + size].tobytes() == rng.standard_normal(size).tobytes()
-        assert block.tolist() == rng.integers(
-            0, size, size=block.size, dtype=np.int32).tolist()
-        assert 0 <= block.min() and block.max() < size
         g1 = rng.standard_gamma(2.0, size=y.size)
         g2 = rng.standard_gamma(8.0, size=y.size)
         assert y.tobytes() == (g1 / (g2 + g1)).tobytes()
     counts = np.bincount(_joined(draw)[1], minlength=cfg.n_paths)
     stat, p = _poisson_chi2(counts, 0.5)
+    assert p > 1e-3, (stat, p)
+
+
+@pytest.mark.parametrize("lam_t", [1e-12, 1e-3, 0.5, 30.0, 800.0])
+def test_rank_probabilities_are_ratios_of_poisson_tails(lam_t):
+    # q_k = P(N >= k) / P(N >= k - 1), N ~ Poisson(lam T): against the
+    # ratios of scipy's survival function wherever both tails are normal
+    # doubles, and against 40-digit mpmath at a few ranks. At lam T = 800,
+    # exp(-lam T) underflows and q_1 rounds to 1. The table stops at a K
+    # where P(N > K) < 1e-300 and closes with q_{K + 1} = 0.
+    q = np.array(simulate._rank_probabilities(lam_t))
+    K = q.size - 1
+    assert q[K] == 0.0 and (q[:K] > 0.0).all() and (q <= 1.0).all()
+    k = np.arange(1, K + 1)
+    tail = stats.poisson.sf(k - 1, lam_t)             # P(N >= k)
+    normal = tail >= np.finfo(float).tiny
+    ratio = tail[normal] / stats.poisson.sf(k[normal] - 2, lam_t)
+    np.testing.assert_allclose(q[:K][normal], ratio, rtol=1e-11, atol=0.0)
+    if lam_t == 800.0:
+        assert math.exp(-lam_t) == 0.0 and q[0] == 1.0
+    with mpmath.workdps(40):
+        def at_least(j):
+            return mpmath.gammainc(j, 0, lam_t, regularized=True) if j \
+                else mpmath.mpf(1)
+        assert at_least(K + 1) < mpmath.mpf("1e-300")
+        for j in sorted({1, 2, 5, int(lam_t) + 1, int(lam_t) + 20}):
+            exact = at_least(j) / at_least(j - 1)
+            assert abs(q[j - 1] - exact) <= 1e-15 * exact, j
+
+
+def test_no_jump_rate_draws_no_jump():
+    # lam = 0: every q_k is 0, so each block's ranks are [0] and it holds
+    # no jump size
+    assert set(simulate._rank_probabilities(0.0)) == {0.0}
+    _, blocks = simulate._common_draws(NOJUMPS,
+                                       pk.SimConfig(n_paths=BLOCK + 7, seed=2))
+    assert len(blocks) == 2
+    for y, ranks in blocks:
+        assert ranks.tolist() == [0] and y.size == 0
+
+
+def test_ranks_at_thirty_jumps_a_path_run_down_to_zero(tmp_path):
+    # lam T = 30: every path jumps, the ranks fall from m to 0 with every
+    # earlier rem positive, the sizes are exactly their sum, and the dumped
+    # per-path counts follow Poisson(30)
+    jumps = pk.JumpLaw(lam=30.0, law=pk.BetaJumps(2.0, 8.0))
+    cfg = pk.SimConfig(n_paths=BLOCK + 3_000, seed=13)
+    _, blocks = simulate._common_draws(jumps, cfg)
+    for m, (y, ranks) in zip((BLOCK, 3_000), blocks):
+        assert ranks[0] == m and ranks[-1] == 0 and (ranks[:-1] > 0).all()
+        assert (np.diff(ranks) <= 0).all() and y.size == ranks.sum()
+    out = tmp_path / "paths.csv"
+    pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.01), c2_model(),
+                                 jumps, pk.DifferentialRates(premium=PREM02),
+                                 pk.Utility(3.0), cfg, dump_csv=str(out))
+    n_t = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1, dtype=int)
+    assert n_t.sum() == sum(y.size for y, _ in blocks)
+    stat, p = _poisson_chi2(n_t, 30.0)
     assert p > 1e-3, (stat, p)
 
 
