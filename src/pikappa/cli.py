@@ -215,10 +215,13 @@ def _pi_entry(position: int, text: str) -> float:
 
 def cmd_simulate(args) -> None:
     t0 = time.time()
+    if args.antithetic:
+        raise ValueError("--antithetic is gone: each path contributes its "
+                         "expectation given its jumps, which a mirrored "
+                         "normal leaves unchanged")
     inputs = _load_inputs(args)
     cfg = simulate.SimConfig(horizon=args.horizon, x0=args.x0,
-                             n_paths=args.paths, seed=args.seed,
-                             antithetic=args.antithetic)
+                             n_paths=args.paths, seed=args.seed)
     if args.pi is not None:
         # the one path that never solves, so it validates here
         require_valid(*inputs)

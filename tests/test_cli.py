@@ -341,6 +341,14 @@ def test_override_solves_as_a_one_point_sweep(flag, config, capsys):
     assert out == json.dumps(cli._report_json(point.report), indent=2) + "\n"
 
 
+def _estimate_is(monkeypatch, mean, std_error):
+    """Make every Monte Carlo estimate the given one."""
+    monkeypatch.setattr(cli.simulate, "simulate_terminal_utility",
+                        lambda *args, **kwargs: cli.simulate.SimEstimate(
+                            mean=mean, std_error=std_error,
+                            floor_fraction=0.0))
+
+
 class TestMonteCarloVsClosedForm:
     def test_riskless_policy_matches_to_rounding(self, capsys):
         # pi = 0, kappa = 0: every path has the same wealth, and the SE is
@@ -352,10 +360,13 @@ class TestMonteCarloVsClosedForm:
             assert code == 0 and float(fields["mc_se"]) < 1e-15
             assert fields["z"] == "0.000"
 
-    def test_tiny_values_far_apart_are_not_a_match(self, capsys):
-        # pi = 128 floors 84.6% of the paths: the estimate (6.2e-134) and
-        # the closed form (1.5e-78) both lie far below 1e-12, 55 orders of
-        # magnitude apart, and must not read as equal
+    def test_tiny_values_far_apart_are_not_a_match(self, monkeypatch,
+                                                   capsys):
+        # an estimate of 7.3e-136 (what a plain estimator gave at pi = 128,
+        # where most of the law lies below 1e-300) and the closed form
+        # 1.5e-78 both lie far below 1e-12, 57 orders of magnitude apart,
+        # and must not read as equal
+        _estimate_is(monkeypatch, mean=7.285689621e-136, std_error=4.646e-136)
         code, out, _ = run(["simulate", "--model", "c2", "--pi", "128",
                             "--kappa", "0", "--eta", "0.5", "--paths",
                             "2000"], capsys)
@@ -365,6 +376,9 @@ class TestMonteCarloVsClosedForm:
 
     def test_zero_se_off_the_closed_form_is_not_a_pass(self, monkeypatch,
                                                       capsys):
+        # the estimator's SE covers the rounding of its mean, so an SE of 0
+        # comes only from an estimate without spread or rounding
+        _estimate_is(monkeypatch, mean=-0.555097065, std_error=0.0)
         monkeypatch.setattr(cli, "value_function", lambda *args: -1.0)
         code, out, _ = run(["simulate", "--model", "c2", "--pi", "0",
                             "--kappa", "0", "--paths", "2"], capsys)
@@ -372,10 +386,7 @@ class TestMonteCarloVsClosedForm:
         assert "mc_se = 0\n" in out and "z = inf\n" in out
 
     def test_verify_fails_a_zero_se_mismatch(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.simulate, "simulate_terminal_utility",
-                            lambda *args, **kwargs: cli.simulate.SimEstimate(
-                                mean=-0.4, std_error=0.0,
-                                floor_fraction=0.0))
+        _estimate_is(monkeypatch, mean=-0.4, std_error=0.0)
         code, out, err = run(["verify", "--model", "c2", "--mc-paths", "2"],
                              capsys)
         assert code == 2
@@ -411,9 +422,21 @@ class TestVerify:
         assert "[pass] oracle-gap" in out
         assert "[pass] mc-vs-closed-form" in out
 
+    @pytest.mark.parametrize("eta", ["0.01", "1e-4"])
+    def test_small_eta_meets_the_closed_form(self, eta, capsys):
+        # the solved pi is large here (about (21, 35) at 0.01), and the
+        # law's weight lies on paths a plain estimator rarely draws; the
+        # conditional estimate meets the closed form
+        code, out, _ = run(["verify", "--model", "a1", "--eta", eta,
+                            "--mc-paths", "20000"], capsys)
+        assert code == 0
+        assert "[pass] mc-vs-closed-form" in out
+
     def test_low_power_mc_inconclusive(self, capsys):
-        code, out, _ = run(["verify", "--model", "c2", "--mc-paths", "100"],
-                           capsys)
+        # a1 at eta = 1: the SE at 20,000 paths (about 0.001) is above 1% of
+        # the closed form (-0.070)
+        code, out, _ = run(["verify", "--model", "a1", "--eta", "1",
+                            "--mc-paths", "20000"], capsys)
         assert code == 0
         assert "[inconclusive] mc-vs-closed-form" in out
 
@@ -623,9 +646,11 @@ class TestSimulateCmd:
         fields = dict(line.split(" = ") for line in out.strip().splitlines())
         assert abs(float(fields["z"])) <= 3.5
 
-    def test_z_far_off_the_closed_form_stays_short(self, capsys):
-        # mc_mean -7.7e98 against closed_form -9.5e184 at SE 7.7e98: z is
-        # about 1.2e86, printed in four significant digits
+    def test_z_far_off_the_closed_form_stays_short(self, monkeypatch, capsys):
+        # mc_mean -7.7e98 (what a plain estimator gave at pi = 40) against
+        # closed_form -9.5e184 at SE 7.7e98: z is about 1.2e86, printed in
+        # four significant digits
+        _estimate_is(monkeypatch, mean=-7.7172686e98, std_error=7.717e98)
         code, out, _ = run(["simulate", "--model", "c2", "--pi", "40",
                             "--paths", "2000", "--eta", "3"], capsys)
         assert code == 0
@@ -716,9 +741,9 @@ class TestExitContract:
          "input error: need at least 2 paths"),
         ("verify --model c2 --mc-paths 1", 1,
          "input error: need at least 2 paths"),
+        # antithetic paths have equal conditional values
         ("simulate --model c2 --paths 2 --antithetic", 1,
-         "input error: antithetic sampling needs an even path count of at "
-         "least 4"),
+         "input error: --antithetic is gone:"),
         ("simulate --model c2 --kappa 0.9 --paths 1000", 1,
          "input error: --kappa needs --pi"),
         # a1 has d = 2, so one weight is not a policy

@@ -74,3 +74,61 @@ def test_generated_models_keep_the_contract(slot, tmp_path, capsys):
             else:
                 assert code in (1, 2) and len(err.splitlines()) == 1, \
                     (argv, doc, err)
+
+
+CLOSED_FORM_MODELS = 10       # models a slot for the closed-form property
+CLOSED_FORM_PATHS = 100_000
+
+
+def _closed_form_gap(doc: dict, seed: int):
+    """(z, verdicts) for one generated model: z = (estimate -
+    value_function) / SE of the conditional Monte Carlo estimate of the
+    solved policy, and the paired verdicts of that policy against it
+    perturbed by 10% (kappa moved 0.1 either way within [0, 1], pi scaled
+    by 1.1 or 0.9), a verdict None where a mean leaves double range (a
+    DomainError); None where the model is refused, or its closed form or
+    estimate leaves double range."""
+    inp = pk.parse_model_dict(doc)
+    args = (inp.model, inp.jumps, inp.friction, inp.utility)
+    cfg = pk.SimConfig(n_paths=CLOSED_FORM_PATHS, seed=seed)
+    try:
+        rep = pk.solve(*args)
+        closed = pk.value_function(0.0, 1.0, 1.0, rep.objective, inp.model,
+                                   inp.jumps, inp.utility)
+        est = pk.simulate_terminal_utility(rep.policy, *args, cfg)
+    except (ValueError, PikappaError, OverflowError):
+        return None
+    pi, k = rep.policy.pi, rep.policy.kappa
+    verdicts = []
+    for other in (pk.Policy(pi=pi, kappa=min(1.0, k + 0.1)),
+                  pk.Policy(pi=pi, kappa=max(0.0, k - 0.1)),
+                  pk.Policy(pi=1.1 * pi, kappa=k),
+                  pk.Policy(pi=0.9 * pi, kappa=k)):
+        try:
+            verdicts.append(pk.compare_policies(rep.policy, other, *args,
+                                                cfg).verdict)
+        except pk.DomainError:
+            verdicts.append(None)
+    return (est.mean - closed) / est.std_error, verdicts
+
+
+def test_generated_models_meet_their_closed_form():
+    # every model that certifies, and whose value_function fits in double
+    # range, meets it within 4 standard errors of the conditional estimate
+    # at 1e5 paths, and no policy perturbed by 10% beats it under common
+    # random numbers. At least 3 models of each friction are compared, so
+    # a fault that refuses them all does not pass unseen
+    failures, compared = [], {f: 0 for f, _, _ in SLOTS}
+    for i, (friction, d, law) in enumerate(SLOTS):
+        for k in range(CLOSED_FORM_MODELS):
+            doc = model_doc(np.random.default_rng([100 + i, k]), friction, d,
+                            law)
+            got = _closed_form_gap(doc, seed=k)
+            if got is None:
+                continue
+            compared[friction] += 1
+            z, verdicts = got
+            if not abs(z) <= 4.0 or "B-better" in verdicts:
+                failures.append((friction, d, law, k, z, verdicts))
+    assert not failures, failures
+    assert min(compared.values()) >= 3, compared

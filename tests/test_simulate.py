@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import pikappa as pk
-from mc_reference import terminal_utilities as unblocked_utilities
+from mc_reference import conditional_utilities
 from pikappa import simulate
 from pikappa.jumps import _generator
 
@@ -134,18 +134,22 @@ class TestSimulateTerminalUtility:
         assert est.floor_fraction == 0.0
         assert np.isfinite(est.mean)
 
-    def test_antithetic_reduces_se(self):
+    def test_conditional_estimate_reduces_se(self, tmp_path):
+        # the dump's V_T are plain paths over the estimate's jumps: their
+        # plain utilities estimate the same mean with a wider SE
         m = c2_model()
         fric = pk.DifferentialRates(premium=PREM02)
         pol = pk.Policy(pi=[0.8], kappa=0.3)
-        plain = pk.simulate_terminal_utility(pol, m, BETA128, fric,
-                                             pk.Utility(2.0),
-                                             pk.SimConfig(n_paths=200_000, seed=4))
-        anti = pk.simulate_terminal_utility(pol, m, BETA128, fric,
-                                            pk.Utility(2.0),
-                                            pk.SimConfig(n_paths=200_000, seed=4,
-                                                         antithetic=True))
-        assert anti.std_error < plain.std_error
+        cfg = pk.SimConfig(n_paths=20_000, seed=4)
+        out = tmp_path / "paths.csv"
+        est = pk.simulate_terminal_utility(pol, m, BETA128, fric,
+                                           pk.Utility(2.0), cfg,
+                                           dump_csv=str(out))
+        plain = -1.0 / np.loadtxt(out, delimiter=",", skiprows=1, usecols=3)
+        plain_se = plain.std(ddof=1) / math.sqrt(plain.size)
+        assert est.std_error < 0.5 * plain_se
+        assert abs(est.mean - plain.mean()) <= 3.0 * math.hypot(
+            est.std_error, plain_se)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -158,21 +162,22 @@ def test_sim_config_names_the_bad_field(field, value):
         pk.SimConfig(**{field: value})
 
 
-@pytest.mark.parametrize("n_paths,antithetic", [
-    (1, False), (3, True), (2, True), (1, True)])
-def test_path_count_without_a_standard_error_is_refused(n_paths, antithetic):
+@pytest.mark.parametrize("n_paths,numpy_int", [
+    (1, False), (1, True), (0, False)])
+def test_path_count_without_a_standard_error_is_refused(n_paths, numpy_int):
+    # refused whatever integer type carries the count
     with pytest.raises(ValueError, match="path"):
-        pk.SimConfig(n_paths=n_paths, antithetic=antithetic)
+        pk.SimConfig(n_paths=np.int64(n_paths) if numpy_int else n_paths)
 
 
 def test_smallest_path_counts_give_a_standard_error():
     m = c2_model()
     fric = pk.DifferentialRates(premium=PREM02)
     pol = pk.Policy(pi=[0.8], kappa=0.5)
-    for cfg in (pk.SimConfig(n_paths=2, seed=1),
-                pk.SimConfig(n_paths=4, seed=1, antithetic=True)):
+    for n in (2, 4):
         est = pk.simulate_terminal_utility(pol, m, BETA128, fric,
-                                           pk.Utility(2.0), cfg)
+                                           pk.Utility(2.0),
+                                           pk.SimConfig(n_paths=n, seed=1))
         assert est.std_error > 0.0
     v = pk.compare_policies(pol, pk.Policy(pi=[0.5], kappa=0.5), m, BETA128,
                             fric, pk.Utility(2.0),
@@ -224,17 +229,15 @@ PIN_LAWS = {
     "discrete": pk.JumpLaw(lam=0.8, law=pk.DiscreteJumps(
         points=np.array([0.1, 0.4, 0.8]), weights=np.array([0.5, 0.3, 0.2]))),
 }
-PIN_NAMES = ("plain mean", "plain SE", "antithetic mean", "antithetic SE",
-             "comparison diff mean", "diff SE", "mean A", "mean B")
+PIN_NAMES = ("mean", "SE", "comparison diff mean", "diff SE", "mean A",
+             "mean B")
 MC_PINS = {
-    "beta": (-0.5692029124367406, 0.0012565450788702504,
-             -0.5704933118670417, 0.0012029143463891474,
-             0.057195009850464135, 0.0008362406771817711,
-             -0.5692029124367406, -0.6263979222872047),
-    "discrete": (-0.6730253061701347, 0.0027741760901408923,
-                 -0.6775431414525191, 0.00399569584799103,
-                 0.25861478621991973, 0.006820932945563865,
-                 -0.6730253061701347, -0.9316400923900546),
+    "beta": (-0.5707141809721675, 0.0008388571048031217,
+             0.05835145037646058, 0.0007906757703985963,
+             -0.5707141809721675, -0.6290656313486281),
+    "discrete": (-0.6738796319116661, 0.002514195014373269,
+                 0.2616086492636335, 0.006370434228534058,
+                 -0.6738796319116661, -0.9354882811752996),
 }
 
 
@@ -247,15 +250,11 @@ def test_monte_carlo_streams_bit_identical(law):
     a = pk.Policy(pi=[0.6], kappa=0.4)
     b = pk.Policy(pi=[0.5], kappa=0.6)
     jumps = PIN_LAWS[law]
-    plain = pk.simulate_terminal_utility(a, m, jumps, fric, u,
-                                         pk.SimConfig(n_paths=20_000, seed=7))
-    anti = pk.simulate_terminal_utility(
-        a, m, jumps, fric, u,
-        pk.SimConfig(n_paths=20_000, seed=7, antithetic=True))
-    cmp = pk.compare_policies(a, b, m, jumps, fric, u,
-                              pk.SimConfig(n_paths=20_000, seed=7))
-    got = (plain.mean, plain.std_error, anti.mean, anti.std_error,
-           cmp.diff_mean, cmp.diff_se, cmp.mean_a, cmp.mean_b)
+    cfg = pk.SimConfig(n_paths=20_000, seed=7)
+    est = pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg)
+    cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
+    got = (est.mean, est.std_error, cmp.diff_mean, cmp.diff_se, cmp.mean_a,
+           cmp.mean_b)
     moved = [f"{name}: {pin!r} -> {value!r}"
              for name, pin, value in zip(PIN_NAMES, MC_PINS[law], got)
              if value != pin]
@@ -264,10 +263,10 @@ def test_monte_carlo_streams_bit_identical(law):
 
 
 @pytest.mark.parametrize("law", sorted(PIN_LAWS))
-def test_antithetic_comparison_runs_the_antithetic_paths(law, tmp_path):
-    # an antithetic config pairs the comparison's paths as it pairs the
-    # estimate's: mean_a is the antithetic mean to the bit, and the SE comes
-    # from the pair means of the difference
+def test_comparison_pairs_the_dumped_conditional_utilities(law, tmp_path):
+    # the comparison runs the estimate's paths: mean_a is the estimate's
+    # mean to the bit, and the difference and its SE are those of the
+    # paths' dumped conditional utilities
     m = pk.MarketModel(mu=[0.08], sigma=[[0.2]], r=0.03, R=0.05, rho=[0.4],
                        b=0.2)
     fric = pk.DifferentialRates(premium=pk.LinearPremium(q=0.05))
@@ -275,7 +274,7 @@ def test_antithetic_comparison_runs_the_antithetic_paths(law, tmp_path):
     a = pk.Policy(pi=[0.6], kappa=0.4)
     b = pk.Policy(pi=[0.5], kappa=0.6)
     jumps = PIN_LAWS[law]
-    cfg = pk.SimConfig(n_paths=20_000, seed=7, antithetic=True)
+    cfg = pk.SimConfig(n_paths=20_000, seed=7)
     means, utilities = [], []
     for policy, name in ((a, "a.csv"), (b, "b.csv")):
         means.append(pk.simulate_terminal_utility(
@@ -284,12 +283,12 @@ def test_antithetic_comparison_runs_the_antithetic_paths(law, tmp_path):
                                     skiprows=1, usecols=4))
     cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
     assert (cmp.mean_a, cmp.mean_b) == tuple(means)
-    assert cmp.mean_a == MC_PINS[law][2]
-    # the dump lists the mirror paths last, at 12 significant digits
-    pairs = [0.5 * (x[:10_000] + x[10_000:]) for x in utilities]
-    diff = pairs[0] - pairs[1]
+    assert cmp.mean_a == MC_PINS[law][0]
+    # at 12 significant digits
+    diff = utilities[0] - utilities[1]
     assert cmp.diff_mean == pytest.approx(diff.mean(), rel=1e-9)
-    assert cmp.diff_se == pytest.approx(diff.std(ddof=1) / 100.0, rel=1e-6)
+    assert cmp.diff_se == pytest.approx(diff.std(ddof=1) / math.sqrt(20_000),
+                                        rel=1e-6)
 
 
 def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
@@ -317,32 +316,31 @@ def test_jump_that_rounds_to_one_is_refused_by_both_estimators():
 @pytest.mark.parametrize("eta", [3.0])
 def test_floored_means_out_of_double_range_are_refused_by_both_estimators(
         eta):
-    # at pi = 128 most of the 2,000 paths floor at WEALTH_FLOOR, and at
-    # eta = 3 each floored utility overflows to -inf. Both estimators raise
-    # a DomainError, not numpy's overflow warning, and the comparison
-    # refuses a mean before it forms the difference (inf - inf where both
-    # policies floor).
+    # at pi = 128 and eta = 3 the conditional value
+    # exp((1 - eta) c + (1 - eta)^2 sd^2 / 2) overflows on every path, and
+    # each utility is -inf. Both estimators raise a DomainError, not
+    # numpy's overflow warning, and the comparison refuses a mean before it
+    # forms the difference (inf - inf where both policies overflow).
     m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
     u = pk.Utility(eta)
     floored = pk.Policy(pi=[128.0], kappa=0.0)
     # the message names the utility's mean, -inf, not the +inf mean of the
     # kernel's exp((1 - eta) log V_T) before its division by 1 - eta
     msg = r"the Monte Carlo mean of U_eta\(V_T\) is -inf"
-    for cfg in (pk.SimConfig(n_paths=2_000, seed=1),
-                pk.SimConfig(n_paths=2_000, seed=1, antithetic=True)):
-        with pytest.raises(pk.DomainError, match=msg):
-            pk.simulate_terminal_utility(floored, m, BETA128, fric, u, cfg)
-        for other in (pk.Policy(pi=[120.0], kappa=0.0),
-                      pk.Policy(pi=[1.0], kappa=0.0)):
-            for a, b in ((floored, other), (other, floored)):
-                with pytest.raises(pk.DomainError, match=msg):
-                    pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
+    cfg = pk.SimConfig(n_paths=2_000, seed=1)
+    with pytest.raises(pk.DomainError, match=msg):
+        pk.simulate_terminal_utility(floored, m, BETA128, fric, u, cfg)
+    for other in (pk.Policy(pi=[120.0], kappa=0.0),
+                  pk.Policy(pi=[1.0], kappa=0.0)):
+        for a, b in ((floored, other), (other, floored)):
+            with pytest.raises(pk.DomainError, match=msg):
+                pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
 
 
 def test_a_finite_mean_out_of_double_range_once_divided_is_refused():
     # eta = 1e-6 on a riskless path whose exp((1 - eta) log V_T) lies just
-    # below the largest double: each kernel value and their mean are
-    # finite, but the mean over 1 - eta = 0.999999, the utility's, is not
+    # below the largest double: the value the jumpless paths share is
+    # finite, but over 1 - eta = 0.999999, the utility's, it is not
     m = pk.MarketModel(mu=[0.16], sigma=[[0.30]], r=0.05, R=0.05,
                        rho=[0.0], b=0.0)
     fric = pk.Frictionless(premium=pk.LinearPremium(q=0.0))
@@ -353,11 +351,14 @@ def test_a_finite_mean_out_of_double_range_once_divided_is_refused():
     log_wealth = (top - 5e-7) / (1.0 - u.eta)
     cfg = pk.SimConfig(horizon=horizon, n_paths=1_000, seed=1,
                        x0=math.exp(log_wealth - drift * horizon))
-    x = np.concatenate([b.copy() for b, _, _ in simulate._terminal_utilities(
-        pol, simulate._common_draws(NOJUMPS, cfg), m, NOJUMPS, fric, u,
-        cfg)])
+    blocks = [(x.size, x0, m0) for x, x0, m0, _ in
+              simulate._terminal_utilities(
+                  pol, simulate._common_draws(NOJUMPS, cfg), m, NOJUMPS,
+                  fric, u, cfg)]
+    assert [(size, m0) for size, _, m0 in blocks] == [(0, 1_000)]
+    x0 = blocks[0][1]
     with np.errstate(over="ignore"):
-        assert np.isfinite(x).all() and np.isinf(x / (1.0 - u.eta)).all()
+        assert math.isfinite(x0) and math.isinf(x0 / (1.0 - u.eta))
     msg = r"the Monte Carlo mean of U_eta\(V_T\) is inf"
     with pytest.raises(pk.DomainError, match=msg):
         pk.simulate_terminal_utility(pol, m, NOJUMPS, fric, u, cfg)
@@ -365,26 +366,36 @@ def test_a_finite_mean_out_of_double_range_once_divided_is_refused():
         pk.compare_policies(pol, pol, m, NOJUMPS, fric, u, cfg)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_finite_utilities_whose_sum_overflows_give_their_mean(antithetic):
-    # at eta = 2.02 each floored utility is finite, about -9.8e305, and
-    # their plain sum overflows: the block's mean is taken from x / max|x|
-    # and scaled back, so both estimators return the finite mean
+# lam T = 30: no path of 2,000 is jumpless (P = e^-30 a path)
+EVERY_PATH_JUMPS = pk.JumpLaw(lam=30.0, law=pk.BetaJumps(2.0, 8.0))
+
+
+@pytest.mark.parametrize("jumped", [False, True])
+def test_finite_utilities_whose_sum_overflows_give_their_mean(jumped):
+    # at eta = 2 and x0 = exp(-704.6 - drift) each utility is finite, about
+    # -1.1e306, and the plain sum of 2,000 overflows: a block of jumped
+    # paths takes its mean from x / max|x| and scales it back, and the
+    # jumpless paths fold in as one value, so both estimators return the
+    # finite mean
     m, fric = c2_model(0.0), pk.DifferentialRates(premium=PREM02)
-    u = pk.Utility(2.02)
-    floored = pk.Policy(pi=[128.0], kappa=0.0)
-    cfg = pk.SimConfig(n_paths=2_000, seed=1, antithetic=antithetic)
-    est = pk.simulate_terminal_utility(floored, m, BETA128, fric, u, cfg)
-    assert 0.8 < est.floor_fraction < 0.9
-    x = _samples(floored, m, BETA128, fric, u, cfg)
+    u = pk.Utility(2.0)
+    low = pk.Policy(pi=[0.0], kappa=0.01)
+    jumps = EVERY_PATH_JUMPS if jumped else NOJUMPS
+    drift = simulate._policy_coefficients(low, m, jumps, fric)[0]
+    cfg = pk.SimConfig(n_paths=2_000, seed=1, x0=math.exp(-704.6 - drift))
+    est = pk.simulate_terminal_utility(low, m, jumps, fric, u, cfg)
+    assert est.floor_fraction == 1.0        # V_T near 1e-306 on every path
+    x = _samples(low, m, jumps, fric, u, cfg)
+    with np.errstate(over="ignore"):
+        assert np.isinf(x.sum())
     scale = float(np.abs(x).max())
     assert est.mean == pytest.approx(
         math.fsum(x / scale) / x.size * scale, rel=1e-13)
-    assert -9e305 < est.mean < -7e305
+    assert -1.5e306 < est.mean < -0.9e306
     assert math.isfinite(est.std_error) and est.std_error > 0.0
-    for other in (pk.Policy(pi=[120.0], kappa=0.0),
-                  pk.Policy(pi=[1.0], kappa=0.0)):
-        cmp = pk.compare_policies(floored, other, m, BETA128, fric, u, cfg)
+    for other in (pk.Policy(pi=[0.3], kappa=0.01),
+                  pk.Policy(pi=[0.6], kappa=0.01)):
+        cmp = pk.compare_policies(low, other, m, jumps, fric, u, cfg)
         assert cmp.mean_a == est.mean and cmp.verdict == "B-better"
         assert math.isfinite(cmp.diff_mean) and math.isfinite(cmp.diff_se)
 
@@ -444,6 +455,13 @@ def _block_stream(seed, b):
     return _generator(np.random.SeedSequence(seed).spawn(b + 1)[b])
 
 
+def _dump_normals(seed, b, m):
+    """The m normals a dump draws for block b: child 0 of the block's
+    SeedSequence."""
+    return _generator(np.random.SeedSequence(seed).spawn(b + 1)[b]
+                      .spawn(1)[0]).standard_normal(m)
+
+
 def _owners(ranks):
     """The path of each jump of a block, as an offset in the block, built
     rank by rank from its ranks rem_1, rem_2, ...: the k-th jumps of paths
@@ -451,129 +469,138 @@ def _owners(ranks):
     return np.concatenate([np.arange(r) for r in ranks]).astype(np.int64)
 
 
-def _joined(draw):
-    """The jump sizes and owners of a draw's blocks joined in block order,
-    the owners built from each block's ranks and mapped to the index of
-    their path among all n."""
-    z, blocks = draw
-    starts = range(0, z.size, simulate.BLOCK)
+def _joined(blocks, n):
+    """The jump sizes and owners of a draw's blocks of n paths joined in
+    block order, the owners built from each block's ranks and mapped to the
+    index of their path among all n."""
+    starts = range(0, n, simulate.BLOCK)
     return (np.concatenate([y for y, _ in blocks]),
             np.concatenate([_owners(ranks) + s for s, (_, ranks) in
                             zip(starts, blocks)]))
 
 
-def _streamed(policy, draw, model, jumps, fric, utility, cfg, wealth=False):
-    """The kernel's blocks joined as one pass over all paths would give
-    them: utilities (its values divided by 1 - eta) and V_T shaped as the
-    normals, (n,) or the antithetic (2, n), and the floored count."""
+def _streamed(policy, blocks, model, jumps, fric, utility, cfg):
+    """The kernel's blocks expanded to every path, as one pass over all n
+    would give them: each block's jumped values, then its jumpless value
+    once a jumpless path, divided by 1 - eta."""
     divisor = simulate._divisor(utility)
-    blocks = [(u / divisor, floored, None if v is None else v.copy())
-              for u, floored, v in simulate._terminal_utilities(
-                  policy, draw, model, jumps, fric, utility, cfg, wealth)]
-    shape = (2, -1) if cfg.antithetic else (-1,)
-    u = np.concatenate([b[0] for b in blocks], axis=1).reshape(shape)
-    v = np.concatenate([b[2] for b in blocks], axis=1).reshape(shape) \
-        if wealth else None
-    return u, sum(b[1] for b in blocks), v
+    return np.concatenate([
+        np.concatenate([x, np.full(m0, x0)]) / divisor
+        for x, x0, m0, _ in simulate._terminal_utilities(
+            policy, blocks, model, jumps, fric, utility, cfg)])
 
 
 def _samples(policy, model, jumps, fric, utility, cfg):
-    """The estimator's independent samples on cfg's draw, every path's
-    utility or pair mean, joined over the blocks: the kernel's values or
-    their pair means, divided by 1 - eta."""
-    draw = simulate._common_draws(jumps, cfg)
-    divisor = simulate._divisor(utility)
-    return np.concatenate([
-        simulate._pair_means(u) / divisor for u, _, _ in
-        simulate._terminal_utilities(policy, draw, model, jumps, fric,
-                                     utility, cfg)])
+    """The estimator's samples on cfg's draw, every path's conditional
+    utility, joined over the blocks."""
+    return _streamed(policy, simulate._common_draws(jumps, cfg), model,
+                     jumps, fric, utility, cfg)
+
+
+def _jump_sums(policy, jumps, cfg):
+    """Each path's sum of log(1 - kappa y), built apart from the kernel and
+    rounded as it rounds: the path's jump logs added in the order of the
+    draw."""
+    y, owner = _joined(simulate._common_draws(jumps, cfg), cfg.n_paths)
+    j = np.zeros(cfg.n_paths)
+    np.add.at(j, owner, np.log1p(-policy.kappa * y))
+    return j
 
 
 def _log_wealth(policy, model, jumps, fric, cfg):
-    """Unfloored log V_T on the paths of cfg, built apart from the kernel
-    and rounded as it rounds: (log x0 + drift T) + sd z, then each jump log
-    of a path added into it in the order of the draw."""
-    draw = simulate._common_draws(jumps, cfg)
-    z, (y, owner) = draw[0], _joined(draw)
-    if cfg.antithetic:
-        z = np.stack([z, -z])
+    """log V_T on the dumped paths of cfg, rounded as the dump rounds it:
+    (sd z + (log x0 + drift T)) + J, z the dump's normals."""
+    n = cfg.n_paths
+    z = np.concatenate([_dump_normals(cfg.seed, b, min(BLOCK, n - s))
+                        for b, s in enumerate(range(0, n, BLOCK))])
     drift, var = simulate._policy_coefficients(policy, model, jumps, fric)
-    w = (math.log(cfg.x0) + drift * cfg.horizon) \
-        + math.sqrt(var * cfg.horizon) * z
-    jump_log = np.log1p(-policy.kappa * y)
-    for row in np.atleast_2d(w):
-        np.add.at(row, owner, jump_log)
-    return w
+    return (math.sqrt(var * cfg.horizon) * z
+            + (math.log(cfg.x0) + drift * cfg.horizon)) \
+        + _jump_sums(policy, jumps, cfg)
 
 
-def _parent_utility(w, eta):
-    """U_eta(max(exp(w), WEALTH_FLOOR)) by exp and pow, the direct form."""
-    v = np.maximum(np.exp(w), simulate.WEALTH_FLOOR)
-    return v, (np.log(v) if eta == 1.0 else v ** (1.0 - eta) / (1.0 - eta))
+def _conditional_reference(policy, model, jumps, fric, utility, cfg):
+    """mc_reference's conditional utilities on the paths of cfg's draw."""
+    y, owner = _joined(simulate._common_draws(jumps, cfg), cfg.n_paths)
+    return conditional_utilities(policy, y, owner, cfg.n_paths, model, jumps,
+                                 fric, utility, cfg)
 
 
-# pi = 128 at sigma = 0.3 takes most paths, not all, below WEALTH_FLOOR
+# pi = 128 at sigma = 0.3 takes most of the law of V_T, not all of it,
+# below WEALTH_FLOOR
 FLOORED = pk.Policy(pi=[128.0], kappa=0.0)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("jumped", [False, True])
 @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0, 30.0])
-def test_log_space_utilities_match_the_direct_form(eta, antithetic):
-    # the kernel's one exp of a rounded product (1 - eta) w is within
-    # 4 eps (1 + |(1 - eta) w|) relative of the direct form
-    # max(exp(w), 1e-300) ** (1 - eta) / (1 - eta), log at eta = 1, taken
-    # at 30 digits on the same log wealth
+def test_log_space_utilities_match_the_direct_form(eta, jumped):
+    # the kernel's one exp of a (1 - eta) J + ((1 - eta) c +
+    # (1 - eta)^2 sd^2 / 2) is within 4 eps (1 + |exponent|) relative of
+    # the direct form exp((1 - eta)(c + J) + (1 - eta)^2 sd^2 / 2) /
+    # (1 - eta), c + J at eta = 1, taken at 30 digits on the same J; on a
+    # law where most paths are jumpless and share one value, and on one
+    # where every path jumps
     m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
-    pol = pk.Policy(pi=[2.5], kappa=0.5)
-    cfg = pk.SimConfig(n_paths=2_000, seed=5, antithetic=antithetic)
-    draw = simulate._common_draws(BETA128, cfg)
-    u, floored, v = _streamed(pol, draw, m, BETA128, fric, pk.Utility(eta),
-                              cfg)
-    assert u.shape == ((2, 1_000) if antithetic else (2_000,))
-    assert floored == 0 and v is None
-    w = _log_wealth(pol, m, BETA128, fric, cfg).ravel()
+    pol = pk.Policy(pi=[2.5], kappa=0.5 if not jumped else 0.05)
+    jumps = EVERY_PATH_JUMPS if jumped else BETA128
+    cfg = pk.SimConfig(n_paths=2_000, seed=5)
+    u = _samples(pol, m, jumps, fric, pk.Utility(eta), cfg)
+    assert u.shape == (2_000,)
+    j = _jump_sums(pol, jumps, cfg)
+    assert (j != 0.0).all() if jumped else (j == 0.0).mean() > 0.8
+    drift, var = simulate._policy_coefficients(pol, m, jumps, fric)
+    c = math.log(cfg.x0) + drift * cfg.horizon
+    a = 1.0 - eta
     with mpmath.workdps(30):
-        floor = mpmath.mpf(simulate.WEALTH_FLOOR)
-        ref = [max(mpmath.exp(wi), floor) for wi in w]
-        ref = [mpmath.log(x) if eta == 1.0
-               else x ** (1 - eta) / (1 - eta) for x in ref]
+        ref = [mpmath.mpf(c) + mpmath.mpf(ji) if eta == 1.0
+               else mpmath.exp(a * (mpmath.mpf(c) + mpmath.mpf(ji))
+                               + a * a * mpmath.mpf(var) / 2) / a
+               for ji in j]
         err = np.array([float(abs(ui - ri) / abs(ri))
-                        for ui, ri in zip(u.ravel(), ref)])
-    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs((1.0 - eta) * w))
+                        for ui, ri in zip(u, ref)])
+    exponent = c + j if eta == 1.0 else a * (c + j) + 0.5 * a * a * var
+    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(exponent))
     assert (err <= tol).all(), float((err / tol).max())
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0])
 def test_floor_fraction_counts_the_paths_below_the_wealth_floor(eta):
+    # floor_fraction is the mean over the paths of P(V_T < 1e-300 | jumps),
+    # Phi((LOG_FLOOR - c - J) / sd); the estimate itself is not floored
     m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
     cfg = pk.SimConfig(n_paths=20_000, seed=3)
-    w = _log_wealth(FLOORED, m, BETA128, fric, cfg)
-    below = int(np.count_nonzero(np.exp(w) < simulate.WEALTH_FLOOR))
-    assert 0 < below < cfg.n_paths
+    drift, var = simulate._policy_coefficients(FLOORED, m, BETA128, fric)
+    g = math.log(cfg.x0) + drift + _jump_sums(FLOORED, BETA128, cfg)
+    below = stats.norm.cdf((simulate.LOG_FLOOR - g) / math.sqrt(var))
+    assert 0.0 < below.mean() < 1.0
     est = pk.simulate_terminal_utility(FLOORED, m, BETA128, fric,
                                        pk.Utility(eta), cfg)
-    assert est.floor_fraction == below / cfg.n_paths
-    assert est.mean == pytest.approx(
-        _parent_utility(w, eta)[1].mean(), rel=1e-12)
+    assert est.floor_fraction == pytest.approx(below.mean(), rel=1e-12)
+    assert est.mean == pytest.approx(_conditional_reference(
+        FLOORED, m, BETA128, fric, pk.Utility(eta), cfg).mean(), rel=1e-12)
     assert math.isfinite(est.std_error) and est.std_error > 0.0
 
 
-@pytest.mark.parametrize("policy,eta,antithetic", [
+@pytest.mark.parametrize("policy,eta,kept", [
     (pk.Policy(pi=[0.8], kappa=0.5), 3.0, False),
     (pk.Policy(pi=[0.8], kappa=0.5), 3.0, True),
     (FLOORED, 0.5, False)])
-def test_dump_columns_match_the_direct_form(policy, eta, antithetic,
-                                            tmp_path):
-    # V_T = max(exp(w), 1e-300) and its utility by pow, as printed at 12
-    # significant digits, the antithetic mirror paths last
+def test_dump_columns_match_the_direct_form(policy, eta, kept, tmp_path):
+    # V_T = exp(log V_T) on the dump's normals, unfloored, and the path's
+    # conditional utility, as printed at 12 significant digits; the same
+    # on a fresh draw and on one kept from an earlier estimate
     m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
-    cfg = pk.SimConfig(n_paths=2_000, seed=6, antithetic=antithetic)
+    cfg = pk.SimConfig(n_paths=2_000, seed=6)
+    simulate._last_draw = ()
+    if kept:
+        pk.simulate_terminal_utility(policy, m, BETA128, fric,
+                                     pk.Utility(eta), cfg)
     out = tmp_path / "paths.csv"
     pk.simulate_terminal_utility(policy, m, BETA128, fric, pk.Utility(eta),
                                  cfg, dump_csv=str(out))
     got = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4))
-    v, u = _parent_utility(_log_wealth(policy, m, BETA128, fric, cfg).ravel(),
-                           eta)
+    v = np.exp(_log_wealth(policy, m, BETA128, fric, cfg))
+    u = _conditional_reference(policy, m, BETA128, fric, pk.Utility(eta), cfg)
     np.testing.assert_allclose(got[:, 0], v, rtol=1e-11, atol=0.0)
     np.testing.assert_allclose(got[:, 1], u, rtol=1e-11, atol=0.0)
 
@@ -590,6 +617,13 @@ def test_standard_error_of_a_sample_near_double_range_is_finite():
                                               rel=1e-15)
     with pytest.raises(pk.DomainError, match="mean"):
         simulate._Moments(1.0).add(np.array([1.0, 2.0, np.inf]))
+    # a whole block of deviations of 1e307: their root sum of squares is
+    # beyond double range, their root mean square is not
+    x = np.tile([1e307, -1e307], simulate.BLOCK // 2)
+    moments = simulate._Moments(1.0)
+    moments.add(x.copy())
+    assert moments.std_error == pytest.approx(1e307 / math.sqrt(x.size - 1),
+                                              rel=1e-12)
 
 
 BLOCK = simulate.BLOCK
@@ -610,11 +644,10 @@ def _ranks(counts):
 
 
 def _kernel_inputs(seed, n, jumps_on, lam_t):
-    """A draw (z, blocks) of n paths laid out as _common_draws lays it, with
-    Beta(2, 8) sizes: Poisson(lam_t) jumps on each path, none, or 1 to 30
-    jumps all on the first path of the first or the last block."""
+    """The blocks of a draw of n paths laid out as _common_draws lays them,
+    with Beta(2, 8) sizes: Poisson(lam_t) jumps on each path, none, or 1 to
+    30 jumps all on the first path of the first or the last block."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
     sizes = np.diff(np.append(np.arange(0, n, BLOCK), n))
     if jumps_on == "spread":
         ranks = [_ranks(rng.poisson(lam_t, size=m)) for m in sizes]
@@ -624,84 +657,74 @@ def _kernel_inputs(seed, n, jumps_on, lam_t):
         ranks[0 if jumps_on == "first" else -1] = _ranks(np.array([total]))
     counts = [int(r.sum()) for r in ranks]
     y = rng.beta(2.0, 8.0, size=sum(counts))
-    return z, tuple(zip(np.split(y, np.cumsum(counts)[:-1]), ranks))
-
-
-def _reference_args(draw, rows):
-    """The unblocked reference's z, y and owner for a draw: the rows
-    [z, -z] when rows = 2, and each jump's owner as its path among all n."""
-    z = draw[0]
-    return ((np.stack([z, -z]) if rows == 2 else z), *_joined(draw))
+    return tuple(zip(np.split(y, np.cumsum(counts)[:-1]), ranks))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(n=PATH_COUNTS, rows=st.sampled_from([1, 2]),
+@given(n=PATH_COUNTS,
        jumps_on=st.sampled_from(["spread", "none", "first", "last"]),
        lam_t=st.sampled_from([0.05, 0.5, 2.0]),
        pi=st.sampled_from([0.0, 0.8, -3.0, 128.0]),
        kappa=st.sampled_from([0.0, 0.4, 1.0]),
        eta=st.sampled_from([0.5, 1.0, 3.0, 30.0]),
        x0=st.sampled_from([1.0, 2.5]), horizon=st.sampled_from([1.0, 0.25]),
-       wealth=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-@example(n=2 * BLOCK, rows=2, jumps_on="last", lam_t=0.5, pi=128.0,
-         kappa=1.0, eta=1.0, x0=1.0, horizon=1.0, wealth=True, seed=1)
-@example(n=BLOCK + 7, rows=1, jumps_on="first", lam_t=0.5, pi=0.8,
-         kappa=0.4, eta=0.5, x0=2.5, horizon=1.0, wealth=True, seed=2)
-@example(n=100, rows=2, jumps_on="none", lam_t=0.5, pi=-3.0, kappa=0.0,
-         eta=3.0, x0=1.0, horizon=0.25, wealth=False, seed=3)
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2 * BLOCK, jumps_on="last", lam_t=0.5, pi=128.0, kappa=1.0,
+         eta=1.0, x0=1.0, horizon=1.0, seed=1)
+@example(n=BLOCK + 7, jumps_on="first", lam_t=0.5, pi=0.8, kappa=0.4,
+         eta=0.5, x0=2.5, horizon=1.0, seed=2)
+@example(n=100, jumps_on="none", lam_t=0.5, pi=-3.0, kappa=0.0, eta=3.0,
+         x0=1.0, horizon=0.25, seed=3)
 def test_blocked_kernel_is_the_unblocked_kernel_bit_for_bit(
-        n, rows, jumps_on, lam_t, pi, kappa, eta, x0, horizon, wealth, seed):
-    # pi = 128 floors most paths, whose utility leaves double range beyond
-    # eta of about 2.03
-    assume(pi != 128.0 or eta <= 1.0)
-    draw = _kernel_inputs(seed, n, jumps_on, lam_t)
+        n, jumps_on, lam_t, pi, kappa, eta, x0, horizon, seed):
+    # pi = 128 takes the conditional value out of double range beyond eta
+    # of about 1: both kernels give the same infinities
+    blocks = _kernel_inputs(seed, n, jumps_on, lam_t)
     policy, fric = pk.Policy(pi=[pi], kappa=kappa), \
         pk.DifferentialRates(premium=PREM02)
-    cfg = pk.SimConfig(horizon=horizon, x0=x0, antithetic=rows == 2)
-    u, floored, v = _streamed(policy, draw, c2_model(), BETA128, fric,
-                              pk.Utility(eta), cfg, wealth)
-    ref_u, ref_floored, ref_v = unblocked_utilities(
-        policy, *_reference_args(draw, rows), c2_model(), BETA128, fric,
-        pk.Utility(eta), cfg, wealth=wealth)
-    assert u.shape == ref_u.shape and u.tobytes() == ref_u.tobytes()
-    assert floored == ref_floored
-    if wealth:
-        assert v.shape == ref_v.shape and v.tobytes() == ref_v.tobytes()
-    else:
-        assert v is None and ref_v is None
+    cfg = pk.SimConfig(horizon=horizon, x0=x0, n_paths=n)
+    u = _streamed(policy, blocks, c2_model(), BETA128, fric, pk.Utility(eta),
+                  cfg)
+    ref = conditional_utilities(policy, *_joined(blocks, n), n, c2_model(),
+                                BETA128, fric, pk.Utility(eta), cfg)
+    assert u.shape == ref.shape and u.tobytes() == ref.tobytes()
 
 
 def test_a_path_just_below_the_floor_is_floored_in_its_block():
-    # one path of the second block sits half a unit below LOG_FLOOR, so the
-    # block's minimum, not a far tail, decides whether it is floored
-    pol = pk.Policy(pi=[1.0], kappa=0.0)
+    # one path of the second block, with 20 jumps of 0.99 at kappa = 0.5,
+    # sits about 3.7 below LOG_FLOOR, 18 sd; every other path sits 10 above
+    # it, 50 sd. The block's least jump-log sum, not a far tail, decides
+    # whether the block's paths are weighed: floor_fraction is 1 / n
+    pol = pk.Policy(pi=[0.0], kappa=0.5)
     m, fric = c2_model(), pk.DifferentialRates(premium=PREM02)
-    drift, var = simulate._policy_coefficients(pol, m, NOJUMPS, fric)
-    z = np.zeros(BLOCK + 3)
-    z[BLOCK + 1] = (simulate.LOG_FLOOR - 0.5 - drift) / math.sqrt(var)
-    draw = (z, ((np.empty(0), np.zeros(1, dtype=np.int64)),) * 2)
-    args = (m, NOJUMPS, fric, pk.Utility(0.5), pk.SimConfig())
-    u, floored, v = _streamed(pol, draw, *args, wealth=True)
-    ref_u, ref_floored, ref_v = unblocked_utilities(
-        pol, *_reference_args(draw, 1), *args, wealth=True)
-    assert floored == ref_floored == 1
-    assert v[BLOCK + 1] == math.exp(simulate.LOG_FLOOR)
-    assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+    drift, var = simulate._policy_coefficients(pol, m, BETA128, fric)
+    assert math.sqrt(var) == pytest.approx(0.2)
+    n = BLOCK + 3
+    cfg = pk.SimConfig(n_paths=n, seed=9,
+                       x0=math.exp(simulate.LOG_FLOOR + 10.0 - drift))
+    jumpless = (np.empty(0), np.zeros(1, dtype=np.int64))
+    jumped = (np.full(20, 0.99), np.array([1] * 20 + [0], dtype=np.int64))
+    simulate._last_draw = ((cfg.seed, n, cfg.horizon), BETA128,
+                           (jumpless, jumped))
+    est = pk.simulate_terminal_utility(pol, m, BETA128, fric,
+                                       pk.Utility(0.5), cfg)
+    assert est.floor_fraction == 1.0 / n
+    simulate._last_draw = ()
 
 
 def test_blocked_kernel_refuses_a_full_loss_in_the_last_block():
-    draw = _kernel_inputs(4, 2 * BLOCK + 5, "spread", 0.5)
-    y = draw[1][-1][0]
+    blocks = _kernel_inputs(4, 2 * BLOCK + 5, "spread", 0.5)
+    y = blocks[-1][0]
     assert y.size > 0                 # the last block has a jump
     y[-1] = 1.0
-    blocks = simulate._terminal_utilities(
-        pk.Policy(pi=[0.6], kappa=1.0), draw, c2_model(),
+    kernel = simulate._terminal_utilities(
+        pk.Policy(pi=[0.6], kappa=1.0), blocks, c2_model(),
         BETA128, pk.DifferentialRates(premium=PREM02), pk.Utility(3.0),
-        pk.SimConfig())
+        pk.SimConfig(n_paths=2 * BLOCK + 5))
     for _ in range(2):
-        next(blocks)
+        next(kernel)
     with pytest.raises(pk.DomainError, match="sampled 1 - kappa Y <= 0"):
-        next(blocks)
+        next(kernel)
 
 
 def test_kernel_memory_is_the_output_and_a_few_blocks():
@@ -722,8 +745,8 @@ def test_kernel_memory_is_the_output_and_a_few_blocks():
 
 
 def _run(jumps, cfg):
-    """Every estimate one config gives: the plain or antithetic estimate and
-    a paired comparison."""
+    """Every estimate one config gives: the estimate and a paired
+    comparison."""
     m = c2_model()
     fric = pk.DifferentialRates(premium=PREM02)
     u = pk.Utility(3.0)
@@ -742,9 +765,8 @@ def _fresh(jumps, cfg):
 MEMO_CASES = {
     "seed 7": (BETA128, pk.SimConfig(n_paths=20_000, seed=7)),
     "seed 8": (BETA128, pk.SimConfig(n_paths=20_000, seed=8)),
-    # n_paths / 2 = 20,000 normals: the same draw as the plain seed 7
-    "antithetic 7": (BETA128, pk.SimConfig(n_paths=40_000, seed=7,
-                                           antithetic=True)),
+    # another path count on the same seed: drawn again
+    "n 40000 7": (BETA128, pk.SimConfig(n_paths=40_000, seed=7)),
     # equal to BETA128 but another object, so drawn again
     "equal law 7": (pk.JumpLaw(lam=0.15, law=pk.BetaJumps(12.0, 8.0)),
                     pk.SimConfig(n_paths=20_000, seed=7)),
@@ -763,8 +785,8 @@ class TestCommonDraws:
 
     def test_any_order_gives_the_fresh_bits(self):
         fresh = {name: _fresh(*case) for name, case in MEMO_CASES.items()}
-        order = ["seed 7", "seed 8", "seed 7", "seed 7", "antithetic 7",
-                 "seed 7", "antithetic 7", "equal law 7", "seed 7",
+        order = ["seed 7", "seed 8", "seed 7", "seed 7", "n 40000 7",
+                 "seed 7", "n 40000 7", "equal law 7", "seed 7",
                  "discrete 7", "horizon 2", "x0 2", "seed 7", "x0 2",
                  "seed 8"]
         simulate._last_draw = ()
@@ -772,11 +794,11 @@ class TestCommonDraws:
             assert _run(*MEMO_CASES[name]) == fresh[name], name
 
     def test_kept_draw_is_read_only_and_reused(self):
-        # three blocks: the normals and every block's jump sizes and ranks
+        # three blocks: every block's jump sizes and ranks
         cfg = pk.SimConfig(n_paths=2 * BLOCK + 1_000, seed=3)
         first, again = (_arrays(simulate._common_draws(BETA128, cfg))
                         for _ in range(2))
-        assert len(first) == 7
+        assert len(first) == 6
         assert all(a is b for a, b in zip(first, again))
         for a in first:
             assert not a.flags.writeable
@@ -809,23 +831,24 @@ class TestCommonDraws:
         for s in seeds:
             assert got[s] == [serial[s]] * 6, s
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_dump_counts_match_the_poisson_draws(self, antithetic, tmp_path):
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_dump_counts_match_the_poisson_draws(self, kept, tmp_path):
         # a block's substream opens with its ranks: rem_k, the number of its
         # m paths with at least k jumps, is Binomial(rem_{k - 1}, q_k) from
         # rem_0 = m, until rem_k = 0; path i has #{k: rem_k > i} jumps (one
-        # block here, n < BLOCK)
+        # block here, n < BLOCK), on a fresh draw and on a kept one
         jumps = pk.JumpLaw(lam=2.0, law=pk.BetaJumps(2.0, 8.0))
-        cfg = pk.SimConfig(n_paths=400, seed=11, antithetic=antithetic)
-        n = 200 if antithetic else 400
-        rng, rem = _block_stream(11, 0), n
-        counts = np.zeros(n, dtype=np.int64)
+        cfg = pk.SimConfig(n_paths=400, seed=11)
+        rng, rem = _block_stream(11, 0), 400
+        counts = np.zeros(400, dtype=np.int64)
         for q in simulate._rank_probabilities(2.0):
             rem = rng.binomial(rem, q)
             counts[:rem] += 1
             if not rem:
                 break
-        _run(jumps, cfg)              # the dump below reuses this draw
+        simulate._last_draw = ()
+        if kept:
+            _run(jumps, cfg)          # the dump below reuses this draw
         out = tmp_path / "paths.csv"
         pk.simulate_terminal_utility(pk.Policy(pi=[0.6], kappa=0.4),
                                      c2_model(), jumps,
@@ -833,15 +856,13 @@ class TestCommonDraws:
                                      pk.Utility(3.0), cfg, dump_csv=str(out))
         n_t = [int(line.split(",")[1])
                for line in out.read_text().splitlines()[1:]]
-        assert n_t == counts.tolist() * (2 if antithetic else 1)
+        assert n_t == counts.tolist()
         assert counts.sum() > 0
 
 
-def _arrays(draw):
-    """Every array of a draw (z, blocks): z, then each block's y and
-    ranks."""
-    z, blocks = draw
-    return [z] + [a for block in blocks for a in block]
+def _arrays(blocks):
+    """Every array of a draw: each block's y and ranks."""
+    return [a for block in blocks for a in block]
 
 
 class _CountedThread(threading.Thread):
@@ -866,18 +887,17 @@ class TestParallelDraw:
             pk.Utility(3.0)
         a, b = pk.Policy(pi=[0.6], kappa=0.4), pk.Policy(pi=[0.5], kappa=0.6)
         out = {}
-        for antithetic in (False, True):
+        for seed in (5, 6):
             # 200,000 paths: six whole blocks and a ragged one of 3,392
-            cfg = pk.SimConfig(n_paths=200_000 * (1 + antithetic), seed=5,
-                               antithetic=antithetic)
+            cfg = pk.SimConfig(n_paths=200_000, seed=seed)
             simulate._last_draw = ()
-            out["draw", antithetic] = [
+            out["draw", seed] = [
                 x.tobytes() for x in _arrays(simulate._common_draws(jumps,
                                                                     cfg))]
-            dump = None if antithetic else tmp_path / f"{workers}.csv"
-            out["estimate", antithetic] = pk.simulate_terminal_utility(
+            dump = tmp_path / f"{workers}.csv" if seed == 5 else None
+            out["estimate", seed] = pk.simulate_terminal_utility(
                 a, m, jumps, fric, u, cfg, dump_csv=dump and str(dump))
-            out["comparison", antithetic] = pk.compare_policies(
+            out["comparison", seed] = pk.compare_policies(
                 a, b, m, jumps, fric, u, cfg)
         out["dump"] = (tmp_path / f"{workers}.csv").read_bytes()
         return out, _CountedThread.started
@@ -990,7 +1010,7 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
     n_t = np.array([int(line.split(",")[1])
                     for line in out.read_text().splitlines()[1:]])
     assert n_t.size == cfg.n_paths
-    y = _joined(simulate._common_draws(jumps, cfg))[0]
+    y = _joined(simulate._common_draws(jumps, cfg), cfg.n_paths)[0]
     assert n_t.sum() == y.size
     stat, p = _poisson_chi2(n_t, lam_t)
     assert p > 1e-3, (stat, p)
@@ -999,18 +1019,16 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
 def test_draw_is_blocked_and_each_path_count_is_poisson():
     # 200,000 paths: six whole blocks and a ragged last one of 3,392. Block
     # b is child b of the seed's SeedSequence: its ranks (sequential
-    # binomials), normals and jump sizes replay from that substream alone,
+    # binomials) and then its jump sizes replay from that substream alone,
     # and the per-path counts of the whole draw follow Poisson(lam T)
     jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
     cfg = pk.SimConfig(n_paths=200_000, seed=41)
-    draw = simulate._common_draws(jumps, cfg)
-    z, blocks = draw
+    blocks = simulate._common_draws(jumps, cfg)
     sizes = [BLOCK] * 6 + [200_000 - 6 * BLOCK]
     assert len(blocks) == len(sizes)
     q = simulate._rank_probabilities(0.5)
     for b, (size, (y, ranks)) in enumerate(zip(sizes, blocks)):
         rng = _block_stream(41, b)
-        s = b * BLOCK
         replayed = [rng.binomial(size, q[0])]
         for qk in q[1:]:
             if not replayed[-1]:
@@ -1018,11 +1036,11 @@ def test_draw_is_blocked_and_each_path_count_is_poisson():
             replayed.append(rng.binomial(replayed[-1], qk))
         assert ranks.tolist() == replayed and replayed[-1] == 0
         assert y.size == sum(replayed) > 0
-        assert z[s:s + size].tobytes() == rng.standard_normal(size).tobytes()
         g1 = rng.standard_gamma(2.0, size=y.size)
         g2 = rng.standard_gamma(8.0, size=y.size)
         assert y.tobytes() == (g1 / (g2 + g1)).tobytes()
-    counts = np.bincount(_joined(draw)[1], minlength=cfg.n_paths)
+    counts = np.bincount(_joined(blocks, cfg.n_paths)[1],
+                         minlength=cfg.n_paths)
     stat, p = _poisson_chi2(counts, 0.5)
     assert p > 1e-3, (stat, p)
 
@@ -1058,8 +1076,8 @@ def test_no_jump_rate_draws_no_jump():
     # lam = 0: every q_k is 0, so each block's ranks are [0] and it holds
     # no jump size
     assert set(simulate._rank_probabilities(0.0)) == {0.0}
-    _, blocks = simulate._common_draws(NOJUMPS,
-                                       pk.SimConfig(n_paths=BLOCK + 7, seed=2))
+    blocks = simulate._common_draws(NOJUMPS,
+                                    pk.SimConfig(n_paths=BLOCK + 7, seed=2))
     assert len(blocks) == 2
     for y, ranks in blocks:
         assert ranks.tolist() == [0] and y.size == 0
@@ -1071,7 +1089,7 @@ def test_ranks_at_thirty_jumps_a_path_run_down_to_zero(tmp_path):
     # per-path counts follow Poisson(30)
     jumps = pk.JumpLaw(lam=30.0, law=pk.BetaJumps(2.0, 8.0))
     cfg = pk.SimConfig(n_paths=BLOCK + 3_000, seed=13)
-    _, blocks = simulate._common_draws(jumps, cfg)
+    blocks = simulate._common_draws(jumps, cfg)
     for m, (y, ranks) in zip((BLOCK, 3_000), blocks):
         assert ranks[0] == m and ranks[-1] == 0 and (ranks[:-1] > 0).all()
         assert (np.diff(ranks) <= 0).all() and y.size == ranks.sum()
@@ -1085,29 +1103,31 @@ def test_ranks_at_thirty_jumps_a_path_run_down_to_zero(tmp_path):
     assert p > 1e-3, (stat, p)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("jumped", [False, True])
 @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
-def test_streamed_moments_match_a_two_pass_fsum(eta, antithetic):
-    # the running mean and deviation merged over four blocks (one ragged)
-    # agree with an exactly rounded two-pass reference on the same samples,
-    # for the estimate and the paired difference; the estimators divide by
+def test_streamed_moments_match_a_two_pass_fsum(eta, jumped):
+    # the running mean and deviation merged over four blocks (one ragged),
+    # each its jumped paths and then its jumpless ones as one value, agree
+    # with an exactly rounded two-pass reference on the same samples, for
+    # the estimate and the paired difference; on a law where most paths are
+    # jumpless and on one where every path jumps. The estimators divide by
     # 1 - eta once, a positive divisor at eta = 0.5, none at 1 and a
     # negative one at 3
     m, fric, u = c2_model(), pk.DifferentialRates(premium=PREM02), \
         pk.Utility(eta)
     a, b = pk.Policy(pi=[0.8], kappa=0.5), pk.Policy(pi=[0.5], kappa=0.7)
-    cfg = pk.SimConfig(n_paths=2 * (3 * BLOCK + 123) if antithetic
-                       else 3 * BLOCK + 123, seed=17, antithetic=antithetic)
+    cfg = pk.SimConfig(n_paths=3 * BLOCK + 123, seed=17)
+    jumps = EVERY_PATH_JUMPS if jumped else BETA128
 
     def two_pass(x):
         mean = math.fsum(x) / x.size
         ss = math.fsum((x - mean) ** 2)
         return mean, math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size)
 
-    xa = _samples(a, m, BETA128, fric, u, cfg)
-    xb = _samples(b, m, BETA128, fric, u, cfg)
-    est = pk.simulate_terminal_utility(a, m, BETA128, fric, u, cfg)
-    cmp = pk.compare_policies(a, b, m, BETA128, fric, u, cfg)
+    xa = _samples(a, m, jumps, fric, u, cfg)
+    xb = _samples(b, m, jumps, fric, u, cfg)
+    est = pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg)
+    cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
     for got, x in (((est.mean, est.std_error), xa),
                    ((cmp.diff_mean, cmp.diff_se), xa - xb)):
         assert got == pytest.approx(two_pass(x), rel=1e-13, abs=0.0)
@@ -1115,23 +1135,29 @@ def test_streamed_moments_match_a_two_pass_fsum(eta, antithetic):
     assert cmp.mean_b == pytest.approx(two_pass(xb)[0], rel=1e-13, abs=0.0)
 
 
-def test_antithetic_dump_writes_each_block_then_its_mirrors(tmp_path):
-    # rows go out a block at a time: the block's paths, then their mirrors
-    # n + i, whose G is the path's G negated
+def test_dump_draws_its_normals_apart_from_the_jumps(tmp_path):
+    # rows go out a block at a time, in path order; G is sd times normals
+    # from child 0 of each block's SeedSequence, so a dump leaves the draw,
+    # and every estimate on it, as they are without one
     n = BLOCK + 5
-    cfg = pk.SimConfig(n_paths=2 * n, seed=2, antithetic=True)
+    cfg = pk.SimConfig(n_paths=n, seed=2)
+    pol = pk.Policy(pi=[0.6], kappa=0.4)            # _run's policy A
+    args = (c2_model(), BETA128, pk.DifferentialRates(premium=PREM02),
+            pk.Utility(3.0), cfg)
+    plain = _fresh(BETA128, cfg)
+    draw = [a.tobytes() for a in _arrays(simulate._common_draws(BETA128,
+                                                                cfg))]
     out = tmp_path / "paths.csv"
-    pk.simulate_terminal_utility(pk.Policy(pi=[0.8], kappa=0.5), c2_model(),
-                                 BETA128, pk.DifferentialRates(premium=PREM02),
-                                 pk.Utility(3.0), cfg, dump_csv=str(out))
+    simulate._last_draw = ()
+    dumped = pk.simulate_terminal_utility(pol, *args, dump_csv=str(out))
+    assert [a.tobytes() for a in _arrays(simulate._common_draws(
+        BETA128, cfg))] == draw
+    assert dumped == plain[0] and _run(BETA128, cfg) == plain
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    ids = rows[:, 0].astype(int)
-    first, last = np.arange(BLOCK), np.arange(BLOCK, n)
-    assert ids.tolist() == np.concatenate(
-        [first, n + first, last, n + last]).tolist()
-    by_id = rows[np.argsort(ids)]
-    assert (by_id[n:, 1] == by_id[:n, 1]).all()
-    assert (by_id[n:, 2] == -by_id[:n, 2]).all()
+    assert rows[:, 0].astype(int).tolist() == list(range(n))
+    sd = math.sqrt(simulate._policy_coefficients(pol, *args[:3])[1])
+    z = np.concatenate([_dump_normals(2, 0, BLOCK), _dump_normals(2, 1, 5)])
+    np.testing.assert_allclose(rows[:, 2], sd * z, rtol=1e-11, atol=0.0)
 
 
 NONE_GLOBALS = """
