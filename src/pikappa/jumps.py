@@ -33,6 +33,20 @@ utility_jump_curve's kappa grid stops on its own, so it has the bits of
 utility_jump_term at the same kappa. fosd_compare's Beta CDF is such a
 series too (DLMF 8.17.7), so nothing here needs scipy.
 
+What does not depend on kappa is kept, keyed by the parameters it comes
+from, so that the ~30 evaluations of one kappa root, and a sweep that
+keeps the law and eta, work it out once: each series' table (_run) of its
+ratios (p + k)(q + k) / ((r + k)(s + k)) and, for the paired sums, its
+digamma steps rho_k; and the w-free constants of the 1 - kappa routes
+(_paired_constants, _connection, _log_constants). Each kind keeps its
+TABLE_KEYS = 32 keys last used, and a table at most TABLE_TERMS = 1024
+terms of one or two lists of floats, 32 bytes an entry: 2 MiB at most
+in all, beside constant sets of at most about 170 floats. A table grows
+by new lists published in one assignment under a lock, and no list
+changes once published, so a reader in any thread sees the old table or
+the new one, never half of one. A tabled term has the bits of the expression it
+stands for, so a value is the same whether its tables were kept or not.
+
 A divergent moment is decided here alone. At kappa = 1 under a Beta law,
 psi is +inf for eta >= beta, psi_dkappa for 1 + eta >= beta, and the
 utility term is -inf for eta >= beta + 1. The solvers read the sign of
@@ -43,7 +57,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +84,10 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 FOSD_GRID_SIZE = 512           # interior CDF points of fosd_compare
 # how far discrete weights may sum from 1 in a draw, Generator.choice's bound
 _WEIGHT_SUM_TOL = math.sqrt(np.finfo(float).eps)
+TABLE_KEYS = 32                # series tables, and w-free constant sets, kept
+TABLE_TERMS = 1024             # terms a series table keeps
+_FIRST_RUN = 16                # terms a new series table starts with
+_TABLE_LOCK = threading.Lock()  # held to lengthen a series table
 
 
 def _sums(p, q, r, s, z, g=None, eps=0.0):
@@ -80,42 +101,93 @@ def _sums(p, q, r, s, z, g=None, eps=0.0):
     converged if SERIES_MAX_TERMS terms do not get there. rtol is
     SERIES_RTOL times min(1, (1 - z) / (1 - CONNECTION_SWITCH)), as the
     tail left is about 1 / (1 - z) times the last term. Callers keep r + k
-    and s + k off 0, and r > 0. A float z is summed in Python floats, an
-    array by _array_sums with the same IEEE arithmetic, so each entry has
-    the bits of its z alone.
+    and s + k off 0, and r > 0. The ratios u_(k+1) / u_k = c_k z and the
+    rho_k come from the series' table (_run), c_k z with the bits of
+    (p + k)(q + k) / ((r + k)(s + k)) z. A float z is summed in Python
+    floats, an array by _array_sums with the same IEEE arithmetic, so each
+    entry has the bits of its z alone.
     """
     if isinstance(z, np.ndarray):
         return _array_sums(p, q, r, s, z, g, eps)
-    # the term ratio is written out twice, so that the loop every psi runs
-    # keeps no temporary
     rtol = SERIES_RTOL * min(1.0, (1.0 - z) / (1.0 - CONNECTION_SWITCH))
-    u, total = 1.0, 0.0
+    u, total, k = 1.0, 0.0, 0
     if g is None:
-        for k in range(SERIES_MAX_TERMS):
-            total = total + u
-            if abs(u) <= rtol * abs(total) and (abs(
-                    (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
-                    or abs(total) == math.inf):
-                return total, True
-            u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
-        return total, False
+        while True:
+            ratios = _run(p, q, r, s, None, k)[0]
+            if not ratios:
+                return total, False
+            for c in ratios:
+                total = total + u
+                if abs(u) <= rtol * abs(total) and (
+                        abs(c * z) < 1.0 or abs(total) == math.inf):
+                    return total, True
+                u = u * (c * z)
+            k += len(ratios)
     mass = 0.0
-    for k in range(SERIES_MAX_TERMS):
-        piece = u * g
-        total = total + piece
-        mass = mass + abs(piece)
-        # |u_k| max(1, |g_k|) <= rtol |S_k|: both |u_k| and |u_k g_k| are
-        if abs(u) <= rtol * abs(total) >= abs(piece) and (abs(
-                (p + k) * (q + k) / ((r + k) * (s + k)) * z) < 1.0
-                or abs(total) == math.inf):
-            return total, mass, True
-        u = u * ((p + k) * (q + k) / ((r + k) * (s + k)) * z)
-        if eps:
-            g = g + _bracket_step(p, q, r, s, k, eps) * (1.0 + eps * g)
-        else:                      # the same bits, with no call
-            g = g + (1.0 / (p + k) + 1.0 / (q + k) - 1.0 / (r + k)
-                     - 1.0 / (s + k))
-    return total, mass, False
+    while True:
+        ratios, steps = _run(p, q, r, s, eps, k)
+        if not ratios:
+            return total, mass, False
+        for c, rho in zip(ratios, steps):
+            piece = u * g
+            total = total + piece
+            mass = mass + abs(piece)
+            # |u_k| max(1, |g_k|) <= rtol |S_k|: both |u_k| and |u_k g_k| are
+            if abs(u) <= rtol * abs(total) >= abs(piece) and (
+                    abs(c * z) < 1.0 or abs(total) == math.inf):
+                return total, mass, True
+            u = u * (c * z)
+            # no 1 + eps g at eps = 0, where g = inf gives nan
+            g = g + rho * (1.0 + eps * g) if eps else g + rho
+        k += len(ratios)
+
+
+@functools.lru_cache(maxsize=TABLE_KEYS)
+def _table(p, q, r, s, eps):
+    """The z-free terms of the series (p, q, r, s) weighted with eps, or
+    with eps None unweighted, as terms = (ratios, steps): c_k and rho_k
+    (steps None unweighted). A longer table replaces terms in one
+    assignment under _TABLE_LOCK, and no list in it changes after, so a
+    reader holds the old lists or the new ones, never a list being filled.
+    The TABLE_KEYS tables last used are kept."""
+    return types.SimpleNamespace(terms=([], None if eps is None else []))
+
+
+def _run(p, q, r, s, eps, k):
+    """(ratios, steps) of the series of _table(p, q, r, s, eps) from term k
+    on, and none from SERIES_MAX_TERMS on (read here at each call): the
+    table's terms or, past its end, new ones, as many as there are before
+    k (at least _FIRST_RUN, at most TABLE_TERMS). New terms lengthen a
+    table that ends at k, up to TABLE_TERMS; a term has the same bits
+    whether tabled or not."""
+    cap = SERIES_MAX_TERMS
+    table = _table(p, q, r, s, eps)
+    ratios, steps = table.terms
+    if k < len(ratios):
+        if k or len(ratios) > cap:
+            ratios = ratios[k:cap]
+            steps = None if steps is None else steps[k:cap]
+        return ratios, steps
+    new, new_steps = [], None if eps is None else []
+    end = min(k + min(max(k, _FIRST_RUN), TABLE_TERMS), cap)
+    for j in range(k, end):
+        new.append((p + j) * (q + j) / ((r + j) * (s + j)))
+        if eps is not None:
+            new_steps.append(_bracket_step(p, q, r, s, j, eps))
+    if k < TABLE_TERMS:
+        room = TABLE_TERMS - k
+        with _TABLE_LOCK:
+            ratios, steps = table.terms
+            if len(ratios) == k:   # else another thread has lengthened it
+                table.terms = (ratios + new[:room], None if steps is None
+                               else steps + new_steps[:room])
+    return new, new_steps
+
+
+def _clear_tables():
+    """Empty every table and constant set that the series keep."""
+    for cache in (_table, _paired_constants, _connection, _log_constants):
+        cache.cache_clear()
 
 
 def _bracket_step(p, q, r, s, k, eps):
@@ -133,18 +205,33 @@ def _bracket_step(p, q, r, s, k, eps):
         return math.inf / eps
 
 
+def _terms(p, q, r, s, eps):
+    """(c_k, rho_k) of _run for k = 0, 1, ... up to SERIES_MAX_TERMS, rho_k
+    None for an unweighted series."""
+    k = 0
+    while True:
+        ratios, steps = _run(p, q, r, s, eps, k)
+        if not ratios:
+            return
+        yield from zip(ratios, itertools.repeat(None) if steps is None
+                       else steps)
+        k += len(ratios)
+
+
 def _array_sums(p, q, r, s, z, g, eps):
-    """_sums for an array z: one numpy loop that carries only the entries
-    still running. The last eight are summed again alone, in Python floats,
-    which is cheaper than numpy's per-call cost on a few entries."""
+    """_sums for an array z: one numpy loop over the terms of the series'
+    table that carries only the entries still running. The last eight are
+    summed again alone, in Python floats, which is cheaper than numpy's
+    per-call cost on a few entries."""
     out, masses = np.empty_like(z), np.empty_like(z)
     converged = np.zeros(z.shape, dtype=bool)
     live, zl, gl = np.arange(z.size), z, g
     rtol = SERIES_RTOL * np.minimum(1.0, (1.0 - z) / (1.0 - CONNECTION_SWITCH))
     u, total, mass = np.ones_like(z), np.zeros_like(z), np.zeros_like(z)
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while live.size > 8 and k < SERIES_MAX_TERMS:
+        for c, rho in _terms(p, q, r, s, None if g is None else eps):
+            if live.size <= 8:
+                break
             if g is None:
                 total = total + u
                 bound = np.abs(u)
@@ -153,7 +240,7 @@ def _array_sums(p, q, r, s, z, g, eps):
                 total = total + piece
                 mass = mass + np.abs(piece)
                 bound = np.maximum(np.abs(u), np.abs(piece))
-            ratio = (p + k) * (q + k) / ((r + k) * (s + k)) * zl
+            ratio = c * zl
             stop = bound <= rtol * np.abs(total)
             if stop.any():
                 stop &= (np.abs(ratio) < 1.0) | np.isinf(total)
@@ -165,17 +252,15 @@ def _array_sums(p, q, r, s, z, g, eps):
                     live, zl, rtol, u, total, mass, ratio))
                 gl = None if g is None else gl[keep]
             u = u * ratio
-            if g is not None:      # as _sums: no 1 + eps g at eps = 0, where
-                step = _bracket_step(p, q, r, s, k, eps)  # g = inf gives nan
-                gl = gl + (step * (1.0 + eps * gl) if eps else step)
-            k += 1
-    if k < SERIES_MAX_TERMS:
-        for i in live:
-            one = _sums(p, q, r, s, float(z[i]), None if g is None else
-                        float(g[i]), eps)
-            out[i], masses[i], converged[i] = one[0], one[-2], one[-1]
-    else:
-        out[live], masses[live] = total, mass
+            if g is not None:      # as _sums: no 1 + eps g at eps = 0
+                gl = gl + (rho * (1.0 + eps * gl) if eps else rho)
+        else:                      # the entries left reached the term cap
+            out[live], masses[live] = total, mass
+            live = live[:0]
+    for i in live:
+        one = _sums(p, q, r, s, float(z[i]), None if g is None else
+                    float(g[i]), eps)
+        out[i], masses[i], converged[i] = one[0], one[-2], one[-1]
     return (out, converged) if g is None else (out, masses, converged)
 
 
@@ -186,11 +271,21 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _times_power(v: float, x: float, d: float, finish) -> float:
-    """finish(v x^d) for finish a product of scale factors, +-inf only where
-    that lies beyond double range (x^d or v x^d alone may)."""
+def _scaled(val, law: BetaJumps, m: int, div: float):
+    """val (alpha)_m / (alpha + beta)_m / div, a factor at a time, for val
+    a float or an array: the scale of _power_moment's 2F1."""
+    a, b = law.alpha, law.beta
+    for j in range(m):
+        val = val * (a + j) / (a + b + j)
+    return val / div
+
+
+def _times_power(v: float, x: float, d: float, law: BetaJumps, m: int,
+                 div: float) -> float:
+    """_scaled(v x^d, law, m, div), +-inf only where that lies beyond double
+    range (x^d or v x^d alone may)."""
     try:
-        value = finish(v * x ** d)
+        value = _scaled(v * x ** d, law, m, div)
         if abs(value) < math.inf:
             return value
     except OverflowError:
@@ -198,19 +293,19 @@ def _times_power(v: float, x: float, d: float, finish) -> float:
     try:
         half = x ** (d / 2.0)
     except OverflowError:
-        return finish(math.copysign(math.inf, v))
-    return finish(v * half) * half
+        return _scaled(math.copysign(math.inf, v), law, m, div)
+    return _scaled(v * half, law, m, div) * half
 
 
-def _each(fn, *args):
-    """fn of floats over arrays of one shape entry by entry, in Python floats,
-    for the scalar math and series of this module that do not broadcast (an
-    entry has the bits of its floats alone); floats give a float."""
-    if not isinstance(args[0], np.ndarray):
-        return float(fn(*map(float, args)))
-    flat = (np.asarray(a, dtype=float).ravel().tolist() for a in args)
-    return np.array([float(fn(*x)) for x in zip(*flat)]).reshape(
-        args[0].shape)
+def _each(fn, xs, *consts):
+    """fn(*xs, *consts) for xs floats or, for xs arrays of one shape, entry
+    by entry in Python floats: the scalar math of this module that does
+    not broadcast (an entry has the bits of its floats alone)."""
+    if not isinstance(xs[0], np.ndarray):
+        return float(fn(*map(float, xs), *consts))
+    flat = (np.asarray(a, dtype=float).ravel().tolist() for a in xs)
+    return np.array([float(fn(*x, *consts)) for x in zip(*flat)]).reshape(
+        xs[0].shape)
 
 
 def _paired_sum(p: float, q: float, m: int, eps: float, w):
@@ -224,89 +319,111 @@ def _paired_sum(p: float, q: float, m: int, eps: float, w):
     (Gamma(p + eps) Gamma(q + eps) Gamma(1 - eps)) and g_n = expm1(eps l_n)
     / eps, l_0 = ln w + D(p) + D(q) - D(1 - eps) - D(1 + m) for D of
     _digamma. At eps = 0, f = 1 and g_n = l_n: DLMF 15.8.10."""
+    f, l0 = _paired_constants(p, q, m, eps)
+    g = _each(_paired_weight, (w,), eps, l0)
+    return (f,) + _sums(p, q, 1.0 - eps, m + 1.0, w, g=g, eps=eps)
+
+
+@functools.lru_cache(maxsize=TABLE_KEYS)
+def _paired_constants(p: float, q: float, m: int, eps: float):
+    """(f, l_0 - ln w) of _paired_sum, which hold for every w."""
     if eps:
         dp, dq, d1 = (_digamma(x, eps) for x in (p, q, 1.0 - eps))
         f = math.pi * eps / math.sin(math.pi * eps) \
             * math.exp(-eps * (dp + dq - d1))
-        g0 = dp + dq - d1 - _digamma(m + 1.0, eps)
-        g = _each(lambda x: math.expm1(eps * (math.log(x) + g0)) / eps, w)
-    else:
-        f = 1.0
-        g = _each(math.log, w) + (2.0 * EULER_GAMMA - math.fsum(
-            1.0 / j for j in range(1, m + 1)) + _digamma(p) + _digamma(q))
-    return (f,) + _sums(p, q, 1.0 - eps, m + 1.0, w, g=g, eps=eps)
+        return f, dp + dq - d1 - _digamma(m + 1.0, eps)
+    return 1.0, 2.0 * EULER_GAMMA - math.fsum(
+        1.0 / j for j in range(1, m + 1)) + _digamma(p) + _digamma(q)
 
 
-def _hyp2f1_near_one(a: float, b: float, c: float, d: float, w, finish):
-    """finish(2F1(a, b; c; 1 - w)), d = c - a - b, for w a float or an
-    array in (0, 1), and where that holds (a bool or a bool array). With
-    d = m + eps > 0, m the integer nearest, it is the k < m terms of DLMF
+def _paired_weight(w: float, eps: float, l0: float) -> float:
+    """g_0 of _paired_sum at w, with l_0 = ln w + l0."""
+    if eps:
+        return math.expm1(eps * (math.log(w) + l0)) / eps
+    return math.log(w) + l0
+
+
+def _hyp2f1_near_one(w, law: BetaJumps, m: int, eta: float, shift: float,
+                     div: float):
+    """(_scaled(2F1(a, b; c; 1 - w)), where that holds) for w a float or an
+    array in (0, 1), a bool or a bool array, with _power_moment's a = eta +
+    shift, b = alpha + m, c = alpha + beta + m and d = c - a - b. With d =
+    n + eps > 0, n the integer nearest, it is the k < n terms of DLMF
     15.8.4's first sum, a finite sum in (-w)^k, and the rest by
     _paired_sum, with no pole to cancel. It fails where a Gamma factor
     overflows, the series does not converge, or the pieces add up to
     CONNECTION_MAX_GAIN / w times the result. For d < 0 Euler's
-    transformation (DLMF 15.8.1) comes first, finish scaling the result
-    before its factor w^d."""
-    euler = d < 0.0
-    if euler:
-        a, b, d = c - a, c - b, -d
-    m = round(d)
+    transformation (DLMF 15.8.1) comes first, the result scaled before its
+    factor w^d."""
+    a, b, c = eta + shift, law.alpha + m, law.alpha + law.beta + m
     try:
-        gc = math.gamma(c)
+        euler, a, b, d, n, coeffs, c2 = _connection(
+            a, b, c, math.fsum((law.beta, -eta, -shift)))
         total = mass = 0.0 * w
         x = 1.0 + total            # (-w)^k
-        t = gc * _rgamma(a + d) * _rgamma(b + d) * math.gamma(d) if m else 0.0
-        for k in range(m):
-            if k:
-                t *= (a + k - 1.0) * (b + k - 1.0) / (k * (d - k))
+        for t in coeffs:
             piece = t * x
             total = total + piece
             mass = mass + abs(piece)
             x = x * -w
-        c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(m + 1.0)
         ok = True
         if c2 != 0.0:              # else a or b is a pole: the finite sum
-            f, s2, mass2, ok = _paired_sum(a + m, b + m, m, d - m, w)
+            f, s2, mass2, ok = _paired_sum(a + n, b + n, n, d - n, w)
             c2 = c2 * f * x
             total, mass = total + c2 * s2, mass + abs(c2) * mass2
     except OverflowError:
         return w * math.nan, w < 0.0       # (nan, False) for every entry
     holds = ok & (mass * w < CONNECTION_MAX_GAIN * abs(total))
     if euler:
-        return _each(lambda v, x: _times_power(v, x, -d, finish), total,
-                     w), holds
-    return finish(total), holds
+        return _each(_times_power, (total, w), -d, law, m, div), holds
+    return _scaled(total, law, m, div), holds
 
 
-def _hyp2f1(law: BetaJumps, m: int, eta: float, shift: float, z, finish):
-    """finish(2F1(s, alpha + m; alpha + beta + m; z)), s = eta + shift, for
-    z a float or an array in [0, 1). c - a - b = beta - s is rounded once:
-    near z = 1 the result goes like (1 - z)^(c - a - b), so its error comes
-    back times ln(1 - z)."""
-    a, b, c = eta + shift, law.alpha + m, law.alpha + law.beta + m
+@functools.lru_cache(maxsize=TABLE_KEYS)
+def _connection(a: float, b: float, c: float, d: float):
+    """The w-free part of _hyp2f1_near_one: (euler, a, b, d, n, the finite
+    sum's coefficients, the paired sums' factor without f (-w)^n), after
+    Euler's transformation where d < 0."""
+    euler = d < 0.0
+    if euler:
+        a, b, d = c - a, c - b, -d
+    n = round(d)
+    gc = math.gamma(c)
+    t = gc * _rgamma(a + d) * _rgamma(b + d) * math.gamma(d) if n else 0.0
+    coeffs = []
+    for k in range(n):
+        if k:
+            t *= (a + k - 1.0) * (b + k - 1.0) / (k * (d - k))
+        coeffs.append(t)
+    c2 = -gc * _rgamma(a) * _rgamma(b) / math.gamma(n + 1.0)
+    return euler, a, b, d, n, tuple(coeffs), c2
 
-    def direct(z):
-        total, ok = _sums(a, b, c, 1.0, z)
-        return finish(total), ok
-    return _near_one_or_direct(lambda w: _hyp2f1_near_one(
-        a, b, c, math.fsum((law.beta, -eta, -shift)), w, finish), direct, z)
+
+def _hyp2f1_direct(z, law: BetaJumps, m: int, eta: float, shift: float,
+                   div: float):
+    """(_scaled(2F1(a, b; c; z)), converged) of _hyp2f1_near_one's a, b
+    and c, by the direct series."""
+    total, ok = _sums(eta + shift, law.alpha + m, law.alpha + law.beta + m,
+                      1.0, z)
+    return _scaled(total, law, m, div), ok
 
 
-def _near_one_or_direct(near_one, direct, z):
-    """near_one(1 - z) from CONNECTION_SWITCH where it holds, else direct(z),
-    for z a float or an array; NonConvergence where neither converges."""
+def _near_one_or_direct(z, near_one, direct, *args):
+    """near_one(1 - z, *args) from CONNECTION_SWITCH where it holds, else
+    direct(z, *args), for z a float or an array; both give (value, where
+    it holds). NonConvergence where neither converges."""
     if not isinstance(z, np.ndarray):
         if z >= CONNECTION_SWITCH:
-            value, holds = near_one(1.0 - float(z))
+            value, holds = near_one(1.0 - float(z), *args)
             if holds:
                 return value
-        value, ok = direct(z)
+        value, ok = direct(z, *args)
     else:
         value, ok = np.empty_like(z), np.zeros(z.shape, dtype=bool)
         near = np.flatnonzero(z >= CONNECTION_SWITCH)
-        value[near], ok[near] = near_one(1.0 - z[near])
+        value[near], ok[near] = near_one(1.0 - z[near], *args)
         rest = np.flatnonzero(~ok)
-        value[rest], ok[rest] = direct(z[rest])
+        value[rest], ok[rest] = direct(z[rest], *args)
         ok = ok.all()
     if not ok:
         raise NonConvergence(f"series unconverged at z = {z}")
@@ -392,24 +509,25 @@ def _power_moment(law, m: int, eta: float, shift: float, kappa: float,
                   div: float = 1.0) -> float:
     """E[Y^m (1 - kappa Y)^(-s)] / div with s = eta + shift: the one route
     of every power-type jump functional (see the module docstring); kappa
-    is a float, or for a discrete law a float or an array."""
+    is a float, or for a discrete law a float or an array. For a Beta law
+    below kappa = 1 it is (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m;
+    alpha + beta + m; kappa) (utility_jump_curve takes the same route for
+    a grid). c - a - b = beta - s is rounded once: near kappa = 1 the
+    result goes like (1 - kappa)^(c - a - b), so its error comes back times
+    ln(1 - kappa)."""
     s = eta + shift
     if isinstance(law, DiscreteJumps):
         # a term beyond double range (z ** s underflows at large s) is +inf
         with np.errstate(divide="ignore", over="ignore"):
             return _discrete_sum(law, kappa,
                                  lambda w, y, z: w * y ** m / z ** s) / div
-    a, b = law.alpha, law.beta
     if kappa == 1.0:
+        a, b = law.alpha, law.beta
         if s >= b:
             return math.inf / div
         return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b)) / div
-
-    def finish(val):               # times (alpha)_m / (alpha + beta)_m
-        for j in range(m):
-            val = val * (a + j) / (a + b + j)
-        return val / div
-    return _hyp2f1(law, m, eta, shift, kappa, finish)
+    return _near_one_or_direct(kappa, _hyp2f1_near_one, _hyp2f1_direct,
+                               law, m, eta, shift, div)
 
 
 def psi(jumps: JumpLaw, kappa: float, eta: float) -> float:
@@ -424,7 +542,7 @@ def psi_dkappa(jumps: JumpLaw, kappa: float, eta: float) -> float:
     return _power_moment(jumps.law, 2, eta, 1.0, kappa)
 
 
-def _log_near_one(a: float, b: float, w):
+def _log_near_one(w, a: float, b: float):
     """E[ln(1 - kappa Y)] for Y ~ Beta(a, b), w = 1 - kappa a float or an
     array, and where that holds, as in _hyp2f1_near_one: minus the
     derivative at 0 of 2F1(., a; a + b; 1 - w) by DLMF 15.8.4 at m =
@@ -432,13 +550,12 @@ def _log_near_one(a: float, b: float, w):
     derivative is 1): digamma(b) - digamma(a + b) - sum_(k = 1)^(m - 1)
     (a)_k w^k / (k (1 - b)_k) + Gamma(a + b) (-w)^m f / (Gamma(a) m!) s,
     with f and s of _paired_sum at p = m and q = a + m."""
-    m = max(1, round(b))
-    try:                           # before the loop, which a huge b makes long
-        c2 = math.gamma(a + b) * _rgamma(a) / math.gamma(m + 1.0)
+    try:
+        m, c2, gap = _log_constants(a, b)
         f, s2, mass2, ok = _paired_sum(float(m), a + m, m, b - m, w)
     except OverflowError:
         return w * math.nan, w < 0.0
-    total = 0.0 * w - _digamma_gap(b, a)
+    total = 0.0 * w - gap
     mass, t, x = abs(total), 1.0 + 0.0 * w, -w
     for k in range(1, m):          # t = (a)_k w^k / (1 - b)_k, x = (-w)^k
         t = t * ((a + k - 1.0) / (k - b) * w)
@@ -451,16 +568,21 @@ def _log_near_one(a: float, b: float, w):
                         < CONNECTION_MAX_GAIN * abs(total))
 
 
-def _log_moment(law: BetaJumps, kappa):
-    """E[ln(1 - kappa Y)], Y ~ Beta(a, b), kappa < 1 a float or an array; its
-    direct series: -kappa a/(a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa)."""
-    a, b = law.alpha, law.beta
+@functools.lru_cache(maxsize=TABLE_KEYS)
+def _log_constants(a: float, b: float):
+    """The w-free part of _log_near_one: (m, Gamma(a + b) / (Gamma(a) m!),
+    digamma(a + b) - digamma(b)). Gamma(a + b) is taken first, so that an
+    overflow comes before the finite sum, which a huge b makes long."""
+    m = max(1, round(b))
+    c2 = math.gamma(a + b) * _rgamma(a) / math.gamma(m + 1.0)
+    return m, c2, _digamma_gap(b, a)
 
-    def direct(kappa):
-        total, ok = _sums(a + 1.0, 1.0, a + b + 1.0, 2.0, kappa)
-        return -kappa * a / (a + b) * total, ok
-    return _near_one_or_direct(lambda w: _log_near_one(a, b, w), direct,
-                               kappa)
+
+def _log_direct(kappa, a: float, b: float):
+    """(E[ln(1 - kappa Y)], converged), Y ~ Beta(a, b), by its direct
+    series -kappa a / (a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa)."""
+    total, ok = _sums(a + 1.0, 1.0, a + b + 1.0, 2.0, kappa)
+    return -kappa * a / (a + b) * total, ok
 
 
 def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
@@ -473,7 +595,8 @@ def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
         return _discrete_sum(law, kappa, _log_term)
     if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
         return -_digamma_gap(law.beta, law.alpha)
-    return _log_moment(law, kappa)
+    return _near_one_or_direct(kappa, _log_near_one, _log_direct, law.alpha,
+                               law.beta)
 
 
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
@@ -495,10 +618,12 @@ def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
     out = np.empty_like(kappas)
     summed = np.flatnonzero(kappas < 1.0)
     if eta == 1.0:
-        out[summed] = _log_moment(law, kappas[summed])
+        out[summed] = _near_one_or_direct(
+            kappas[summed], _log_near_one, _log_direct, law.alpha, law.beta)
     else:
-        out[summed] = _hyp2f1(law, 0, eta, -1.0, kappas[summed],
-                              lambda v: v / (1.0 - eta))
+        out[summed] = _near_one_or_direct(
+            kappas[summed], _hyp2f1_near_one, _hyp2f1_direct, law, 0, eta,
+            -1.0, 1.0 - eta)
     for i in np.flatnonzero(kappas == 1.0):
         out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
     return out

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -352,17 +354,47 @@ def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, zs, g0, eps):
             for x_alone, x_one, x_many in zip(alone, one, many):
                 assert bits(x_alone) == bits(x_one[0]) == bits(x_many[i]), \
                     (i, zi)
+        # the series' table is kept per parameter set: the same sums come
+        # back after another set has run, and after the tables have been
+        # filled past their key bound, which drops this one
+        for refill in (other_series, fill_tables):
+            refill()
+            for i, zi in enumerate(zs):
+                again = jumps_mod._sums(
+                    p, q, r, s, zi, None if g is None else float(g[i]), eps)
+                for x_again, x_many in zip(again, many):
+                    assert bits(x_again) == bits(x_many[i]), (refill, i, zi)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: pk.psi(BETA28, 0.5, 3.0),
-    lambda: pk.utility_jump_term(BETA28, 0.5, 1.0),
-    lambda: utility_jump_curve(BETA28, np.array([0.2, 0.5]), 3.0),
-    lambda: pk.fosd_compare(BETA28, BETA28)],
-    ids=["psi", "log-term", "curve", "fosd"])
-def test_unconverged_series_raises_nonconvergence(call, monkeypatch):
+def other_series():
+    """Sum an unweighted and a weighted series of their own parameters."""
+    jumps_mod._sums(1.5, 2.0, 3.5, 1.0, 0.5)
+    jumps_mod._sums(2.5, 3.5, 1.0004, 3.0, 0.05, 1.5, -4e-4)
+
+
+def fill_tables():
+    """Sum one more series than the tables keep, each of its own key."""
+    for j in range(jumps_mod.TABLE_KEYS + 1):
+        jumps_mod._sums(1.0 + j, 1.0, 2.0, 1.0, 0.25)
+        jumps_mod._sums(1.0 + j, 1.0, 1.0, 2.0, 0.05, 0.5, 0.0)
+
+
+SERIES_CALLS = (
+    ("psi", lambda: pk.psi(BETA28, 0.5, 3.0)),
+    ("log-term", lambda: pk.utility_jump_term(BETA28, 0.5, 1.0)),
+    ("curve", lambda: utility_jump_curve(BETA28, np.array([0.2, 0.5]), 3.0)),
+    ("fosd", lambda: pk.fosd_compare(BETA28, BETA28)))
+
+
+@pytest.mark.parametrize("call, warm", [
+    pytest.param(call, warm, id=name + "-warm" * warm)
+    for warm in (False, True) for name, call in SERIES_CALLS])
+def test_unconverged_series_raises_nonconvergence(call, warm, monkeypatch):
     # with no quadrature behind it, a series that reaches its term cap is
-    # a typed error, not a value
+    # a typed error, not a value; a warm row first fills the series' tables
+    # past the cap, which must not let them finish
+    if warm:
+        call()
     monkeypatch.setattr(jumps_mod, "SERIES_MAX_TERMS", 3)
     with pytest.raises(pk.NonConvergence):
         call()
@@ -374,6 +406,42 @@ def test_sums_overflow_and_term_cap():
     assert jumps_mod._sums(1e200, 1.0, 2.0, 1.0, 0.5) == (math.inf, True)
     total, ok = jumps_mod._sums(0.5, 0.5, 1.5, 1.0, 1.0)
     assert math.isfinite(total) and not ok
+    # the tables keep no more than their bound of that long series
+    ratios, steps = jumps_mod._table(0.5, 0.5, 1.5, 1.0, None).terms
+    assert len(ratios) == jumps_mod.TABLE_TERMS and steps is None
+    for cache in (jumps_mod._table, jumps_mod._paired_constants,
+                  jumps_mod._connection, jumps_mod._log_constants):
+        assert cache.cache_info().maxsize == jumps_mod.TABLE_KEYS
+        assert cache.cache_info().currsize <= jumps_mod.TABLE_KEYS
+
+
+def test_psi_from_threads_on_a_cold_cache_has_the_serial_bits():
+    # four threads fill and read the same tables at once, each over the
+    # grid from its own starting point, while the interpreter switches
+    # threads often: every value has the bits of a serial call. Each round
+    # starts from empty tables (a table seen half-built failed about one
+    # round in fifty)
+    kappas = np.linspace(0.0, 0.9999, 41).tolist()
+    etas = (0.5, 2.5, 6.0)
+    jumps_mod._clear_tables()
+    serial = [pk.psi(BETA28, k, e).hex() for e in etas for k in kappas]
+    interval = sys.getswitchinterval()
+
+    def sweep(start):
+        order = kappas[start:] + kappas[:start]
+        barrier.wait()
+        return {(k, e): pk.psi(BETA28, k, e).hex() for e in etas
+                for k in order}
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(60):
+                jumps_mod._clear_tables()
+                barrier = threading.Barrier(4, timeout=60.0)
+                for run in pool.map(sweep, (0, 10, 20, 30)):
+                    assert [run[k, e] for e in etas for k in kappas] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestBeyondDoubleRange:
