@@ -87,6 +87,7 @@ _WEIGHT_SUM_TOL = math.sqrt(np.finfo(float).eps)
 TABLE_KEYS = 32                # series tables, and w-free constant sets, kept
 TABLE_TERMS = 1024             # terms a series table keeps
 _FIRST_RUN = 16                # terms a new series table starts with
+ARRAY_TAIL = 32                # entries an array series leaves to _sums
 _TABLE_LOCK = threading.Lock()  # held to lengthen a series table
 
 
@@ -220,9 +221,9 @@ def _terms(p, q, r, s, eps):
 
 def _array_sums(p, q, r, s, z, g, eps):
     """_sums for an array z: one numpy loop over the terms of the series'
-    table that carries only the entries still running. The last eight are
-    summed again alone, in Python floats, which is cheaper than numpy's
-    per-call cost on a few entries."""
+    table that carries only the entries still running. The last
+    ARRAY_TAIL are summed again alone, in Python floats, which is cheaper
+    than numpy's per-call cost on a few dozen entries."""
     out, masses = np.empty_like(z), np.empty_like(z)
     converged = np.zeros(z.shape, dtype=bool)
     live, zl, gl = np.arange(z.size), z, g
@@ -230,7 +231,7 @@ def _array_sums(p, q, r, s, z, g, eps):
     u, total, mass = np.ones_like(z), np.zeros_like(z), np.zeros_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, rho in _terms(p, q, r, s, None if g is None else eps):
-            if live.size <= 8:
+            if live.size <= ARRAY_TAIL:
                 break
             if g is None:
                 total = total + u

@@ -24,7 +24,11 @@ from .models import FrictionSpec, JumpLaw, MarketModel, Policy, Utility
 
 WEALTH_FLOOR = 1e-300
 LOG_FLOOR = math.log(WEALTH_FLOOR)
-BLOCK = 32_768          # paths per block of the draw and of every estimate
+# paths per block of the draw and of every estimate. A block holds only its
+# jumps, about lam T BLOCK floats, so it is sized to spread each block's
+# fixed cost (its substream, rank loop and per-call numpy work) over many
+# paths, while a 1e6-path draw still has blocks for two threads
+BLOCK = 131_072
 # the standard deviation of a rounding error spread evenly over
 # [-4 eps, 4 eps]: the relative rounding of one conditional value
 ROUNDING = 4.0 * float(np.finfo(float).eps) / math.sqrt(3.0)
@@ -166,7 +170,8 @@ def _common_draws(jumps: JumpLaw, config: SimConfig) -> tuple:
     is a permutation of m_b independent compound Poisson paths, and every
     estimate, symmetric in its paths, has the exact law. The blocks fill
     on the threads of _fill_blocks; their bits depend only on their
-    substreams, and BLOCK is part of the stream's definition.
+    substreams, and BLOCK is part of the stream's definition: another size
+    gives other bits from the same seed. A 1e6-path draw has 8 blocks.
 
     The last draw is kept (read-only) and returned again while the seed, n,
     the horizon and the JumpLaw object are the same: the entry holds the

@@ -315,21 +315,28 @@ def test_digamma_matches_mpmath():
 @given(p=st.one_of(st.floats(-12.0, 40.0), st.floats(1e100, 1e300)),
        q=st.floats(-12.0, 40.0), r=st.floats(0.25, 40.0),
        s=st.floats(0.25, 40.0),
-       zs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=14),
+       zs=st.lists(st.floats(0.0, 1.0), min_size=2,
+                   max_size=2 * jumps_mod.ARRAY_TAIL + 6),
        g0=st.one_of(st.none(), st.floats(-4.0, 4.0)),
        eps=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
-@example(p=1e200, q=1.0, r=2.0, s=1.0, zs=[0.0, 1e-250, 0.5],
-         g0=None, eps=0.0)         # the 0.5 entry overflows to +inf
-@example(p=0.5, q=0.5, r=1.5, s=1.0, zs=[0.1, 0.999, 0.5],
-         g0=None, eps=0.0)         # the 0.999 entry hits the term cap
-@example(p=2.5, q=3.0, r=1.0, s=4.0, zs=[0.05, 0.1, 0.02, 0.3, 0.5],
+# an array runs the numpy loop while more than ARRAY_TAIL entries are live,
+# so the examples of that loop have more than 32 entries
+@example(p=1e200, q=1.0, r=2.0, s=1.0, zs=[0.0, 1e-250] + [0.5] * 33,
+         g0=None, eps=0.0)         # the 0.5 entries overflow to +inf
+@example(p=0.5, q=0.5, r=1.5, s=1.0, zs=[0.1, 0.5] + [0.999] * 33,
+         g0=None, eps=0.0)         # the 0.999 entries hit the term cap
+@example(p=2.5, q=3.0, r=1.0, s=4.0, zs=[0.05, 0.1, 0.02, 0.3, 0.5] * 7,
          g0=-3.0, eps=0.0)         # |g_k| crosses 1 in the numpy loop
-@example(p=2.5, q=3.0, r=1.0004, s=3.0, zs=[0.05, 0.1, 0.3, 0.02],
+@example(p=2.5, q=3.0, r=1.0004, s=3.0, zs=[0.05, 0.1, 0.3, 0.02] * 9,
          g0=1.5, eps=-4e-4)        # the weight of the paired sums
 @example(p=4.091537975268825e-196, q=2.77500102626232e-138, r=1.0, s=1.0,
          zs=[0.0, 0.0], g0=0.0, eps=0.0008759508510148754)  # the first weight step is past range
 @example(p=1e100, q=2.225073858507203e-309, r=1.0, s=1.0,
-         zs=[0.0] * 8 + [1.0], g0=0.0, eps=0.0)  # g_1 = +inf in numpy
+         zs=[0.0] * 32 + [1.0], g0=0.0, eps=0.0)  # g_1 = +inf in numpy
+@example(p=2.0, q=-0.5, r=2.5, s=1.0, zs=[i / 74 for i in range(70)],
+         g0=None, eps=0.0)         # 70 entries leave the loop one by one
+@example(p=3.0, q=1.5, r=1.0004, s=3.0, zs=[i / 74 for i in range(70)],
+         g0=0.5, eps=2e-4)         # and weighted
 @settings(max_examples=200, deadline=None)
 def test_sums_entries_do_not_depend_on_the_array(p, q, r, s, zs, g0, eps):
     # the series kernel sums a float z, a 1-entry array and a many-entry

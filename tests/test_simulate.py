@@ -19,7 +19,7 @@ from scipy import stats
 import pikappa as pk
 from mc_reference import conditional_utilities
 from pikappa import simulate
-from pikappa.jumps import _generator
+from pikappa.jumps import _draw_y, _generator
 
 BETA128 = pk.JumpLaw(lam=0.15, law=pk.BetaJumps(alpha=12.0, beta=8.0))
 NOJUMPS = pk.JumpLaw(lam=0.0, law=pk.BetaJumps(alpha=2.0, beta=8.0))
@@ -231,13 +231,26 @@ PIN_LAWS = {
 }
 PIN_NAMES = ("mean", "SE", "comparison diff mean", "diff SE", "mean A",
              "mean B")
+# at 20,000 and 300,000 paths; 20,000 are one block, and 300,000 are two
+# whole blocks and a ragged one, so those pins also hold BLOCK, part of
+# the stream's definition
 MC_PINS = {
-    "beta": (-0.5707141809721675, 0.0008388571048031217,
-             0.05835145037646058, 0.0007906757703985963,
-             -0.5707141809721675, -0.6290656313486281),
-    "discrete": (-0.6738796319116661, 0.002514195014373269,
+    "beta": {
+        20_000: (-0.5707141809721675, 0.0008388571048031217,
+                 0.05835145037646058, 0.0007906757703985963,
+                 -0.5707141809721675, -0.6290656313486281),
+        300_000: (-0.5710053579323363, 0.00022186214200411628,
+                  0.059042178311834226, 0.00021802418040376277,
+                  -0.5710053579323363, -0.6300475362441705),
+    },
+    "discrete": {
+        20_000: (-0.6738796319116661, 0.002514195014373269,
                  0.2616086492636335, 0.006370434228534058,
                  -0.6738796319116661, -0.9354882811752996),
+        300_000: (-0.6752003055099222, 0.0006759480342924299,
+                  0.26986388129674915, 0.002278657137070157,
+                  -0.6752003055099222, -0.9450641868066713),
+    },
 }
 
 
@@ -250,16 +263,18 @@ def test_monte_carlo_streams_bit_identical(law):
     a = pk.Policy(pi=[0.6], kappa=0.4)
     b = pk.Policy(pi=[0.5], kappa=0.6)
     jumps = PIN_LAWS[law]
-    cfg = pk.SimConfig(n_paths=20_000, seed=7)
-    est = pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg)
-    cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
-    got = (est.mean, est.std_error, cmp.diff_mean, cmp.diff_se, cmp.mean_a,
-           cmp.mean_b)
-    moved = [f"{name}: {pin!r} -> {value!r}"
-             for name, pin, value in zip(PIN_NAMES, MC_PINS[law], got)
-             if value != pin]
-    assert got == MC_PINS[law], "moved pins:\n" + "\n".join(moved)
-    assert cmp.verdict == "A-better"
+    for n_paths, pins in MC_PINS[law].items():
+        cfg = pk.SimConfig(n_paths=n_paths, seed=7)
+        est = pk.simulate_terminal_utility(a, m, jumps, fric, u, cfg)
+        cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
+        got = (est.mean, est.std_error, cmp.diff_mean, cmp.diff_se,
+               cmp.mean_a, cmp.mean_b)
+        moved = [f"{name}: {pin!r} -> {value!r}"
+                 for name, pin, value in zip(PIN_NAMES, pins, got)
+                 if value != pin]
+        assert got == pins, (f"moved pins at {n_paths} paths:\n"
+                             + "\n".join(moved))
+        assert cmp.verdict == "A-better"
 
 
 @pytest.mark.parametrize("law", sorted(PIN_LAWS))
@@ -283,7 +298,7 @@ def test_comparison_pairs_the_dumped_conditional_utilities(law, tmp_path):
                                     skiprows=1, usecols=4))
     cmp = pk.compare_policies(a, b, m, jumps, fric, u, cfg)
     assert (cmp.mean_a, cmp.mean_b) == tuple(means)
-    assert cmp.mean_a == MC_PINS[law][0]
+    assert cmp.mean_a == MC_PINS[law][20_000][0]
     # at 12 significant digits
     diff = utilities[0] - utilities[1]
     assert cmp.diff_mean == pytest.approx(diff.mean(), rel=1e-9)
@@ -878,8 +893,39 @@ class TestParallelDraw:
     """The blocks of a draw are filled on threads; their bits depend on the
     seed, n, T and the law, not on the number of threads."""
 
+    # three whole blocks and a ragged one of 3,392 paths: more blocks than
+    # threads at 2 and 3 workers, fewer at 8
+    N_PATHS = 3 * BLOCK + 3_392
+    BLOCKS = -(-N_PATHS // BLOCK)
+
+    def _gate_helpers(self, monkeypatch, helpers):
+        """Make each helper thread's first block of a draw wait until the
+        draw's helpers are all running: the pool reuses a helper thread
+        that has finished, so without the wait how many threads start
+        would depend on timing. Returns the call that opens a new draw.
+        The gate calls the jumps module's own _draw_y, so a later gate
+        replaces an earlier one rather than wrapping it."""
+        caller, gate = threading.current_thread(), {}
+
+        def gated(rng, law, out):
+            here = threading.current_thread()
+            if here is not caller and here not in gate["seen"]:
+                gate["seen"].add(here)
+                # a broken barrier (too few helpers) fails the draw
+                gate["barrier"].wait(timeout=10.0)
+            return _draw_y(rng, law, out)
+
+        def new_draw():
+            gate.update(seen=set(), barrier=threading.Barrier(helpers))
+
+        monkeypatch.setattr(simulate, "_draw_y", gated)
+        return new_draw
+
     def _outputs(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        helpers = min(workers, self.BLOCKS) - 1
+        new_draw = (self._gate_helpers(monkeypatch, helpers) if helpers
+                    else lambda: None)
         monkeypatch.setattr(_CountedThread, "started", 0)
         monkeypatch.setattr(threading, "Thread", _CountedThread)
         jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
@@ -888,9 +934,9 @@ class TestParallelDraw:
         a, b = pk.Policy(pi=[0.6], kappa=0.4), pk.Policy(pi=[0.5], kappa=0.6)
         out = {}
         for seed in (5, 6):
-            # 200,000 paths: six whole blocks and a ragged one of 3,392
-            cfg = pk.SimConfig(n_paths=200_000, seed=seed)
+            cfg = pk.SimConfig(n_paths=self.N_PATHS, seed=seed)
             simulate._last_draw = ()
+            new_draw()
             out["draw", seed] = [
                 x.tobytes() for x in _arrays(simulate._common_draws(jumps,
                                                                     cfg))]
@@ -913,14 +959,10 @@ class TestParallelDraw:
                 got, started = self._outputs(monkeypatch, tmp_path, workers)
             finally:
                 sys.setswitchinterval(old)
-            if workers > 7:
-                # more workers than blocks: six helpers a draw at most, and
-                # the pool may run a later helper on a thread that an
-                # earlier one has left idle
-                assert 2 <= started <= 2 * 6
-            else:
-                # two draws of seven blocks, workers - 1 helpers each
-                assert started == 2 * (workers - 1)
+            # two draws, min(workers, blocks) - 1 helper threads each: one
+            # a worker while there are more blocks than workers, and at 8
+            # workers one for each block but the caller's
+            assert started == 2 * (min(workers, self.BLOCKS) - 1)
             assert got.keys() == serial.keys()
             for key in serial:
                 assert got[key] == serial[key], (workers, key)
@@ -958,8 +1000,8 @@ class TestParallelDraw:
         before = threading.active_count()
         with pytest.raises(pk.DomainError, match=f"injected fault on the "
                                                  f"{where}"):
-            simulate._common_draws(BETA128,
-                                   pk.SimConfig(n_paths=200_000, seed=5))
+            simulate._common_draws(
+                BETA128, pk.SimConfig(n_paths=self.N_PATHS, seed=5))
         assert simulate._last_draw == ()        # nothing published
         assert threading.active_count() == before
 
@@ -1017,14 +1059,14 @@ def test_dumped_jump_counts_follow_the_poisson_law(lam_t, tmp_path):
 
 
 def test_draw_is_blocked_and_each_path_count_is_poisson():
-    # 200,000 paths: six whole blocks and a ragged last one of 3,392. Block
-    # b is child b of the seed's SeedSequence: its ranks (sequential
-    # binomials) and then its jump sizes replay from that substream alone,
-    # and the per-path counts of the whole draw follow Poisson(lam T)
+    # six whole blocks and a ragged last one of 3,392 paths. Block b is
+    # child b of the seed's SeedSequence: its ranks (sequential binomials)
+    # and then its jump sizes replay from that substream alone, and the
+    # per-path counts of the whole draw follow Poisson(lam T)
     jumps = pk.JumpLaw(lam=0.5, law=pk.BetaJumps(2.0, 8.0))
-    cfg = pk.SimConfig(n_paths=200_000, seed=41)
+    sizes = [BLOCK] * 6 + [3_392]
+    cfg = pk.SimConfig(n_paths=sum(sizes), seed=41)
     blocks = simulate._common_draws(jumps, cfg)
-    sizes = [BLOCK] * 6 + [200_000 - 6 * BLOCK]
     assert len(blocks) == len(sizes)
     q = simulate._rank_probabilities(0.5)
     for b, (size, (y, ranks)) in enumerate(zip(sizes, blocks)):
@@ -1106,17 +1148,20 @@ def test_ranks_at_thirty_jumps_a_path_run_down_to_zero(tmp_path):
 @pytest.mark.parametrize("jumped", [False, True])
 @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
 def test_streamed_moments_match_a_two_pass_fsum(eta, jumped):
-    # the running mean and deviation merged over four blocks (one ragged),
-    # each its jumped paths and then its jumpless ones as one value, agree
-    # with an exactly rounded two-pass reference on the same samples, for
-    # the estimate and the paired difference; on a law where most paths are
-    # jumpless and on one where every path jumps. The estimators divide by
-    # 1 - eta once, a positive divisor at eta = 0.5, none at 1 and a
-    # negative one at 3
+    # the running mean and deviation merged over the blocks (the last one
+    # ragged), each its jumped paths and then its jumpless ones as one
+    # value, agree with an exactly rounded two-pass reference on the same
+    # samples, for the estimate and the paired difference; on a law where
+    # most paths are jumpless (four blocks) and on one where every path
+    # jumps, some 30 jumps a path. The latter draws two blocks, a whole one
+    # and 123 paths (3.9M jumps, 31 MB), to bound the test's memory; the
+    # merge over many blocks, each with jumped and jumpless paths, is the
+    # four-block case's. The estimators divide by 1 - eta once, a positive
+    # divisor at eta = 0.5, none at 1 and a negative one at 3
     m, fric, u = c2_model(), pk.DifferentialRates(premium=PREM02), \
         pk.Utility(eta)
     a, b = pk.Policy(pi=[0.8], kappa=0.5), pk.Policy(pi=[0.5], kappa=0.7)
-    cfg = pk.SimConfig(n_paths=3 * BLOCK + 123, seed=17)
+    cfg = pk.SimConfig(n_paths=(1 if jumped else 3) * BLOCK + 123, seed=17)
     jumps = EVERY_PATH_JUMPS if jumped else BETA128
 
     def two_pass(x):
