@@ -16,18 +16,19 @@ interval end for cases i and ii, the hyperplane for case iii.
 The smooth kernel solves the one-asset smooth frictions, a concave g(pi) and
 the portfolio-dependent premium (1 - kappa) q(pi), by one kappa root over the
 allocation pi(kappa): a formula for g = -c pi^2, whose allocation condition
-is linear in pi, and a bisection for the premium, whose condition is not.
+is linear in pi, and a root for the premium, whose condition is not.
 
-Every scalar root here is a bracketing bisection on a function that is
+Every scalar root here is a bracketing root (rootfind) of a function that is
 monotone by construction, over a bracket given by a formula: the kappa
 first-order condition is the derivative of a concave partial maximum, so it
 decreases in kappa (for the portfolio-dependent premium, the second-order
 bound makes f + H jointly concave). Every kappa root brackets [0, 1]: where
 the jump moment diverges at kappa = 1 (a Beta law with eta >= beta),
-psi(1) = +inf gives h(1) = -inf, which rules that corner out. The portfolio
-premium's allocation root is bisected at every step of its kappa root. The
-risk-aversion thresholds bisect eta alone, reading the sign of pi.1 - 1 from
-one h call at the kappa that puts pi.1 on 1. The mutual-fund weight bisects
+psi(1) = +inf gives h(1) = -inf, which rules that corner out. The kappa
+root is a bisection; every other root is Brent's. The portfolio premium's
+allocation root is solved at every step of its kappa root. The risk-aversion
+thresholds take a root in eta alone, reading the sign of pi.1 - 1 from one h
+call at the kappa that puts pi.1 on 1. The mutual-fund weight is a root on
 [0, 1] for interior kappas and has a closed form at a shared corner.
 """
 
@@ -47,7 +48,7 @@ from .models import (BetaJumps, DifferentialRates, FrictionSpec, Frictionless,
                      JumpLaw, LargeInvestor, MarketModel, Policy,
                      PortfolioPremium, PowerPremium, SmoothG, Utility,
                      require_valid)
-from .rootfind import bisect
+from .rootfind import bisect, brent
 
 CORNER_TIE = 1e-12
 KAPPA_XTOL = 1e-10
@@ -91,6 +92,7 @@ def _solve_kappa(h):
         return 1.0, "hi"
     if abs(h1) <= CORNER_TIE:
         return 1.0, "tie"
+    # brent here lifts repro peak_rss_mb 11-18% (bound 10%): ROADMAP item 8
     res = bisect(h, 0.0, 1.0, xtol=KAPPA_XTOL, flo=h0, fhi=h1)
     return res.root, "interior"
 
@@ -239,11 +241,16 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
     a = 1'S^-1(mu - xi 1) and c = 1'hedge, so pi.1 - 1 = c (kappa - k_p)
     for k_p = (1 - a/eta)/c. As h(., xi, eta) decreases, kappa > k_p
     exactly when h(k_p) > 0 for k_p inside the kappa interval, and outside
-    it the sign is fixed: one eta bisection, no kappa root inside it.
+    it the sign is fixed: one eta root, no kappa root inside it. A Beta law
+    caps the eta interval at beta - 1e-3, so beta <= 2e-3 leaves it empty
+    and raises NoThreshold.
     """
     require_valid(model, jumps, DifferentialRates(premium), Utility(ETA_LO))
     lo = ETA_LO
     hi = jumps.law.beta - 1e-3 if isinstance(jumps.law, BetaJumps) else ETA_HI
+    if hi <= lo:
+        raise NoThreshold(f"the eta search interval ({lo}, {hi}) is empty: "
+                          f"a Beta law caps it at beta - 1e-3")
     kern = _DiffRatesKernel(model, jumps, premium)
     c = kern.bB_one
 
@@ -264,8 +271,8 @@ def threshold_etas(model: MarketModel, jumps: JumpLaw,
             raise NoThreshold(
                 f"pi(xi={xi}).1 - 1 has no sign change for eta in "
                 f"({lo}, {hi}): {'> 0' if f_lo > 0 else '<= 0'} at both ends")
-        return bisect(sign_of_excess, lo, hi, xtol=ETA_XTOL, flo=f_lo,
-                      fhi=f_hi).root
+        return brent(sign_of_excess, lo, hi, xtol=ETA_XTOL, flo=f_lo,
+                     fhi=f_hi).root
 
     return threshold_at(model.R), threshold_at(model.r)
 
@@ -287,9 +294,9 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     Smooth g, f = -c pi^2 - p(kappa), makes that condition linear, so
     pi(kappa) = (mu - r + eta sigma rho b kappa) / (eta sigma^2 + 2c); it
     labels its kappa corners. The portfolio premium, f = -(1 - kappa) q(pi),
-    bisects pi(kappa): f_pi has the sign of -pi, so the root lies between 0
-    and the frictionless allocation x0, on a bracket widened by
-    w = max(1, |x0|) for strict end signs under rounding, and the bisection
+    takes a Brent root for pi(kappa): f_pi has the sign of -pi, so the root
+    lies between 0 and the frictionless allocation x0, on a bracket widened
+    by w = max(1, |x0|) for strict end signs under rounding, and the root
     stops at 1e-12 w, above pi's float spacing. It first checks its
     second-order bound, which makes f + H jointly concave, at pi = +-50 (q'
     increases in pi, so (q' + eta rho b sigma)^2 peaks at an end); a kappa
@@ -318,8 +325,8 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
                     - (1.0 - k) * float(friction.slope(x))
             x0 = (mu - r + eta * sig * rho * b * k) / (eta * sig * sig)
             w = max(1.0, abs(x0))
-            return bisect(t, min(0.0, x0) - w, max(0.0, x0) + w,
-                          xtol=1e-12 * w).root
+            return brent(t, min(0.0, x0) - w, max(0.0, x0) + w,
+                         xtol=1e-12 * w).root
         f_k = lambda x, k: float(friction.rate(x, jumps))
 
     def foc(k: float) -> float:
@@ -365,7 +372,7 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
     endpoint kappas sit on the same corner the combination weight solves
     the harmonic-mean condition 1/eta_bar = delta/eta1 + (1 - delta)/eta2
     in closed form and the result is exact; for interior kappas the scalar
-    optimality-defect function L is bisected in delta on [0, 1].
+    optimality-defect function L has a Brent root in delta on [0, 1].
     """
     if not (isinstance(premium_linear, PowerPremium)
             and premium_linear.delta == 1.0):
@@ -408,7 +415,7 @@ def mutual_fund_combine(model: MarketModel, jumps: JumpLaw,
         delta = (1.0 / eta_bar - 1.0 / eta2) / (1.0 / eta1 - 1.0 / eta2)
     else:
         try:
-            delta = bisect(f, 0.0, 1.0, xtol=1e-10).root
+            delta = brent(f, 0.0, 1.0, xtol=1e-10).root
         except BracketError as exc:
             raise NoRoot("combination function L has no sign change in "
                          "delta; separation hypothesis violated") from exc

@@ -795,6 +795,23 @@ class TestExitContract:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("beta", [5e-4, 1e-3, 2e-3])
+    def test_thresholds_on_an_empty_eta_interval_are_one_typed_line(
+            self, beta, tmp_path, capsys):
+        # a Beta law caps the eta search at beta - 1e-3, below its floor of
+        # 1e-3 here: no threshold, not a value under the floor or a
+        # ZeroDivisionError
+        doc = json.loads(open(cli.resolve_model_path("table-etaR")).read())
+        doc["jump_law"]["beta"] = beta
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["solve", "--model", str(path), "--thresholds"],
+                           capsys)
+        assert code == 2
+        assert err.startswith("solve failed: NoThreshold:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("delta", [0.5, 0, -1])
     def test_power_delta_below_one_is_one_typed_line(self, delta, tmp_path,
                                                      capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pikappa as pk
 from pikappa import solvers
 from pikappa.hamiltonian import _soc_bound
-from pikappa.rootfind import MAX_ITER, bisect
+from pikappa.rootfind import MAX_ITER, brent
 from pikappa.cli import resolve_model_path
 from pikappa.models import law_mean, load_model_file
 from pikappa.oracle import _apply_param
@@ -163,16 +163,29 @@ class TestThresholds:
         with pytest.raises(pk.NoThreshold):
             pk.threshold_etas(m, BETA28_025, Q03)
 
+    @pytest.mark.parametrize("beta", [5e-4, 1e-3, 1.1e-3, 2e-3])
+    def test_beta_at_the_search_floor_has_no_threshold(self, beta,
+                                                       monkeypatch):
+        # a Beta law caps the eta interval at beta - 1e-3, so beta <= 2e-3
+        # leaves (1e-3, beta - 1e-3) empty: refused before any evaluation
+        def no_call(*args):
+            raise AssertionError("evaluated on an empty eta interval")
+        monkeypatch.setattr(_DiffRatesKernel, "h", no_call)
+        monkeypatch.setattr(solvers, "brent", no_call)
+        inputs = load_model_file(resolve_model_path("table-etaR"))
+        jumps = replace(inputs.jumps, law=pk.BetaJumps(2.0, beta))
+        with pytest.raises(pk.NoThreshold, match="interval .* is empty"):
+            pk.threshold_etas(inputs.model, jumps, inputs.friction.premium)
+
     def test_one_bisection_per_threshold(self, monkeypatch):
-        # the sign test takes no kappa root inside the eta bisection
-        bisect = solvers.bisect
+        # the sign test takes no kappa root inside the eta root
         calls = []
 
-        def counting_bisect(*args, **kwargs):
+        def counting_brent(*args, **kwargs):
             calls.append(args)
-            return bisect(*args, **kwargs)
+            return brent(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "bisect", counting_bisect)
+        monkeypatch.setattr(solvers, "brent", counting_brent)
         inputs = load_model_file(resolve_model_path("table-etaR"))
         pk.threshold_etas(replace(inputs.model, R=0.06), inputs.jumps,
                           inputs.friction.premium)
@@ -517,7 +530,7 @@ def _log_floats(lo, hi):
        kappas=st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_allocation_bracket_has_a_sign_change(eta, sig, excess, rho, b,
                                               big_c, a, kappas):
-    # every bisection the portfolio premium's kernel starts, the allocation
+    # every root the portfolio premium's kernel starts, the allocation
     # root's at kappa 0, 1 and random kappas among them, has t of strictly
     # opposite signs at its two ends, or exactly 0 at one; the second-order
     # check is switched off, since the bracket does not rest on it
@@ -531,14 +544,14 @@ def test_allocation_bracket_has_a_sign_change(eta, sig, excess, rho, b,
         flo, fhi = f(lo), f(hi)
         ends.append((lo, hi, flo, fhi))
         assert flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0, ends[-1]
-        return bisect(f, lo, hi, **kw)
+        return brent(f, lo, hi, **kw)
 
     def probe(h):
         for k in [0.0, 1.0] + kappas:
             h(k)
         return 0.5, "interior"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "bisect", checked)
+        mp.setattr(solvers, "brent", checked)
         mp.setattr(solvers, "_solve_kappa", probe)
         mp.setattr(solvers, "_soc_bound", lambda *args: (0.0, 1.0))
         try:
@@ -554,15 +567,17 @@ BETA28_020 = pk.JumpLaw(lam=0.2, law=pk.BetaJumps(alpha=2.0, beta=8.0))
 LARGE_PI_ETA = 1e-4
 
 
-def _recording_bisect(monkeypatch):
-    """Patch the solvers' bisect to record each call's bracket and steps."""
+def _recording_bisect(monkeypatch, root="bisect"):
+    """Patch the solvers' bisect, or their root of another name, to record
+    each call's bracket and steps."""
     calls = []
+    original = getattr(solvers, root)
 
     def recording(f, lo, hi, **kw):
-        res = bisect(f, lo, hi, **kw)
+        res = original(f, lo, hi, **kw)
         calls.append((lo, hi, res.iterations))
         return res
-    monkeypatch.setattr(solvers, "bisect", recording)
+    monkeypatch.setattr(solvers, root, recording)
     return calls
 
 
@@ -605,9 +620,9 @@ def test_smooth_g_allocation_condition_vanishes(excess, sig, rho, b, lam, c,
 
 def test_portfolio_premium_allocation_root_stops_at_large_pi(monkeypatch):
     # the allocation root steps to 1e-12 max(1, |x0|), above pi's float
-    # spacing, so no bisection runs to MAX_ITER; C = 0 with this fair rate
+    # spacing, so no root runs to MAX_ITER; C = 0 with this fair rate
     # leaves the kappa condition without an interior root
-    calls = _recording_bisect(monkeypatch)
+    calls = _recording_bisect(monkeypatch, "brent")
     with pytest.raises(pk.NoInteriorSolution):
         pk.solve(c_model(0.16, 0.4, 0.3), BETA28_020,
                  pk.PortfolioPremium(C=0.0, A=0.5), pk.Utility(LARGE_PI_ETA))
