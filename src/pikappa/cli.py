@@ -268,7 +268,12 @@ def cmd_verify(args) -> None:
                    f"gap={gap:.3e} bound={bound:.3e}"))
 
     est, closed, z = _mc_vs_closed_form(rep.policy, rep.objective, inputs, cfg)
-    if est.std_error > 0.01 * abs(closed):
+    if inputs[3].eta != 1.0 and 0.0 in (closed, est.mean):
+        # a power utility is never 0 at a positive wealth: a 0 underflowed
+        checks.append(("mc-vs-closed-form", "inconclusive",
+                       f"closed form {closed:.3g} and estimate "
+                       f"{est.mean:.3g}: utilities underflow to 0"))
+    elif est.std_error > 0.01 * abs(closed):
         checks.append(("mc-vs-closed-form", "inconclusive",
                        f"SE={est.std_error:.3g} too wide at "
                        f"{args.mc_paths} paths"))

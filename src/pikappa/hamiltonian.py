@@ -176,14 +176,15 @@ class Certificate:
 def _soc_bound(q_prime, model: MarketModel, jumps: JumpLaw,
                eta: float) -> tuple[float, float]:
     """Both sides of the portfolio premium's second-order bound: the largest
-    (q' + eta rho b sigma)^2 over the given q' values, and
-    sigma^2 eta^2 (b^2 + lambda E[Y^2]). The Hessian of f + H in
-    (pi, kappa) is negative definite where the first is below the second."""
+    |q' + eta rho b sigma| over the given q' values, and
+    |sigma| eta sqrt(b^2 + lambda E[Y^2]). The Hessian of f + H in
+    (pi, kappa) is negative definite where the first is below the second.
+    Unsquared, the sides stay finite where eta b sigma is past 1e154."""
     _, sig, rho = model.d1()
     b = model.b
-    lhs = float(np.max((np.asarray(q_prime) + eta * rho * b * sig) ** 2))
+    lhs = float(np.max(np.abs(np.asarray(q_prime) + eta * rho * b * sig)))
     ey2 = law_second_moment(jumps.law)
-    rhs = sig * sig * eta * eta * (b * b + jumps.lam * ey2)
+    rhs = abs(sig) * eta * math.sqrt(b * b + jumps.lam * ey2)
     return lhs, rhs
 
 

@@ -3,7 +3,8 @@
 Each one is a power moment E[Y^m (1 - kappa Y)^(-s)]: psi is (m, s) =
 (1, eta), psi_dkappa is (2, 1 + eta) and the power-utility jump term is
 (0, eta - 1), divided by 1 - eta. One routing function, _power_moment,
-evaluates all three:
+evaluates all three for one kappa or a grid, a Beta law's through one
+router (_route) that the log-utility term shares:
 
 - discrete laws: the exact weighted sum, for one kappa or a grid;
 - Beta(alpha, beta) at kappa = 1: the closed form
@@ -29,8 +30,9 @@ Every one of these series has terms u_k with the ratio u_(k+1) / u_k =
 (p + k)(q + k) / ((r + k)(s + k)) z, and the one kernel _sums sums them
 all, for a float z or an array; a functional whose series has not
 converged at SERIES_MAX_TERMS terms raises NonConvergence. Each entry of
-utility_jump_curve's kappa grid stops on its own, so it has the bits of
-utility_jump_term at the same kappa. fosd_compare's Beta CDF is such a
+a kappa grid stops on its own, so utility_jump_curve, which shares
+utility_jump_term's dispatch (_utility_jump), has its bits at the same
+kappa. fosd_compare's Beta CDF is such a
 series too (DLMF 8.17.7), so nothing here needs scipy.
 
 What does not depend on kappa is kept, keyed by the parameters it comes
@@ -409,19 +411,24 @@ def _hyp2f1_direct(z, law: BetaJumps, m: int, eta: float, shift: float,
     return _scaled(total, law, m, div), ok
 
 
-def _near_one_or_direct(z, near_one, direct, *args):
-    """near_one(1 - z, *args) from CONNECTION_SWITCH where it holds, else
-    direct(z, *args), for z a float or an array; both give (value, where
-    it holds). NonConvergence where neither converges."""
+def _route(z, at_one, near_one, direct, *args):
+    """The one router of every Beta jump moment, for z a float or an array:
+    at_one(*args) at z = 1, near_one(1 - z, *args) from CONNECTION_SWITCH
+    where it holds, else direct(z, *args); the two series give (value,
+    where it holds). NonConvergence where neither converges."""
     if not isinstance(z, np.ndarray):
+        if z == 1.0:
+            return at_one(*args)
         if z >= CONNECTION_SWITCH:
             value, holds = near_one(1.0 - float(z), *args)
             if holds:
                 return value
         value, ok = direct(z, *args)
     else:
-        value, ok = np.empty_like(z), np.zeros(z.shape, dtype=bool)
-        near = np.flatnonzero(z >= CONNECTION_SWITCH)
+        value, ok = np.empty_like(z), z == 1.0
+        if ok.any():
+            value[ok] = at_one(*args)
+        near = np.flatnonzero((z >= CONNECTION_SWITCH) & ~ok)
         value[near], ok[near] = near_one(1.0 - z[near], *args)
         rest = np.flatnonzero(~ok)
         value[rest], ok[rest] = direct(z[rest], *args)
@@ -484,7 +491,12 @@ def _overflow_as_domain_error(fn):
     return wrapped
 
 
-def _check_kappa_eta(kappa: float, eta: float) -> None:
+def _check_kappa_eta(kappa, eta: float) -> None:
+    """DomainError naming a kappa outside [0, 1], NaN too (for an array,
+    its first such entry), or an eta outside (0, inf)."""
+    if isinstance(kappa, np.ndarray):
+        outside = kappa[~((0.0 <= kappa) & (kappa <= 1.0))]
+        kappa = outside[0] if outside.size else 0.0
     if not (0.0 <= kappa <= 1.0):
         raise DomainError(f"kappa={kappa} outside [0, 1]")
     if not (0.0 < eta < math.inf):
@@ -506,29 +518,33 @@ def _log_term(w, y, z):
     return w * np.log(z)
 
 
-def _power_moment(law, m: int, eta: float, shift: float, kappa: float,
-                  div: float = 1.0) -> float:
-    """E[Y^m (1 - kappa Y)^(-s)] / div with s = eta + shift: the one route
-    of every power-type jump functional (see the module docstring); kappa
-    is a float, or for a discrete law a float or an array. For a Beta law
-    below kappa = 1 it is (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m;
-    alpha + beta + m; kappa) (utility_jump_curve takes the same route for
-    a grid). c - a - b = beta - s is rounded once: near kappa = 1 the
-    result goes like (1 - kappa)^(c - a - b), so its error comes back times
+def _power_moment(law, m: int, eta: float, shift: float, kappa,
+                  div: float = 1.0):
+    """E[Y^m (1 - kappa Y)^(-s)] / div with s = eta + shift, for kappa a
+    float or an array: the one route of every power-type jump functional
+    (see the module docstring). For a Beta law below kappa = 1 it is
+    (alpha)_m / (alpha + beta)_m 2F1(s, alpha + m; alpha + beta + m;
+    kappa). c - a - b = beta - s is rounded once: near kappa = 1 the result
+    goes like (1 - kappa)^(c - a - b), so its error comes back times
     ln(1 - kappa)."""
-    s = eta + shift
     if isinstance(law, DiscreteJumps):
+        s = eta + shift
         # a term beyond double range (z ** s underflows at large s) is +inf
         with np.errstate(divide="ignore", over="ignore"):
             return _discrete_sum(law, kappa,
                                  lambda w, y, z: w * y ** m / z ** s) / div
-    if kappa == 1.0:
-        a, b = law.alpha, law.beta
-        if s >= b:
-            return math.inf / div
-        return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b)) / div
-    return _near_one_or_direct(kappa, _hyp2f1_near_one, _hyp2f1_direct,
-                               law, m, eta, shift, div)
+    return _route(kappa, _power_at_one, _hyp2f1_near_one, _hyp2f1_direct,
+                  law, m, eta, shift, div)
+
+
+def _power_at_one(law: BetaJumps, m: int, eta: float, shift: float,
+                  div: float) -> float:
+    """_power_moment at kappa = 1: B(alpha + m, beta - s) / B(alpha, beta)
+    / div, and +inf / div, its true value, where s >= beta."""
+    a, b, s = law.alpha, law.beta, eta + shift
+    if s >= b:
+        return math.inf / div
+    return math.exp(_log_beta(a + m, b - s) - _log_beta(a, b)) / div
 
 
 def psi(jumps: JumpLaw, kappa: float, eta: float) -> float:
@@ -579,6 +595,11 @@ def _log_constants(a: float, b: float):
     return m, c2, _digamma_gap(b, a)
 
 
+def _log_at_one(a: float, b: float) -> float:
+    """E[ln(1 - Y)] for Y ~ Beta(a, b): digamma(b) - digamma(a + b)."""
+    return -_digamma_gap(b, a)
+
+
 def _log_direct(kappa, a: float, b: float):
     """(E[ln(1 - kappa Y)], converged), Y ~ Beta(a, b), by its direct
     series -kappa a / (a + b) 3F2(1, 1, a + 1; 2, a + b + 1; kappa)."""
@@ -586,48 +607,32 @@ def _log_direct(kappa, a: float, b: float):
     return -kappa * a / (a + b) * total, ok
 
 
-def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
-    """E[U_eta(1 - kappa Y)]: the jump contribution to the objective."""
-    _check_kappa_eta(kappa, eta)
-    law = jumps.law
+def _utility_jump(law, kappa, eta: float):
+    """E[U_eta(1 - kappa Y)], kappa a float or an array: the one dispatch
+    of utility_jump_term and utility_jump_curve."""
     if eta != 1.0:
         return _power_moment(law, 0, eta, -1.0, kappa, 1.0 - eta)
     if isinstance(law, DiscreteJumps):
         return _discrete_sum(law, kappa, _log_term)
-    if kappa == 1.0:               # E[ln(1 - Y)] for Y ~ Beta(alpha, beta)
-        return -_digamma_gap(law.beta, law.alpha)
-    return _near_one_or_direct(kappa, _log_near_one, _log_direct, law.alpha,
-                               law.beta)
+    return _route(kappa, _log_at_one, _log_near_one, _log_direct, law.alpha,
+                  law.beta)
+
+
+def utility_jump_term(jumps: JumpLaw, kappa: float, eta: float) -> float:
+    """E[U_eta(1 - kappa Y)]: the jump contribution to the objective."""
+    _check_kappa_eta(kappa, eta)
+    return _utility_jump(jumps.law, kappa, eta)
 
 
 def utility_jump_curve(jumps: JumpLaw, kappas: np.ndarray,
                        eta: float) -> np.ndarray:
     """Vectorized E[U_eta(1 - kappa Y)] over a kappa grid: the grid oracle's
-    jump term. Every entry takes the routes of utility_jump_term, with the
-    bits of the same kappa alone: a discrete law's exact sum, and for a
-    Beta law every kappa < 1 at once and kappa = 1 by the closed form, -inf
-    where E[U_eta(1 - Y)] diverges (eta >= beta + 1), the objective's true
-    value there. A kappa outside [0, 1], NaN too, is a DomainError."""
+    jump term, each entry with the bits of utility_jump_term at its kappa
+    (-inf at kappa = 1 where eta >= beta + 1 under a Beta law, its true
+    value). A kappa outside [0, 1], NaN too, is a DomainError."""
     kappas = np.asarray(kappas, dtype=float)
-    outside = kappas[~((0.0 <= kappas) & (kappas <= 1.0))]
-    _check_kappa_eta(outside[0] if outside.size else 0.0, eta)
-    law = jumps.law
-    if isinstance(law, DiscreteJumps):
-        if eta == 1.0:
-            return _discrete_sum(law, kappas, _log_term)
-        return _power_moment(law, 0, eta, -1.0, kappas, 1.0 - eta)
-    out = np.empty_like(kappas)
-    summed = np.flatnonzero(kappas < 1.0)
-    if eta == 1.0:
-        out[summed] = _near_one_or_direct(
-            kappas[summed], _log_near_one, _log_direct, law.alpha, law.beta)
-    else:
-        out[summed] = _near_one_or_direct(
-            kappas[summed], _hyp2f1_near_one, _hyp2f1_direct, law, 0, eta,
-            -1.0, 1.0 - eta)
-    for i in np.flatnonzero(kappas == 1.0):
-        out[i] = utility_jump_term(jumps, float(kappas[i]), eta)
-    return out
+    _check_kappa_eta(kappas, eta)
+    return _utility_jump(jumps.law, kappas, eta)
 
 
 class Ordering(enum.Enum):

@@ -299,7 +299,7 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
     by w = max(1, |x0|) for strict end signs under rounding, and the root
     stops at 1e-12 w, above pi's float spacing. It first checks its
     second-order bound, which makes f + H jointly concave, at pi = +-50 (q'
-    increases in pi, so (q' + eta rho b sigma)^2 peaks at an end); a kappa
+    increases in pi, so |q' + eta rho b sigma| peaks at an end); a kappa
     corner raises NoInteriorSolution.
     """
     eta = utility.eta
@@ -316,8 +316,8 @@ def _solve_smooth(model: MarketModel, jumps: JumpLaw,
         if soc_lhs >= soc_rhs:
             raise SOCViolation(
                 f"second-order bound fails on the search bracket: "
-                f"max (q'+eta rho b sigma)^2 = {soc_lhs:.6g} >= "
-                f"sigma^2 eta^2 (b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
+                f"max |q'+eta rho b sigma| = {soc_lhs:.6g} >= "
+                f"|sigma| eta sqrt(b^2 + lambda E[Y^2]) = {soc_rhs:.6g}")
 
         def pi_of(k: float) -> float:
             def t(x: float) -> float:

@@ -440,6 +440,16 @@ class TestVerify:
         assert code == 0
         assert "[inconclusive] mc-vs-closed-form" in out
 
+    def test_underflowed_utilities_are_inconclusive(self, capsys):
+        # at r = 800 every utility underflows: the closed form and the
+        # estimate are both -0.0 with an SE of 0, which checks nothing
+        code, out, _ = run(["verify", "--model", "b1", "--r", "800", "--R",
+                            "800.02", "--mu", "800.06", "--eta", "3",
+                            "--mc-paths", "2000"], capsys)
+        assert code == 0
+        assert "[inconclusive] mc-vs-closed-form" in out
+        assert "[pass] mc-vs-closed-form" not in out
+
     def test_out_writes_the_checks(self, tmp_path, capsys):
         argv = ["verify", "--model", "c2", "--mc-paths", "100"]
         _, printed, _ = run(argv, capsys)
@@ -716,6 +726,10 @@ class TestExitContract:
         ("solve --model c1 --thresholds", 2, "solve failed: NoThreshold:"),
         ("solve --model section5-example --thresholds", 1, "input error:"),
         ("solve --model section5-example --q 5", 1, "input error:"),
+        # eta b sigma past 1e154: the second-order bound's squares would
+        # overflow, so its sides are compared unsquared
+        ("solve --model section5-example --eta 1e160", 2,
+         "solve failed: DomainError:"),
         ("simulate --model b1 --eta 1e6 --paths 1000", 2,
          "certification failed:"),
         ("simulate --model section5-example --eta 0.2504069946105812 "
@@ -896,6 +910,26 @@ class TestExitContract:
 
 _CONFIGS = ("a1", "a2", "b1", "b2", "c1", "c2", "table-etaR",
             "section5-example")
+_EXTREME_OVERRIDES = (("--eta", "1e-300"), ("--eta", "1e300"),
+                      ("--b", "1e300"), ("--lambda", "1e300"),
+                      ("--q", "1e300"), ("--r", "1e300"))
+
+
+@pytest.mark.parametrize("override", _EXTREME_OVERRIDES, ids=" ".join)
+@pytest.mark.parametrize("config", _CONFIGS)
+def test_solve_at_an_extreme_override_keeps_the_exit_contract(config,
+                                                              override,
+                                                              capsys):
+    # exit 0 with an empty stderr, or exit 1 or 2 with one typed line; an
+    # exception escaping main fails the test
+    code, _, err = run(["solve", "--model", config, *override], capsys)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
 _COMMANDS = (("solve",), ("solve", "--format", "json"),
              ("solve", "--thresholds"), ("simulate", "--paths", "2000"),
              ("oracle", "--resolution", "21", "--refine-resolution", "21",

@@ -679,11 +679,13 @@ class TestUtilityCurveSlowTail:
         assert curve[0] == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0, 9.0])
 def test_curve_entries_do_not_depend_on_the_grid(eta):
     # each entry stops its series on its own: the same kappa alone gives the
     # same bits, and so does the scalar series of utility_jump_term (for
-    # eta = 1 the one log series both share)
+    # eta = 1 the one log series both share); at eta = 9 >= beta + 1 the
+    # kappa = 1 entry is the closed form's -inf, and the entries from 0.9 on
+    # take the 1 - kappa route
     kappas = np.linspace(0.0, 1.0, 41)
     curve = utility_jump_curve(BETA28, kappas, eta)
     for kappa, value in zip(kappas, curve):
